@@ -74,6 +74,16 @@ def _dispatch(rec: dict, rec_id) -> dict:
         return {"id": rec_id, "I1": inv.i1, "I2": inv.i2, "I3": inv.i3,
                 "J2": inv.j2, "J3": inv.j3, "theta": inv.theta,
                 "theta_defined": inv.theta_defined}
+    if cmd == "logstrain":
+        res = log_strain_from_b(t, _TOLS)
+        return {"id": rec_id, "branch": res.branch.tag.value,
+                "eps": [float(x) for x in res.eps.as_tuple()],
+                "deps_dB": res.deps_db.as_list()}
+    if cmd == "stress":
+        sig = reconstruct_stress(t, _RETURN_MAP, _TOLS)
+        tan = consistent_tangent(t, _RETURN_MAP, _TOLS)
+        return {"id": rec_id, "sigma": [float(x) for x in sig.as_tuple()],
+                "tangent": tan.as_list()}
     sp = spectrum(t, _TOLS)
     if cmd == "eigen":
         return {"id": rec_id, "lambda": list(sp.lam),
@@ -91,16 +101,6 @@ def _dispatch(rec: dict, rec_id) -> dict:
                 f"input classified as {sp.mult.tag.value}")
         return {"id": rec_id, "multiplicity": sp.mult.tag.value,
                 "spins": [spin(t, sp, i).as_list() for i in range(3)]}
-    if cmd == "logstrain":
-        res = log_strain_from_b(t, _TOLS)
-        return {"id": rec_id, "branch": res.branch.tag.value,
-                "eps": [float(x) for x in res.eps.as_tuple()],
-                "deps_dB": res.deps_db.as_list()}
-    if cmd == "stress":
-        sig = reconstruct_stress(t, _RETURN_MAP, _TOLS)
-        tan = consistent_tangent(t, _RETURN_MAP, _TOLS)
-        return {"id": rec_id, "sigma": [float(x) for x in sig.as_tuple()],
-                "tangent": tan.as_list()}
     raise ContractError(f"unknown command {cmd!r}")
 
 

@@ -7,14 +7,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import BranchError, ContractError, MapDomainError
-from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Spectrum, spectrum, spin
+from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Spectrum, _spin_matrix, spectrum
 from .tensor_core import (
     IDENTITY2,
     IDENTITY4,
     IXI,
     SymTensor2,
     SymTensor4,
+    d2_I3,
     deviator,
     dyad,
     sym_kron,
@@ -124,11 +127,14 @@ def apply_distinct(t: SymTensor2, sp: Spectrum,
             raise MapDomainError(f"eigenvalue {lam!r} outside map domain {f.domain}")
     e = [f.eval(lam) for lam in sp.lam]
     d = [f.deriv(lam) for lam in sp.lam]
-    n1, n2, n3 = sp.bases
+    n1, _, n3 = sp.bases
     s_out = e[1] * IDENTITY2 + (e[0] - e[1]) * n1 + (e[2] - e[1]) * n3
-    m = (d[0] * dyad(n1, n1).m + d[1] * dyad(n2, n2).m + d[2] * dyad(n3, n3).m
-         + (e[0] - e[1]) * spin(t, sp, 0).m
-         + (e[2] - e[1]) * spin(t, sp, 2).m)
+    nv = np.array([n.as_tuple() for n in sp.bases])
+    nn = nv[:, :, None] * nv[:, None, :]
+    d2 = d2_I3(t).m
+    m = (d[0] * nn[0] + d[1] * nn[1] + d[2] * nn[2]
+         + (e[0] - e[1]) * _spin_matrix(t, sp, 0, d2)
+         + (e[2] - e[1]) * _spin_matrix(t, sp, 2, d2))
     return s_out, SymTensor4(m)
 
 

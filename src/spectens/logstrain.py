@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from . import oracle
 from .errors import KinematicsError
 from .isofunc import (
-    InvariantMapValues,
     apply_distinct,
     apply_double,
     half_log_map,
@@ -58,31 +57,6 @@ class LogStrainResult:
     branch: Multiplicity
 
 
-def _double_invariant_map(i1b: float, qb: float, sgn: int) -> InvariantMapValues:
-    """Invariant form of the half-log map at a double coincidence, written
-    directly in (I1B, qB).
-
-    The partials reduce to 1/(6 lam) combinations of the two stretches: the
-    diagonal ones are (1/lam_hat + 2/lam_rep)/6 and (1/lam_rep + 2/lam_hat)/6,
-    and both cross partials share the numerator 3 qB.  Note the denominators:
-    (4 s qB - 2 I1B) throughout, never (s qB - 2 I1B).
-    """
-    s = float(sgn)
-    lam_hat = (i1b - 2.0 * s * qb) / 3.0
-    lam_rep = (i1b + s * qb) / 3.0
-    if lam_hat <= 0.0 or lam_rep <= 0.0:
-        raise KinematicsError("log strain requires positive principal stretches")
-    den = (i1b + s * qb) * (4.0 * s * qb - 2.0 * i1b)
-    return InvariantMapValues(
-        i1s=0.5 * math.log(lam_hat) + math.log(lam_rep),
-        qs=0.5 * s * math.log(lam_rep / lam_hat),
-        di1s_di1t=3.0 * (s * qb - i1b) / den,
-        di1s_dqt=3.0 * qb / ((2.0 * s * qb - i1b) * (i1b + s * qb)),
-        dqs_di1t=3.0 * qb / den,
-        dqs_dqt=-3.0 * i1b / den,
-    )
-
-
 def log_strain_from_b(b: SymTensor2,
                       tols: ClassifyTols = DEFAULT_TOLS) -> LogStrainResult:
     """eps = ln(B)/2 and d(eps)/dB for a left Cauchy-Green tensor B."""
@@ -99,7 +73,7 @@ def log_strain_from_b(b: SymTensor2,
         eps, deps = apply_distinct(b, sp, _HALF_LOG)
     else:
         qb = math.sqrt(3.0 * sp.inv.j2)
-        mv = _double_invariant_map(sp.inv.i1, qb, sp.mult.theta_sign)
+        mv = scalar_map_invariants(_HALF_LOG, sp.inv.i1, qb, sp.mult.theta_sign)
         eps, deps = apply_double(b, sp, mv)
     return LogStrainResult(b=b, eps=eps, deps_db=deps, branch=sp.mult)
 

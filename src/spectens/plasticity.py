@@ -13,14 +13,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import ContractError
-from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Spectrum, spectrum, spin
+from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Spectrum, _spin_matrix, spectrum
 from .tensor_core import (
     IDENTITY2,
     IDENTITY4,
     IXI,
     SymTensor2,
     SymTensor4,
+    d2_I3,
     deviator,
     dtheta_dT,
     dyad,
@@ -125,21 +128,19 @@ def _distinct_tangent(eps_star: SymTensor2, sp: Spectrum,
     shifts = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
     sig = [p + (2.0 / 3.0) * q * math.sin(th + sh) for sh in shifts]
 
-    # Gradients of the predictor invariants themselves.
-    d_ev = IDENTITY2
-    d_eq = (2.0 / (3.0 * pred.eps_q)) * deviator(eps_star)
-    d_th = dtheta_dT(eps_star, sp.inv)
-
-    m = ((sig[0] - sig[1]) * spin(eps_star, sp, 0).m
-         + (sig[2] - sig[1]) * spin(eps_star, sp, 2).m)
-    for i, sh in enumerate(shifts):
-        sin_b = math.sin(th + sh)
-        cos_b = math.cos(th + sh)
-        # d(sigma_i)/d(x) for x in (eps_v, eps_q, theta_eps).
-        coeff = [gp[k] + (2.0 / 3.0) * (gq[k] * sin_b + q * cos_b * gth[k])
-                 for k in range(3)]
-        g_i = coeff[0] * d_ev + coeff[1] * d_eq + coeff[2] * d_th
-        m = m + dyad(sp.bases[i], g_i).m
+    # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
+    grads = np.array((IDENTITY2.as_tuple(),
+                      ((2.0 / (3.0 * pred.eps_q)) * deviator(eps_star)).as_tuple(),
+                      dtheta_dT(eps_star, sp.inv).as_tuple()))
+    # Row i: d(sigma_i)/d(x) for x in (eps_v, eps_q, theta_eps).
+    coeff = np.array([[gp[k] + (2.0 / 3.0) * (gq[k] * math.sin(th + sh)
+                                              + q * math.cos(th + sh) * gth[k])
+                       for k in range(3)] for sh in shifts])
+    nv = np.array([n.as_tuple() for n in sp.bases])
+    d2 = d2_I3(eps_star).m
+    m = ((sig[0] - sig[1]) * _spin_matrix(eps_star, sp, 0, d2)
+         + (sig[2] - sig[1]) * _spin_matrix(eps_star, sp, 2, d2)
+         + nv.T @ (coeff @ grads))
     return SymTensor4(m)
 
 

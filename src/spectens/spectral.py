@@ -6,7 +6,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BranchError, DegeneracyError
+import numpy as np
+
+from .errors import BranchError, ContractError, DegeneracyError
 from .tensor_core import (
     IDENTITY2,
     IDENTITY4,
@@ -19,7 +21,6 @@ from .tensor_core import (
     SymTensor4,
     d2_I3,
     deviator,
-    dyad,
     invariants,
     norm,
     sym_square,
@@ -97,7 +98,10 @@ def eigenvalues(inv: InvariantSet) -> tuple[float, float, float]:
     l2 = third + r * math.sin(inv.theta)
     l3 = third + r * math.sin(inv.theta - _TWO_THIRDS_PI)
     slack = 1e-12 * (abs(l1) + abs(l2) + abs(l3)) + 1e-300
-    assert l1 - l2 >= -slack and l2 - l3 >= -slack
+    if not (l1 - l2 >= -slack and l2 - l3 >= -slack):
+        raise DegeneracyError(
+            f"closed-form eigenvalues {(l1, l2, l3)!r} are out of order or not "
+            f"finite (J2 = {inv.j2!r}, theta = {inv.theta!r})")
     l2 = min(l2, l1)
     l3 = min(l3, l2)
     return (l1, l2, l3)
@@ -147,8 +151,11 @@ def eigenbasis_distinct(t: SymTensor2, inv: InvariantSet, i: int,
     li = lambda_i - inv.i1 / 3.0
     # beta_i and lambda_i must describe the same eigenvalue: the denominator
     # J2 (4 sin^2(beta_i) - 1) then equals 3 li^2 - J2.
-    assert abs(inv.j2 * (4.0 * math.sin(beta_i) ** 2 - 1.0) - (3.0 * li * li - inv.j2)) \
-        <= 1e-6 * (inv.j2 + 3.0 * li * li) + 1e-300
+    if not (abs(inv.j2 * (4.0 * math.sin(beta_i) ** 2 - 1.0) - (3.0 * li * li - inv.j2))
+            <= 1e-6 * (inv.j2 + 3.0 * li * li) + 1e-300):
+        raise ContractError(
+            f"lambda_i = {lambda_i!r} and beta_i = {beta_i!r} do not describe "
+            "the same eigenvalue")
     s = deviator(t)
     return _distinct_basis(s, sym_square(s), inv.j2, li)
 
@@ -205,11 +212,35 @@ def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
     return Spectrum(lam, beta, mult, bases, inv)
 
 
+_E = np.array(IDENTITY2.as_tuple())
+_I4_MINUS_IXI = IDENTITY4.m - IXI.m
+
+
+def _spin_matrix(t: SymTensor2, sp: Spectrum, i: int, d2: np.ndarray) -> np.ndarray:
+    """Stored array of spin(t, sp, i) given d2 = d2_I3(t).m; the four dyads on
+    N_i of its numerator are N_i x w + w x N_i."""
+    j2 = sp.inv.j2
+    sb = math.sin(sp.beta[i])
+    lam_i = sp.lam[i]
+    n = np.array(sp.bases[i].as_tuple())
+    w = ((-2.0 * math.sqrt(3.0 * j2) * sb) * n + (2.0 * lam_i - sp.inv.i1) * _E
+         + t.as_tuple())
+    nw = n[:, None] * w
+    return (nw + nw.T + lam_i * _I4_MINUS_IXI + d2) * (1.0 / (j2 * (4.0 * sb * sb - 1.0)))
+
+
 def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:
     """Derivative dN_i/dT of the eigenbasis of a simple eigenvalue.
 
     Defined for every index in the distinct case and only for the lone
     eigenvalue in the double case; never for a repeated eigenvalue.
+
+    dN_i/dT = (N_i x w + w x N_i + lam_i (I4 - I x I) + d2_I3(T))
+    / (J2 (4 sin^2(beta_i) - 1)) with w = -2 sqrt(3 J2) sin(beta_i) N_i
+    + (2 lam_i - I1) I + T.  The stored entry at row (ab), column (cd) is
+    N_ab w_cd + w_ab N_cd + lam_i ((I_ac I_bd + I_ad I_bc)/2 - I_ab I_cd)
+    + d2_I3(T)[ab, cd] over that denominator: plain component products,
+    with the shear doubled by apply().
     """
     mult = sp.mult
     if mult.tag is MultTag.TRIPLE:
@@ -218,15 +249,4 @@ def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:
         raise DegeneracyError("spin undefined for a repeated eigenvalue")
     if i not in (0, 1, 2):
         raise BranchError(f"eigenvalue index must be 0, 1 or 2, got {i}")
-    j2 = sp.inv.j2
-    i1 = sp.inv.i1
-    sb = math.sin(sp.beta[i])
-    den = j2 * (4.0 * sb * sb - 1.0)
-    lam_i = sp.lam[i]
-    n = sp.bases[i]
-    m = (-4.0 * math.sqrt(3.0 * j2) * sb * dyad(n, n).m
-         + (2.0 * lam_i - i1) * (dyad(n, IDENTITY2).m + dyad(IDENTITY2, n).m)
-         + (dyad(n, t).m + dyad(t, n).m)
-         + lam_i * (IDENTITY4.m - IXI.m)
-         + d2_I3(t).m) * (1.0 / den)
-    return SymTensor4(m)
+    return SymTensor4(_spin_matrix(t, sp, i, d2_I3(t).m))

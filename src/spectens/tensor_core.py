@@ -244,7 +244,7 @@ class SymTensor4:
                           float(out[3]), float(out[4]), float(out[5]))
 
     def as_list(self) -> list[float]:
-        return [float(x) for x in self.m.ravel()]
+        return self.m.ravel().tolist()
 
     def transpose(self) -> "SymTensor4":
         return SymTensor4(self.m.T)
@@ -269,39 +269,54 @@ def dyad(a: SymTensor2, b: SymTensor2) -> SymTensor4:
     return SymTensor4(np.outer(a.as_tuple(), b.as_tuple()))
 
 
-_BASIS_MATRICES = tuple(
-    np.array(m, dtype=float)
-    for m in (
-        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
-        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
-        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
-    )
-)
+# Slot of each 3x3 component in the stored order, and the (i, j) of each slot.
+_SLOT = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_VI, _VJ = np.array([[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
+# Slots of the components ik, jl, il and jk at row (ij), column (kl).
+_IK, _JL, _IL, _JK = (_SLOT[r[:, None], c]
+                      for r, c in ((_VI, _VI), (_VJ, _VJ), (_VI, _VJ), (_VJ, _VI)))
+# Indices into the 12 components of a + b of the factors of the products
+# a_ik b_jl, b_ik a_jl, a_il b_jk and b_il a_jk.
+_KRON_LEFT = np.array((_IK, _IK + 6, _IL, _IL + 6))
+_KRON_RIGHT = np.array((_JL + 6, _JL, _JK + 6, _JK))
+
+
+def _sym_kron_m(a: tuple, b: tuple) -> np.ndarray:
+    """Stored array of sym_kron from two component tuples.  The pairing
+    (a_ik b_jl + b_ik a_jl) + (a_il b_jk + b_il a_jk) makes the array exactly
+    symmetric, and exactly symmetric in a and b."""
+    ab = np.array(a + b)
+    p = ab[_KRON_LEFT] * ab[_KRON_RIGHT]
+    return 0.25 * ((p[0] + p[1]) + (p[2] + p[3]))
 
 
 def sym_kron(a: SymTensor2, b: SymTensor2) -> SymTensor4:
-    """Symmetrized dyad: sym_kron(a, b) : d = (a.d.b + b.d.a) / 2."""
-    am = np.array(a.to_matrix())
-    bm = np.array(b.to_matrix())
-    cols = np.empty((6, 6))
-    for k, e in enumerate(_BASIS_MATRICES):
-        k3 = 0.5 * (am @ e @ bm + bm @ e @ am)
-        cols[:, k] = (k3[0, 0], k3[1, 1], k3[2, 2], k3[0, 1], k3[0, 2], k3[1, 2])
-        cols[:, k] /= WEIGHTS[k]
-    return SymTensor4(cols)
+    """Symmetrized dyad: sym_kron(a, b) : d = (a.d.b + b.d.a) / 2.
+
+    Stored entry at row (ij), column (kl), in the component order of this
+    module: (a_ik b_jl + a_il b_jk + b_ik a_jl + b_il a_jk) / 4.  Entries are
+    plain component products; apply() doubles the shear of d.
+    """
+    return SymTensor4(_sym_kron_m(a.as_tuple(), b.as_tuple()))
 
 
 IDENTITY4 = SymTensor4(np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5]))
 IXI = dyad(IDENTITY2, IDENTITY2)
+_E = np.array(IDENTITY2.as_tuple())
+_IXI_MINUS_I4 = IXI.m - IDENTITY4.m
 
 
 def d2_I3(t: SymTensor2) -> SymTensor4:
-    """Second derivative of det(t): d -> t.d + d.t - tr(d) t - I1 d + (I1 tr(d) - t:d) I."""
-    i1 = t.trace()
-    m = (2.0 * sym_kron(t, IDENTITY2).m
-         - dyad(t, IDENTITY2).m - dyad(IDENTITY2, t).m
-         + i1 * (IXI.m - IDENTITY4.m))
+    """Second derivative of det(t): d -> t.d + d.t - tr(d) t - I1 d + (I1 tr(d) - t:d) I.
+
+    Stored as 2 sym_kron(t, I) - t x I - I x t + I1 (I x I - I4): the entry at
+    row (ij), column (kl) is (t_ik I_jl + t_il I_jk + I_ik t_jl + I_il t_jk)/2
+    - t_ij I_kl - I_ij t_kl + I1 (I_ij I_kl - (I_ik I_jl + I_il I_jk)/2), with
+    I_ij the Kronecker delta.  Entries are plain component products; apply()
+    doubles the shear.
+    """
+    tt = t.as_tuple()
+    tv = np.array(tt)
+    m = (2.0 * _sym_kron_m(tt, IDENTITY2.as_tuple()) - tv[:, None] * _E - _E[:, None] * tv
+         + t.trace() * _IXI_MINUS_I4)
     return SymTensor4(m)

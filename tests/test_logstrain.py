@@ -20,7 +20,6 @@ from spectens import (
     norm,
     scalar_map_invariants,
 )
-from spectens.logstrain import _double_invariant_map
 
 from util import make_with_eigs, rand_rotation, rel2, rel4, rotate
 
@@ -78,6 +77,9 @@ def test_log_strain_pure_rotation_scaled():
 def test_log_strain_rejects_near_singular():
     with pytest.raises(KinematicsError):
         log_strain([1.0, 0, 0, 0, 1.0, 0, 0, 0, 1e-9])
+    # Double branch with a negative lone stretch (I1 = 2, q = 4, theta = +pi/6).
+    with pytest.raises(KinematicsError):
+        log_strain_from_b(SymTensor2(2.0, 2.0, -2.0, 0.0, 0.0, 0.0))
 
 
 def test_round_trip_exp_recovers_b():
@@ -127,35 +129,6 @@ def test_trace_equals_log_det():
             continue
         res = log_strain(list(f.reshape(-1)))
         assert abs(res.eps.trace() - math.log(det)) < 1e-10 * max(1.0, norm(res.eps))
-
-
-def test_double_invariant_map_matches_generic_chain():
-    halflog = half_log_map()
-    for i1b, qb, sgn in [(6.0, 3.0, -1), (8.0, 3.0, 1), (2.9, 0.35, -1),
-                         (11.0, 2.0, 1), (0.9, 0.2, -1)]:
-        ours = _double_invariant_map(i1b, qb, sgn)
-        generic = scalar_map_invariants(halflog, i1b, qb, sgn)
-        for field in ("i1s", "qs", "di1s_di1t", "di1s_dqt", "dqs_di1t", "dqs_dqt"):
-            assert getattr(ours, field) == pytest.approx(
-                getattr(generic, field), rel=1e-10, abs=1e-12), field
-
-
-def test_double_invariant_map_partials_match_fd():
-    h = 1e-7
-    for i1b, qb, sgn in [(6.0, 3.0, -1), (5.0, 1.2, 1), (3.3, 0.8, -1)]:
-        mv = _double_invariant_map(i1b, qb, sgn)
-        d_i1 = _double_invariant_map(i1b + h, qb, sgn), _double_invariant_map(i1b - h, qb, sgn)
-        d_q = _double_invariant_map(i1b, qb + h, sgn), _double_invariant_map(i1b, qb - h, sgn)
-        assert mv.di1s_di1t == pytest.approx((d_i1[0].i1s - d_i1[1].i1s) / (2 * h), rel=1e-6)
-        assert mv.dqs_di1t == pytest.approx((d_i1[0].qs - d_i1[1].qs) / (2 * h), rel=1e-6)
-        assert mv.di1s_dqt == pytest.approx((d_q[0].i1s - d_q[1].i1s) / (2 * h), rel=1e-6)
-        assert mv.dqs_dqt == pytest.approx((d_q[0].qs - d_q[1].qs) / (2 * h), rel=1e-6)
-
-
-def test_double_invariant_map_rejects_nonpositive_stretch():
-    # i1b = 2, qb = 4, sgn = +1 puts lam_hat at -2.
-    with pytest.raises(KinematicsError):
-        _double_invariant_map(2.0, 4.0, 1)
 
 
 def test_tangent_check_random():

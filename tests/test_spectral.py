@@ -1,6 +1,9 @@
 """Closed-form eigenvalues, multiplicity classification, bases, and spins."""
 
+import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,10 @@ import spectens as st
 from spectens import oracle
 from spectens.spectral import MultTag, Multiplicity, classify, eigenvalues
 
-from util import make_with_eigs, rand_rotation, rand_sym, rel4, rotate
+from util import make_with_eigs, rand_rotation, rand_sym, rel4, rotate, spin_ref
+
+# Norm 1e110: J3 and J2^(3/2) overflow, so the Lode angle comes out NaN.
+_HUGE = st.SymTensor2(1e110, 2e110, -3e110, 0.5e110, 0.0, 0.25e110)
 
 
 def _eigs(t):
@@ -87,6 +93,33 @@ def test_eigenbasis_distinct_guards():
     dlam = eigenvalues(dinv)
     with pytest.raises(st.BranchError):
         st.eigenbasis_distinct(d, dinv, 1, dlam[1], dinv.theta)
+
+
+def test_eigenbasis_distinct_rejects_inconsistent_eigenvalue_and_angle():
+    t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
+    inv = st.invariants(t)
+    lam = eigenvalues(inv)
+    with pytest.raises(st.ContractError, match="same eigenvalue"):
+        st.eigenbasis_distinct(t, inv, 0, lam[0], inv.theta)
+    huge_inv = st.invariants(_HUGE)
+    with pytest.raises(st.ContractError, match="same eigenvalue"):
+        st.eigenbasis_distinct(_HUGE, huge_inv, 0, 1e110, huge_inv.theta)
+
+
+def test_overflowing_norm_raises_typed_error_with_and_without_asserts():
+    with pytest.raises(st.DegeneracyError) as info:
+        st.spectrum(_HUGE)
+    assert str(info.value)
+    code = ("import spectens as st\n"
+            f"t = st.SymTensor2(*{_HUGE.as_tuple()!r})\n"
+            "try:\n"
+            "    st.spectrum(t)\n"
+            "except st.SpectensError as exc:\n"
+            "    print(type(exc).__name__, bool(str(exc)))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "DegeneracyError True"
 
 
 def test_eigenbasis_agrees_with_adjugate_form():
@@ -276,6 +309,38 @@ def test_spin_major_symmetry():
         for i in range(3):
             m = st.spin(t, sp, i).m
             assert np.max(np.abs(m - m.T)) <= 1e-10 * max(1.0, np.max(np.abs(m)))
+        done += 1
+
+
+def _scaled_spectrum(sp, s):
+    """The spectrum of s*t from that of t, without reclassifying: the
+    coincidence floors would call a tiny tensor triple."""
+    inv = dataclasses.replace(sp.inv, i1=s * sp.inv.i1, i2=s * s * sp.inv.i2,
+                              i3=s ** 3 * sp.inv.i3, j2=s * s * sp.inv.j2,
+                              j3=s ** 3 * sp.inv.j3)
+    return dataclasses.replace(sp, lam=tuple(s * x for x in sp.lam), inv=inv)
+
+
+def test_spin_matches_dyad_reference_across_scales():
+    # Every summand of the numerator is bounded by about 21 |t|, and both
+    # forms round about six times in sequence before the division, so they
+    # differ by at most 2 * 6 * (eps/2) * 21 |t| < 128 eps |t| over it.
+    eps = float(np.finfo(float).eps)
+    rng = np.random.default_rng(42)
+    done = 0
+    while done < 60:
+        t1 = rand_sym(rng)
+        sp1 = st.spectrum(t1)
+        if sp1.mult.tag is not MultTag.DISTINCT:
+            continue
+        for scale in (1e-100, 1.0, 1e100):
+            t = scale * t1
+            sp = _scaled_spectrum(sp1, scale)
+            for i in range(3):
+                sb = math.sin(sp.beta[i])
+                den = sp.inv.j2 * (4.0 * sb * sb - 1.0)
+                tol = 128.0 * eps * st.norm(t) / abs(den)
+                assert np.all(np.abs(st.spin(t, sp, i).m - spin_ref(t, sp, i)) <= tol)
         done += 1
 
 

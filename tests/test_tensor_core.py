@@ -1,5 +1,6 @@
 """Storage conventions, invariants, and invariant derivatives."""
 
+import json
 import math
 import warnings
 
@@ -10,7 +11,19 @@ import spectens as st
 from spectens import oracle
 from spectens.tensor_core import d2_I3
 
-from util import log_uniform, make_with_eigs, rand_rotation, rand_sym, rel4, rotate
+from util import (
+    d2_I3_ref,
+    log_uniform,
+    make_with_eigs,
+    rand_rotation,
+    rand_sym,
+    rel4,
+    rotate,
+    sym_kron_ref,
+)
+
+EPS = float(np.finfo(float).eps)
+REF_SCALES = (1e-100, 1.0, 1e100)
 
 
 def test_component_order_and_matrix_round_trip():
@@ -211,6 +224,17 @@ def test_sym_kron_identity_is_identity4():
     assert np.max(np.abs(st.sym_kron(st.IDENTITY2, st.IDENTITY2).m - st.IDENTITY4.m)) == 0.0
 
 
+def test_sym_kron_matches_loop_reference_across_scales():
+    # Each entry sums four products of components, each bounded by |a||b|.
+    rng = np.random.default_rng(16)
+    for scale in REF_SCALES:
+        for _ in range(100):
+            a, b = rand_sym(rng, scale), rand_sym(rng, scale)
+            tol = 8.0 * EPS * st.norm(a) * st.norm(b)
+            assert np.all(np.abs(st.sym_kron(a, b).m - sym_kron_ref(a, b)) <= tol)
+            assert np.array_equal(st.sym_kron(a, b).m, st.sym_kron(a, b).m.T)
+
+
 def test_symtensor4_shape_guard():
     with pytest.raises(st.ContractError):
         st.SymTensor4(np.zeros((3, 3)))
@@ -230,6 +254,26 @@ def test_d2_I3_is_fd_derivative_of_adjugate():
         t = rand_sym(rng)
         fd = oracle.fd_tensor_derivative(st.adjugate, t)
         assert rel4(fd, d2_I3(t)) <= 1e-5
+
+
+def test_d2_I3_matches_loop_reference_across_scales():
+    # Only the doubled sym_kron(t, I) part differs from the reference, and
+    # |I| = sqrt(3): twice the sym_kron bound is under 32 eps |t|.
+    rng = np.random.default_rng(17)
+    for scale in REF_SCALES:
+        for _ in range(100):
+            t = rand_sym(rng, scale)
+            tol = 32.0 * EPS * st.norm(t)
+            assert np.all(np.abs(d2_I3(t).m - d2_I3_ref(t)) <= tol)
+
+
+def test_as_list_serializes_like_per_element_floats():
+    rng = np.random.default_rng(18)
+    m = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-300, 300, (6, 6))
+    m[0, :4] = (-0.0, 1e-300, 5e-324, 2.2250738585072014e-309)
+    t4 = st.SymTensor4(m)
+    assert json.dumps(t4.as_list()) == json.dumps([float(x) for x in t4.m.ravel()])
+    assert all(type(x) is float for x in t4.as_list())
 
 
 def test_d2_I3_operator_identity():
