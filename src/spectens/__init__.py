@@ -51,6 +51,7 @@ from .plasticity import (
     linear_elastic_map,
     predictor_invariants,
     reconstruct_stress,
+    stress_and_tangent,
     stress_invariants,
     verify_return_map,
     vonmises_demo_map,

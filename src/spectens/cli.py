@@ -20,7 +20,7 @@ from . import oracle
 from .errors import ContractError, DegeneracyError
 from .isofunc import isotropic_function, square_map
 from .logstrain import left_cauchy_green, log_strain_from_b
-from .plasticity import consistent_tangent, reconstruct_stress, vonmises_demo_map
+from .plasticity import stress_and_tangent, vonmises_demo_map
 from .spectral import ClassifyTols, MultTag, spectrum, spin
 from .tensor_core import TAU_ABS, TAU_GAP, TAU_REL, SymTensor2, invariants, norm
 
@@ -80,8 +80,7 @@ def _dispatch(rec: dict, rec_id) -> dict:
                 "eps": [float(x) for x in res.eps.as_tuple()],
                 "deps_dB": res.deps_db.as_list()}
     if cmd == "stress":
-        sig = reconstruct_stress(t, _RETURN_MAP, _TOLS)
-        tan = consistent_tangent(t, _RETURN_MAP, _TOLS)
+        sig, tan = stress_and_tangent(t, _RETURN_MAP, _TOLS)
         return {"id": rec_id, "sigma": [float(x) for x in sig.as_tuple()],
                 "tangent": tan.as_list()}
     sp = spectrum(t, _TOLS)

@@ -10,17 +10,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchError, ContractError, MapDomainError
-from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Spectrum, _spin_matrix, spectrum
+from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Spectrum, _spin_sum, spectrum
 from .tensor_core import (
     IDENTITY2,
     IDENTITY4,
     IXI,
+    WEIGHTS,
     SymTensor2,
     SymTensor4,
-    d2_I3,
+    _E,
+    _sym_kron_m,
     deviator,
-    dyad,
-    sym_kron,
 )
 
 
@@ -129,13 +129,11 @@ def apply_distinct(t: SymTensor2, sp: Spectrum,
     d = [f.deriv(lam) for lam in sp.lam]
     n1, _, n3 = sp.bases
     s_out = e[1] * IDENTITY2 + (e[0] - e[1]) * n1 + (e[2] - e[1]) * n3
-    nv = np.array([n.as_tuple() for n in sp.bases])
-    nn = nv[:, :, None] * nv[:, None, :]
-    d2 = d2_I3(t).m
-    m = (d[0] * nn[0] + d[1] * nn[1] + d[2] * nn[2]
-         + (e[0] - e[1]) * _spin_matrix(t, sp, 0, d2)
-         + (e[2] - e[1]) * _spin_matrix(t, sp, 2, d2))
-    return s_out, SymTensor4(m)
+    return s_out, SymTensor4(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d))
+
+
+_TWO_THIRDS_I = (2.0 / 3.0) * _E
+_WEIGHTS = np.array(WEIGHTS)
 
 
 def apply_double(t: SymTensor2, sp: Spectrum,
@@ -161,24 +159,25 @@ def apply_double(t: SymTensor2, sp: Spectrum,
     sgn = float(sp.mult.theta_sign)
     qt = math.sqrt(3.0 * sp.inv.j2)
     dev = deviator(t)
-    n_hat_d = (-sgn / qt) * dev
+    dv = np.array(dev.as_tuple())
+    n_hat_d = (-sgn / qt) * dv
     ratio = mv.qs / qt
-    p_pair = SymTensor2(2.0 / 3.0 - n_hat_d.xx, 2.0 / 3.0 - n_hat_d.yy,
-                        2.0 / 3.0 - n_hat_d.zz, -n_hat_d.xy, -n_hat_d.xz,
-                        -n_hat_d.yz)
+    p_pair = _TWO_THIRDS_I - n_hat_d
     pair_slope = 2.0 * mv.di1s_di1t - mv.dqs_dqt
-    in_pair = SymTensor4(sym_kron(p_pair, p_pair).m - 0.5 * dyad(p_pair, p_pair).m)
+    pp = tuple(p_pair.tolist())
+    in_pair = _sym_kron_m(pp, pp) - 0.5 * np.outer(p_pair, p_pair)
     # The projector pair is built from the actual deviator, which itself
     # carries the residual anisotropy; that inflates the extracted in-pair
     # part by 4/3 to first order, hence the 3/4.
     s_out = ((mv.i1s / 3.0) * IDENTITY2 + ratio * dev
-             + 0.75 * (pair_slope - ratio) * in_pair.apply(dev))
+             + 0.75 * (pair_slope - ratio)
+             * SymTensor2(*(in_pair @ (dv * _WEIGHTS)).tolist()))
     m = ((mv.di1s_di1t / 3.0) * IXI.m
          + ratio * (IDENTITY4.m - IXI.m / 3.0)
-         + 1.5 * (mv.dqs_dqt - ratio) * dyad(n_hat_d, n_hat_d).m
-         - sgn * 0.5 * mv.di1s_dqt * dyad(IDENTITY2, n_hat_d).m
-         - sgn * mv.dqs_di1t * dyad(n_hat_d, IDENTITY2).m
-         + (pair_slope - ratio) * in_pair.m)
+         + 1.5 * (mv.dqs_dqt - ratio) * np.outer(n_hat_d, n_hat_d)
+         - sgn * 0.5 * mv.di1s_dqt * np.outer(_E, n_hat_d)
+         - sgn * mv.dqs_di1t * np.outer(n_hat_d, _E)
+         + (pair_slope - ratio) * in_pair)
     return s_out, SymTensor4(m)
 
 

@@ -16,17 +16,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError
-from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Spectrum, _spin_matrix, spectrum
+from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Spectrum, _spin_sum, spectrum
 from .tensor_core import (
     IDENTITY2,
     IDENTITY4,
     IXI,
+    InvariantSet,
     SymTensor2,
     SymTensor4,
-    d2_I3,
+    _E,
     deviator,
     dtheta_dT,
-    dyad,
     invariants,
 )
 
@@ -68,7 +68,10 @@ class InvariantReturnMap:
 
 
 def predictor_invariants(eps: SymTensor2) -> StrainPredictorInvariants:
-    inv = invariants(eps)
+    return _predictor(invariants(eps))
+
+
+def _predictor(inv: InvariantSet) -> StrainPredictorInvariants:
     return StrainPredictorInvariants(
         eps_v=inv.i1,
         eps_q=2.0 * math.sqrt(inv.j2 / 3.0),
@@ -101,47 +104,7 @@ def reconstruct_stress(eps_star: SymTensor2, rm: InvariantReturnMap,
     taken parallel to the strain deviator and theta_sigma is not consulted.
     """
     sp = spectrum(eps_star, tols)
-    pred = predictor_invariants(eps_star)
-    if sp.mult.tag is MultTag.TRIPLE:
-        p = rm.p(pred.eps_v, 0.0, 0.0)
-        return p * IDENTITY2
-    args = (pred.eps_v, pred.eps_q, pred.theta_eps)
-    p, q = _map_values(rm, args)
-    if sp.mult.tag is not MultTag.DISTINCT:
-        return p * IDENTITY2 + (2.0 * q / (3.0 * pred.eps_q)) * deviator(eps_star)
-    th = rm.theta_sigma(*args)
-    sig = [p + (2.0 / 3.0) * q * math.sin(th + shift)
-           for shift in (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)]
-    n1, _, n3 = sp.bases
-    return sig[1] * IDENTITY2 + (sig[0] - sig[1]) * n1 + (sig[2] - sig[1]) * n3
-
-
-def _distinct_tangent(eps_star: SymTensor2, sp: Spectrum,
-                      pred: StrainPredictorInvariants,
-                      rm: InvariantReturnMap) -> SymTensor4:
-    args = (pred.eps_v, pred.eps_q, pred.theta_eps)
-    p, q = _map_values(rm, args)
-    th = rm.theta_sigma(*args)
-    gp = rm.grad_p(*args)
-    gq = rm.grad_q(*args)
-    gth = rm.grad_theta_sigma(*args)
-    shifts = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
-    sig = [p + (2.0 / 3.0) * q * math.sin(th + sh) for sh in shifts]
-
-    # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
-    grads = np.array((IDENTITY2.as_tuple(),
-                      ((2.0 / (3.0 * pred.eps_q)) * deviator(eps_star)).as_tuple(),
-                      dtheta_dT(eps_star, sp.inv).as_tuple()))
-    # Row i: d(sigma_i)/d(x) for x in (eps_v, eps_q, theta_eps).
-    coeff = np.array([[gp[k] + (2.0 / 3.0) * (gq[k] * math.sin(th + sh)
-                                              + q * math.cos(th + sh) * gth[k])
-                       for k in range(3)] for sh in shifts])
-    nv = np.array([n.as_tuple() for n in sp.bases])
-    d2 = d2_I3(eps_star).m
-    m = ((sig[0] - sig[1]) * _spin_matrix(eps_star, sp, 0, d2)
-         + (sig[2] - sig[1]) * _spin_matrix(eps_star, sp, 2, d2)
-         + nv.T @ (coeff @ grads))
-    return SymTensor4(m)
+    return _stress(eps_star, sp, _predictor(sp.inv), rm)
 
 
 def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
@@ -154,7 +117,38 @@ def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
     identity terms.
     """
     sp = spectrum(eps_star, tols)
-    pred = predictor_invariants(eps_star)
+    return _tangent(eps_star, sp, _predictor(sp.inv), rm)
+
+
+def stress_and_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
+                       tols: ClassifyTols = DEFAULT_TOLS) -> tuple[SymTensor2, SymTensor4]:
+    """(reconstruct_stress, consistent_tangent) at eps_star from one spectral
+    decomposition of the predictor."""
+    sp = spectrum(eps_star, tols)
+    pred = _predictor(sp.inv)
+    return _stress(eps_star, sp, pred, rm), _tangent(eps_star, sp, pred, rm)
+
+
+_SHIFTS = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
+
+
+def _stress(eps_star: SymTensor2, sp: Spectrum, pred: StrainPredictorInvariants,
+            rm: InvariantReturnMap) -> SymTensor2:
+    if sp.mult.tag is MultTag.TRIPLE:
+        p = rm.p(pred.eps_v, 0.0, 0.0)
+        return p * IDENTITY2
+    args = (pred.eps_v, pred.eps_q, pred.theta_eps)
+    p, q = _map_values(rm, args)
+    if sp.mult.tag is not MultTag.DISTINCT:
+        return p * IDENTITY2 + (2.0 * q / (3.0 * pred.eps_q)) * deviator(eps_star)
+    th = rm.theta_sigma(*args)
+    sig = [p + (2.0 / 3.0) * q * math.sin(th + shift) for shift in _SHIFTS]
+    n1, _, n3 = sp.bases
+    return sig[1] * IDENTITY2 + (sig[0] - sig[1]) * n1 + (sig[2] - sig[1]) * n3
+
+
+def _tangent(eps_star: SymTensor2, sp: Spectrum, pred: StrainPredictorInvariants,
+             rm: InvariantReturnMap) -> SymTensor4:
     if sp.mult.tag is MultTag.TRIPLE:
         gp = rm.grad_p(pred.eps_v, 0.0, 0.0)
         gq = rm.grad_q(pred.eps_v, 0.0, 0.0)
@@ -166,13 +160,37 @@ def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
     _, q = _map_values(rm, args)
     gp = rm.grad_p(*args)
     gq = rm.grad_q(*args)
-    e = deviator(eps_star)
+    e = np.array(deviator(eps_star).as_tuple())
     f = 2.0 / (3.0 * pred.eps_q)
     m = (gp[0] * IXI.m
-         + f * (gp[1] * dyad(IDENTITY2, e).m
-                + gq[0] * dyad(e, IDENTITY2).m
-                + f * (gq[1] - q / pred.eps_q) * dyad(e, e).m
+         + f * (gp[1] * np.outer(_E, e)
+                + gq[0] * np.outer(e, _E)
+                + f * (gq[1] - q / pred.eps_q) * np.outer(e, e)
                 + q * (IDENTITY4.m - IXI.m / 3.0)))
+    return SymTensor4(m)
+
+
+def _distinct_tangent(eps_star: SymTensor2, sp: Spectrum,
+                      pred: StrainPredictorInvariants,
+                      rm: InvariantReturnMap) -> SymTensor4:
+    args = (pred.eps_v, pred.eps_q, pred.theta_eps)
+    p, q = _map_values(rm, args)
+    th = rm.theta_sigma(*args)
+    gp = rm.grad_p(*args)
+    gq = rm.grad_q(*args)
+    gth = rm.grad_theta_sigma(*args)
+    sig = [p + (2.0 / 3.0) * q * math.sin(th + sh) for sh in _SHIFTS]
+
+    # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
+    grads = np.array((IDENTITY2.as_tuple(),
+                      ((2.0 / (3.0 * pred.eps_q)) * deviator(eps_star)).as_tuple(),
+                      dtheta_dT(eps_star, sp.inv).as_tuple()))
+    # Row i: d(sigma_i)/d(x) for x in (eps_v, eps_q, theta_eps).
+    coeff = np.array([[gp[k] + (2.0 / 3.0) * (gq[k] * math.sin(th + sh)
+                                              + q * math.cos(th + sh) * gth[k])
+                       for k in range(3)] for sh in _SHIFTS])
+    m = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
+                  tail=coeff @ grads)
     return SymTensor4(m)
 
 

@@ -19,7 +19,7 @@ from .tensor_core import (
     InvariantSet,
     SymTensor2,
     SymTensor4,
-    d2_I3,
+    _D2,
     deviator,
     invariants,
     norm,
@@ -168,12 +168,17 @@ def eigenbasis_double(t: SymTensor2, inv: InvariantSet,
     The deviatoric part of N_hat is -sign * dev(t)/q with q = sqrt(3 J2) and
     the sign taken from the classified branch, never from floating theta.
     """
-    lam = eigenvalues(inv)
-    mult = classify(lam, norm(t), tols)
+    mult = classify(eigenvalues(inv), norm(t), tols)
     if mult.tag is MultTag.TRIPLE:
         raise BranchError("triple coincidence has no distinguished basis")
     if mult.tag is MultTag.DISTINCT:
         raise BranchError("eigenvalues are distinct; use the simple-eigenvalue basis")
+    return _double_bases(t, inv, mult)
+
+
+def _double_bases(t: SymTensor2, inv: InvariantSet,
+                  mult: Multiplicity) -> tuple[SymTensor2, SymTensor2]:
+    """eigenbasis_double for a multiplicity already classified as double."""
     sgn = float(mult.theta_sign)
     q = math.sqrt(3.0 * inv.j2)
     dev = deviator(t)
@@ -204,7 +209,7 @@ def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
     elif mult.tag is MultTag.TRIPLE:
         bases = (_THIRD_I, _THIRD_I, _THIRD_I)
     else:
-        n_hat, n_rep = eigenbasis_double(t, inv, tols)
+        n_hat, n_rep = _double_bases(t, inv, mult)
         if mult.unique_index == 0:
             bases = (n_hat, n_rep, n_rep)
         else:
@@ -212,21 +217,46 @@ def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
     return Spectrum(lam, beta, mult, bases, inv)
 
 
-_E = np.array(IDENTITY2.as_tuple())
-_I4_MINUS_IXI = IDENTITY4.m - IXI.m
+# Rows 0-5: d2_I3 of the unit tensors; row 6: I4 - I x I.
+_SPIN_TABLE = np.vstack((_D2, (IDENTITY4.m - IXI.m).ravel()))
 
 
-def _spin_matrix(t: SymTensor2, sp: Spectrum, i: int, d2: np.ndarray) -> np.ndarray:
-    """Stored array of spin(t, sp, i) given d2 = d2_I3(t).m; the four dyads on
-    N_i of its numerator are N_i x w + w x N_i."""
-    j2 = sp.inv.j2
-    sb = math.sin(sp.beta[i])
-    lam_i = sp.lam[i]
-    n = np.array(sp.bases[i].as_tuple())
-    w = ((-2.0 * math.sqrt(3.0 * j2) * sb) * n + (2.0 * lam_i - sp.inv.i1) * _E
-         + t.as_tuple())
-    nw = n[:, None] * w
-    return (nw + nw.T + lam_i * _I4_MINUS_IXI + d2) * (1.0 / (j2 * (4.0 * sb * sb - 1.0)))
+def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> np.ndarray:
+    """Stored array of sum_i c[i] spin(t, sp, i) + sum_i d[i] N_i x N_i, plus
+    sum_i N_i x tail[i] when a (3, 6) array tail is given.
+
+    With a_i = c[i] / (J2 (4 sin^2(beta_i) - 1)) and w_i the w of spin, the
+    dyads on N_i are X^T Y + (X^T Y)^T over rows X_i = N_i and
+    Y_i = a_i w_i + d[i] N_i / 2,
+    and the rest is (sum a_i lam_i)(I4 - I x I) + (sum a_i) d2_I3(T), one
+    product with a constant table.  Half of that rest is added before the
+    transpose is, so that the array is exactly symmetric without the tail.
+    An eigenvalue of weight 0 is skipped: its denominator may vanish.
+    """
+    j2, i1 = sp.inv.j2, sp.inv.i1
+    root = 2.0 * math.sqrt(3.0 * j2)
+    # Row i: coefficients of Y_i on N_0, N_1, N_2, I and T.
+    coef = [[0.0] * 5 for _ in range(3)]
+    sum_a = sum_al = 0.0
+    for i in range(3):
+        coef[i][i] = 0.5 * d[i]
+        if c[i]:
+            sb = math.sin(sp.beta[i])
+            a = c[i] / (j2 * (4.0 * sb * sb - 1.0))
+            coef[i][i] -= a * root * sb
+            coef[i][3] = a * (2.0 * sp.lam[i] - i1)
+            coef[i][4] = a
+            sum_a += a
+            sum_al += a * sp.lam[i]
+    tv = t.as_tuple()
+    rows = np.array((*(n.as_tuple() for n in sp.bases), IDENTITY2.as_tuple(), tv))
+    nv = rows[:3]
+    half = 0.5 * sum_a
+    rest = np.array([half * x for x in tv] + [0.5 * sum_al]) @ _SPIN_TABLE
+    q = nv.T @ (np.array(coef) @ rows) + rest.reshape(6, 6)
+    if tail is None:
+        return q + q.T
+    return q + q.T + nv.T @ tail
 
 
 def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:
@@ -249,4 +279,4 @@ def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:
         raise DegeneracyError("spin undefined for a repeated eigenvalue")
     if i not in (0, 1, 2):
         raise BranchError(f"eigenvalue index must be 0, 1 or 2, got {i}")
-    return SymTensor4(_spin_matrix(t, sp, i, d2_I3(t).m))
+    return SymTensor4(_spin_sum(t, sp, [float(k == i) for k in range(3)]))

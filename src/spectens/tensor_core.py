@@ -313,10 +313,20 @@ def d2_I3(t: SymTensor2) -> SymTensor4:
     row (ij), column (kl) is (t_ik I_jl + t_il I_jk + I_ik t_jl + I_il t_jk)/2
     - t_ij I_kl - I_ij t_kl + I1 (I_ij I_kl - (I_ik I_jl + I_il I_jk)/2), with
     I_ij the Kronecker delta.  Entries are plain component products; apply()
-    doubles the shear.
+    doubles the shear.  The map is linear in t: the array is the components
+    of t times the constant table _D2.
     """
-    tt = t.as_tuple()
-    tv = np.array(tt)
-    m = (2.0 * _sym_kron_m(tt, IDENTITY2.as_tuple()) - tv[:, None] * _E - _E[:, None] * tv
-         + t.trace() * _IXI_MINUS_I4)
-    return SymTensor4(m)
+    return SymTensor4((np.array(t.as_tuple()) @ _D2).reshape(6, 6))
+
+
+def _d2_I3_unit(k: int) -> np.ndarray:
+    """The entry formula of d2_I3 at the unit tensor of slot k, flattened."""
+    e = tuple(float(j == k) for j in range(6))
+    ev = np.array(e)
+    return (2.0 * _sym_kron_m(e, IDENTITY2.as_tuple()) - ev[:, None] * _E
+            - _E[:, None] * ev + sum(e[:3]) * _IXI_MINUS_I4).ravel()
+
+
+# Row k is d2_I3 of the k-th unit tensor, so that the stored array of
+# d2_I3(t) is t.as_tuple() @ _D2 reshaped to 6x6.
+_D2 = np.array([_d2_I3_unit(k) for k in range(6)])

@@ -20,10 +20,12 @@ from spectens import (
     predictor_invariants,
     reconstruct_stress,
     spectrum,
+    stress_and_tangent,
     stress_invariants,
     verify_return_map,
     vonmises_demo_map,
 )
+from spectens import plasticity, spectral, tensor_core
 from spectens.oracle import fd_tensor_derivative, jacobi_eigen
 
 from util import make_with_eigs, rand_rotation, rand_sym, rel2, rel4
@@ -291,3 +293,41 @@ def test_branch_continuity_at_pair_closure():
         m_at = consistent_tangent(eps_at, rm)
         m_near = consistent_tangent(eps_near, rm)
         assert rel4(m_near, m_at) < 1e-3
+
+
+def _branch_cases(rng):
+    """One predictor per multiplicity: distinct, both double tags, triple."""
+    return [(rand_sym(rng, 0.04), MultTag.DISTINCT),
+            (make_with_eigs(rng, (0.04, 0.01, 0.01)), MultTag.DOUBLE_HIGH_UNIQUE),
+            (make_with_eigs(rng, (0.03, 0.03, -0.02)), MultTag.DOUBLE_LOW_UNIQUE),
+            (SymTensor2(0.02, 0.02, 0.02, 0, 0, 0), MultTag.TRIPLE)]
+
+
+def test_stress_and_tangent_equals_the_separate_calls():
+    rng = np.random.default_rng(43)
+    for rm in (_map_a(), _map_b(), vonmises_demo_map(2.0, 1.0, 0.02)):
+        for eps, tag in _branch_cases(rng):
+            assert spectrum(eps).mult.tag is tag
+            sig, tan = stress_and_tangent(eps, rm)
+            assert sig == reconstruct_stress(eps, rm)
+            assert np.array_equal(tan.m, consistent_tangent(eps, rm).m)
+
+
+def test_stress_and_tangent_decomposes_the_predictor_once(monkeypatch):
+    counts = {"spectrum": 0, "invariants": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (tensor_core, spectral, plasticity):
+        for name in counts:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    rng = np.random.default_rng(44)
+    for eps, _ in _branch_cases(rng):
+        counts.update(spectrum=0, invariants=0)
+        stress_and_tangent(eps, _map_a())
+        assert counts == {"spectrum": 1, "invariants": 1}

@@ -10,7 +10,7 @@ import pytest
 
 import spectens as st
 from spectens import oracle
-from spectens.spectral import MultTag, Multiplicity, classify, eigenvalues
+from spectens.spectral import MultTag, Multiplicity, _spin_sum, classify, eigenvalues
 
 from util import make_with_eigs, rand_rotation, rand_sym, rel4, rotate, spin_ref
 
@@ -309,6 +309,13 @@ def test_spin_major_symmetry():
         for i in range(3):
             m = st.spin(t, sp, i).m
             assert np.max(np.abs(m - m.T)) <= 1e-10 * max(1.0, np.max(np.abs(m)))
+        # Distinct-branch isotropic-function and log-strain tangents are
+        # exactly symmetric: B = exp(2 t) is SPD with the bases of t.
+        b, m = st.isotropic_function(t, st.double_exp_map())
+        assert np.array_equal(m.m, m.m.T)
+        res = st.log_strain_from_b(b)
+        if res.branch.tag is MultTag.DISTINCT:
+            assert np.array_equal(res.deps_db.m, res.deps_db.m.T)
         done += 1
 
 
@@ -336,11 +343,21 @@ def test_spin_matches_dyad_reference_across_scales():
         for scale in (1e-100, 1.0, 1e100):
             t = scale * t1
             sp = _scaled_spectrum(sp1, scale)
+            tols = []
             for i in range(3):
                 sb = math.sin(sp.beta[i])
                 den = sp.inv.j2 * (4.0 * sb * sb - 1.0)
-                tol = 128.0 * eps * st.norm(t) / abs(den)
-                assert np.all(np.abs(st.spin(t, sp, i).m - spin_ref(t, sp, i)) <= tol)
+                tols.append(128.0 * eps * st.norm(t) / abs(den))
+                assert np.all(np.abs(st.spin(t, sp, i).m - spin_ref(t, sp, i)) <= tols[i])
+            # The fused kernel: two weighted spins plus the dyads d_i N_i x N_i,
+            # whose entries are at most |d_i| and round a few times each.
+            c0, c2 = rng.standard_normal(2)
+            d = rng.standard_normal(3)
+            want = (c0 * spin_ref(t, sp, 0) + c2 * spin_ref(t, sp, 2)
+                    + sum(di * np.outer(n.as_tuple(), n.as_tuple())
+                          for di, n in zip(d, sp.bases)))
+            tol = abs(c0) * tols[0] + abs(c2) * tols[2] + 8.0 * eps * np.sum(np.abs(d))
+            assert np.all(np.abs(_spin_sum(t, sp, (c0, 0.0, c2), d) - want) <= tol)
         done += 1
 
 
