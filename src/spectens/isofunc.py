@@ -196,7 +196,12 @@ def apply_triple(t: SymTensor2, sp: Spectrum,
 def isotropic_function(t: SymTensor2, f: ScalarEigenMap,
                        tols: ClassifyTols = DEFAULT_TOLS) -> tuple[SymTensor2, SymTensor4]:
     """Classify t, then evaluate S and its exact tangent on the right branch."""
-    sp = spectrum(t, tols)
+    return _apply(t, spectrum(t, tols), f)
+
+
+def _apply(t: SymTensor2, sp: Spectrum,
+           f: ScalarEigenMap) -> tuple[SymTensor2, SymTensor4]:
+    """isotropic_function on the spectrum sp of t, already computed."""
     if sp.mult.tag is MultTag.DISTINCT:
         return apply_distinct(t, sp, f)
     if sp.mult.tag is MultTag.TRIPLE:

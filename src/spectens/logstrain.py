@@ -8,14 +8,9 @@ from dataclasses import dataclass
 
 from . import oracle
 from .errors import KinematicsError
-from .isofunc import (
-    apply_distinct,
-    apply_double,
-    half_log_map,
-    scalar_map_invariants,
-)
-from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Multiplicity, spectrum
-from .tensor_core import IDENTITY2, IDENTITY4, SymTensor2, SymTensor4, norm
+from .isofunc import _apply, half_log_map
+from .spectral import DEFAULT_TOLS, ClassifyTols, Multiplicity, spectrum
+from .tensor_core import SymTensor2, SymTensor4, norm
 
 # Relative floor on the smallest stretch: below this the tensor logarithm is
 # numerically meaningless even though the eigenvalue may still be positive.
@@ -32,7 +27,11 @@ def left_cauchy_green(f) -> SymTensor2:
                 [float(f[3]), float(f[4]), float(f[5])],
                 [float(f[6]), float(f[7]), float(f[8])]]
     elif len(f) == 3:
-        rows = [[float(x) for x in row] for row in f]
+        try:
+            rows = [[float(x) for x in row] for row in f]
+        except (TypeError, ValueError) as exc:
+            raise KinematicsError(
+                f"deformation gradient rows must be sequences of numbers: {exc}") from exc
         if any(len(row) != 3 for row in rows):
             raise KinematicsError("deformation gradient must be 3x3 or flat length 9")
     else:
@@ -59,22 +58,14 @@ class LogStrainResult:
 
 def log_strain_from_b(b: SymTensor2,
                       tols: ClassifyTols = DEFAULT_TOLS) -> LogStrainResult:
-    """eps = ln(B)/2 and d(eps)/dB for a left Cauchy-Green tensor B."""
+    """eps = ln(B)/2 and d(eps)/dB for a left Cauchy-Green tensor B: the
+    isotropic function of half_log_map, after a check that B is SPD."""
     sp = spectrum(b, tols)
     if sp.lam[0] <= 0.0 or sp.lam[2] <= SPD_RATIO_FLOOR * sp.lam[0]:
         raise KinematicsError(
             f"B has principal stretches {sp.lam!r}; log strain needs a "
             "positive, non-degenerate spectrum")
-    if sp.mult.tag is MultTag.TRIPLE:
-        lam = sp.inv.i1 / 3.0
-        eps = (0.5 * math.log(lam)) * IDENTITY2
-        deps = SymTensor4((0.5 / lam) * IDENTITY4.m)
-    elif sp.mult.tag is MultTag.DISTINCT:
-        eps, deps = apply_distinct(b, sp, _HALF_LOG)
-    else:
-        qb = math.sqrt(3.0 * sp.inv.j2)
-        mv = scalar_map_invariants(_HALF_LOG, sp.inv.i1, qb, sp.mult.theta_sign)
-        eps, deps = apply_double(b, sp, mv)
+    eps, deps = _apply(b, sp, _HALF_LOG)
     return LogStrainResult(b=b, eps=eps, deps_db=deps, branch=sp.mult)
 
 

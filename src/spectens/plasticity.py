@@ -68,30 +68,19 @@ class InvariantReturnMap:
 
 
 def predictor_invariants(eps: SymTensor2) -> StrainPredictorInvariants:
-    return _predictor(invariants(eps))
+    inv = invariants(eps)
+    return StrainPredictorInvariants(*_predictor_args(inv), inv.theta_defined)
 
 
-def _predictor(inv: InvariantSet) -> StrainPredictorInvariants:
-    return StrainPredictorInvariants(
-        eps_v=inv.i1,
-        eps_q=2.0 * math.sqrt(inv.j2 / 3.0),
-        theta_eps=inv.theta,
-        theta_defined=inv.theta_defined,
-    )
+def _predictor_args(inv: InvariantSet) -> ThreeVec:
+    """(eps_v, eps_q, theta_eps) of a strain predictor with invariants inv."""
+    return inv.i1, 2.0 * math.sqrt(inv.j2 / 3.0), inv.theta
 
 
 def stress_invariants(sig: SymTensor2) -> StressInvariants:
     inv = invariants(sig)
     return StressInvariants(p=inv.i1 / 3.0, q=math.sqrt(3.0 * inv.j2),
                             theta_sigma=inv.theta)
-
-
-def _map_values(rm: InvariantReturnMap, args: tuple[float, float, float]):
-    p = rm.p(*args)
-    q = rm.q(*args)
-    if q < 0.0:
-        raise ContractError(f"return map produced q = {q!r} < 0 at {args!r}")
-    return p, q
 
 
 def reconstruct_stress(eps_star: SymTensor2, rm: InvariantReturnMap,
@@ -104,7 +93,7 @@ def reconstruct_stress(eps_star: SymTensor2, rm: InvariantReturnMap,
     taken parallel to the strain deviator and theta_sigma is not consulted.
     """
     sp = spectrum(eps_star, tols)
-    return _stress(eps_star, sp, _predictor(sp.inv), rm)
+    return _stress(eps_star, sp, _map_at(sp, rm))
 
 
 def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
@@ -117,73 +106,70 @@ def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
     identity terms.
     """
     sp = spectrum(eps_star, tols)
-    return _tangent(eps_star, sp, _predictor(sp.inv), rm)
+    return _tangent(eps_star, sp, rm, _map_at(sp, rm))
 
 
 def stress_and_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
                        tols: ClassifyTols = DEFAULT_TOLS) -> tuple[SymTensor2, SymTensor4]:
     """(reconstruct_stress, consistent_tangent) at eps_star from one spectral
-    decomposition of the predictor."""
+    decomposition of the predictor and one evaluation of the map."""
     sp = spectrum(eps_star, tols)
-    pred = _predictor(sp.inv)
-    return _stress(eps_star, sp, pred, rm), _tangent(eps_star, sp, pred, rm)
+    mv = _map_at(sp, rm)
+    return _stress(eps_star, sp, mv), _tangent(eps_star, sp, rm, mv)
 
 
 _SHIFTS = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
 
 
-def _stress(eps_star: SymTensor2, sp: Spectrum, pred: StrainPredictorInvariants,
-            rm: InvariantReturnMap) -> SymTensor2:
+def _map_at(sp: Spectrum, rm: InvariantReturnMap):
+    """The map at the predictor of sp, for the stress and its tangent:
+    (args, p, q, theta_sigma, principal stresses).  The triple branch
+    evaluates only p, at args = (eps_v, 0, 0); only the distinct branch
+    consults theta_sigma and forms the principal stresses."""
+    args = _predictor_args(sp.inv)
     if sp.mult.tag is MultTag.TRIPLE:
-        p = rm.p(pred.eps_v, 0.0, 0.0)
-        return p * IDENTITY2
-    args = (pred.eps_v, pred.eps_q, pred.theta_eps)
-    p, q = _map_values(rm, args)
+        args = (args[0], 0.0, 0.0)
+        return args, rm.p(*args), None, None, None
+    p = rm.p(*args)
+    q = rm.q(*args)
+    if q < 0.0:
+        raise ContractError(f"return map produced q = {q!r} < 0 at {args!r}")
     if sp.mult.tag is not MultTag.DISTINCT:
-        return p * IDENTITY2 + (2.0 * q / (3.0 * pred.eps_q)) * deviator(eps_star)
+        return args, p, q, None, None
     th = rm.theta_sigma(*args)
-    sig = [p + (2.0 / 3.0) * q * math.sin(th + shift) for shift in _SHIFTS]
+    return args, p, q, th, [p + (2.0 / 3.0) * q * math.sin(th + sh) for sh in _SHIFTS]
+
+
+def _stress(eps_star: SymTensor2, sp: Spectrum, mv) -> SymTensor2:
+    args, p, q, _, sig = mv
+    if sp.mult.tag is MultTag.TRIPLE:
+        return p * IDENTITY2
+    if sp.mult.tag is not MultTag.DISTINCT:
+        return p * IDENTITY2 + (2.0 * q / (3.0 * args[1])) * deviator(eps_star)
     n1, _, n3 = sp.bases
     return sig[1] * IDENTITY2 + (sig[0] - sig[1]) * n1 + (sig[2] - sig[1]) * n3
 
 
-def _tangent(eps_star: SymTensor2, sp: Spectrum, pred: StrainPredictorInvariants,
-             rm: InvariantReturnMap) -> SymTensor4:
+def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
+             mv) -> SymTensor4:
+    args, _, q, th, sig = mv
+    gp = rm.grad_p(*args)
+    gq = rm.grad_q(*args)
     if sp.mult.tag is MultTag.TRIPLE:
-        gp = rm.grad_p(pred.eps_v, 0.0, 0.0)
-        gq = rm.grad_q(pred.eps_v, 0.0, 0.0)
-        m = gp[0] * IXI.m + (2.0 / 3.0) * gq[1] * (IDENTITY4.m - IXI.m / 3.0)
+        return SymTensor4(gp[0] * IXI.m + (2.0 / 3.0) * gq[1] * (IDENTITY4.m - IXI.m / 3.0))
+    eps_q = args[1]
+    f = 2.0 / (3.0 * eps_q)
+    if sp.mult.tag is not MultTag.DISTINCT:
+        e = np.array(deviator(eps_star).as_tuple())
+        m = (gp[0] * IXI.m
+             + f * (gp[1] * np.outer(_E, e)
+                    + gq[0] * np.outer(e, _E)
+                    + f * (gq[1] - q / eps_q) * np.outer(e, e)
+                    + q * (IDENTITY4.m - IXI.m / 3.0)))
         return SymTensor4(m)
-    if sp.mult.tag is MultTag.DISTINCT:
-        return _distinct_tangent(eps_star, sp, pred, rm)
-    args = (pred.eps_v, pred.eps_q, pred.theta_eps)
-    _, q = _map_values(rm, args)
-    gp = rm.grad_p(*args)
-    gq = rm.grad_q(*args)
-    e = np.array(deviator(eps_star).as_tuple())
-    f = 2.0 / (3.0 * pred.eps_q)
-    m = (gp[0] * IXI.m
-         + f * (gp[1] * np.outer(_E, e)
-                + gq[0] * np.outer(e, _E)
-                + f * (gq[1] - q / pred.eps_q) * np.outer(e, e)
-                + q * (IDENTITY4.m - IXI.m / 3.0)))
-    return SymTensor4(m)
-
-
-def _distinct_tangent(eps_star: SymTensor2, sp: Spectrum,
-                      pred: StrainPredictorInvariants,
-                      rm: InvariantReturnMap) -> SymTensor4:
-    args = (pred.eps_v, pred.eps_q, pred.theta_eps)
-    p, q = _map_values(rm, args)
-    th = rm.theta_sigma(*args)
-    gp = rm.grad_p(*args)
-    gq = rm.grad_q(*args)
     gth = rm.grad_theta_sigma(*args)
-    sig = [p + (2.0 / 3.0) * q * math.sin(th + sh) for sh in _SHIFTS]
-
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
-    grads = np.array((IDENTITY2.as_tuple(),
-                      ((2.0 / (3.0 * pred.eps_q)) * deviator(eps_star)).as_tuple(),
+    grads = np.array((IDENTITY2.as_tuple(), (f * deviator(eps_star)).as_tuple(),
                       dtheta_dT(eps_star, sp.inv).as_tuple()))
     # Row i: d(sigma_i)/d(x) for x in (eps_v, eps_q, theta_eps).
     coeff = np.array([[gp[k] + (2.0 / 3.0) * (gq[k] * math.sin(th + sh)

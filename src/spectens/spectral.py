@@ -272,11 +272,11 @@ def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:
     + d2_I3(T)[ab, cd] over that denominator: plain component products,
     with the shear doubled by apply().
     """
+    if i not in (0, 1, 2):
+        raise BranchError(f"eigenvalue index must be 0, 1 or 2, got {i}")
     mult = sp.mult
     if mult.tag is MultTag.TRIPLE:
         raise DegeneracyError("spin undefined: every eigenvalue is repeated")
     if mult.tag is not MultTag.DISTINCT and i != mult.unique_index:
         raise DegeneracyError("spin undefined for a repeated eigenvalue")
-    if i not in (0, 1, 2):
-        raise BranchError(f"eigenvalue index must be 0, 1 or 2, got {i}")
     return SymTensor4(_spin_sum(t, sp, [float(k == i) for k in range(3)]))

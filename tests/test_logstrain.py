@@ -46,6 +46,22 @@ def test_left_cauchy_green_rejects_bad_input():
         left_cauchy_green([-1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0])
     with pytest.raises(KinematicsError):
         left_cauchy_green([0.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0])
+    with pytest.raises(KinematicsError):
+        left_cauchy_green([1, 2, 3])
+
+
+def test_log_strain_is_the_half_log_isotropic_function():
+    rng = np.random.default_rng(24)
+    cases = ((make_with_eigs(rng, (2.5, 1.5, 0.5)), MultTag.DISTINCT),
+             (make_with_eigs(rng, (3.0, 0.7, 0.7)), MultTag.DOUBLE_HIGH_UNIQUE),
+             (make_with_eigs(rng, (1.8, 1.8, 0.4)), MultTag.DOUBLE_LOW_UNIQUE),
+             (SymTensor2(1.3, 1.3, 1.3, 0.0, 0.0, 0.0), MultTag.TRIPLE))
+    for b, tag in cases:
+        res = log_strain_from_b(b)
+        assert res.branch.tag is tag
+        eps, deps = isotropic_function(b, half_log_map())
+        assert res.eps.as_tuple() == eps.as_tuple()
+        assert np.array_equal(res.deps_db.m, deps.m)
 
 
 def test_log_strain_distinct_diagonal():

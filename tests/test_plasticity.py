@@ -313,21 +313,34 @@ def test_stress_and_tangent_equals_the_separate_calls():
             assert np.array_equal(tan.m, consistent_tangent(eps, rm).m)
 
 
+_MAP_FIELDS = ("p", "q", "theta_sigma", "grad_p", "grad_q", "grad_theta_sigma")
+
+
 def test_stress_and_tangent_decomposes_the_predictor_once(monkeypatch):
-    counts = {"spectrum": 0, "invariants": 0}
+    counts = {}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[name] = counts.get(name, 0) + 1
             return fn(*args, **kwargs)
         return wrapper
 
     for mod in (tensor_core, spectral, plasticity):
-        for name in counts:
+        for name in ("spectrum", "invariants"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    rm = _map_a()
+    rm = InvariantReturnMap(**{f: counted(f, getattr(rm, f)) for f in _MAP_FIELDS})
     rng = np.random.default_rng(44)
-    for eps, _ in _branch_cases(rng):
-        counts.update(spectrum=0, invariants=0)
-        stress_and_tangent(eps, _map_a())
-        assert counts == {"spectrum": 1, "invariants": 1}
+    for eps, tag in _branch_cases(rng):
+        counts.clear()
+        stress_and_tangent(eps, rm)
+        want = {"spectrum": 1, "invariants": 1, "p": 1, "grad_p": 1, "grad_q": 1}
+        if tag is not MultTag.TRIPLE:
+            want["q"] = 1
+        if tag is MultTag.DISTINCT:
+            want.update(theta_sigma=1, grad_theta_sigma=1)
+        assert counts == want, tag
+        counts.clear()
+        reconstruct_stress(eps, rm)
+        assert not [name for name in counts if name.startswith("grad_")], tag

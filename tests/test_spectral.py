@@ -400,3 +400,5 @@ def test_spin_branch_guards():
     t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
     with pytest.raises(st.BranchError):
         st.spin(t, st.spectrum(t), 5)
+    with pytest.raises(st.BranchError):
+        st.spin(td, spd, 5)
