@@ -10,6 +10,8 @@ maps.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BranchError,
     ConditioningWarning,
@@ -91,4 +93,5 @@ from .tensor_core import (
     sym_square,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -22,19 +22,19 @@ _HALF_LOG = half_log_map()
 def left_cauchy_green(f) -> SymTensor2:
     """B = F F^T from a deformation gradient given as a flat row-major
     9-sequence or a 3x3 nested sequence.  Rejects det F <= 0."""
-    if len(f) == 9:
-        rows = [[float(f[0]), float(f[1]), float(f[2])],
-                [float(f[3]), float(f[4]), float(f[5])],
-                [float(f[6]), float(f[7]), float(f[8])]]
-    elif len(f) == 3:
-        try:
+    try:
+        n = len(f)
+        if n == 9:
+            rows = [[float(f[0]), float(f[1]), float(f[2])],
+                    [float(f[3]), float(f[4]), float(f[5])],
+                    [float(f[6]), float(f[7]), float(f[8])]]
+        elif n == 3:
             rows = [[float(x) for x in row] for row in f]
-        except (TypeError, ValueError) as exc:
-            raise KinematicsError(
-                f"deformation gradient rows must be sequences of numbers: {exc}") from exc
-        if any(len(row) != 3 for row in rows):
-            raise KinematicsError("deformation gradient must be 3x3 or flat length 9")
-    else:
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
+        raise KinematicsError(
+            f"deformation gradient must be a sequence of numbers or of rows of numbers: {exc}"
+        ) from exc
+    if n not in (3, 9) or (n == 3 and any(len(row) != 3 for row in rows)):
         raise KinematicsError("deformation gradient must be 3x3 or flat length 9")
     det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])

@@ -20,10 +20,10 @@ from .tensor_core import (
     SymTensor2,
     SymTensor4,
     _D2,
+    _invariants,
+    _sym_square,
     deviator,
-    invariants,
     norm,
-    sym_square,
 )
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -107,23 +107,31 @@ def eigenvalues(inv: InvariantSet) -> tuple[float, float, float]:
     return (l1, l2, l3)
 
 
+_TRIPLE = Multiplicity(MultTag.TRIPLE)
+_DOUBLE_HIGH_UNIQUE = Multiplicity(MultTag.DOUBLE_HIGH_UNIQUE, 0)
+_DOUBLE_LOW_UNIQUE = Multiplicity(MultTag.DOUBLE_LOW_UNIQUE, 2)
+_DISTINCT = Multiplicity(MultTag.DISTINCT)
+
+
 def classify(lam: tuple[float, float, float], scale: float,
              tols: ClassifyTols = DEFAULT_TOLS) -> Multiplicity:
-    """Multiplicity from eigenvalue gaps; scale is the source tensor norm."""
+    """Multiplicity from eigenvalue gaps; scale is the source tensor norm.
+    The result is one of four shared instances."""
     l1, l2, l3 = lam
     spread = l1 - l3
     if spread <= tols.tau_abs + tols.tau_rel * scale:
-        return Multiplicity(MultTag.TRIPLE)
+        return _TRIPLE
     if l2 - l3 <= tols.tau_gap * spread:
-        return Multiplicity(MultTag.DOUBLE_HIGH_UNIQUE, 0)
+        return _DOUBLE_HIGH_UNIQUE
     if l1 - l2 <= tols.tau_gap * spread:
-        return Multiplicity(MultTag.DOUBLE_LOW_UNIQUE, 2)
-    return Multiplicity(MultTag.DISTINCT)
+        return _DOUBLE_LOW_UNIQUE
+    return _DISTINCT
 
 
-def _distinct_basis(s: SymTensor2, ssq: SymTensor2, j2: float, li: float) -> SymTensor2:
+def _distinct_basis(s: tuple, ssq: tuple, j2: float, li: float) -> SymTensor2:
     """Basis from the deviatoric numerator (s.s + li s + (li^2 - J2) I) / (3 li^2 - J2)
-    with li the deviatoric eigenvalue lam_i - I1/3.
+    with s and ssq the components of the deviator and of its square, and li
+    the deviatoric eigenvalue lam_i - I1/3.
 
     Algebraically identical to the adjugate form lam_i((lam_i - I1) I + T) + adj(T)
     over the same denominator J2 (4 sin^2(beta_i) - 1), but free of the
@@ -134,12 +142,12 @@ def _distinct_basis(s: SymTensor2, ssq: SymTensor2, j2: float, li: float) -> Sym
         raise BranchError("eigenbasis denominator vanished: repeated eigenvalue")
     c = li * li - j2
     return SymTensor2(
-        (ssq.xx + li * s.xx + c) / den,
-        (ssq.yy + li * s.yy + c) / den,
-        (ssq.zz + li * s.zz + c) / den,
-        (ssq.xy + li * s.xy) / den,
-        (ssq.xz + li * s.xz) / den,
-        (ssq.yz + li * s.yz) / den,
+        (ssq[0] + li * s[0] + c) / den,
+        (ssq[1] + li * s[1] + c) / den,
+        (ssq[2] + li * s[2] + c) / den,
+        (ssq[3] + li * s[3]) / den,
+        (ssq[4] + li * s[4]) / den,
+        (ssq[5] + li * s[5]) / den,
     )
 
 
@@ -156,8 +164,8 @@ def eigenbasis_distinct(t: SymTensor2, inv: InvariantSet, i: int,
         raise ContractError(
             f"lambda_i = {lambda_i!r} and beta_i = {beta_i!r} do not describe "
             "the same eigenvalue")
-    s = deviator(t)
-    return _distinct_basis(s, sym_square(s), inv.j2, li)
+    s = deviator(t).as_tuple()
+    return _distinct_basis(s, _sym_square(s), inv.j2, li)
 
 
 def eigenbasis_double(t: SymTensor2, inv: InvariantSet,
@@ -169,47 +177,47 @@ def eigenbasis_double(t: SymTensor2, inv: InvariantSet,
     the sign taken from the classified branch, never from floating theta.
     """
     mult = classify(eigenvalues(inv), norm(t), tols)
-    if mult.tag is MultTag.TRIPLE:
+    if mult is _TRIPLE:
         raise BranchError("triple coincidence has no distinguished basis")
-    if mult.tag is MultTag.DISTINCT:
+    if mult is _DISTINCT:
         raise BranchError("eigenvalues are distinct; use the simple-eigenvalue basis")
-    return _double_bases(t, inv, mult)
+    return _double_bases(deviator(t).as_tuple(), inv.j2, mult)
 
 
-def _double_bases(t: SymTensor2, inv: InvariantSet,
+def _double_bases(s: tuple, j2: float,
                   mult: Multiplicity) -> tuple[SymTensor2, SymTensor2]:
-    """eigenbasis_double for a multiplicity already classified as double."""
-    sgn = float(mult.theta_sign)
-    q = math.sqrt(3.0 * inv.j2)
-    dev = deviator(t)
+    """eigenbasis_double from the deviator components s, for a multiplicity
+    already classified as double."""
+    f = -float(mult.theta_sign) / math.sqrt(3.0 * j2)
     third = 1.0 / 3.0
-    f = -sgn / q
-    n_hat = SymTensor2(third + f * dev.xx, third + f * dev.yy, third + f * dev.zz,
-                       f * dev.xy, f * dev.xz, f * dev.yz)
-    n_rep = SymTensor2(0.5 * (1.0 - n_hat.xx), 0.5 * (1.0 - n_hat.yy),
-                       0.5 * (1.0 - n_hat.zz), -0.5 * n_hat.xy,
-                       -0.5 * n_hat.xz, -0.5 * n_hat.yz)
-    return n_hat, n_rep
+    hxx, hyy, hzz = third + f * s[0], third + f * s[1], third + f * s[2]
+    hxy, hxz, hyz = f * s[3], f * s[4], f * s[5]
+    return (SymTensor2(hxx, hyy, hzz, hxy, hxz, hyz),
+            SymTensor2(0.5 * (1.0 - hxx), 0.5 * (1.0 - hyy), 0.5 * (1.0 - hzz),
+                       -0.5 * hxy, -0.5 * hxz, -0.5 * hyz))
 
 
 _THIRD_I = SymTensor2(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0)
 
 
 def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
-    """Full spectral decomposition with branch dispatch."""
-    inv = invariants(t)
+    """Full spectral decomposition with branch dispatch, in one pass: the
+    invariants, the deviator and the norm come from one evaluation, and
+    only the bases, the invariants and the Spectrum itself are built."""
+    inv, s, nrm = _invariants(t)
     lam = eigenvalues(inv)
-    mult = classify(lam, norm(t), tols)
+    mult = classify(lam, nrm, tols)
     beta = (inv.theta + _TWO_THIRDS_PI, inv.theta, inv.theta - _TWO_THIRDS_PI)
-    if mult.tag is MultTag.DISTINCT:
-        s = deviator(t)
-        ssq = sym_square(s)
+    if mult is _DISTINCT:
+        ssq = _sym_square(s)
         third = inv.i1 / 3.0
-        bases = tuple(_distinct_basis(s, ssq, inv.j2, l - third) for l in lam)
-    elif mult.tag is MultTag.TRIPLE:
+        bases = (_distinct_basis(s, ssq, inv.j2, lam[0] - third),
+                 _distinct_basis(s, ssq, inv.j2, lam[1] - third),
+                 _distinct_basis(s, ssq, inv.j2, lam[2] - third))
+    elif mult is _TRIPLE:
         bases = (_THIRD_I, _THIRD_I, _THIRD_I)
     else:
-        n_hat, n_rep = _double_bases(t, inv, mult)
+        n_hat, n_rep = _double_bases(s, inv.j2, mult)
         if mult.unique_index == 0:
             bases = (n_hat, n_rep, n_rep)
         else:

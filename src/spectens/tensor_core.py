@@ -115,20 +115,28 @@ def deviator(t: SymTensor2) -> SymTensor2:
 
 def sym_square(t: SymTensor2) -> SymTensor2:
     """t.t, which is symmetric whenever t is."""
-    return SymTensor2(
-        t.xx * t.xx + t.xy * t.xy + t.xz * t.xz,
-        t.xy * t.xy + t.yy * t.yy + t.yz * t.yz,
-        t.xz * t.xz + t.yz * t.yz + t.zz * t.zz,
-        t.xx * t.xy + t.xy * t.yy + t.xz * t.yz,
-        t.xx * t.xz + t.xy * t.yz + t.xz * t.zz,
-        t.xy * t.xz + t.yy * t.yz + t.yz * t.zz,
-    )
+    return SymTensor2(*_sym_square(t.as_tuple()))
+
+
+def _sym_square(a: tuple) -> tuple:
+    """Components of t.t from the components a of t."""
+    xx, yy, zz, xy, xz, yz = a
+    return (xx * xx + xy * xy + xz * xz,
+            xy * xy + yy * yy + yz * yz,
+            xz * xz + yz * yz + zz * zz,
+            xx * xy + xy * yy + xz * yz,
+            xx * xz + xy * yz + xz * zz,
+            xy * xz + yy * yz + yz * zz)
 
 
 def det(t: SymTensor2) -> float:
-    return (t.xx * (t.yy * t.zz - t.yz * t.yz)
-            - t.xy * (t.xy * t.zz - t.yz * t.xz)
-            + t.xz * (t.xy * t.yz - t.yy * t.xz))
+    return _det(t.xx, t.yy, t.zz, t.xy, t.xz, t.yz)
+
+
+def _det(xx: float, yy: float, zz: float, xy: float, xz: float, yz: float) -> float:
+    return (xx * (yy * zz - yz * yz)
+            - xy * (xy * zz - yz * xz)
+            + xz * (xy * yz - yy * xz))
 
 
 def adjugate(t: SymTensor2) -> SymTensor2:
@@ -166,25 +174,35 @@ def invariants(t: SymTensor2) -> InvariantSet:
     A pre-clamp excess beyond 1e-8 signals ConditioningWarning: that much
     overshoot cannot come from roundoff near a repeated eigenvalue alone.
     """
-    i1 = t.trace()
-    i2 = (t.xx * t.yy + t.yy * t.zz + t.zz * t.xx
-          - t.xy * t.xy - t.xz * t.xz - t.yz * t.yz)
-    i3 = det(t)
-    s = deviator(t)
-    j2 = (0.5 * (s.xx * s.xx + s.yy * s.yy + s.zz * s.zz)
-          + s.xy * s.xy + s.xz * s.xz + s.yz * s.yz)
-    j3 = det(s)
+    return _invariants(t)[0]
+
+
+def _invariants(t: SymTensor2) -> tuple[InvariantSet, tuple, float]:
+    """(invariants(t), components of deviator(t), norm(t)) in one pass.  Only
+    public functions call it, so that a warning names their caller."""
+    xx, yy, zz, xy, xz, yz = t.xx, t.yy, t.zz, t.xy, t.xz, t.yz
+    i1 = xx + yy + zz
+    i2 = (xx * yy + yy * zz + zz * xx
+          - xy * xy - xz * xz - yz * yz)
+    i3 = _det(xx, yy, zz, xy, xz, yz)
+    m = i1 / 3.0
+    sxx, syy, szz = xx - m, yy - m, zz - m
+    j2 = (0.5 * (sxx * sxx + syy * syy + szz * szz)
+          + xy * xy + xz * xz + yz * yz)
+    j3 = _det(sxx, syy, szz, xy, xz, yz)
+    s = (sxx, syy, szz, xy, xz, yz)
     sqrt_j2 = math.sqrt(j2)
-    if sqrt_j2 <= 0.5 * (TAU_ABS + TAU_REL * norm(t)):
-        return InvariantSet(i1, i2, i3, j2, j3, 0.0, False)
+    nrm = norm(t)
+    if sqrt_j2 <= 0.5 * (TAU_ABS + TAU_REL * nrm):
+        return InvariantSet(i1, i2, i3, j2, j3, 0.0, False), s, nrm
     arg = -0.5 * math.sqrt(27.0) * j3 / (j2 * sqrt_j2)
     if abs(arg) > 1.0:
         if abs(arg) - 1.0 > _CLAMP_WARN_EXCESS:
             warnings.warn(
                 f"sin(3 theta) argument {arg!r} exceeds [-1, 1] by {abs(arg) - 1.0:.3e}",
-                ConditioningWarning, stacklevel=2)
+                ConditioningWarning, stacklevel=3)
         arg = math.copysign(1.0, arg)
-    return InvariantSet(i1, i2, i3, j2, j3, math.asin(arg) / 3.0, True)
+    return InvariantSet(i1, i2, i3, j2, j3, math.asin(arg) / 3.0, True), s, nrm
 
 
 def dJ3_ds(s: SymTensor2) -> SymTensor2:

@@ -1,4 +1,12 @@
-"""Echo the acceptance criterion verdicts after the run, outside capture."""
+"""Echo the acceptance criterion verdicts after the run, outside capture,
+and fix the Hypothesis settings of the property tests."""
+
+from hypothesis import settings
+
+# The same examples on every run, and no per-example deadline, so that the
+# property tests pass or fail deterministically on a loaded machine.
+settings.register_profile("default", derandomize=True, deadline=None)
+settings.load_profile("default")
 
 acceptance_lines = []
 

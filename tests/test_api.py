@@ -14,14 +14,13 @@ PUBLIC_NAMES = [
     "apply_double", "apply_triple", "check_scalar_map", "classify",
     "consistent_tangent", "cube_map", "d2_I3", "dJ3_ds", "ddot", "det",
     "deviator", "double_exp_map", "dtheta_dT", "dyad", "eigenbasis_distinct",
-    "eigenbasis_double", "eigenvalues", "errors", "half_log_map",
-    "identity_map", "invariants", "isofunc", "isotropic_function",
-    "left_cauchy_green", "linear_elastic_map", "log_strain",
-    "log_strain_from_b", "log_strain_tangent_check", "logstrain", "norm",
-    "oracle", "plasticity", "predictor_invariants", "reconstruct_stress",
-    "scalar_map_invariants", "spectral", "spectrum", "spin", "square_map",
-    "stress_and_tangent", "stress_invariants", "sym_kron", "sym_square",
-    "tensor_core", "verify_return_map", "vonmises_demo_map",
+    "eigenbasis_double", "eigenvalues", "half_log_map", "identity_map",
+    "invariants", "isotropic_function", "left_cauchy_green",
+    "linear_elastic_map", "log_strain", "log_strain_from_b",
+    "log_strain_tangent_check", "norm", "predictor_invariants",
+    "reconstruct_stress", "scalar_map_invariants", "spectrum", "spin",
+    "square_map", "stress_and_tangent", "stress_invariants", "sym_kron",
+    "sym_square", "verify_return_map", "vonmises_demo_map",
 ]
 
 

@@ -48,6 +48,9 @@ def test_left_cauchy_green_rejects_bad_input():
         left_cauchy_green([0.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0])
     with pytest.raises(KinematicsError):
         left_cauchy_green([1, 2, 3])
+    for bad in ([1, 0, 0, 0, 1, 0, 0, 0, "a"], [None] * 9, "abcdefghi", 5.0):
+        with pytest.raises(KinematicsError):
+            left_cauchy_green(bad)
 
 
 def test_log_strain_is_the_half_log_isotropic_function():

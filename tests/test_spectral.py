@@ -7,12 +7,23 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 import spectens as st
 from spectens import oracle
 from spectens.spectral import MultTag, Multiplicity, _spin_sum, classify, eigenvalues
 
-from util import make_with_eigs, rand_rotation, rand_sym, rel4, rotate, spin_ref
+from util import (
+    make_with_eigs,
+    quat_rotation,
+    rand_rotation,
+    rand_sym,
+    rel4,
+    rotate,
+    spectrum_ref,
+    spin_ref,
+)
 
 # Norm 1e110: J3 and J2^(3/2) overflow, so the Lode angle comes out NaN.
 _HUGE = st.SymTensor2(1e110, 2e110, -3e110, 0.5e110, 0.0, 0.25e110)
@@ -228,6 +239,74 @@ def test_spectrum_matches_oracle_projectors():
         for i in range(3):
             assert st.norm(sp.bases[i] - oracle.projector(pairs[i])) <= 1e-8
         done += 1
+
+
+def test_classify_returns_shared_instances_equal_to_fresh_ones():
+    cases = (((5.0, 2.0, -1.0), Multiplicity(MultTag.DISTINCT)),
+             ((4.0, 1.0, 1.0), Multiplicity(MultTag.DOUBLE_HIGH_UNIQUE, 0)),
+             ((1.0, 1.0, -2.0), Multiplicity(MultTag.DOUBLE_LOW_UNIQUE, 2)),
+             ((2.0, 2.0, 2.0), Multiplicity(MultTag.TRIPLE)))
+    for lam, want in cases:
+        assert classify(lam, 5.0) == want
+        assert classify(lam, 5.0) is classify(tuple(2.0 * x for x in lam), 10.0)
+
+
+def _outcome(fn, t):
+    """fn(t), or the type of the SpectensError it raised."""
+    try:
+        return fn(t)
+    except st.SpectensError as exc:
+        return type(exc)
+
+
+def _assert_same_spectrum(t):
+    got, ref = _outcome(st.spectrum, t), _outcome(spectrum_ref, t)
+    if isinstance(ref, type):
+        assert got is ref
+        return got
+    assert got.lam == ref.lam
+    assert got.beta == ref.beta
+    assert got.mult == ref.mult
+    assert got.bases == ref.bases
+    assert got.inv == ref.inv
+    assert st.invariants(t) == ref.inv
+    return got
+
+
+def test_spectrum_is_bit_identical_to_the_composed_reference():
+    rng = np.random.default_rng(38)
+    cases = (((2.5, 0.5, -1.5), MultTag.DISTINCT),
+             ((3.0, 0.7, 0.7), MultTag.DOUBLE_HIGH_UNIQUE),
+             ((1.8, 1.8, 0.4), MultTag.DOUBLE_LOW_UNIQUE),
+             ((1.3, 1.3, 1.3), MultTag.TRIPLE))
+    for eigs, tag in cases:
+        for _ in range(20):
+            t = make_with_eigs(rng, eigs)
+            assert _assert_same_spectrum(t).mult.tag is tag
+            for scale in (1e-100, 1e100):
+                _assert_same_spectrum(scale * t)
+        # At norm 1e110 J2^(3/2) overflows: every branch but the triple one
+        # raises.
+        huge = _assert_same_spectrum(1e110 * t)
+        assert (huge is st.DegeneracyError) is (tag is not MultTag.TRIPLE)
+
+
+_EIGS = hs.floats(-10.0, 10.0, allow_subnormal=False)
+_REPEATS = hs.sampled_from(((0, 1, 2), (0, 0, 2), (0, 2, 2), (0, 0, 0)))
+_QUAT = hs.tuples(*[hs.floats(-1.0, 1.0)] * 4)
+# Below about 1e-12 every spectrum is triple, so half the scales are drawn
+# near unit scale.
+_LOG10_SCALE = hs.one_of(hs.floats(-6.0, 6.0), hs.floats(-120.0, 110.0))
+
+
+@settings(max_examples=300)
+@given(hs.tuples(_EIGS, _EIGS, _EIGS), _REPEATS, _QUAT, _LOG10_SCALE)
+def test_spectrum_is_bit_identical_to_the_composed_reference_property(e, rep, quat, log10_scale):
+    q = np.array(quat)
+    assume(np.linalg.norm(q) > 0.1)
+    r = quat_rotation(q / np.linalg.norm(q))
+    eigs = np.array([e[k] for k in rep]) * 10.0 ** log10_scale
+    _assert_same_spectrum(st.SymTensor2.from_matrix(r @ np.diag(eigs) @ r.T))
 
 
 def test_spectrum_equivariance():

@@ -120,6 +120,16 @@ def test_clamp_is_silent_at_exact_coincidence():
             assert abs(abs(inv.theta) - math.pi / 6.0) <= 1e-7
 
 
+def test_conditioning_warning_points_at_the_caller():
+    # A near-double deviator under a large isotropic part: roundoff in the
+    # deviator pushes |sin 3 theta| past 1 by 7e-7.
+    t = st.SymTensor2(1e8 + 0.02, 1e8 - 0.01, 1e8 - 0.01, 0.0, 0.0, 0.0)
+    for fn in (st.invariants, st.spectrum):
+        with pytest.warns(st.ConditioningWarning) as rec:
+            fn(t)
+        assert [w.filename for w in rec] == [__file__]
+
+
 def test_adjugate_hand_example_and_identity():
     t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
     adj = st.adjugate(t)

@@ -4,7 +4,24 @@ import math
 
 import numpy as np
 
-from spectens import IDENTITY2, IDENTITY4, IXI, SymTensor2, dyad
+from spectens import (
+    DEFAULT_TOLS,
+    IDENTITY2,
+    IDENTITY4,
+    IXI,
+    InvariantSet,
+    MultTag,
+    Spectrum,
+    SymTensor2,
+    classify,
+    det,
+    deviator,
+    dyad,
+    eigenvalues,
+    norm,
+    sym_square,
+)
+from spectens.tensor_core import TAU_ABS, TAU_REL
 
 
 def rand_sym(rng, scale=1.0):
@@ -14,7 +31,11 @@ def rand_sym(rng, scale=1.0):
 def rand_rotation(rng):
     """Uniform random rotation matrix via a normalized quaternion."""
     q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
+    return quat_rotation(q / np.linalg.norm(q))
+
+
+def quat_rotation(q):
+    """Rotation matrix of the unit quaternion q = (w, x, y, z)."""
     w, x, y, z = q
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -103,3 +124,67 @@ def spin_ref(t, sp, i):
             + (dyad(n, t).m + dyad(t, n).m)
             + lam_i * (IDENTITY4.m - IXI.m)
             + d2_I3_ref(t)) * (1.0 / den)
+
+
+# spectrum composed step by step from the public functions, as it was before
+# it became one pass: invariants, eigenvalues, classification against
+# norm(t), and bases from deviator(t) and sym_square.  Kept as an exact
+# reference: the one-pass spectrum keeps the order of every operation, so
+# the two agree bit for bit.
+
+def invariants_ref(t):
+    i1 = t.trace()
+    i2 = (t.xx * t.yy + t.yy * t.zz + t.zz * t.xx
+          - t.xy * t.xy - t.xz * t.xz - t.yz * t.yz)
+    i3 = det(t)
+    s = deviator(t)
+    j2 = (0.5 * (s.xx * s.xx + s.yy * s.yy + s.zz * s.zz)
+          + s.xy * s.xy + s.xz * s.xz + s.yz * s.yz)
+    j3 = det(s)
+    sqrt_j2 = math.sqrt(j2)
+    if sqrt_j2 <= 0.5 * (TAU_ABS + TAU_REL * norm(t)):
+        return InvariantSet(i1, i2, i3, j2, j3, 0.0, False)
+    arg = -0.5 * math.sqrt(27.0) * j3 / (j2 * sqrt_j2)
+    if abs(arg) > 1.0:
+        arg = math.copysign(1.0, arg)
+    return InvariantSet(i1, i2, i3, j2, j3, math.asin(arg) / 3.0, True)
+
+
+def _distinct_basis_ref(s, ssq, j2, li):
+    den = 3.0 * li * li - j2
+    c = li * li - j2
+    return SymTensor2((ssq.xx + li * s.xx + c) / den, (ssq.yy + li * s.yy + c) / den,
+                      (ssq.zz + li * s.zz + c) / den, (ssq.xy + li * s.xy) / den,
+                      (ssq.xz + li * s.xz) / den, (ssq.yz + li * s.yz) / den)
+
+
+def _double_bases_ref(t, j2, mult):
+    q = math.sqrt(3.0 * j2)
+    dev = deviator(t)
+    third = 1.0 / 3.0
+    f = -float(mult.theta_sign) / q
+    n_hat = SymTensor2(third + f * dev.xx, third + f * dev.yy, third + f * dev.zz,
+                       f * dev.xy, f * dev.xz, f * dev.yz)
+    n_rep = SymTensor2(0.5 * (1.0 - n_hat.xx), 0.5 * (1.0 - n_hat.yy),
+                       0.5 * (1.0 - n_hat.zz), -0.5 * n_hat.xy,
+                       -0.5 * n_hat.xz, -0.5 * n_hat.yz)
+    return n_hat, n_rep
+
+
+def spectrum_ref(t, tols=DEFAULT_TOLS):
+    inv = invariants_ref(t)
+    lam = eigenvalues(inv)
+    mult = classify(lam, norm(t), tols)
+    shift = 2.0 * math.pi / 3.0
+    beta = (inv.theta + shift, inv.theta, inv.theta - shift)
+    if mult.tag is MultTag.DISTINCT:
+        s = deviator(t)
+        ssq = sym_square(s)
+        third = inv.i1 / 3.0
+        bases = tuple(_distinct_basis_ref(s, ssq, inv.j2, x - third) for x in lam)
+    elif mult.tag is MultTag.TRIPLE:
+        bases = (SymTensor2(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0),) * 3
+    else:
+        n_hat, n_rep = _double_bases_ref(t, inv.j2, mult)
+        bases = (n_hat, n_rep, n_rep) if mult.unique_index == 0 else (n_rep, n_rep, n_hat)
+    return Spectrum(lam, beta, mult, bases, inv)
