@@ -3,44 +3,45 @@
 Each input line is one record: a JSON object with an "id" and exactly one of
 "T" (six components, order 11,22,33,12,13,23) or "F" (row-major 3x3
 deformation gradient, from which B = F F^T is formed).  Output is one JSON
-object per record, in input order regardless of --parallel.  A record that
-fails produces {"id": ..., "error": ...} and flips the exit status to 2;
-exit status 1 is reserved for I/O-level failures.
+object per record, in input order regardless of --parallel; records are
+evaluated and written chunk by chunk.  A record that fails, also one whose
+result is not finite, produces {"id": ..., "error": ...} and flips the exit
+status to 2; exit status 1 is reserved for I/O-level failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from multiprocessing import Pool
+
+import numpy as np
 
 from . import oracle
 from .errors import ContractError, DegeneracyError
-from .isofunc import isotropic_function, square_map
-from .logstrain import left_cauchy_green, log_strain_from_b
-from .plasticity import stress_and_tangent, vonmises_demo_map
-from .spectral import ClassifyTols, MultTag, spectrum, spin
-from .tensor_core import TAU_ABS, TAU_GAP, TAU_REL, SymTensor2, invariants, norm
+from .isofunc import _apply_rows, isotropic_function, square_map
+from .logstrain import _HALF_LOG, _not_spd, left_cauchy_green, log_strain_from_b
+from .plasticity import _stress_tangent_rows, stress_and_tangent, vonmises_demo_map
+from .spectral import ClassifyTols, MultTag, _spectrum_rows, _spin_sum_rows, spectrum, spin
+from .tensor_core import (
+    TAU_ABS,
+    TAU_GAP,
+    TAU_REL,
+    SymTensor2,
+    _invariant_rows,
+    invariants,
+    norm,
+)
 
 _VERIFY_BASIS_TOL = 1e-8
 _VERIFY_TANGENT_TOL = 1e-4
 
-# Per-process state installed by _init_worker so records can be dispatched
-# by a bare top-level function under multiprocessing.
-_CFG: dict = {}
-_TOLS: ClassifyTols = ClassifyTols()
-_RETURN_MAP = None
-
-
-def _init_worker(cfg: dict) -> None:
-    global _CFG, _TOLS, _RETURN_MAP
-    _CFG = cfg
-    _TOLS = ClassifyTols(tau_abs=TAU_ABS, tau_rel=cfg["tau_rel"], tau_gap=cfg["tau_gap"])
-    if cfg["command"] == "stress":
-        _RETURN_MAP = vonmises_demo_map(cfg["bulk"], cfg["shear"], cfg["yield_q"])
-
+# Records parsed, evaluated as arrays and written together.  Large enough
+# that the per-chunk cost of the array kernels is spread thin, small enough
+# that a chunk's output stays a few hundred kB.
+_CHUNK = 1024
 
 def _finite_floats(vals, n: int, label: str) -> list[float]:
     if not isinstance(vals, list) or len(vals) != n:
@@ -66,57 +67,128 @@ def _record_tensor(rec: dict) -> SymTensor2:
     return left_cauchy_green(_finite_floats(rec["F"], 9, "F"))
 
 
-def _dispatch(rec: dict, rec_id) -> dict:
-    t = _record_tensor(rec)
-    cmd = _CFG["command"]
+def _dispatch(cmd: str, t: SymTensor2, tols: ClassifyTols, rm) -> tuple[list, object]:
+    """The numbers of the record of cmd at t, in output order, and its extra
+    field (see _record), from the scalar library calls."""
     if cmd == "invariants":
         inv = invariants(t)
-        return {"id": rec_id, "I1": inv.i1, "I2": inv.i2, "I3": inv.i3,
-                "J2": inv.j2, "J3": inv.j3, "theta": inv.theta,
-                "theta_defined": inv.theta_defined}
+        return [inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta], inv.theta_defined
     if cmd == "logstrain":
-        res = log_strain_from_b(t, _TOLS)
-        return {"id": rec_id, "branch": res.branch.tag.value,
-                "eps": [float(x) for x in res.eps.as_tuple()],
-                "deps_dB": res.deps_db.as_list()}
+        res = log_strain_from_b(t, tols)
+        return [*res.eps.as_tuple(), *res.deps_db.as_list()], res.branch
     if cmd == "stress":
-        sig, tan = stress_and_tangent(t, _RETURN_MAP, _TOLS)
-        return {"id": rec_id, "sigma": [float(x) for x in sig.as_tuple()],
-                "tangent": tan.as_list()}
-    sp = spectrum(t, _TOLS)
-    if cmd == "eigen":
-        return {"id": rec_id, "lambda": list(sp.lam),
-                "multiplicity": sp.mult.tag.value,
-                "unique_index": sp.mult.unique_index}
-    if cmd == "basis":
-        return {"id": rec_id, "lambda": list(sp.lam),
-                "multiplicity": sp.mult.tag.value,
-                "unique_index": sp.mult.unique_index,
-                "bases": [list(b.as_tuple()) for b in sp.bases]}
+        sig, tan = stress_and_tangent(t, rm, tols)
+        return [*sig.as_tuple(), *tan.as_list()], None
+    sp = spectrum(t, tols)
     if cmd == "spin":
         if sp.mult.tag is not MultTag.DISTINCT:
             raise DegeneracyError(
                 "basis spins are defined only for distinct eigenvalues; "
                 f"input classified as {sp.mult.tag.value}")
-        return {"id": rec_id, "multiplicity": sp.mult.tag.value,
-                "spins": [spin(t, sp, i).as_list() for i in range(3)]}
-    raise ContractError(f"unknown command {cmd!r}")
+        return [x for i in range(3) for x in spin(t, sp, i).as_list()], sp.mult
+    if cmd == "basis":
+        return [*sp.lam, *(x for b in sp.bases for x in b.as_tuple())], sp.mult
+    return list(sp.lam), sp.mult
 
 
-def _process_item(item: tuple[int, str]) -> tuple[bool, str]:
-    lineno, line = item
-    if not line.strip():
-        return (True, "")
-    rec_id = f"line {lineno}"
-    try:
-        rec = json.loads(line)
-        if not isinstance(rec, dict):
-            raise ContractError("record must be a JSON object")
-        if "id" in rec:
-            rec_id = rec["id"]
-        return (True, json.dumps(_dispatch(rec, rec_id)))
-    except Exception as exc:
-        return (False, json.dumps({"id": rec_id, "error": str(exc)}))
+def _dispatch_rows(cmd: str, t: SymTensor2, tols: ClassifyTols, rm):
+    """_dispatch on the rows of t, whose components are (n,) arrays: (mask of
+    the rows it holds for, (n, k) numbers, extra field).  It leaves out rows
+    off the distinct branch and rows the scalar calls would raise or warn on."""
+    if cmd == "invariants":
+        inv, _, _, ok = _invariant_rows(t)
+        return ok, np.stack((inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta), 1), True
+    sp, ok = _spectrum_rows(t, tols)
+    mult = sp.mult
+    if cmd == "logstrain":
+        eps, deps, ok = _apply_rows(t, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
+        blocks = [*eps.as_tuple(), deps]
+    elif cmd == "stress":
+        sig, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
+        blocks, mult = [*sig.as_tuple(), tan], None
+    elif cmd == "spin":
+        blocks = [_spin_sum_rows(t, sp, [float(k == i) for k in range(3)]) for i in range(3)]
+    else:
+        blocks = list(sp.lam)
+        if cmd == "basis":
+            blocks += [x for b in sp.bases for x in b.as_tuple()]
+    return ok, np.hstack([b.reshape(len(ok), -1) for b in blocks]), mult
+
+
+def _record(cmd: str, rec_id, row: list, extra) -> dict:
+    """The output record of cmd from its numbers row and its extra field:
+    theta_defined for invariants, else the multiplicity."""
+    if cmd == "invariants":
+        return {"id": rec_id, "I1": row[0], "I2": row[1], "I3": row[2],
+                "J2": row[3], "J3": row[4], "theta": row[5], "theta_defined": extra}
+    if cmd == "logstrain":
+        return {"id": rec_id, "branch": extra.tag.value, "eps": row[:6], "deps_dB": row[6:]}
+    if cmd == "stress":
+        return {"id": rec_id, "sigma": row[:6], "tangent": row[6:]}
+    if cmd == "spin":
+        return {"id": rec_id, "multiplicity": extra.tag.value,
+                "spins": [row[:36], row[36:72], row[72:]]}
+    out = {"id": rec_id, "lambda": row[:3], "multiplicity": extra.tag.value,
+           "unique_index": extra.unique_index}
+    if cmd == "basis":
+        out["bases"] = [row[3:9], row[9:15], row[15:]]
+    return out
+
+
+def _checked_finite(rec: dict) -> dict:
+    """rec, or DegeneracyError naming its first field with a number that
+    overflowed: JSON has no Infinity or NaN."""
+    for key, val in list(rec.items())[1:]:
+        if isinstance(val, (float, list)) and not np.isfinite(val).all():
+            raise DegeneracyError(
+                f"result field {key!r} is not finite: the input overflows the closed form")
+    return rec
+
+
+def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
+    """(whether every record succeeded, output text) of one chunk of input
+    lines, the first of which has number first.  The valid records are
+    evaluated together as arrays; those the arrays leave out go through
+    _dispatch, so that their output and errors are the scalar path's."""
+    cfg, first, lines = job
+    cmd = cfg["command"]
+    tols = ClassifyTols(tau_abs=TAU_ABS, tau_rel=cfg["tau_rel"], tau_gap=cfg["tau_gap"])
+    rm = vonmises_demo_map(cfg["bulk"], cfg["shear"], cfg["yield_q"]) if cmd == "stress" else None
+    outs = [""] * len(lines)
+    ids, tensors, places = [], [], []
+    all_ok = True
+    for k, line in enumerate(lines):
+        if not line.strip():
+            continue
+        rec_id = f"line {first + k}"
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ContractError("record must be a JSON object")
+            rec_id = rec.get("id", rec_id)
+            tensors.append(_record_tensor(rec))
+            ids.append(rec_id)
+            places.append(k)
+        except Exception as exc:
+            outs[k] = json.dumps({"id": rec_id, "error": str(exc)})
+            all_ok = False
+    ok = np.zeros(len(tensors), dtype=bool)
+    if tensors:
+        with np.errstate(all="ignore"):
+            ok, vals, extra = _dispatch_rows(
+                cmd, SymTensor2(*np.array([t.as_tuple() for t in tensors]).T.copy()), tols, rm)
+            ok &= np.isfinite(vals).all(1)
+        rows = vals.tolist()
+        for j in np.flatnonzero(ok).tolist():
+            outs[places[j]] = json.dumps(_record(cmd, ids[j], rows[j], extra))
+    for j in np.flatnonzero(~ok).tolist():
+        try:
+            out = _checked_finite(_record(cmd, ids[j], *_dispatch(cmd, tensors[j], tols, rm)))
+        except Exception as exc:
+            out = {"id": ids[j], "error": str(exc)}
+            all_ok = False
+        outs[places[j]] = json.dumps(out)
+    return all_ok, "".join(out + "\n" for out in outs if out)
 
 
 def _read_lines(path) -> list[str]:
@@ -126,13 +198,11 @@ def _read_lines(path) -> list[str]:
         return fh.read().splitlines()
 
 
-def _write_lines(path, lines) -> None:
-    text = "".join(line + "\n" for line in lines if line)
+def _output(path):
+    """stdout, or the file at path opened for writing."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def _run_records(args) -> int:
@@ -140,15 +210,19 @@ def _run_records(args) -> int:
     if args.command == "stress":
         cfg.update(bulk=args.bulk, shear=args.shear, yield_q=args.yield_stress)
     lines = _read_lines(args.input)
-    items = list(enumerate(lines, start=1))
-    if args.parallel > 1:
-        with Pool(args.parallel, initializer=_init_worker, initargs=(cfg,)) as pool:
-            results = pool.map(_process_item, items)
-    else:
-        _init_worker(cfg)
-        results = [_process_item(it) for it in items]
-    _write_lines(args.output, (out for _, out in results))
-    return 0 if all(ok for ok, _ in results) else 2
+    jobs = ((cfg, i + 1, lines[i:i + _CHUNK]) for i in range(0, len(lines), _CHUNK))
+    all_ok = True
+    with _output(args.output) as out, contextlib.ExitStack() as stack:
+        if args.parallel > 1:
+            from multiprocessing import Pool
+
+            results = stack.enter_context(Pool(args.parallel)).imap(_run_chunk, jobs)
+        else:
+            results = map(_run_chunk, jobs)
+        for ok, text in results:
+            out.write(text)
+            all_ok &= ok
+    return 0 if all_ok else 2
 
 
 def _draw_separated(rng) -> SymTensor2:
@@ -187,7 +261,8 @@ def _run_verify(args) -> int:
     lines.append(json.dumps({"id": "summary", "count": args.count,
                              "max_basis_dev": max_basis, "max_tangent_dev": max_tan,
                              "pass": passed}))
-    _write_lines(args.output, lines)
+    with _output(args.output) as out:
+        out.write("".join(line + "\n" for line in lines))
     return 0 if passed else 2
 
 

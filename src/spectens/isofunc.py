@@ -10,7 +10,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchError, ContractError, MapDomainError
-from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Spectrum, _spin_sum, spectrum
+from .spectral import (
+    DEFAULT_TOLS,
+    ClassifyTols,
+    MultTag,
+    Spectrum,
+    _anchored,
+    _spin_sum,
+    _spin_sum_rows,
+    spectrum,
+)
 from .tensor_core import (
     IDENTITY2,
     IDENTITY4,
@@ -19,6 +28,7 @@ from .tensor_core import (
     SymTensor2,
     SymTensor4,
     _E,
+    _per_row,
     _sym_kron_m,
     deviator,
 )
@@ -33,8 +43,9 @@ class ScalarEigenMap:
     deriv: Callable[[float], float]
     domain: tuple[float, float] = (-math.inf, math.inf)
 
-    def contains(self, lam: float) -> bool:
-        return self.domain[0] < lam < self.domain[1]
+    def contains(self, lam):
+        """Whether lam, a float or an (n,) array, lies in the domain."""
+        return (self.domain[0] < lam) & (lam < self.domain[1])
 
 
 def identity_map() -> ScalarEigenMap:
@@ -127,9 +138,21 @@ def apply_distinct(t: SymTensor2, sp: Spectrum,
             raise MapDomainError(f"eigenvalue {lam!r} outside map domain {f.domain}")
     e = [f.eval(lam) for lam in sp.lam]
     d = [f.deriv(lam) for lam in sp.lam]
-    n1, _, n3 = sp.bases
-    s_out = e[1] * IDENTITY2 + (e[0] - e[1]) * n1 + (e[2] - e[1]) * n3
-    return s_out, SymTensor4(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d))
+    return (_anchored(e, sp.bases[0], sp.bases[2]),
+            SymTensor4(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)))
+
+
+def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
+                ok: np.ndarray) -> tuple[SymTensor2, np.ndarray, np.ndarray]:
+    """apply_distinct on the rows of t and sp where ok, whose entries are
+    (n,) arrays: (S, dS/dT as (n, 6, 6), ok less the rows with an eigenvalue
+    outside the domain of f, on which f is not called)."""
+    for lam in sp.lam:
+        ok = ok & f.contains(lam)
+    e = [_per_row(f.eval, ok, (lam,)) for lam in sp.lam]
+    d = [_per_row(f.deriv, ok, (lam,)) for lam in sp.lam]
+    return (_anchored(e, sp.bases[0], sp.bases[2]),
+            _spin_sum_rows(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d), ok)
 
 
 _TWO_THIRDS_I = (2.0 / 3.0) * _E

@@ -61,12 +61,17 @@ def log_strain_from_b(b: SymTensor2,
     """eps = ln(B)/2 and d(eps)/dB for a left Cauchy-Green tensor B: the
     isotropic function of half_log_map, after a check that B is SPD."""
     sp = spectrum(b, tols)
-    if sp.lam[0] <= 0.0 or sp.lam[2] <= SPD_RATIO_FLOOR * sp.lam[0]:
+    if _not_spd(sp.lam):
         raise KinematicsError(
             f"B has principal stretches {sp.lam!r}; log strain needs a "
             "positive, non-degenerate spectrum")
     eps, deps = _apply(b, sp, _HALF_LOG)
     return LogStrainResult(b=b, eps=eps, deps_db=deps, branch=sp.mult)
+
+
+def _not_spd(lam):
+    """Whether the spectrum lam, floats or (n,) arrays, fails the SPD check."""
+    return (lam[0] <= 0.0) | (lam[2] <= SPD_RATIO_FLOOR * lam[0])
 
 
 def log_strain(f) -> LogStrainResult:

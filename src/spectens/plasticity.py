@@ -16,8 +16,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError
-from .spectral import DEFAULT_TOLS, ClassifyTols, MultTag, Spectrum, _spin_sum, spectrum
+from .spectral import (
+    DEFAULT_TOLS,
+    ClassifyTols,
+    MultTag,
+    Spectrum,
+    _anchored,
+    _spin_sum,
+    _spin_sum_rows,
+    spectrum,
+)
 from .tensor_core import (
+    COS3THETA_FLOOR,
     IDENTITY2,
     IDENTITY4,
     IXI,
@@ -25,6 +35,9 @@ from .tensor_core import (
     SymTensor2,
     SymTensor4,
     _E,
+    _ROW_MATH,
+    _dtheta,
+    _per_row,
     deviator,
     dtheta_dT,
     invariants,
@@ -69,12 +82,13 @@ class InvariantReturnMap:
 
 def predictor_invariants(eps: SymTensor2) -> StrainPredictorInvariants:
     inv = invariants(eps)
-    return StrainPredictorInvariants(*_predictor_args(inv), inv.theta_defined)
+    return StrainPredictorInvariants(*_predictor_args(inv, math), inv.theta_defined)
 
 
-def _predictor_args(inv: InvariantSet) -> ThreeVec:
-    """(eps_v, eps_q, theta_eps) of a strain predictor with invariants inv."""
-    return inv.i1, 2.0 * math.sqrt(inv.j2 / 3.0), inv.theta
+def _predictor_args(inv: InvariantSet, m) -> ThreeVec:
+    """(eps_v, eps_q, theta_eps) of a strain predictor with invariants inv;
+    floats or (n,) arrays, with sqrt from m."""
+    return inv.i1, 2.0 * m.sqrt(inv.j2 / 3.0), inv.theta
 
 
 def stress_invariants(sig: SymTensor2) -> StressInvariants:
@@ -126,7 +140,7 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
     (args, p, q, theta_sigma, principal stresses).  The triple branch
     evaluates only p, at args = (eps_v, 0, 0); only the distinct branch
     consults theta_sigma and forms the principal stresses."""
-    args = _predictor_args(sp.inv)
+    args = _predictor_args(sp.inv, math)
     if sp.mult.tag is MultTag.TRIPLE:
         args = (args[0], 0.0, 0.0)
         return args, rm.p(*args), None, None, None
@@ -137,7 +151,13 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
     if sp.mult.tag is not MultTag.DISTINCT:
         return args, p, q, None, None
     th = rm.theta_sigma(*args)
-    return args, p, q, th, [p + (2.0 / 3.0) * q * math.sin(th + sh) for sh in _SHIFTS]
+    return args, p, q, th, _principal(p, q, th, math)
+
+
+def _principal(p, q, th, m) -> list:
+    """Principal stresses p + (2/3) q sin(theta_sigma + shift_i); floats or
+    (n,) arrays, with sin from m."""
+    return [p + (2.0 / 3.0) * q * m.sin(th + sh) for sh in _SHIFTS]
 
 
 def _stress(eps_star: SymTensor2, sp: Spectrum, mv) -> SymTensor2:
@@ -146,8 +166,7 @@ def _stress(eps_star: SymTensor2, sp: Spectrum, mv) -> SymTensor2:
         return p * IDENTITY2
     if sp.mult.tag is not MultTag.DISTINCT:
         return p * IDENTITY2 + (2.0 * q / (3.0 * args[1])) * deviator(eps_star)
-    n1, _, n3 = sp.bases
-    return sig[1] * IDENTITY2 + (sig[0] - sig[1]) * n1 + (sig[2] - sig[1]) * n3
+    return _anchored(sig, sp.bases[0], sp.bases[2])
 
 
 def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
@@ -171,13 +190,48 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
     grads = np.array((IDENTITY2.as_tuple(), (f * deviator(eps_star)).as_tuple(),
                       dtheta_dT(eps_star, sp.inv).as_tuple()))
-    # Row i: d(sigma_i)/d(x) for x in (eps_v, eps_q, theta_eps).
-    coeff = np.array([[gp[k] + (2.0 / 3.0) * (gq[k] * math.sin(th + sh)
-                                              + q * math.cos(th + sh) * gth[k])
-                       for k in range(3)] for sh in _SHIFTS])
     m = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
-                  tail=coeff @ grads)
+                  tail=np.array(_dsigma(gp, gq, gth, q, th, math)) @ grads)
     return SymTensor4(m)
+
+
+def _dsigma(gp, gq, gth, q, th, m) -> list:
+    """Row i: d(sigma_i)/d(x) for x in (eps_v, eps_q, theta_eps), from the
+    map's gradients; floats or (n,) arrays, with sin and cos from m."""
+    out = []
+    for sh in _SHIFTS:
+        s, c = m.sin(th + sh), m.cos(th + sh)
+        out.append([gp[k] + (2.0 / 3.0) * (gq[k] * s + q * c * gth[k]) for k in range(3)])
+    return out
+
+
+def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
+                         ok: np.ndarray) -> tuple[SymTensor2, np.ndarray, np.ndarray]:
+    """stress_and_tangent on the rows of eps_star and sp where ok, whose
+    entries are (n,) arrays on the distinct branch: (sigma, tangent as
+    (n, 6, 6), ok less the rows on which stress_and_tangent would raise).
+    The map is called only on rows that are still ok."""
+    inv = sp.inv
+    args = _predictor_args(inv, _ROW_MATH)
+    p = _per_row(rm.p, ok, args)
+    q = _per_row(rm.q, ok, args)
+    ok = ok & ~(q < 0.0)
+    th = _per_row(rm.theta_sigma, ok, args)
+    sig = _principal(p, q, th, _ROW_MATH)
+    gp, gq, gth = (tuple(_per_row(g, ok, args, 3).T)
+                   for g in (rm.grad_p, rm.grad_q, rm.grad_theta_sigma))
+    # The guards of dtheta_dT.
+    cos3t = _ROW_MATH.cos(3.0 * inv.theta)
+    ok &= inv.theta_defined & ~(inv.j2 <= 0.0) & ~(abs(cos3t) <= COS3THETA_FLOOR)
+    f = 2.0 / (3.0 * args[1])
+    grads = np.stack([np.broadcast_to(_E, (len(f), 6)),
+                      np.stack([f * x for x in deviator(eps_star).as_tuple()], -1),
+                      np.stack(_dtheta(eps_star, inv.j2, inv.theta, cos3t,
+                                       _ROW_MATH).as_tuple(), -1)], 1)
+    coeff = np.array(_dsigma(gp, gq, gth, q, th, _ROW_MATH)).transpose(2, 0, 1)
+    tan = _spin_sum_rows(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
+                         tail=coeff @ grads)
+    return _anchored(sig, sp.bases[0], sp.bases[2]), tan, ok
 
 
 def linear_elastic_map(bulk: float, shear: float) -> InvariantReturnMap:

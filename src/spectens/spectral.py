@@ -20,6 +20,8 @@ from .tensor_core import (
     SymTensor2,
     SymTensor4,
     _D2,
+    _ROW_MATH,
+    _invariant_rows,
     _invariants,
     _sym_square,
     deviator,
@@ -92,19 +94,26 @@ def eigenvalues(inv: InvariantSet) -> tuple[float, float, float]:
     Descending order is a theorem for theta in [-pi/6, pi/6]; roundoff can
     invert an exact tie by one ulp, which the final clamp repairs.
     """
-    r = 2.0 / math.sqrt(3.0) * math.sqrt(inv.j2)
-    third = inv.i1 / 3.0
-    l1 = third + r * math.sin(inv.theta + _TWO_THIRDS_PI)
-    l2 = third + r * math.sin(inv.theta)
-    l3 = third + r * math.sin(inv.theta - _TWO_THIRDS_PI)
-    slack = 1e-12 * (abs(l1) + abs(l2) + abs(l3)) + 1e-300
-    if not (l1 - l2 >= -slack and l2 - l3 >= -slack):
+    l1, l2, l3, in_order = _eigen_terms(inv.i1, inv.j2, inv.theta, math)
+    if not in_order:
         raise DegeneracyError(
             f"closed-form eigenvalues {(l1, l2, l3)!r} are out of order or not "
             f"finite (J2 = {inv.j2!r}, theta = {inv.theta!r})")
     l2 = min(l2, l1)
     l3 = min(l3, l2)
     return (l1, l2, l3)
+
+
+def _eigen_terms(i1, j2, theta, m) -> tuple:
+    """The eigenvalues before the clamp and whether they are in order (not if
+    one is not finite); floats or (n,) arrays, with sqrt and sin from m."""
+    r = 2.0 / math.sqrt(3.0) * m.sqrt(j2)
+    third = i1 / 3.0
+    l1 = third + r * m.sin(theta + _TWO_THIRDS_PI)
+    l2 = third + r * m.sin(theta)
+    l3 = third + r * m.sin(theta - _TWO_THIRDS_PI)
+    slack = 1e-12 * (abs(l1) + abs(l2) + abs(l3)) + 1e-300
+    return l1, l2, l3, (l1 - l2 >= -slack) & (l2 - l3 >= -slack)
 
 
 _TRIPLE = Multiplicity(MultTag.TRIPLE)
@@ -117,38 +126,59 @@ def classify(lam: tuple[float, float, float], scale: float,
              tols: ClassifyTols = DEFAULT_TOLS) -> Multiplicity:
     """Multiplicity from eigenvalue gaps; scale is the source tensor norm.
     The result is one of four shared instances."""
-    l1, l2, l3 = lam
-    spread = l1 - l3
-    if spread <= tols.tau_abs + tols.tau_rel * scale:
+    triple, high_unique, low_unique = _coincidences(lam, scale, tols)
+    if triple:
         return _TRIPLE
-    if l2 - l3 <= tols.tau_gap * spread:
+    if high_unique:
         return _DOUBLE_HIGH_UNIQUE
-    if l1 - l2 <= tols.tau_gap * spread:
+    if low_unique:
         return _DOUBLE_LOW_UNIQUE
     return _DISTINCT
 
 
-def _distinct_basis(s: tuple, ssq: tuple, j2: float, li: float) -> SymTensor2:
-    """Basis from the deviatoric numerator (s.s + li s + (li^2 - J2) I) / (3 li^2 - J2)
-    with s and ssq the components of the deviator and of its square, and li
-    the deviatoric eigenvalue lam_i - I1/3.
+def _coincidences(lam, scale, tols: ClassifyTols) -> tuple:
+    """The three tests of classify, in its order; floats or (n,) arrays."""
+    l1, l2, l3 = lam
+    spread = l1 - l3
+    return (spread <= tols.tau_abs + tols.tau_rel * scale,
+            l2 - l3 <= tols.tau_gap * spread, l1 - l2 <= tols.tau_gap * spread)
+
+
+def _distinct_bases(s: tuple, ssq: tuple, j2: float, lis: tuple) -> tuple:
+    """Bases from the deviatoric numerator (s.s + li s + (li^2 - J2) I) / (3 li^2 - J2)
+    for each li in lis, with s and ssq the components of the deviator and of
+    its square, and li a deviatoric eigenvalue lam_i - I1/3.
 
     Algebraically identical to the adjugate form lam_i((lam_i - I1) I + T) + adj(T)
     over the same denominator J2 (4 sin^2(beta_i) - 1), but free of the
     volumetric cancellation that form suffers near coincident eigenvalues.
     """
-    den = 3.0 * li * li - j2
-    if abs(den) <= 16.0 * _EPS * (j2 + 3.0 * li * li):
+    try:
+        bases, vanished = _bases_over(s, ssq, j2, lis)
+    except ZeroDivisionError:
+        vanished = True
+    if vanished:
         raise BranchError("eigenbasis denominator vanished: repeated eigenvalue")
-    c = li * li - j2
-    return SymTensor2(
-        (ssq[0] + li * s[0] + c) / den,
-        (ssq[1] + li * s[1] + c) / den,
-        (ssq[2] + li * s[2] + c) / den,
-        (ssq[3] + li * s[3]) / den,
-        (ssq[4] + li * s[4]) / den,
-        (ssq[5] + li * s[5]) / den,
-    )
+    return bases
+
+
+def _bases_over(s: tuple, ssq: tuple, j2, lis) -> tuple:
+    """(_distinct_bases, whether a denominator vanished); floats or (n,) arrays."""
+    bases = []
+    vanished = False
+    for li in lis:
+        den = 3.0 * li * li - j2
+        vanished = vanished | (abs(den) <= 16.0 * _EPS * (j2 + 3.0 * li * li))
+        c = li * li - j2
+        bases.append(SymTensor2(
+            (ssq[0] + li * s[0] + c) / den,
+            (ssq[1] + li * s[1] + c) / den,
+            (ssq[2] + li * s[2] + c) / den,
+            (ssq[3] + li * s[3]) / den,
+            (ssq[4] + li * s[4]) / den,
+            (ssq[5] + li * s[5]) / den,
+        ))
+    return tuple(bases), vanished
 
 
 def eigenbasis_distinct(t: SymTensor2, inv: InvariantSet, i: int,
@@ -165,7 +195,7 @@ def eigenbasis_distinct(t: SymTensor2, inv: InvariantSet, i: int,
             f"lambda_i = {lambda_i!r} and beta_i = {beta_i!r} do not describe "
             "the same eigenvalue")
     s = deviator(t).as_tuple()
-    return _distinct_basis(s, _sym_square(s), inv.j2, li)
+    return _distinct_bases(s, _sym_square(s), inv.j2, (li,))[0]
 
 
 def eigenbasis_double(t: SymTensor2, inv: InvariantSet,
@@ -209,11 +239,9 @@ def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
     mult = classify(lam, nrm, tols)
     beta = (inv.theta + _TWO_THIRDS_PI, inv.theta, inv.theta - _TWO_THIRDS_PI)
     if mult is _DISTINCT:
-        ssq = _sym_square(s)
         third = inv.i1 / 3.0
-        bases = (_distinct_basis(s, ssq, inv.j2, lam[0] - third),
-                 _distinct_basis(s, ssq, inv.j2, lam[1] - third),
-                 _distinct_basis(s, ssq, inv.j2, lam[2] - third))
+        bases = _distinct_bases(s, _sym_square(s), inv.j2,
+                                (lam[0] - third, lam[1] - third, lam[2] - third))
     elif mult is _TRIPLE:
         bases = (_THIRD_I, _THIRD_I, _THIRD_I)
     else:
@@ -223,6 +251,32 @@ def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
         else:
             bases = (n_rep, n_rep, n_hat)
     return Spectrum(lam, beta, mult, bases, inv)
+
+
+def _spectrum_rows(t: SymTensor2, tols: ClassifyTols) -> tuple[Spectrum, np.ndarray]:
+    """spectrum of the rows of t, whose components are (n,) arrays, and the
+    mask of the rows it holds for: distinct ones that pass its guards."""
+    inv, s, nrm, ok = _invariant_rows(t)
+    l1, l2, l3, in_order = _eigen_terms(inv.i1, inv.j2, inv.theta, _ROW_MATH)
+    l2 = np.minimum(l2, l1)
+    lam = (l1, l2, np.minimum(l3, l2))
+    ok &= in_order & ~np.logical_or.reduce(_coincidences(lam, nrm, tols))
+    third = inv.i1 / 3.0
+    bases, vanished = _bases_over(s, _sym_square(s), inv.j2, tuple(x - third for x in lam))
+    beta = (inv.theta + _TWO_THIRDS_PI, inv.theta, inv.theta - _TWO_THIRDS_PI)
+    return Spectrum(lam, beta, _DISTINCT, bases, inv), ok & ~vanished
+
+
+_I = IDENTITY2.as_tuple()
+
+
+def _anchored(v, n1: SymTensor2, n3: SymTensor2) -> SymTensor2:
+    """sum v[i] N_i anchored at the middle eigenvalue as v[1] I + (v[0] - v[1])
+    N_1 + (v[2] - v[1]) N_3: sum(N_i) = I holds exactly, so only differences
+    of v multiply the bases that degrade near a coincidence."""
+    a, b = v[0] - v[1], v[2] - v[1]
+    return SymTensor2(*(v[1] * e + a * x + b * y
+                        for e, x, y in zip(_I, n1.as_tuple(), n3.as_tuple())))
 
 
 # Rows 0-5: d2_I3 of the unit tensors; row 6: I4 - I x I.
@@ -241,30 +295,56 @@ def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> n
     transpose is, so that the array is exactly symmetric without the tail.
     An eigenvalue of weight 0 is skipped: its denominator may vanish.
     """
+    coef, half, half_al = _spin_coef(sp, c, d, math)
+    tv = t.as_tuple()
+    rows = np.array((*(n.as_tuple() for n in sp.bases), _I, tv))
+    rest = np.array([half * x for x in tv] + [half_al]) @ _SPIN_TABLE
+    return _spin_assembled(rows, np.array(coef), rest, tail)
+
+
+def _spin_sum_rows(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0),
+                   tail=None) -> np.ndarray:
+    """_spin_sum of the rows of t and sp, whose entries are (n,) arrays, as
+    an (n, 6, 6) array; c and d hold floats or (n,) arrays, tail is (n, 3, 6)."""
+    coef, half, half_al = _spin_coef(sp, c, d, _ROW_MATH)
+    tv = np.stack(t.as_tuple(), -1)
+    rows = np.stack((*(np.stack(b.as_tuple(), -1) for b in sp.bases),
+                     np.broadcast_to(_I, tv.shape), tv), 1)
+    coef_m = np.empty((len(tv), 3, 5))
+    for i, k in np.ndindex(3, 5):
+        coef_m[:, i, k] = coef[i][k]
+    rest = np.hstack((half[:, None] * tv, half_al[:, None])) @ _SPIN_TABLE
+    return _spin_assembled(rows, coef_m, rest, tail)
+
+
+def _spin_coef(sp: Spectrum, c, d, m) -> tuple:
+    """(row i: the coefficients of Y_i on N_0, N_1, N_2, I and T; (sum a_i)/2;
+    (sum a_i lam_i)/2) of _spin_sum; floats or (n,) arrays, sqrt and sin from m."""
     j2, i1 = sp.inv.j2, sp.inv.i1
-    root = 2.0 * math.sqrt(3.0 * j2)
-    # Row i: coefficients of Y_i on N_0, N_1, N_2, I and T.
+    root = 2.0 * m.sqrt(3.0 * j2)
     coef = [[0.0] * 5 for _ in range(3)]
     sum_a = sum_al = 0.0
     for i in range(3):
         coef[i][i] = 0.5 * d[i]
-        if c[i]:
-            sb = math.sin(sp.beta[i])
+        # A weight given as an array is evaluated on every row.
+        if not isinstance(c[i], float) or c[i]:
+            sb = m.sin(sp.beta[i])
             a = c[i] / (j2 * (4.0 * sb * sb - 1.0))
             coef[i][i] -= a * root * sb
             coef[i][3] = a * (2.0 * sp.lam[i] - i1)
             coef[i][4] = a
             sum_a += a
             sum_al += a * sp.lam[i]
-    tv = t.as_tuple()
-    rows = np.array((*(n.as_tuple() for n in sp.bases), IDENTITY2.as_tuple(), tv))
-    nv = rows[:3]
-    half = 0.5 * sum_a
-    rest = np.array([half * x for x in tv] + [0.5 * sum_al]) @ _SPIN_TABLE
-    q = nv.T @ (np.array(coef) @ rows) + rest.reshape(6, 6)
-    if tail is None:
-        return q + q.T
-    return q + q.T + nv.T @ tail
+    return coef, 0.5 * sum_a, 0.5 * sum_al
+
+
+def _spin_assembled(rows, coef, rest, tail) -> np.ndarray:
+    """Q + Q^T (+ X^T tail) with Q = X^T (coef rows) + rest, X the first
+    three rows; for one array or a stack of them."""
+    nv_t = np.swapaxes(rows[..., :3, :], -1, -2)
+    q = nv_t @ (coef @ rows) + rest.reshape(rest.shape[:-1] + (6, 6))
+    q = q + np.swapaxes(q, -1, -2)
+    return q if tail is None else q + nv_t @ tail
 
 
 def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,9 +34,31 @@ COS3THETA_FLOOR = 1e-8
 _CLAMP_WARN_EXCESS = 1e-8
 
 
-@dataclass(frozen=True, slots=True)
+def _each(fn):
+    return lambda a: np.fromiter(map(fn, a.tolist()), float, a.size)
+
+
+# Formulas written once for floats or (n,) arrays of rows take math or this.
+# sqrt is correctly rounded in both; the rest apply math per element, so a
+# row equals its scalar result bit for bit (numpy's arcsin does not).
+_ROW_MATH = SimpleNamespace(sqrt=np.sqrt, sin=_each(math.sin), cos=_each(math.cos),
+                            asin=_each(math.asin))
+
+
+def _per_row(fn, ok, args, width=None) -> np.ndarray:
+    """fn(*row) over the (n,) arrays args on the rows where ok, NaN on the
+    rest: shape (n,), or (n, width) for an fn that returns width numbers."""
+    out = np.full(ok.shape if width is None else (ok.size, width), np.nan)
+    vals = [fn(*row) for row in zip(*(a[ok].tolist() for a in args))]
+    if vals:
+        out[ok] = vals
+    return out
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class SymTensor2:
-    """Symmetric second-order 3x3 tensor; off-diagonal entries stored once."""
+    """Symmetric second-order 3x3 tensor; off-diagonal entries stored once.
+    The components are floats, or (n,) arrays inside the row kernels."""
 
     xx: float
     yy: float
@@ -43,6 +66,15 @@ class SymTensor2:
     xy: float
     xz: float
     yz: float
+
+    def __init__(self, xx: float, yy: float, zz: float, xy: float, xz: float, yz: float):
+        # Slot descriptors cost half the generated object.__setattr__ calls.
+        _SET_XX(self, xx)
+        _SET_YY(self, yy)
+        _SET_ZZ(self, zz)
+        _SET_XY(self, xy)
+        _SET_XZ(self, xz)
+        _SET_YZ(self, yz)
 
     @classmethod
     def from_seq(cls, seq) -> "SymTensor2":
@@ -92,6 +124,9 @@ class SymTensor2:
 
     __rmul__ = __mul__
 
+
+_SET_XX, _SET_YY, _SET_ZZ, _SET_XY, _SET_XZ, _SET_YZ = (
+    getattr(SymTensor2, f).__set__ for f in ("xx", "yy", "zz", "xy", "xz", "yz"))
 
 IDENTITY2 = SymTensor2(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 ZERO2 = SymTensor2(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -180,22 +215,10 @@ def invariants(t: SymTensor2) -> InvariantSet:
 def _invariants(t: SymTensor2) -> tuple[InvariantSet, tuple, float]:
     """(invariants(t), components of deviator(t), norm(t)) in one pass.  Only
     public functions call it, so that a warning names their caller."""
-    xx, yy, zz, xy, xz, yz = t.xx, t.yy, t.zz, t.xy, t.xz, t.yz
-    i1 = xx + yy + zz
-    i2 = (xx * yy + yy * zz + zz * xx
-          - xy * xy - xz * xz - yz * yz)
-    i3 = _det(xx, yy, zz, xy, xz, yz)
-    m = i1 / 3.0
-    sxx, syy, szz = xx - m, yy - m, zz - m
-    j2 = (0.5 * (sxx * sxx + syy * syy + szz * szz)
-          + xy * xy + xz * xz + yz * yz)
-    j3 = _det(sxx, syy, szz, xy, xz, yz)
-    s = (sxx, syy, szz, xy, xz, yz)
-    sqrt_j2 = math.sqrt(j2)
-    nrm = norm(t)
-    if sqrt_j2 <= 0.5 * (TAU_ABS + TAU_REL * nrm):
+    i1, i2, i3, j2, j3, s, sqrt_j2, nrm, undefined = _invariant_terms(t, math)
+    if undefined:
         return InvariantSet(i1, i2, i3, j2, j3, 0.0, False), s, nrm
-    arg = -0.5 * math.sqrt(27.0) * j3 / (j2 * sqrt_j2)
+    arg = _sin3theta(j2, j3, sqrt_j2)
     if abs(arg) > 1.0:
         if abs(arg) - 1.0 > _CLAMP_WARN_EXCESS:
             warnings.warn(
@@ -203,6 +226,40 @@ def _invariants(t: SymTensor2) -> tuple[InvariantSet, tuple, float]:
                 ConditioningWarning, stacklevel=3)
         arg = math.copysign(1.0, arg)
     return InvariantSet(i1, i2, i3, j2, j3, math.asin(arg) / 3.0, True), s, nrm
+
+
+def _invariant_rows(t: SymTensor2) -> tuple[InvariantSet, tuple, np.ndarray, np.ndarray]:
+    """_invariants of the rows of t, whose components are (n,) arrays, and the
+    mask of the rows it holds for: theta defined and no clamp warning."""
+    i1, i2, i3, j2, j3, s, sqrt_j2, nrm, undefined = _invariant_terms(t, _ROW_MATH)
+    arg = _sin3theta(j2, j3, sqrt_j2)
+    ok = ~undefined & ~(abs(arg) - 1.0 > _CLAMP_WARN_EXCESS)
+    theta = _ROW_MATH.asin(np.clip(arg, -1.0, 1.0)) / 3.0
+    return InvariantSet(i1, i2, i3, j2, j3, theta, ~undefined), s, nrm, ok
+
+
+def _invariant_terms(t: SymTensor2, m) -> tuple:
+    """(I1, I2, I3, J2, J3, deviator, sqrt(J2), norm, theta undefined) of t;
+    floats or (n,) arrays, with sqrt from m."""
+    xx, yy, zz, xy, xz, yz = t.xx, t.yy, t.zz, t.xy, t.xz, t.yz
+    i1 = xx + yy + zz
+    i2 = (xx * yy + yy * zz + zz * xx
+          - xy * xy - xz * xz - yz * yz)
+    i3 = _det(xx, yy, zz, xy, xz, yz)
+    mean = i1 / 3.0
+    sxx, syy, szz = xx - mean, yy - mean, zz - mean
+    j2 = (0.5 * (sxx * sxx + syy * syy + szz * szz)
+          + xy * xy + xz * xz + yz * yz)
+    j3 = _det(sxx, syy, szz, xy, xz, yz)
+    sqrt_j2 = m.sqrt(j2)
+    nrm = m.sqrt(ddot(t, t))
+    return (i1, i2, i3, j2, j3, (sxx, syy, szz, xy, xz, yz), sqrt_j2, nrm,
+            sqrt_j2 <= 0.5 * (TAU_ABS + TAU_REL * nrm))
+
+
+def _sin3theta(j2, j3, sqrt_j2):
+    """sin(3 theta) before its clamp to [-1, 1]."""
+    return -0.5 * math.sqrt(27.0) * j3 / (j2 * sqrt_j2)
 
 
 def dJ3_ds(s: SymTensor2) -> SymTensor2:
@@ -221,12 +278,17 @@ def dtheta_dT(t: SymTensor2, inv: InvariantSet) -> SymTensor2:
     if abs(cos3t) <= COS3THETA_FLOOR:
         raise DegeneracyError(
             "theta gradient undefined at a repeated eigenvalue (theta = +/-pi/6)")
+    return _dtheta(t, inv.j2, inv.theta, cos3t, math)
+
+
+def _dtheta(t: SymTensor2, j2, theta, cos3t, m) -> SymTensor2:
+    """dtheta_dT past its guards, for floats or (n,) arrays; m supplies sqrt and sin."""
     s = deviator(t)
     adj_s = adjugate(s)
-    sqrt_j2 = math.sqrt(inv.j2)
-    c_adj = math.sqrt(3.0) / (2.0 * inv.j2 * sqrt_j2)
+    sqrt_j2 = m.sqrt(j2)
+    c_adj = math.sqrt(3.0) / (2.0 * j2 * sqrt_j2)
     c_eye = math.sqrt(3.0) / (6.0 * sqrt_j2)
-    c_dev = math.sin(3.0 * inv.theta) / (2.0 * inv.j2)
+    c_dev = m.sin(3.0 * theta) / (2.0 * j2)
     g = -1.0 / cos3t
     return SymTensor2(
         g * (c_adj * adj_s.xx + c_eye + c_dev * s.xx),

@@ -5,14 +5,27 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from spectens import (
+    ClassifyTols,
+    ContractError,
+    MultTag,
     SymTensor2,
     consistent_tangent,
+    norm,
     reconstruct_stress,
+    spectrum,
     vonmises_demo_map,
 )
+from spectens import cli
+from spectens.plasticity import _map_at
+from spectens.tensor_core import TAU_GAP, TAU_REL
+
+from util import quat_rotation
 
 
 def run_cli(args, stdin_text=""):
@@ -120,19 +133,201 @@ def test_verify_is_deterministic_and_passes():
     assert summary["max_tangent_dev"] < 1e-4
 
 
-def test_parallel_output_matches_serial(tmp_path):
-    import numpy as np
+RECORD_COMMANDS = ("invariants", "eigen", "basis", "spin", "logstrain", "stress")
+_STRESS_FLAGS = ("--bulk", "2", "--shear", "1", "--yield-stress", "0.5")
+_MALFORMED = ('this is not json', '[1, 2, 3]', '{"id": "no tensor"}',
+              '{"id": "short", "T": [1, 2]}', '{"id": "text", "T": [1, 2, 3, 0, 0, "x"]}',
+              '{"id": "flat", "F": [1, 0, 0, 0, 1, 0, 0, 0, 0]}')
 
-    rng = np.random.default_rng(5)
-    payload = "".join(
-        json.dumps({"id": k, "T": [float(x) for x in rng.standard_normal(6)]}) + "\n"
-        for k in range(40))
+
+def _argv(cmd):
+    return [cmd, *(_STRESS_FLAGS if cmd == "stress" else ())]
+
+
+def _tensor_line(rec_id, eigs, r):
+    comps = SymTensor2.from_matrix(r @ np.diag(eigs) @ r.T).as_tuple()
+    return json.dumps({"id": rec_id, "T": list(comps)})
+
+
+def _mixed_lines(rng, n):
+    """n input lines: distinct, double (both tags) and triple spectra in
+    random orientations, spectra within tau_gap of a branch switch, norms
+    1e100..1e120, deformation gradients, malformed records and blank lines."""
+    lines = []
+    for k in range(n):
+        kind = k % 20
+        q = rng.standard_normal(4)
+        r = quat_rotation(q / np.linalg.norm(q))
+        a, b, c = np.sort(rng.uniform(0.2, 2.0, 3))[::-1]
+        if kind == 0:
+            lines.append("" if k % 40 else "   ")
+        elif kind == 1:
+            lines.append(_MALFORMED[(k // 20) % len(_MALFORMED)])
+        elif kind == 2:
+            q2 = rng.standard_normal(4)
+            f = r @ np.diag(rng.uniform(0.5, 2.0, 3)) @ quat_rotation(q2 / np.linalg.norm(q2))
+            lines.append(json.dumps({"id": k, "F": [float(x) for x in f.ravel()]}))
+        elif kind == 3:
+            lines.append(_tensor_line(k, [a, b, b], r))
+        elif kind == 4:
+            lines.append(_tensor_line(k, [a, a, c], r))
+        elif kind == 5:
+            lines.append(_tensor_line(k, [a, a, a], r))
+        elif kind in (6, 7):
+            # A low gap within a factor 2 of tau_gap times the spread.
+            gap = TAU_GAP * (a - c) * rng.uniform(0.5, 2.0)
+            lines.append(_tensor_line(k, [a, c + gap, c], r))
+        elif kind == 8:
+            lines.append(_tensor_line(k, np.array([a, -b, c]) * 10.0 ** rng.uniform(100, 120), r))
+        elif kind == 9:
+            # Indefinite, or SPD with a stretch ratio below SPD_RATIO_FLOOR.
+            lines.append(_tensor_line(k, [a, -b, c] if k % 40 == 9 else [a, b, 1e-16 * c], r))
+        else:
+            lines.append(_tensor_line(k, np.array([a, b, c]) * 10.0 ** rng.uniform(-3, 3), r))
+    return lines
+
+
+def _scalar_output(cmd, lines):
+    """(exit status, output lines) of cmd from per-record scalar _dispatch."""
+    tols = ClassifyTols(tau_rel=TAU_REL, tau_gap=TAU_GAP)
+    rm = vonmises_demo_map(2.0, 1.0, 0.5)
+    out, status = [], 0
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        rec_id = f"line {lineno}"
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ContractError("record must be a JSON object")
+            rec_id = rec.get("id", rec_id)
+            t = cli._record_tensor(rec)
+            res = cli._checked_finite(cli._record(cmd, rec_id, *cli._dispatch(cmd, t, tols, rm)))
+        except Exception as exc:
+            res = {"id": rec_id, "error": str(exc)}
+            status = 2
+        out.append(json.dumps(res))
+    return status, out
+
+
+def _spin_sum_tol(t, sp, c, d=(0.0, 0.0, 0.0), extra=0.0):
+    """The entrywise bound of test_spin_matches_dyad_reference_across_scales
+    for sum_i c[i] spin_i + sum_i d[i] N_i x N_i, plus 8 eps extra for a
+    tail of size extra."""
+    eps = float(np.finfo(float).eps)
+    tol = 8.0 * eps * (sum(abs(x) for x in d) + extra)
+    for i in range(3):
+        if c[i]:
+            sb = math.sin(sp.beta[i])
+            tol += abs(c[i]) * 128.0 * eps * norm(t) / abs(sp.inv.j2 * (4.0 * sb * sb - 1.0))
+    return tol
+
+
+def _assert_same_records(cmd, lines, got, want):
+    """Records of cmd byte-identical, but for tangents and spins, which agree
+    within _spin_sum_tol."""
+    assert len(got) == len(want)
+    tols = ClassifyTols(tau_rel=TAU_REL, tau_gap=TAU_GAP)
+    tensors = {}
+    for line in lines:
+        try:
+            rec = json.loads(line)
+            tensors[rec["id"]] = cli._record_tensor(rec)
+        except Exception:
+            continue
+    for g, w in zip(got, want):
+        if g == w:
+            continue
+        assert cmd in ("spin", "logstrain", "stress"), (g, w)
+        rg, rw = json.loads(g), json.loads(w)
+        field = {"spin": "spins", "logstrain": "deps_dB", "stress": "tangent"}[cmd]
+        assert {k: v for k, v in rg.items() if k != field} == \
+            {k: v for k, v in rw.items() if k != field}
+        t = tensors[rw["id"]]
+        sp = spectrum(t, tols)
+        assert sp.mult.tag is MultTag.DISTINCT
+        if cmd == "spin":
+            for i in range(3):
+                c = [float(k == i) for k in range(3)]
+                assert np.max(np.abs(np.subtract(rg[field][i], rw[field][i]))) \
+                    <= _spin_sum_tol(t, sp, c)
+            continue
+        if cmd == "logstrain":
+            e = [0.5 * math.log(x) for x in sp.lam]
+            tol = _spin_sum_tol(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]),
+                                [0.5 / x for x in sp.lam])
+        else:
+            sig = _map_at(sp, vonmises_demo_map(2.0, 1.0, 0.5))[4]
+            tol = _spin_sum_tol(t, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
+                                extra=max(abs(x) for x in rw[field]))
+        assert np.max(np.abs(np.subtract(rg[field], rw[field]))) <= tol
+
+
+@pytest.mark.parametrize("cmd", RECORD_COMMANDS)
+def test_chunked_output_equals_scalar_dispatch(cmd, tmp_path):
+    lines = _mixed_lines(np.random.default_rng(17), 2 * cli._CHUNK + 300)
+    src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_text("".join(line + "\n" for line in lines))
+    status = cli.main([*_argv(cmd), "--input", str(src), "--output", str(dst)])
+    want_status, want = _scalar_output(cmd, lines)
+    assert status == want_status == 2
+    _assert_same_records(cmd, lines, dst.read_text().splitlines(), want)
+
+
+_EIGS = hs.floats(-10.0, 10.0, allow_subnormal=False)
+_REPEATS = hs.sampled_from(((0, 1, 2), (0, 0, 2), (0, 2, 2), (0, 0, 0)))
+_QUAT = hs.tuples(*[hs.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
+_LOG10_SCALE = hs.one_of(hs.floats(-3.0, 3.0), hs.floats(-120.0, 110.0))
+_TENSOR = hs.tuples(hs.tuples(_EIGS, _EIGS, _EIGS), _REPEATS, _QUAT, _LOG10_SCALE)
+
+
+@settings(max_examples=60)
+@given(hs.lists(_TENSOR, min_size=1, max_size=8))
+def test_chunked_output_equals_scalar_dispatch_property(draws):
+    lines = []
+    for k, (e, rep, quat, log10_scale) in enumerate(draws):
+        q = np.array(quat)
+        eigs = np.array([e[i] for i in rep]) * 10.0 ** log10_scale
+        lines.append(_tensor_line(k, eigs, quat_rotation(q / np.linalg.norm(q))))
+    for cmd in RECORD_COMMANDS:
+        cfg = {"command": cmd, "tau_rel": TAU_REL, "tau_gap": TAU_GAP,
+               "bulk": 2.0, "shear": 1.0, "yield_q": 0.5}
+        ok, text = cli._run_chunk((cfg, 1, lines))
+        want_status, want = _scalar_output(cmd, lines)
+        assert (0 if ok else 2) == want_status
+        _assert_same_records(cmd, lines, text.splitlines(), want)
+
+
+def test_nonfinite_results_become_error_records():
+    text = ('{"id": "triple", "T": [1.3e110, 1.3e110, 1.3e110, 1e95, 0, 0]}\n'
+            '{"id": "distinct", "T": [5e103, 2e103, -1e103, 4e102, 0, 0]}\n'
+            '{"id": "fine", "T": [5, 2, -1, 0, 0, 0]}\n')
+    proc = run_cli(["invariants"], text)
+    assert proc.returncode == 2
+    assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
+    recs = lines_of(proc)
+    assert [r["id"] for r in recs] == ["triple", "distinct", "fine"]
+    assert "'I3' is not finite" in recs[0]["error"]
+    assert "'I3' is not finite" in recs[1]["error"]
+    assert recs[2]["I3"] == pytest.approx(-10.0)
+
+
+def test_parallel_output_matches_serial(tmp_path):
+    """Every record command on two chunks with error records: --parallel 2 and
+    python -O give the serial run's bytes and exit status."""
     src = tmp_path / "in.jsonl"
-    src.write_text(payload)
-    serial = run_cli(["basis", "--input", str(src)])
-    para = run_cli(["basis", "--input", str(src), "--parallel", "2"])
-    assert serial.returncode == 0 and para.returncode == 0
-    assert serial.stdout == para.stdout
+    n = cli._CHUNK + 100
+    src.write_text("".join(line + "\n" for line in _mixed_lines(np.random.default_rng(5), n)))
+    for cmd in RECORD_COMMANDS:
+        args = [*_argv(cmd), "--input", str(src)]
+        serial = run_cli(args)
+        para = run_cli([*args, "--parallel", "2"])
+        optimized = subprocess.run([sys.executable, "-O", "-m", "spectens", *args],
+                                   capture_output=True, text=True, timeout=120)
+        assert serial.returncode == para.returncode == optimized.returncode == 2, cmd
+        assert serial.stdout == para.stdout == optimized.stdout, cmd
+        # One output line per non-blank input line: every twentieth is blank.
+        assert len(serial.stdout.splitlines()) == n - (n + 19) // 20
 
 
 def test_missing_input_file_is_io_error(tmp_path):
