@@ -135,6 +135,16 @@ def _record(cmd: str, rec_id, row: list, extra) -> dict:
     return out
 
 
+def _checked_id(rec_id):
+    """rec_id, or ContractError if it holds NaN or Infinity, which JSON lacks."""
+    if not isinstance(rec_id, (int, str)):
+        try:
+            json.JSONEncoder(allow_nan=False).encode(rec_id)
+        except ValueError:
+            raise ContractError("'id' holds NaN or Infinity, which JSON does not allow") from None
+    return rec_id
+
+
 def _checked_finite(rec: dict) -> dict:
     """rec, or DegeneracyError naming its first field with a number that
     overflowed: JSON has no Infinity or NaN."""
@@ -165,7 +175,7 @@ def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ContractError("record must be a JSON object")
-            rec_id = rec.get("id", rec_id)
+            rec_id = _checked_id(rec.get("id", rec_id))
             tensors.append(_record_tensor(rec))
             ids.append(rec_id)
             places.append(k)

@@ -200,7 +200,7 @@ def _scalar_output(cmd, lines):
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ContractError("record must be a JSON object")
-            rec_id = rec.get("id", rec_id)
+            rec_id = cli._checked_id(rec.get("id", rec_id))
             t = cli._record_tensor(rec)
             res = cli._checked_finite(cli._record(cmd, rec_id, *cli._dispatch(cmd, t, tols, rm)))
         except Exception as exc:
@@ -301,15 +301,20 @@ def test_chunked_output_equals_scalar_dispatch_property(draws):
 def test_nonfinite_results_become_error_records():
     text = ('{"id": "triple", "T": [1.3e110, 1.3e110, 1.3e110, 1e95, 0, 0]}\n'
             '{"id": "distinct", "T": [5e103, 2e103, -1e103, 4e102, 0, 0]}\n'
-            '{"id": "fine", "T": [5, 2, -1, 0, 0, 0]}\n')
+            '{"id": "fine", "T": [5, 2, -1, 0, 0, 0]}\n'
+            '{"id": NaN, "T": [5, 2, -1, 0, 0, 0]}\n'
+            '{"id": [1, -Infinity], "T": [5, 2, -1, 0, 0, 0]}\n')
     proc = run_cli(["invariants"], text)
     assert proc.returncode == 2
-    assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
-    recs = lines_of(proc)
-    assert [r["id"] for r in recs] == ["triple", "distinct", "fine"]
+
+    def refuse(constant):
+        raise AssertionError(f"output holds {constant}")
+    recs = [json.loads(line, parse_constant=refuse) for line in proc.stdout.splitlines()]
+    assert [r["id"] for r in recs] == ["triple", "distinct", "fine", "line 4", "line 5"]
     assert "'I3' is not finite" in recs[0]["error"]
     assert "'I3' is not finite" in recs[1]["error"]
     assert recs[2]["I3"] == pytest.approx(-10.0)
+    assert all("'id' holds NaN or Infinity" in r["error"] for r in recs[3:])
 
 
 def test_parallel_output_matches_serial(tmp_path):
