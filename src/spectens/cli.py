@@ -13,18 +13,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
+from itertools import chain, compress
 
 import numpy as np
 
 from . import oracle
 from .errors import ContractError, DegeneracyError
 from .isofunc import _apply_rows, isotropic_function, square_map
-from .logstrain import _HALF_LOG, _not_spd, left_cauchy_green, log_strain_from_b
+from .logstrain import (_HALF_LOG, _cauchy_green_terms, _not_spd, left_cauchy_green,
+                        log_strain_from_b)
 from .plasticity import _stress_tangent_rows, stress_and_tangent, vonmises_demo_map
-from .spectral import ClassifyTols, MultTag, _spectrum_rows, _spin_sum_rows, spectrum, spin
+from .spectral import _MULTS, ClassifyTols, MultTag, _spectrum_rows, _spin_sum_rows, spectrum, spin
 from .tensor_core import (
     TAU_ABS,
     TAU_GAP,
@@ -69,7 +72,8 @@ def _record_tensor(rec: dict) -> SymTensor2:
 
 def _dispatch(cmd: str, t: SymTensor2, tols: ClassifyTols, rm) -> tuple[list, object]:
     """The numbers of the record of cmd at t, in output order, and its extra
-    field (see _record), from the scalar library calls."""
+    field: theta_defined for invariants, None for stress, else the
+    multiplicity.  From the scalar library calls."""
     if cmd == "invariants":
         inv = invariants(t)
         return [inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta], inv.theta_defined
@@ -93,46 +97,71 @@ def _dispatch(cmd: str, t: SymTensor2, tols: ClassifyTols, rm) -> tuple[list, ob
 
 def _dispatch_rows(cmd: str, t: SymTensor2, tols: ClassifyTols, rm):
     """_dispatch on the rows of t, whose components are (n,) arrays: (mask of
-    the rows it holds for, (n, k) numbers, extra field).  It leaves out rows
-    off the distinct branch and rows the scalar calls would raise or warn on."""
+    the rows it holds for, (n, k) numbers, (n,) position of each row's extra
+    field in the tuple of extra fields that ends the result).  It leaves out
+    rows the scalar calls would raise or warn on, and for spin, logstrain
+    and stress the rows off the distinct branch."""
     if cmd == "invariants":
         inv, _, _, ok = _invariant_rows(t)
-        return ok, np.stack((inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta), 1), True
+        vals = np.stack((inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta), 1)
+        return ok, vals, inv.theta_defined, (False, True)
     sp, ok = _spectrum_rows(t, tols)
-    mult = sp.mult
-    if cmd == "logstrain":
-        eps, deps, ok = _apply_rows(t, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
-        blocks = [*eps.as_tuple(), deps]
-    elif cmd == "stress":
-        sig, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
-        blocks, mult = [*sig.as_tuple(), tan], None
-    elif cmd == "spin":
-        blocks = [_spin_sum_rows(t, sp, [float(k == i) for k in range(3)]) for i in range(3)]
-    else:
+    kind, extras = sp.mult, _MULTS
+    if cmd in ("eigen", "basis"):
         blocks = list(sp.lam)
         if cmd == "basis":
             blocks += [x for b in sp.bases for x in b.as_tuple()]
-    return ok, np.hstack([b.reshape(len(ok), -1) for b in blocks]), mult
+    else:
+        ok = ok & (kind == 0) & sp.inv.theta_defined
+        if cmd == "logstrain":
+            eps, deps, ok = _apply_rows(t, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
+            blocks = [*eps.as_tuple(), deps]
+        elif cmd == "stress":
+            sig, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
+            # The rows still ok are distinct, of kind 0.
+            blocks, extras = [*sig.as_tuple(), tan], (None,)
+        else:
+            blocks = [_spin_sum_rows(t, sp, [float(k == i) for k in range(3)])
+                      for i in range(3)]
+    return ok, np.hstack([b.reshape(len(ok), -1) for b in blocks]), kind, extras
 
 
-def _record(cmd: str, rec_id, row: list, extra) -> dict:
-    """The output record of cmd from its numbers row and its extra field:
-    theta_defined for invariants, else the multiplicity."""
-    if cmd == "invariants":
-        return {"id": rec_id, "I1": row[0], "I2": row[1], "I3": row[2],
-                "J2": row[3], "J3": row[4], "theta": row[5], "theta_defined": extra}
-    if cmd == "logstrain":
-        return {"id": rec_id, "branch": extra.tag.value, "eps": row[:6], "deps_dB": row[6:]}
-    if cmd == "stress":
-        return {"id": rec_id, "sigma": row[:6], "tangent": row[6:]}
-    if cmd == "spin":
-        return {"id": rec_id, "multiplicity": extra.tag.value,
-                "spins": [row[:36], row[36:72], row[72:]]}
-    out = {"id": rec_id, "lambda": row[:3], "multiplicity": extra.tag.value,
-           "unique_index": extra.unique_index}
-    if cmd == "basis":
-        out["bases"] = [row[3:9], row[9:15], row[15:]]
-    return out
+# Each command's output record after its id, field by field: a field of
+# numbers as (name, shape), with shape () for one number, (n,) for a list
+# and (r, n) for r lists; a field made from the extra field by its name.
+_LAYOUT = {
+    "invariants": [*((k, ()) for k in ("I1", "I2", "I3", "J2", "J3", "theta")),
+                   "theta_defined"],
+    "eigen": [("lambda", (3,)), "multiplicity", "unique_index"],
+    "basis": [("lambda", (3,)), "multiplicity", "unique_index", ("bases", (3, 6))],
+    "spin": ["multiplicity", ("spins", (3, 36))],
+    "logstrain": ["branch", ("eps", (6,)), ("deps_dB", (36,))],
+    "stress": [("sigma", (6,)), ("tangent", (36,))],
+}
+
+
+@functools.cache
+def _template(cmd: str, extra) -> str:
+    """The output line of cmd with extra field extra (see _dispatch), as a
+    %-template of the JSON text of the id and then the record's numbers.
+    %r of a float is float.__repr__, which is what json writes for one."""
+    parts = ['{"id": %s']
+    for field in _LAYOUT[cmd]:
+        if isinstance(field, str):
+            value = (extra if field == "theta_defined" else
+                     extra.unique_index if field == "unique_index" else extra.tag.value)
+            parts.append(f'"{field}": {json.dumps(value)}')
+        else:
+            text = "%r"
+            for n in reversed(field[1]):
+                text = "[" + ", ".join([text] * n) + "]"
+            parts.append(f'"{field[0]}": {text}')
+    return ", ".join(parts) + "}\n"
+
+
+def _id_text(rec_id) -> str:
+    """The JSON text of rec_id, or ContractError if it holds NaN or Infinity."""
+    return str(rec_id) if type(rec_id) is int else json.dumps(_checked_id(rec_id))
 
 
 def _checked_id(rec_id):
@@ -145,60 +174,111 @@ def _checked_id(rec_id):
     return rec_id
 
 
-def _checked_finite(rec: dict) -> dict:
-    """rec, or DegeneracyError naming its first field with a number that
-    overflowed: JSON has no Infinity or NaN."""
-    for key, val in list(rec.items())[1:]:
-        if isinstance(val, (float, list)) and not np.isfinite(val).all():
-            raise DegeneracyError(
-                f"result field {key!r} is not finite: the input overflows the closed form")
-    return rec
+def _checked_finite(cmd: str, row) -> list[float]:
+    """row as floats, or DegeneracyError naming the first field of cmd's
+    record with a number that overflowed: JSON has no Infinity or NaN."""
+    row = [float(x) for x in row]
+    start = 0
+    for field in _LAYOUT[cmd]:
+        if not isinstance(field, str):
+            end = start + math.prod(field[1])
+            if not all(map(math.isfinite, row[start:end])):
+                raise DegeneracyError(f"result field {field[0]!r} is not finite: "
+                                      "the input overflows the closed form")
+            start = end
+    return row
+
+
+def _error_line(rec_id, exc: Exception) -> str:
+    return json.dumps({"id": rec_id, "error": str(exc) or type(exc).__name__}) + "\n"
+
+
+def _scalar_line(cmd: str, rec, rec_id, tols: ClassifyTols, rm) -> tuple[bool, str]:
+    """(whether it succeeded, output line) of the parsed record rec from the
+    scalar library calls; rec_id is the id of a record without one."""
+    try:
+        if not isinstance(rec, dict):
+            raise ContractError("record must be a JSON object")
+        rec_id = _checked_id(rec.get("id", rec_id))
+        row, extra = _dispatch(cmd, _record_tensor(rec), tols, rm)
+        return True, _template(cmd, extra) % (_id_text(rec_id), *_checked_finite(cmd, row))
+    except Exception as exc:
+        return False, _error_line(rec_id, exc)
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _columns(recs: list) -> tuple[list[int], np.ndarray]:
+    """(positions in recs of the records that pass the checks of
+    _record_tensor, their tensors as a (6, m) array), checked and stacked
+    for all records together.  B = F F^T comes from the formula body of
+    left_cauchy_green.  OverflowError for an int past the float range."""
+    picked, comps = [], []
+    for key, other, n in (("T", "F", 6), ("F", "T", 9)):
+        pos = [j for j, r in enumerate(recs) if type(r) is dict and key in r and other not in r]
+        vals = [recs[j][key] for j in pos]
+        # bool is a type of its own, so a bool fails the type check.
+        if not (set(map(type, vals)) <= {list} and set(map(len, vals)) <= {n}
+                and set(map(type, chain.from_iterable(vals))) <= _NUMBER_TYPES):
+            good = [type(v) is list and len(v) == n and set(map(type, v)) <= _NUMBER_TYPES
+                    for v in vals]
+            pos, vals = list(compress(pos, good)), list(compress(vals, good))
+        x = np.array(vals, dtype=float).reshape(-1, n).T
+        ok = np.isfinite(x).all(0)
+        if key == "F":
+            det, b = _cauchy_green_terms(x.reshape(3, 3, -1))
+            x, ok = np.array(b), ok & (det > 0.0)
+        picked += compress(pos, ok.tolist())
+        comps.append(x[:, ok])
+    return picked, np.hstack(comps)
 
 
 def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
     """(whether every record succeeded, output text) of one chunk of input
-    lines, the first of which has number first.  The valid records are
-    evaluated together as arrays; those the arrays leave out go through
-    _dispatch, so that their output and errors are the scalar path's."""
+    lines, the first of which has number first.  The records are checked,
+    evaluated and written as columns; a record that fails a check or a
+    guard of the arrays, or all of them if the checks raise, goes through
+    _dispatch, so that its output and errors are the scalar path's."""
     cfg, first, lines = job
     cmd = cfg["command"]
     tols = ClassifyTols(tau_abs=TAU_ABS, tau_rel=cfg["tau_rel"], tau_gap=cfg["tau_gap"])
     rm = vonmises_demo_map(cfg["bulk"], cfg["shear"], cfg["yield_q"]) if cmd == "stress" else None
     outs = [""] * len(lines)
-    ids, tensors, places = [], [], []
     all_ok = True
+    recs, places = [], []
     for k, line in enumerate(lines):
-        if not line.strip():
-            continue
-        rec_id = f"line {first + k}"
         try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ContractError("record must be a JSON object")
-            rec_id = _checked_id(rec.get("id", rec_id))
-            tensors.append(_record_tensor(rec))
-            ids.append(rec_id)
+            recs.append(json.loads(line))
             places.append(k)
         except Exception as exc:
-            outs[k] = json.dumps({"id": rec_id, "error": str(exc)})
-            all_ok = False
-    ok = np.zeros(len(tensors), dtype=bool)
-    if tensors:
-        with np.errstate(all="ignore"):
-            ok, vals, extra = _dispatch_rows(
-                cmd, SymTensor2(*np.array([t.as_tuple() for t in tensors]).T.copy()), tols, rm)
-            ok &= np.isfinite(vals).all(1)
-        rows = vals.tolist()
-        for j in np.flatnonzero(ok).tolist():
-            outs[places[j]] = json.dumps(_record(cmd, ids[j], rows[j], extra))
-    for j in np.flatnonzero(~ok).tolist():
+            if line.strip():
+                outs[k] = _error_line(f"line {first + k}", exc)
+                all_ok = False
+    scalar = [True] * len(recs)
+    with np.errstate(all="ignore"):
         try:
-            out = _checked_finite(_record(cmd, ids[j], *_dispatch(cmd, tensors[j], tols, rm)))
-        except Exception as exc:
-            out = {"id": ids[j], "error": str(exc)}
-            all_ok = False
-        outs[places[j]] = json.dumps(out)
-    return all_ok, "".join(out + "\n" for out in outs if out)
+            picked, comps = _columns(recs)
+        except OverflowError:
+            picked = []
+        if picked:
+            ok, vals, kind, extras = _dispatch_rows(cmd, SymTensor2(*comps), tols, rm)
+            ok &= np.isfinite(vals).all(1)
+            templates = [_template(cmd, e) for e in extras]
+            rows, kind = vals.tolist(), kind.tolist()
+            for j in np.flatnonzero(ok).tolist():
+                i = picked[j]
+                rec = recs[i]
+                try:
+                    text = _id_text(rec["id"] if "id" in rec else f"line {first + places[i]}")
+                except ContractError:
+                    continue
+                outs[places[i]] = templates[kind[j]] % (text, *rows[j])
+                scalar[i] = False
+    for i in compress(range(len(recs)), scalar):
+        ok_i, outs[places[i]] = _scalar_line(cmd, recs[i], f"line {first + places[i]}", tols, rm)
+        all_ok &= ok_i
+    return all_ok, "".join(outs)
 
 
 def _read_lines(path) -> list[str]:
@@ -220,7 +300,11 @@ def _run_records(args) -> int:
     if args.command == "stress":
         cfg.update(bulk=args.bulk, shear=args.shear, yield_q=args.yield_stress)
     lines = _read_lines(args.input)
-    jobs = ((cfg, i + 1, lines[i:i + _CHUNK]) for i in range(0, len(lines), _CHUNK))
+    size = _CHUNK
+    if args.parallel > 1:
+        # Several chunks per worker, so that no worker idles at the end.
+        size = max(1, min(_CHUNK, math.ceil(len(lines) / (4 * args.parallel))))
+    jobs = ((cfg, i + 1, lines[i:i + size]) for i in range(0, len(lines), size))
     all_ok = True
     with _output(args.output) as out, contextlib.ExitStack() as stack:
         if args.parallel > 1:
@@ -247,8 +331,6 @@ def _draw_separated(rng) -> SymTensor2:
 
 
 def _run_verify(args) -> int:
-    import numpy as np
-
     rng = np.random.default_rng(args.seed)
     f = square_map()
     lines = []

@@ -36,16 +36,22 @@ def left_cauchy_green(f) -> SymTensor2:
         ) from exc
     if n not in (3, 9) or (n == 3 and any(len(row) != 3 for row in rows)):
         raise KinematicsError("deformation gradient must be 3x3 or flat length 9")
-    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    det, b = _cauchy_green_terms(rows)
     if not det > 0.0:
         raise KinematicsError(f"deformation gradient has det = {det!r}, expected > 0")
+    return SymTensor2(*b)
 
-    def bb(i, j):
-        return rows[i][0] * rows[j][0] + rows[i][1] * rows[j][1] + rows[i][2] * rows[j][2]
 
-    return SymTensor2(bb(0, 0), bb(1, 1), bb(2, 2), bb(0, 1), bb(0, 2), bb(1, 2))
+def _cauchy_green_terms(rows) -> tuple:
+    """(det F, the components of B = F F^T) from the rows of F; floats or
+    (n,) arrays."""
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = rows
+    det = (f00 * (f11 * f22 - f12 * f21)
+           - f01 * (f10 * f22 - f12 * f20)
+           + f02 * (f10 * f21 - f11 * f20))
+    return det, (f00 * f00 + f01 * f01 + f02 * f02, f10 * f10 + f11 * f11 + f12 * f12,
+                 f20 * f20 + f21 * f21 + f22 * f22, f00 * f10 + f01 * f11 + f02 * f12,
+                 f00 * f20 + f01 * f21 + f02 * f22, f10 * f20 + f11 * f21 + f12 * f22)
 
 
 @dataclass(frozen=True, slots=True)

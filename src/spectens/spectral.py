@@ -120,6 +120,8 @@ _TRIPLE = Multiplicity(MultTag.TRIPLE)
 _DOUBLE_HIGH_UNIQUE = Multiplicity(MultTag.DOUBLE_HIGH_UNIQUE, 0)
 _DOUBLE_LOW_UNIQUE = Multiplicity(MultTag.DOUBLE_LOW_UNIQUE, 2)
 _DISTINCT = Multiplicity(MultTag.DISTINCT)
+# The multiplicities in the order of the class codes of _spectrum_rows.
+_MULTS = (_DISTINCT, _DOUBLE_HIGH_UNIQUE, _DOUBLE_LOW_UNIQUE, _TRIPLE)
 
 
 def classify(lam: tuple[float, float, float], scale: float,
@@ -211,14 +213,14 @@ def eigenbasis_double(t: SymTensor2, inv: InvariantSet,
         raise BranchError("triple coincidence has no distinguished basis")
     if mult is _DISTINCT:
         raise BranchError("eigenvalues are distinct; use the simple-eigenvalue basis")
-    return _double_bases(deviator(t).as_tuple(), inv.j2, mult)
+    return _double_bases(deviator(t).as_tuple(), inv.j2, float(mult.theta_sign), math)
 
 
-def _double_bases(s: tuple, j2: float,
-                  mult: Multiplicity) -> tuple[SymTensor2, SymTensor2]:
-    """eigenbasis_double from the deviator components s, for a multiplicity
-    already classified as double."""
-    f = -float(mult.theta_sign) / math.sqrt(3.0 * j2)
+def _double_bases(s: tuple, j2, sign, m) -> tuple[SymTensor2, SymTensor2]:
+    """eigenbasis_double from the deviator components s and the theta sign of
+    a multiplicity already classified as double; floats or (n,) arrays, with
+    sqrt from m."""
+    f = -sign / m.sqrt(3.0 * j2)
     third = 1.0 / 3.0
     hxx, hyy, hzz = third + f * s[0], third + f * s[1], third + f * s[2]
     hxy, hxz, hyz = f * s[3], f * s[4], f * s[5]
@@ -245,7 +247,7 @@ def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
     elif mult is _TRIPLE:
         bases = (_THIRD_I, _THIRD_I, _THIRD_I)
     else:
-        n_hat, n_rep = _double_bases(s, inv.j2, mult)
+        n_hat, n_rep = _double_bases(s, inv.j2, float(mult.theta_sign), math)
         if mult.unique_index == 0:
             bases = (n_hat, n_rep, n_rep)
         else:
@@ -255,16 +257,24 @@ def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
 
 def _spectrum_rows(t: SymTensor2, tols: ClassifyTols) -> tuple[Spectrum, np.ndarray]:
     """spectrum of the rows of t, whose components are (n,) arrays, and the
-    mask of the rows it holds for: distinct ones that pass its guards."""
+    mask of the rows it holds for: those that pass its guards.  mult is the
+    (n,) array of each row's position in _MULTS."""
     inv, s, nrm, ok = _invariant_rows(t)
     l1, l2, l3, in_order = _eigen_terms(inv.i1, inv.j2, inv.theta, _ROW_MATH)
     l2 = np.minimum(l2, l1)
     lam = (l1, l2, np.minimum(l3, l2))
-    ok &= in_order & ~np.logical_or.reduce(_coincidences(lam, nrm, tols))
+    triple, high_unique, low_unique = _coincidences(lam, nrm, tols)
+    code = np.select((triple, high_unique, low_unique), (3, 1, 2), 0)
     third = inv.i1 / 3.0
-    bases, vanished = _bases_over(s, _sym_square(s), inv.j2, tuple(x - third for x in lam))
+    dist, vanished = _bases_over(s, _sym_square(s), inv.j2, tuple(x - third for x in lam))
+    n_hat, n_rep = _double_bases(s, inv.j2, np.where(high_unique, -1.0, 1.0), _ROW_MATH)
+    picks = (dist, (n_hat, n_rep, n_rep), (n_rep, n_rep, n_hat), (_THIRD_I,) * 3)
+    bases = tuple(SymTensor2(*(np.choose(code, [p[i].as_tuple()[k] for p in picks])
+                               for k in range(6))) for i in range(3))
+    # The scalar bases raise where a distinct denominator vanishes or J2 = 0.
+    failed = np.where(code == 0, vanished, (code != 3) & (inv.j2 == 0.0))
     beta = (inv.theta + _TWO_THIRDS_PI, inv.theta, inv.theta - _TWO_THIRDS_PI)
-    return Spectrum(lam, beta, _DISTINCT, bases, inv), ok & ~vanished
+    return Spectrum(lam, beta, code, bases, inv), ok & in_order & ~failed
 
 
 _I = IDENTITY2.as_tuple()

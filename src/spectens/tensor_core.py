@@ -230,11 +230,11 @@ def _invariants(t: SymTensor2) -> tuple[InvariantSet, tuple, float]:
 
 def _invariant_rows(t: SymTensor2) -> tuple[InvariantSet, tuple, np.ndarray, np.ndarray]:
     """_invariants of the rows of t, whose components are (n,) arrays, and the
-    mask of the rows it holds for: theta defined and no clamp warning."""
+    mask of the rows it holds for: those without a clamp warning."""
     i1, i2, i3, j2, j3, s, sqrt_j2, nrm, undefined = _invariant_terms(t, _ROW_MATH)
     arg = _sin3theta(j2, j3, sqrt_j2)
-    ok = ~undefined & ~(abs(arg) - 1.0 > _CLAMP_WARN_EXCESS)
-    theta = _ROW_MATH.asin(np.clip(arg, -1.0, 1.0)) / 3.0
+    ok = undefined | ~(abs(arg) - 1.0 > _CLAMP_WARN_EXCESS)
+    theta = np.where(undefined, 0.0, _ROW_MATH.asin(np.clip(arg, -1.0, 1.0)) / 3.0)
     return InvariantSet(i1, i2, i3, j2, j3, theta, ~undefined), s, nrm, ok
 
 

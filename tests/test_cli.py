@@ -25,7 +25,7 @@ from spectens import cli
 from spectens.plasticity import _map_at
 from spectens.tensor_core import TAU_GAP, TAU_REL
 
-from util import quat_rotation
+from util import cli_record, quat_rotation
 
 
 def run_cli(args, stdin_text=""):
@@ -137,7 +137,12 @@ RECORD_COMMANDS = ("invariants", "eigen", "basis", "spin", "logstrain", "stress"
 _STRESS_FLAGS = ("--bulk", "2", "--shear", "1", "--yield-stress", "0.5")
 _MALFORMED = ('this is not json', '[1, 2, 3]', '{"id": "no tensor"}',
               '{"id": "short", "T": [1, 2]}', '{"id": "text", "T": [1, 2, 3, 0, 0, "x"]}',
-              '{"id": "flat", "F": [1, 0, 0, 0, 1, 0, 0, 0, 0]}')
+              '{"id": "flat", "F": [1, 0, 0, 0, 1, 0, 0, 0, 0]}',
+              '{"id": "bool", "T": [1, 2, 3, 0, 0, true]}',
+              '{"id": "nested", "T": [1, 2, 3, 0, [0], 0]}', '{"id": "string", "T": "123456"}',
+              '{"id": "both", "T": [1, 2, 3, 0, 0, 0], "F": [1, 0, 0, 0, 1, 0, 0, 0, 1]}',
+              '7.5', '"T"', '{"id": "mirror", "F": [-1, 0, 0, 0, 1, 0, 0, 0, 1]}',
+              '{"id": "nan", "T": [1, 2, NaN, 0, 0, 0]}')
 
 
 def _argv(cmd):
@@ -201,13 +206,19 @@ def _scalar_output(cmd, lines):
             if not isinstance(rec, dict):
                 raise ContractError("record must be a JSON object")
             rec_id = cli._checked_id(rec.get("id", rec_id))
-            t = cli._record_tensor(rec)
-            res = cli._checked_finite(cli._record(cmd, rec_id, *cli._dispatch(cmd, t, tols, rm)))
+            row, extra = cli._dispatch(cmd, cli._record_tensor(rec), tols, rm)
+            res = cli_record(cmd, rec_id, cli._checked_finite(cmd, row), extra)
         except Exception as exc:
-            res = {"id": rec_id, "error": str(exc)}
+            res = {"id": rec_id, "error": str(exc) or type(exc).__name__}
             status = 2
         out.append(json.dumps(res))
     return status, out
+
+
+def _cfg(cmd):
+    """The _run_chunk configuration of cmd with the options of _argv."""
+    return {"command": cmd, "tau_rel": TAU_REL, "tau_gap": TAU_GAP,
+            "bulk": 2.0, "shear": 1.0, "yield_q": 0.5}
 
 
 def _spin_sum_tol(t, sp, c, d=(0.0, 0.0, 0.0), extra=0.0):
@@ -290,12 +301,104 @@ def test_chunked_output_equals_scalar_dispatch_property(draws):
         eigs = np.array([e[i] for i in rep]) * 10.0 ** log10_scale
         lines.append(_tensor_line(k, eigs, quat_rotation(q / np.linalg.norm(q))))
     for cmd in RECORD_COMMANDS:
-        cfg = {"command": cmd, "tau_rel": TAU_REL, "tau_gap": TAU_GAP,
-               "bulk": 2.0, "shear": 1.0, "yield_q": 0.5}
-        ok, text = cli._run_chunk((cfg, 1, lines))
+        ok, text = cli._run_chunk((_cfg(cmd), 1, lines))
         want_status, want = _scalar_output(cmd, lines)
         assert (0 if ok else 2) == want_status
         _assert_same_records(cmd, lines, text.splitlines(), want)
+
+
+_IDS = (7, 2 ** 64 + 3, -12, 1.5, -0.0, 'say "hi" \\ gr\u00fc\u00dfe \u2211', "", True, False,
+        None, [1, "a", [2.5]], {"k": [1.0, None], "\u00e9": {}})
+_EXTRAS = {"invariants": (True, False), "stress": (None,),
+           **{cmd: cli._MULTS for cmd in ("eigen", "basis", "spin", "logstrain")}}
+_WIDTH = {"invariants": 6, "eigen": 3, "basis": 21, "spin": 108, "logstrain": 42, "stress": 42}
+
+
+@pytest.mark.parametrize("cmd", RECORD_COMMANDS)
+def test_serializer_matches_json_reference(cmd):
+    """Every template of cmd, filled with the JSON text of every kind of id
+    and with numbers across the float range, is json.dumps of the dict."""
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+               1.0, 0.1, -1e16, 1e-7, 123456789012345678.0, 1 / 3]
+    for extra in _EXTRAS[cmd]:
+        for rec_id in _IDS:
+            row = [float(x) for x in rng.standard_normal(_WIDTH[cmd])
+                   * 10.0 ** rng.integers(-300, 300, _WIDTH[cmd])]
+            row[:len(special)] = special[:len(row)]
+            rng.shuffle(row)
+            got = cli._template(cmd, extra) % (cli._id_text(rec_id), *row)
+            assert got == json.dumps(cli_record(cmd, rec_id, row, extra)) + "\n"
+
+
+@pytest.mark.parametrize("cmd", RECORD_COMMANDS)
+def test_every_id_type_is_written_as_json_writes_it(cmd):
+    lines = [json.dumps({"id": rec_id, "T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}) for rec_id in _IDS]
+    lines.append('{"T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}')
+    _, text = cli._run_chunk((_cfg(cmd), 1, lines))
+    for rec_id, line in zip([*_IDS, f"line {len(lines)}"], text.splitlines()):
+        assert line.startswith('{"id": ' + json.dumps(rec_id) + ", ")
+        assert "error" not in json.loads(line)
+
+
+def _good_lines(rng, n):
+    r = quat_rotation(rng.standard_normal(4) / 2.0)
+    return [_tensor_line(f"good {k}", rng.uniform(0.5, 2.0, 3), r) for k in range(n)]
+
+
+@pytest.mark.parametrize("cmd", RECORD_COMMANDS)
+def test_malformed_records_match_the_scalar_path(cmd):
+    """Each bad record among good ones, a component of 10**400 (the column
+    checks raise, so the whole chunk takes the scalar path), a chunk of only
+    bad records, and good records with leading whitespace each give the
+    per-record path's output."""
+    rng = np.random.default_rng(11)
+    overflow = '{"id": "huge", "T": [1, 2, 3, 0, 0, 1' + "0" * 400 + "]}"
+    chunks = [[*_good_lines(rng, 3), bad, *_good_lines(rng, 2)]
+              for bad in (*_MALFORMED, overflow)]
+    chunks.append([*_MALFORMED, overflow])
+    chunks.append(["  \t" + line for line in _good_lines(rng, 4)])
+    for lines in chunks:
+        ok, text = cli._run_chunk((_cfg(cmd), 1, lines))
+        want_status, want = _scalar_output(cmd, lines)
+        assert (0 if ok else 2) == want_status
+        _assert_same_records(cmd, lines, text.splitlines(), want)
+
+
+def test_double_row_with_zero_j2_takes_the_scalar_path():
+    """With a negative --tol-triple, a spherical tensor classifies as double,
+    whose scalar bases divide by sqrt(3 J2) = 0."""
+    cfg = {**_cfg("eigen"), "tau_rel": -1.0}
+    lines = ['{"id": 1, "T": [2, 2, 2, 0, 0, 0]}', '{"id": 2, "T": [3, 2, 1, 0, 0, 0]}']
+    ok, text = cli._run_chunk((cfg, 1, lines))
+    assert not ok
+    assert [json.loads(line).get("error") for line in text.splitlines()] == \
+        ["float division by zero", None]
+
+
+def test_crlf_input_gives_the_output_of_lf_input(tmp_path):
+    lines = _mixed_lines(np.random.default_rng(23), 200)
+    for cmd in ("basis", "logstrain"):
+        outs = []
+        for newline in ("\n", "\r\n"):
+            src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+            src.write_bytes("".join(line + newline for line in lines).encode())
+            assert cli.main([*_argv(cmd), "--input", str(src), "--output", str(dst)]) == 2
+            outs.append(dst.read_text())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == len(lines) - 10
+
+
+def test_error_message_is_never_empty(monkeypatch):
+    class Bare(Exception):
+        pass
+
+    def bare(*args):
+        raise Bare()
+    monkeypatch.setattr(cli, "_dispatch", bare)
+    ok, text = cli._run_chunk((_cfg("spin"), 1, ['{"id": 9, "T": [4, 1, 1, 0, 0, 0]}']))
+    assert not ok
+    assert json.loads(text) == {"id": 9, "error": "Bare"}
 
 
 def test_nonfinite_results_become_error_records():

@@ -188,3 +188,25 @@ def spectrum_ref(t, tols=DEFAULT_TOLS):
         n_hat, n_rep = _double_bases_ref(t, inv.j2, mult)
         bases = (n_hat, n_rep, n_rep) if mult.unique_index == 0 else (n_rep, n_rep, n_hat)
     return Spectrum(lam, beta, mult, bases, inv)
+
+
+def cli_record(cmd, rec_id, row, extra):
+    """The output record of the CLI command cmd as a dict, from its numbers
+    row and its extra field (theta_defined for invariants, None for stress,
+    else the multiplicity).  json.dumps of it is the reference for the CLI's
+    own serializer."""
+    if cmd == "invariants":
+        return {"id": rec_id, "I1": row[0], "I2": row[1], "I3": row[2],
+                "J2": row[3], "J3": row[4], "theta": row[5], "theta_defined": extra}
+    if cmd == "logstrain":
+        return {"id": rec_id, "branch": extra.tag.value, "eps": row[:6], "deps_dB": row[6:]}
+    if cmd == "stress":
+        return {"id": rec_id, "sigma": row[:6], "tangent": row[6:]}
+    if cmd == "spin":
+        return {"id": rec_id, "multiplicity": extra.tag.value,
+                "spins": [row[:36], row[36:72], row[72:]]}
+    out = {"id": rec_id, "lambda": row[:3], "multiplicity": extra.tag.value,
+           "unique_index": extra.unique_index}
+    if cmd == "basis":
+        out["bases"] = [row[3:9], row[9:15], row[15:]]
+    return out
