@@ -99,30 +99,30 @@ def _dispatch_rows(cmd: str, t: SymTensor2, tols: ClassifyTols, rm):
     """_dispatch on the rows of t, whose components are (n,) arrays: (mask of
     the rows it holds for, (n, k) numbers, (n,) position of each row's extra
     field in the tuple of extra fields that ends the result).  It leaves out
-    rows the scalar calls would raise or warn on, and for spin, logstrain
-    and stress the rows off the distinct branch."""
+    the rows on which the scalar calls would raise or warn, and for spin the
+    rows off the distinct branch, where no spin is defined."""
     if cmd == "invariants":
         inv, _, _, ok = _invariant_rows(t)
         vals = np.stack((inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta), 1)
         return ok, vals, inv.theta_defined, (False, True)
     sp, ok = _spectrum_rows(t, tols)
     kind, extras = sp.mult, _MULTS
+    distinct = kind == 0
     if cmd in ("eigen", "basis"):
         blocks = list(sp.lam)
         if cmd == "basis":
             blocks += [x for b in sp.bases for x in b.as_tuple()]
+    elif cmd == "spin":
+        ok = ok & distinct & sp.inv.theta_defined
+        blocks = [_spin_sum_rows(t, sp, [float(k == i) for k in range(3)]) for i in range(3)]
     else:
-        ok = ok & (kind == 0) & sp.inv.theta_defined
+        ok = ok & (~distinct | sp.inv.theta_defined)
         if cmd == "logstrain":
             eps, deps, ok = _apply_rows(t, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
-            blocks = [*eps.as_tuple(), deps]
-        elif cmd == "stress":
-            sig, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
-            # The rows still ok are distinct, of kind 0.
-            blocks, extras = [*sig.as_tuple(), tan], (None,)
+            blocks = [eps, deps]
         else:
-            blocks = [_spin_sum_rows(t, sp, [float(k == i) for k in range(3)])
-                      for i in range(3)]
+            sig, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
+            blocks, kind, extras = [sig, tan], np.zeros_like(kind), (None,)
     return ok, np.hstack([b.reshape(len(ok), -1) for b in blocks]), kind, extras
 
 
@@ -234,6 +234,11 @@ def _columns(recs: list) -> tuple[list[int], np.ndarray]:
     return picked, np.hstack(comps)
 
 
+# The return map of stress, built once per process: a map is not picklable,
+# so each worker of --parallel builds its own from the options.
+_demo_map = functools.cache(vonmises_demo_map)
+
+
 def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
     """(whether every record succeeded, output text) of one chunk of input
     lines, the first of which has number first.  The records are checked,
@@ -243,7 +248,7 @@ def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
     cfg, first, lines = job
     cmd = cfg["command"]
     tols = ClassifyTols(tau_abs=TAU_ABS, tau_rel=cfg["tau_rel"], tau_gap=cfg["tau_gap"])
-    rm = vonmises_demo_map(cfg["bulk"], cfg["shear"], cfg["yield_q"]) if cmd == "stress" else None
+    rm = _demo_map(cfg["bulk"], cfg["shear"], cfg["yield_q"]) if cmd == "stress" else None
     outs = [""] * len(lines)
     all_ok = True
     recs, places = [], []
@@ -282,10 +287,18 @@ def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
 
 
 def _read_lines(path) -> list[str]:
-    if path is None:
-        return sys.stdin.read().splitlines()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    """The lines of the input file at path, or of stdin, in universal newline
+    mode: only LF, CR and CRLF end a line.  JSON allows the other line
+    breaks of str.splitlines, such as U+2028, raw inside a string."""
+    # On POSIX, sys.stdin itself translates no line ends.
+    fh = (open(path, "r", encoding="utf-8") if path is not None else
+          open(sys.stdin.fileno(), "r", encoding=sys.stdin.encoding, errors=sys.stdin.errors,
+               closefd=False))
+    with fh:
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _output(path):
@@ -397,7 +410,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "stress":
+        try:
+            _demo_map(args.bulk, args.shear, args.yield_stress)
+        except ContractError as exc:
+            parser.error(f"stress: {exc}")
     try:
         if args.command == "verify":
             return _run_verify(args)

@@ -22,12 +22,16 @@ from .spectral import (
 )
 from .tensor_core import (
     IDENTITY2,
-    IDENTITY4,
-    IXI,
     WEIGHTS,
     SymTensor2,
     SymTensor4,
     _E,
+    _ROW_MATH,
+    _as_vec,
+    _from_vec,
+    _iso4,
+    _lift,
+    _outer,
     _per_row,
     _sym_kron_m,
     deviator,
@@ -104,23 +108,58 @@ def scalar_map_invariants(f: ScalarEigenMap, i1t: float, qt: float,
 
     With qt = 0 this degenerates cleanly to the triple point."""
     s = float(sign)
-    lam_hat = (i1t - 2.0 * s * qt) / 3.0
-    lam_rep = (i1t + s * qt) / 3.0
-    for lam in (lam_hat, lam_rep):
+    e, d = _eta(f, _coincident(i1t, qt, s))
+    return _map_values(e, d, s)
+
+
+def _coincident(i1t, qt, s) -> tuple:
+    """(lam_hat, lam_rep) of scalar_map_invariants; floats or (n,) arrays."""
+    return (i1t - 2.0 * s * qt) / 3.0, (i1t + s * qt) / 3.0
+
+
+def _map_values(e, d, s) -> InvariantMapValues:
+    """scalar_map_invariants from the values e and slopes d of the map at
+    (lam_hat, lam_rep); floats or (n,) arrays."""
+    (e_hat, e_rep), (d_hat, d_rep) = e, d
+    # Positional: keywords cost a tenth of scalar_map_invariants.
+    return InvariantMapValues(e_hat + 2.0 * e_rep,                # i1s
+                              s * (e_rep - e_hat),                # qs
+                              (d_hat + 2.0 * d_rep) / 3.0,        # di1s_di1t
+                              2.0 * s * (d_rep - d_hat) / 3.0,    # di1s_dqt
+                              s * (d_rep - d_hat) / 3.0,          # dqs_di1t
+                              (d_rep + 2.0 * d_hat) / 3.0)        # dqs_dqt
+
+
+def _eta(f: ScalarEigenMap, lams) -> tuple[list, list]:
+    """(values, slopes) of f at the eigenvalues lams, or MapDomainError if one
+    lies outside the domain of f, or f raises an arithmetic error or is not
+    finite there."""
+    e, d = [], []
+    for lam in lams:
         if not f.contains(lam):
             raise MapDomainError(f"eigenvalue {lam!r} outside map domain {f.domain}")
-    e_hat = f.eval(lam_hat)
-    e_rep = f.eval(lam_rep)
-    d_hat = f.deriv(lam_hat)
-    d_rep = f.deriv(lam_rep)
-    return InvariantMapValues(
-        i1s=e_hat + 2.0 * e_rep,
-        qs=s * (e_rep - e_hat),
-        di1s_di1t=(d_hat + 2.0 * d_rep) / 3.0,
-        di1s_dqt=2.0 * s * (d_rep - d_hat) / 3.0,
-        dqs_di1t=s * (d_rep - d_hat) / 3.0,
-        dqs_dqt=(d_rep + 2.0 * d_hat) / 3.0,
-    )
+        try:
+            e.append(f.eval(lam))
+            d.append(f.deriv(lam))
+        except ArithmeticError as exc:
+            raise MapDomainError(f"map fails at eigenvalue {lam!r}: {exc}") from exc
+        if not (math.isfinite(e[-1]) and math.isfinite(d[-1])):
+            raise MapDomainError(f"map is not finite at eigenvalue {lam!r}")
+    return e, d
+
+
+def _eta_rows(f: ScalarEigenMap, lams, ok: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """_eta on the rows where ok of the (n,) arrays lams: (values, slopes,
+    ok less the rows on which _eta would raise).  f is called only on rows
+    that are still ok."""
+    e, d = [], []
+    for lam in lams:
+        ok = ok & f.contains(lam)
+        e.append(_per_row(f.eval, ok, (lam,)))
+        ok = ok & np.isfinite(e[-1])
+        d.append(_per_row(f.deriv, ok, (lam,)))
+        ok = ok & np.isfinite(d[-1])
+    return e, d, ok
 
 
 def apply_distinct(t: SymTensor2, sp: Spectrum,
@@ -133,26 +172,36 @@ def apply_distinct(t: SymTensor2, sp: Spectrum,
     """
     if sp.mult.tag is not MultTag.DISTINCT:
         raise BranchError(f"distinct-branch evaluation on {sp.mult.tag.value} input")
-    for lam in sp.lam:
-        if not f.contains(lam):
-            raise MapDomainError(f"eigenvalue {lam!r} outside map domain {f.domain}")
-    e = [f.eval(lam) for lam in sp.lam]
-    d = [f.deriv(lam) for lam in sp.lam]
+    e, d = _eta(f, sp.lam)
     return (_anchored(e, sp.bases[0], sp.bases[2]),
             SymTensor4(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)))
 
 
 def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
-                ok: np.ndarray) -> tuple[SymTensor2, np.ndarray, np.ndarray]:
-    """apply_distinct on the rows of t and sp where ok, whose entries are
-    (n,) arrays: (S, dS/dT as (n, 6, 6), ok less the rows with an eigenvalue
-    outside the domain of f, on which f is not called)."""
-    for lam in sp.lam:
-        ok = ok & f.contains(lam)
-    e = [_per_row(f.eval, ok, (lam,)) for lam in sp.lam]
-    d = [_per_row(f.deriv, ok, (lam,)) for lam in sp.lam]
-    return (_anchored(e, sp.bases[0], sp.bases[2]),
-            _spin_sum_rows(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d), ok)
+                ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_apply on the rows of t and sp where ok, whose entries are (n,) arrays
+    and whose mult holds the class codes of _spectrum_rows: (S as (n, 6),
+    dS/dT as (n, 6, 6), ok less the rows on which _apply would raise).  f is
+    called only on rows that are still ok."""
+    code, inv = sp.mult, sp.inv
+    e, d, ok_all = _eta_rows(f, sp.lam, ok & (code == 0))
+    s_all = _as_vec(_anchored(e, sp.bases[0], sp.bases[2]))
+    m_all = _spin_sum_rows(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)
+    # The double and triple rows, with the arguments _apply gives
+    # scalar_map_invariants on each.
+    rows = np.flatnonzero(code)
+    code, i1, j2 = code[rows], inv.i1[rows], inv.j2[rows]
+    sign = np.where(code == 1, -1.0, 1.0)
+    qt = np.where(code == 3, 0.0, np.sqrt(3.0 * j2))
+    e, d, ok_all[rows] = _eta_rows(f, _coincident(i1, qt, sign), ok[rows])
+    mv = _map_values(e, d, sign)
+    s_double, m_double = _double_terms(SymTensor2(*(x[rows] for x in t.as_tuple())),
+                                       j2, sign, mv, _ROW_MATH)
+    s_triple, m_triple = _triple_terms(mv)
+    triple = code == 3
+    s_all[rows] = np.where(_lift(triple, 1), _as_vec(s_triple), _as_vec(s_double))
+    m_all[rows] = np.where(_lift(triple, 2), m_triple, m_double)
+    return s_all, m_all, ok_all
 
 
 _TWO_THIRDS_I = (2.0 / 3.0) * _E
@@ -179,29 +228,32 @@ def apply_double(t: SymTensor2, sp: Spectrum,
     """
     if sp.mult.tag not in (MultTag.DOUBLE_HIGH_UNIQUE, MultTag.DOUBLE_LOW_UNIQUE):
         raise BranchError(f"double-branch evaluation on {sp.mult.tag.value} input")
-    sgn = float(sp.mult.theta_sign)
-    qt = math.sqrt(3.0 * sp.inv.j2)
-    dev = deviator(t)
-    dv = np.array(dev.as_tuple())
-    n_hat_d = (-sgn / qt) * dv
+    s_out, m = _double_terms(t, sp.inv.j2, float(sp.mult.theta_sign), mv, math)
+    return s_out, SymTensor4(m)
+
+
+def _double_terms(t: SymTensor2, j2, sgn, mv: InvariantMapValues, m) -> tuple:
+    """(S, stored array of dS/dT) of apply_double from J2 and the theta sign;
+    floats or (n,) arrays (then a stack of arrays), with sqrt from m."""
+    qt = m.sqrt(3.0 * j2)
+    dv = _as_vec(deviator(t))
+    n_hat_d = _lift(-sgn / qt, 1) * dv
     ratio = mv.qs / qt
     p_pair = _TWO_THIRDS_I - n_hat_d
     pair_slope = 2.0 * mv.di1s_di1t - mv.dqs_dqt
-    pp = tuple(p_pair.tolist())
-    in_pair = _sym_kron_m(pp, pp) - 0.5 * np.outer(p_pair, p_pair)
+    in_pair = _sym_kron_m(p_pair, p_pair) - 0.5 * _outer(p_pair, p_pair)
     # The projector pair is built from the actual deviator, which itself
     # carries the residual anisotropy; that inflates the extracted in-pair
     # part by 4/3 to first order, hence the 3/4.
-    s_out = ((mv.i1s / 3.0) * IDENTITY2 + ratio * dev
-             + 0.75 * (pair_slope - ratio)
-             * SymTensor2(*(in_pair @ (dv * _WEIGHTS)).tolist()))
-    m = ((mv.di1s_di1t / 3.0) * IXI.m
-         + ratio * (IDENTITY4.m - IXI.m / 3.0)
-         + 1.5 * (mv.dqs_dqt - ratio) * np.outer(n_hat_d, n_hat_d)
-         - sgn * 0.5 * mv.di1s_dqt * np.outer(_E, n_hat_d)
-         - sgn * mv.dqs_di1t * np.outer(n_hat_d, _E)
-         + (pair_slope - ratio) * in_pair)
-    return s_out, SymTensor4(m)
+    s_out = _from_vec(_lift(mv.i1s / 3.0, 1) * _E + _lift(ratio, 1) * dv
+                      + _lift(0.75 * (pair_slope - ratio), 1)
+                      * (in_pair @ (dv * _WEIGHTS)[..., None])[..., 0])
+    tan = (_iso4(mv.di1s_di1t / 3.0, ratio)
+           + _lift(1.5 * (mv.dqs_dqt - ratio), 2) * _outer(n_hat_d, n_hat_d)
+           - _lift(sgn * 0.5 * mv.di1s_dqt, 2) * _outer(_E, n_hat_d)
+           - _lift(sgn * mv.dqs_di1t, 2) * _outer(n_hat_d, _E)
+           + _lift(pair_slope - ratio, 2) * in_pair)
+    return s_out, tan
 
 
 def apply_triple(t: SymTensor2, sp: Spectrum,
@@ -211,9 +263,14 @@ def apply_triple(t: SymTensor2, sp: Spectrum,
     deviatoric identity."""
     if sp.mult.tag is not MultTag.TRIPLE:
         raise BranchError(f"triple-branch evaluation on {sp.mult.tag.value} input")
-    s_out = (mv.i1s / 3.0) * IDENTITY2
-    m = (mv.di1s_di1t / 3.0) * IXI.m + mv.dqs_dqt * (IDENTITY4.m - IXI.m / 3.0)
+    s_out, m = _triple_terms(mv)
     return s_out, SymTensor4(m)
+
+
+def _triple_terms(mv: InvariantMapValues) -> tuple:
+    """(S, stored array of dS/dT) of apply_triple; floats or (n,) arrays
+    (then a stack of arrays)."""
+    return (mv.i1s / 3.0) * IDENTITY2, _iso4(mv.di1s_di1t / 3.0, mv.dqs_dqt)
 
 
 def isotropic_function(t: SymTensor2, f: ScalarEigenMap,

@@ -29,14 +29,18 @@ from .spectral import (
 from .tensor_core import (
     COS3THETA_FLOOR,
     IDENTITY2,
-    IDENTITY4,
     IXI,
     InvariantSet,
     SymTensor2,
     SymTensor4,
     _E,
+    _IDEV,
     _ROW_MATH,
+    _as_vec,
     _dtheta,
+    _iso4,
+    _lift,
+    _outer,
     _per_row,
     deviator,
     dtheta_dT,
@@ -107,7 +111,7 @@ def reconstruct_stress(eps_star: SymTensor2, rm: InvariantReturnMap,
     taken parallel to the strain deviator and theta_sigma is not consulted.
     """
     sp = spectrum(eps_star, tols)
-    return _stress(eps_star, sp, _map_at(sp, rm))
+    return _stress(eps_star, sp, _map_at(sp, rm), sp.mult.tag)
 
 
 def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
@@ -129,7 +133,7 @@ def stress_and_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
     decomposition of the predictor and one evaluation of the map."""
     sp = spectrum(eps_star, tols)
     mv = _map_at(sp, rm)
-    return _stress(eps_star, sp, mv), _tangent(eps_star, sp, rm, mv)
+    return _stress(eps_star, sp, mv, sp.mult.tag), _tangent(eps_star, sp, rm, mv)
 
 
 _SHIFTS = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
@@ -160,13 +164,16 @@ def _principal(p, q, th, m) -> list:
     return [p + (2.0 / 3.0) * q * m.sin(th + sh) for sh in _SHIFTS]
 
 
-def _stress(eps_star: SymTensor2, sp: Spectrum, mv) -> SymTensor2:
-    args, p, q, _, sig = mv
-    if sp.mult.tag is MultTag.TRIPLE:
+def _stress(eps_star: SymTensor2, sp: Spectrum, mv, tag: MultTag) -> SymTensor2:
+    """reconstruct_stress on the branch tag from the map values mv of _map_at
+    (of which the triple and double branches read the first three); floats
+    or (n,) arrays."""
+    if tag is MultTag.DISTINCT:
+        return _anchored(mv[4], sp.bases[0], sp.bases[2])
+    args, p, q = mv[:3]
+    if tag is MultTag.TRIPLE:
         return p * IDENTITY2
-    if sp.mult.tag is not MultTag.DISTINCT:
-        return p * IDENTITY2 + (2.0 * q / (3.0 * args[1])) * deviator(eps_star)
-    return _anchored(sig, sp.bases[0], sp.bases[2])
+    return p * IDENTITY2 + (2.0 * q / (3.0 * args[1])) * deviator(eps_star)
 
 
 def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
@@ -174,18 +181,9 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
     args, _, q, th, sig = mv
     gp = rm.grad_p(*args)
     gq = rm.grad_q(*args)
-    if sp.mult.tag is MultTag.TRIPLE:
-        return SymTensor4(gp[0] * IXI.m + (2.0 / 3.0) * gq[1] * (IDENTITY4.m - IXI.m / 3.0))
-    eps_q = args[1]
-    f = 2.0 / (3.0 * eps_q)
     if sp.mult.tag is not MultTag.DISTINCT:
-        e = np.array(deviator(eps_star).as_tuple())
-        m = (gp[0] * IXI.m
-             + f * (gp[1] * np.outer(_E, e)
-                    + gq[0] * np.outer(e, _E)
-                    + f * (gq[1] - q / eps_q) * np.outer(e, e)
-                    + q * (IDENTITY4.m - IXI.m / 3.0)))
-        return SymTensor4(m)
+        return SymTensor4(_coincident_tangent(eps_star, sp.mult.tag, args[1], q, gp, gq))
+    f = 2.0 / (3.0 * args[1])
     gth = rm.grad_theta_sigma(*args)
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
     grads = np.array((IDENTITY2.as_tuple(), (f * deviator(eps_star)).as_tuple(),
@@ -193,6 +191,21 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
     m = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
                   tail=np.array(_dsigma(gp, gq, gth, q, th, math)) @ grads)
     return SymTensor4(m)
+
+
+def _coincident_tangent(eps_star: SymTensor2, tag: MultTag, eps_q, q, gp, gq) -> np.ndarray:
+    """Stored array of consistent_tangent on the triple or double branch tag,
+    from the map's gradients gp and gq; floats or (n,) arrays (then a stack
+    of arrays)."""
+    if tag is MultTag.TRIPLE:
+        return _iso4(gp[0], (2.0 / 3.0) * gq[1])
+    f = 2.0 / (3.0 * eps_q)
+    e = _as_vec(deviator(eps_star))
+    return (_lift(gp[0], 2) * IXI.m
+            + _lift(f, 2) * (_lift(gp[1], 2) * _outer(_E, e)
+                             + _lift(gq[0], 2) * _outer(e, _E)
+                             + _lift(f * (gq[1] - q / eps_q), 2) * _outer(e, e)
+                             + _lift(q, 2) * _IDEV))
 
 
 def _dsigma(gp, gq, gth, q, th, m) -> list:
@@ -205,25 +218,35 @@ def _dsigma(gp, gq, gth, q, th, m) -> list:
     return out
 
 
+# Either double tag: the formulas of the double branch do not depend on
+# which pair is repeated.
+_DOUBLE = MultTag.DOUBLE_HIGH_UNIQUE
+
+
 def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
-                         ok: np.ndarray) -> tuple[SymTensor2, np.ndarray, np.ndarray]:
+                         ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """stress_and_tangent on the rows of eps_star and sp where ok, whose
-    entries are (n,) arrays on the distinct branch: (sigma, tangent as
-    (n, 6, 6), ok less the rows on which stress_and_tangent would raise).
-    The map is called only on rows that are still ok."""
-    inv = sp.inv
-    args = _predictor_args(inv, _ROW_MATH)
+    entries are (n,) arrays and whose mult holds the class codes of
+    _spectrum_rows: (sigma as (n, 6), tangent as (n, 6, 6), ok less the
+    rows on which stress_and_tangent would raise).  The map is called only
+    on rows that are still ok, and only where _map_at and _tangent call it;
+    a row on which it raises an ArithmeticError is NaN."""
+    inv, code = sp.inv, sp.mult
+    dist, triple = code == 0, code == 3
+    eps_v, eps_q, theta = _predictor_args(inv, _ROW_MATH)
+    # _map_at evaluates the triple branch at (eps_v, 0, 0).
+    args = (eps_v, np.where(triple, 0.0, eps_q), np.where(triple, 0.0, theta))
     p = _per_row(rm.p, ok, args)
-    q = _per_row(rm.q, ok, args)
+    q = _per_row(rm.q, ok & ~triple, args)
     ok = ok & ~(q < 0.0)
-    th = _per_row(rm.theta_sigma, ok, args)
+    th = _per_row(rm.theta_sigma, ok & dist, args)
     sig = _principal(p, q, th, _ROW_MATH)
-    gp, gq, gth = (tuple(_per_row(g, ok, args, 3).T)
-                   for g in (rm.grad_p, rm.grad_q, rm.grad_theta_sigma))
-    # The guards of dtheta_dT.
+    gp, gq = (tuple(_per_row(g, ok, args, 3).T) for g in (rm.grad_p, rm.grad_q))
+    gth = tuple(_per_row(rm.grad_theta_sigma, ok & dist, args, 3).T)
+    # The guards of dtheta_dT, which only the distinct branch calls.
     cos3t = _ROW_MATH.cos(3.0 * inv.theta)
-    ok &= inv.theta_defined & ~(inv.j2 <= 0.0) & ~(abs(cos3t) <= COS3THETA_FLOOR)
-    f = 2.0 / (3.0 * args[1])
+    ok &= ~dist | (inv.theta_defined & ~(inv.j2 <= 0.0) & ~(abs(cos3t) <= COS3THETA_FLOOR))
+    f = 2.0 / (3.0 * eps_q)
     grads = np.stack([np.broadcast_to(_E, (len(f), 6)),
                       np.stack([f * x for x in deviator(eps_star).as_tuple()], -1),
                       np.stack(_dtheta(eps_star, inv.j2, inv.theta, cos3t,
@@ -231,14 +254,25 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     coeff = np.array(_dsigma(gp, gq, gth, q, th, _ROW_MATH)).transpose(2, 0, 1)
     tan = _spin_sum_rows(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
                          tail=coeff @ grads)
-    return _anchored(sig, sp.bases[0], sp.bases[2]), tan, ok
+    sigma = _as_vec(_anchored(sig, sp.bases[0], sp.bases[2]))
+    # The double and triple rows.
+    rows = np.flatnonzero(code)
+    triple = code[rows] == 3
+    eps_c = SymTensor2(*(x[rows] for x in eps_star.as_tuple()))
+    args, p, q = tuple(a[rows] for a in args), p[rows], q[rows]
+    gp, gq = (tuple(x[rows] for x in g) for g in (gp, gq))
+    sigma[rows] = np.where(_lift(triple, 1), *(_as_vec(_stress(eps_c, sp, (args, p, q), tag))
+                                               for tag in (MultTag.TRIPLE, _DOUBLE)))
+    tan[rows] = np.where(_lift(triple, 2), *(_coincident_tangent(eps_c, tag, args[1], q, gp, gq)
+                                             for tag in (MultTag.TRIPLE, _DOUBLE)))
+    return sigma, tan, ok
 
 
 def linear_elastic_map(bulk: float, shear: float) -> InvariantReturnMap:
     """p = K eps_v, q = 3 G eps_q, theta_sigma = theta_eps: the invariant form
     of isotropic linear elasticity."""
-    if bulk <= 0.0 or shear <= 0.0:
-        raise ContractError("elastic moduli must be positive")
+    if not all(math.isfinite(x) and x > 0.0 for x in (bulk, shear)):
+        raise ContractError(f"elastic moduli must be finite and positive, got {(bulk, shear)!r}")
     return InvariantReturnMap(
         p=lambda ev, eq, th: bulk * ev,
         q=lambda ev, eq, th: 3.0 * shear * eq,
@@ -252,8 +286,9 @@ def linear_elastic_map(bulk: float, shear: float) -> InvariantReturnMap:
 def vonmises_demo_map(bulk: float, shear: float, yield_q: float) -> InvariantReturnMap:
     """Radial-return von Mises map: elastic below q_y, q capped at q_y above.
     At the yield tie 3 G eps_q == q_y the plastic branch wins."""
-    if bulk <= 0.0 or shear <= 0.0 or yield_q <= 0.0:
-        raise ContractError("demo map parameters must be positive")
+    if not all(math.isfinite(x) and x > 0.0 for x in (bulk, shear, yield_q)):
+        raise ContractError("demo map parameters (bulk, shear, yield_q) must be finite and "
+                            f"positive, got {(bulk, shear, yield_q)!r}")
 
     def q_fn(ev, eq, th):
         return min(3.0 * shear * eq, yield_q)

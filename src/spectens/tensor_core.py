@@ -47,9 +47,15 @@ _ROW_MATH = SimpleNamespace(sqrt=np.sqrt, sin=_each(math.sin), cos=_each(math.co
 
 def _per_row(fn, ok, args, width=None) -> np.ndarray:
     """fn(*row) over the (n,) arrays args on the rows where ok, NaN on the
-    rest: shape (n,), or (n, width) for an fn that returns width numbers."""
+    rest and where fn raises an ArithmeticError: shape (n,), or (n, width)
+    for an fn that returns width numbers."""
     out = np.full(ok.shape if width is None else (ok.size, width), np.nan)
-    vals = [fn(*row) for row in zip(*(a[ok].tolist() for a in args))]
+    vals = []
+    for row in zip(*(a[ok].tolist() for a in args)):
+        try:
+            vals.append(fn(*row))
+        except ArithmeticError:
+            vals.append(out[0])  # NaN: out is not filled yet
     if vals:
         out[ok] = vals
     return out
@@ -117,8 +123,13 @@ class SymTensor2:
     def __neg__(self) -> "SymTensor2":
         return SymTensor2(-self.xx, -self.yy, -self.zz, -self.xy, -self.xz, -self.yz)
 
+    # ndarray * SymTensor2 then calls __rmul__ instead of numpy's broadcasting.
+    __array_ufunc__ = None
+
     def __mul__(self, a: float) -> "SymTensor2":
-        a = float(a)
+        """a times self; a float, or an (n,) array for a tensor of rows."""
+        if not isinstance(a, np.ndarray):
+            a = float(a)
         return SymTensor2(a * self.xx, a * self.yy, a * self.zz,
                           a * self.xy, a * self.xz, a * self.yz)
 
@@ -361,13 +372,15 @@ _KRON_LEFT = np.array((_IK, _IK + 6, _IL, _IL + 6))
 _KRON_RIGHT = np.array((_JL + 6, _JL, _JK + 6, _JK))
 
 
-def _sym_kron_m(a: tuple, b: tuple) -> np.ndarray:
-    """Stored array of sym_kron from two component tuples.  The pairing
+def _sym_kron_m(a, b) -> np.ndarray:
+    """Stored array of sym_kron from the components of a and b: tuples or
+    (6,) arrays, or (n, 6) arrays for a stack of n arrays.  The pairing
     (a_ik b_jl + b_ik a_jl) + (a_il b_jk + b_il a_jk) makes the array exactly
     symmetric, and exactly symmetric in a and b."""
-    ab = np.array(a + b)
-    p = ab[_KRON_LEFT] * ab[_KRON_RIGHT]
-    return 0.25 * ((p[0] + p[1]) + (p[2] + p[3]))
+    ab = np.concatenate((a, b), -1)
+    # take, unlike ab[..., _KRON_LEFT], gives a C-ordered stack (see _as_vec).
+    p = ab.take(_KRON_LEFT, -1) * ab.take(_KRON_RIGHT, -1)
+    return 0.25 * ((p[..., 0, :, :] + p[..., 1, :, :]) + (p[..., 2, :, :] + p[..., 3, :, :]))
 
 
 def sym_kron(a: SymTensor2, b: SymTensor2) -> SymTensor4:
@@ -384,6 +397,38 @@ IDENTITY4 = SymTensor4(np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5]))
 IXI = dyad(IDENTITY2, IDENTITY2)
 _E = np.array(IDENTITY2.as_tuple())
 _IXI_MINUS_I4 = IXI.m - IDENTITY4.m
+_IDEV = IDENTITY4.m - IXI.m / 3.0
+
+
+# Formulas written once for one tensor or for (n,) arrays of rows build
+# vectors and 6x6 arrays, or stacks of n of them, with these.
+def _lift(x, k: int):
+    """x to scale a vector (k = 1) or a 6x6 array (k = 2): a float as it is,
+    an (n,) array with k axes appended, to scale a stack row by row."""
+    return x.reshape(x.shape + (1,) * k) if isinstance(x, np.ndarray) else x
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer(a, b) of (6,) arrays, or of each row of (n, 6) arrays."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _as_vec(t: SymTensor2) -> np.ndarray:
+    """The components of t as a (6,) array, or as (n, 6) for a tensor of rows.
+    C-ordered: in another memory layout, the matrix products of a stack
+    need not round as those of one array do."""
+    return np.ascontiguousarray(np.array(t.as_tuple()).T)
+
+
+def _from_vec(v: np.ndarray) -> SymTensor2:
+    """The inverse of _as_vec: floats from a (6,) array."""
+    return SymTensor2(*(v.tolist() if v.ndim == 1 else v.T))
+
+
+def _iso4(k, g) -> np.ndarray:
+    """k I x I + g (I4 - I x I / 3), the stored array of an isotropic tangent;
+    a stack of them for (n,) arrays k and g."""
+    return _lift(k, 2) * IXI.m + _lift(g, 2) * _IDEV
 
 
 def d2_I3(t: SymTensor2) -> SymTensor4:

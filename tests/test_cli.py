@@ -154,10 +154,16 @@ def _tensor_line(rec_id, eigs, r):
     return json.dumps({"id": rec_id, "T": list(comps)})
 
 
+def _gradient_line(rec_id, stretches, r1, r2):
+    f = r1 @ np.diag(stretches) @ r2
+    return json.dumps({"id": rec_id, "F": [float(x) for x in f.ravel()]})
+
+
 def _mixed_lines(rng, n):
     """n input lines: distinct, double (both tags) and triple spectra in
     random orientations, spectra within tau_gap of a branch switch, norms
-    1e100..1e120, deformation gradients, malformed records and blank lines."""
+    1e100..1e120, deformation gradients with distinct, two equal and three
+    equal stretches, malformed records and blank lines."""
     lines = []
     for k in range(n):
         kind = k % 20
@@ -168,10 +174,11 @@ def _mixed_lines(rng, n):
             lines.append("" if k % 40 else "   ")
         elif kind == 1:
             lines.append(_MALFORMED[(k // 20) % len(_MALFORMED)])
-        elif kind == 2:
+        elif kind in (2, 10, 11):
             q2 = rng.standard_normal(4)
-            f = r @ np.diag(rng.uniform(0.5, 2.0, 3)) @ quat_rotation(q2 / np.linalg.norm(q2))
-            lines.append(json.dumps({"id": k, "F": [float(x) for x in f.ravel()]}))
+            stretches = {2: [a, b, c], 10: [a, c, c] if k % 40 < 20 else [a, a, c], 11: [b] * 3}
+            lines.append(_gradient_line(k, stretches[kind], r,
+                                        quat_rotation(q2 / np.linalg.norm(q2))))
         elif kind == 3:
             lines.append(_tensor_line(k, [a, b, b], r))
         elif kind == 4:
@@ -290,16 +297,26 @@ _REPEATS = hs.sampled_from(((0, 1, 2), (0, 0, 2), (0, 2, 2), (0, 0, 0)))
 _QUAT = hs.tuples(*[hs.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
 _LOG10_SCALE = hs.one_of(hs.floats(-3.0, 3.0), hs.floats(-120.0, 110.0))
 _TENSOR = hs.tuples(hs.tuples(_EIGS, _EIGS, _EIGS), _REPEATS, _QUAT, _LOG10_SCALE)
+_STRETCHES = hs.tuples(*[hs.floats(0.05, 20.0)] * 3)
+_GRADIENT = hs.tuples(_STRETCHES, _REPEATS, _QUAT, _QUAT)
+
+
+def _unit(quat):
+    q = np.array(quat)
+    return quat_rotation(q / np.linalg.norm(q))
 
 
 @settings(max_examples=60)
-@given(hs.lists(_TENSOR, min_size=1, max_size=8))
-def test_chunked_output_equals_scalar_dispatch_property(draws):
+@given(hs.lists(_TENSOR, min_size=1, max_size=8), hs.lists(_GRADIENT, max_size=4))
+def test_chunked_output_equals_scalar_dispatch_property(draws, gradients):
+    """T records and F records, each with distinct, two equal or three equal
+    eigenvalues or stretches."""
     lines = []
     for k, (e, rep, quat, log10_scale) in enumerate(draws):
-        q = np.array(quat)
         eigs = np.array([e[i] for i in rep]) * 10.0 ** log10_scale
-        lines.append(_tensor_line(k, eigs, quat_rotation(q / np.linalg.norm(q))))
+        lines.append(_tensor_line(k, eigs, _unit(quat)))
+    for k, (s, rep, q1, q2) in enumerate(gradients, start=len(lines)):
+        lines.append(_gradient_line(k, [s[i] for i in rep], _unit(q1), _unit(q2)))
     for cmd in RECORD_COMMANDS:
         ok, text = cli._run_chunk((_cfg(cmd), 1, lines))
         want_status, want = _scalar_output(cmd, lines)
@@ -376,6 +393,29 @@ def test_double_row_with_zero_j2_takes_the_scalar_path():
         ["float division by zero", None]
 
 
+def test_valid_double_and_triple_rows_skip_the_scalar_path(monkeypatch):
+    """Every valid record of logstrain and stress, T or F, of any spectrum
+    class, is evaluated as a row: none reaches _scalar_line."""
+    rng = np.random.default_rng(29)
+    lines = []
+    for k in range(60):
+        r1, r2 = (quat_rotation(q / np.linalg.norm(q)) for q in rng.standard_normal((2, 4)))
+        a, b, c = np.sort(rng.uniform(0.5, 2.0, 3))[::-1]
+        eigs = ([a, b, c], [a, c, c], [a, a, c], [b, b, b])[k % 4]
+        lines.append(_tensor_line(k, eigs, r1) if k % 8 < 4 else _gradient_line(k, eigs, r1, r2))
+    seen = []
+    scalar_line = cli._scalar_line
+    monkeypatch.setattr(cli, "_scalar_line", lambda *args: seen.append(args) or scalar_line(*args))
+    for cmd in ("logstrain", "stress"):
+        ok, text = cli._run_chunk((_cfg(cmd), 1, lines))
+        assert ok and not seen, cmd
+        want_status, want = _scalar_output(cmd, lines)
+        assert want_status == 0
+        _assert_same_records(cmd, lines, text.splitlines(), want)
+        branches = [spectrum(cli._record_tensor(json.loads(line))).mult.tag for line in lines]
+        assert set(branches) == set(MultTag), cmd
+
+
 def test_crlf_input_gives_the_output_of_lf_input(tmp_path):
     lines = _mixed_lines(np.random.default_rng(23), 200)
     for cmd in ("basis", "logstrain"):
@@ -387,6 +427,38 @@ def test_crlf_input_gives_the_output_of_lf_input(tmp_path):
             outs.append(dst.read_text())
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == len(lines) - 10
+
+
+@pytest.mark.parametrize("parallel", ("1", "2"))
+def test_unicode_line_breaks_in_a_string_do_not_split_a_record(parallel, tmp_path):
+    """U+2028 and U+0085 are line breaks to str.splitlines, but JSON allows
+    them raw in a string; only LF, CR and CRLF end a record."""
+    ids = ["a\u2028b", "c\u0085d", "e\u2029f"]
+    lines = [json.dumps({"id": rec_id, "T": [3, 2, 1, 0.3, 0.2, 0.1]}, ensure_ascii=False)
+             for rec_id in ids]
+    lines.append("not json")
+    text = lines[0] + "\n" + lines[1] + "\r\n" + lines[2] + "\r" + lines[3] + "\n"
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(text.encode())
+    for args, stdin in ((["--input", str(src)], ""), ([], text)):
+        proc = subprocess.run([sys.executable, "-m", "spectens", "eigen", "--parallel", parallel,
+                               *args], input=stdin.encode(), capture_output=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        recs = [json.loads(line) for line in proc.stdout.decode().split("\n")[:-1]]
+        assert [r["id"] for r in recs] == [*ids, "line 4"]
+        assert all("lambda" in r for r in recs[:3])
+
+
+@pytest.mark.parametrize("option, value", (("--yield-stress", "0"), ("--yield-stress", "nan"),
+                                           ("--bulk", "inf"), ("--shear", "-1")))
+def test_bad_stress_parameters_are_a_usage_error(option, value):
+    record = '{"id": 1, "T": [1, 2, 3, 0, 0, 0]}\n'
+    for parallel, stdin in (("1", record), ("2", record), ("1", "")):
+        proc = run_cli(["stress", option, value, "--parallel", parallel], stdin)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr and "finite and positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_error_message_is_never_empty(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 
 import spectens as st
 from spectens import oracle
-from spectens.isofunc import InvariantMapValues, apply_double, apply_triple, scalar_map_invariants
-from spectens.spectral import MultTag
+from spectens.isofunc import (InvariantMapValues, _apply_rows, apply_double, apply_triple,
+                              scalar_map_invariants)
+from spectens.spectral import MultTag, _spectrum_rows
 
 from util import make_with_eigs, rand_rotation, rand_sym, rel4, rotate
 
@@ -197,3 +198,47 @@ def test_scalar_map_invariants_fd_cross_check():
         fd = (getattr(scalar_map_invariants(f, *args_hi), which)
               - getattr(scalar_map_invariants(f, *args_lo), which)) / (2.0 * h)
         assert abs(fd - getattr(mv, field)) <= 1e-6 * max(1.0, abs(fd))
+
+
+def test_map_failure_is_a_map_domain_error_on_every_branch():
+    """exp(2 lam) overflows past lam = 355: a map that raises an arithmetic
+    error or returns a value that is not finite is refused, naming the
+    eigenvalue."""
+    rng = np.random.default_rng(57)
+    huge = st.ScalarEigenMap(lambda x: 1e308 * x, lambda x: 1e308)
+    for eigs in ((400.0, 2.0, 1.0), (400.0, 400.0, 1.0), (400.0, 400.0, 400.0)):
+        t = make_with_eigs(rng, eigs)
+        with pytest.raises(st.MapDomainError, match=r"map fails at eigenvalue (400|399\.9)"):
+            st.isotropic_function(t, st.double_exp_map())
+        with pytest.raises(st.MapDomainError, match=r"not finite at eigenvalue (400|399\.9)"):
+            st.isotropic_function(t, huge)
+
+
+def test_rows_match_the_scalar_path_and_leave_out_map_failures():
+    """_apply_rows on rows of every class: S of every row and the tangent of
+    every double and triple row are the scalar results bit for bit, and a
+    row on which the map overflows or its slope is not finite is left out
+    instead of raising."""
+    rng = np.random.default_rng(58)
+    eigs = ((3.0, 2.0, 1.0), (400.0, 2.0, 1.0), (3.0, 1.0, 1.0), (3.0, 3.0, 1.0),
+            (400.0, 400.0, 1.0), (2.0, 2.0, 2.0), (400.0, 400.0, 400.0), (0.5, -0.5, -0.5))
+    tensors = [make_with_eigs(rng, e) for e in eigs]
+    t = st.SymTensor2(*np.array([x.as_tuple() for x in tensors]).T)
+    with np.errstate(all="ignore"):
+        sp, ok = _spectrum_rows(t, st.DEFAULT_TOLS)
+        assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
+        steep = st.ScalarEigenMap(lambda x: x, lambda x: 1.0 if x < 100.0 else math.inf)
+        for f in (st.double_exp_map(), st.cube_map(), st.half_log_map(), steep):
+            s, m, ok_f = _apply_rows(t, sp, f, ok)
+            for k, x in enumerate(tensors):
+                try:
+                    want_s, want_m = st.isotropic_function(x, f)
+                except st.MapDomainError:
+                    assert not ok_f[k]
+                    continue
+                assert ok_f[k]
+                assert s[k].tolist() == list(want_s.as_tuple())
+                if sp.mult[k]:
+                    assert m[k].tolist() == want_m.m.tolist()
+                else:
+                    assert rel4(st.SymTensor4(m[k]), want_m) < 1e-12

@@ -1,5 +1,6 @@
 """Invariant return maps: gates, stress reconstruction, consistent tangents."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -346,3 +347,55 @@ def test_stress_and_tangent_decomposes_the_predictor_once(monkeypatch):
         counts.clear()
         reconstruct_stress(eps, rm)
         assert not [name for name in counts if name.startswith("grad_")], tag
+
+
+@pytest.mark.parametrize("bad", (0.0, -1.0, math.nan, math.inf))
+def test_maps_reject_parameters_that_are_not_finite_and_positive(bad):
+    for args in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ContractError, match="finite and positive"):
+            linear_elastic_map(*args)
+    for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+        with pytest.raises(ContractError, match="finite and positive"):
+            vonmises_demo_map(*args)
+
+
+def test_rows_match_stress_and_tangent_on_every_branch():
+    """_stress_tangent_rows on rows of every class, with maps whose
+    gradients differ on every axis: double and triple rows are the scalar
+    results bit for bit, distinct rows agree to rounding, a row on which the
+    map gives q < 0 is left out, and a row on which it overflows gives NaN
+    instead of raising."""
+    rng = np.random.default_rng(36)
+    eigs = ((0.03, 0.01, -0.02), (0.03, -0.01, -0.01), (0.02, 0.02, -0.01), (0.01, 0.01, 0.01),
+            (-0.01, -0.01, -0.01))
+    tensors = [make_with_eigs(rng, e) for e in eigs for _ in range(2)]
+    t = SymTensor2(*np.array([x.as_tuple() for x in tensors]).T)
+    elastic = linear_elastic_map(2.0, 1.0)
+    overflows = InvariantReturnMap(
+        p=lambda ev, eq, th: math.exp(1e5 * ev), q=elastic.q, theta_sigma=elastic.theta_sigma,
+        grad_p=elastic.grad_p, grad_q=elastic.grad_q, grad_theta_sigma=elastic.grad_theta_sigma)
+    with np.errstate(all="ignore"):
+        sp, ok = spectral._spectrum_rows(t, spectral.DEFAULT_TOLS)
+        assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
+        for rm in (_map_a(), _map_b(), vonmises_demo_map(2.0, 1.0, 0.02)):
+            sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
+            assert ok_rm.all()
+            for k, x in enumerate(tensors):
+                want_sig, want_tan = stress_and_tangent(x, rm)
+                assert sig[k].tolist() == pytest.approx(list(want_sig.as_tuple()), rel=1e-13)
+                if sp.mult[k]:
+                    assert sig[k].tolist() == list(want_sig.as_tuple())
+                    assert tan[k].tolist() == want_tan.m.tolist()
+                else:
+                    assert rel4(SymTensor4(tan[k]), want_tan) < 1e-12
+        negative = InvariantReturnMap(
+            p=elastic.p, q=lambda ev, eq, th: -1.0, theta_sigma=elastic.theta_sigma,
+            grad_p=elastic.grad_p, grad_q=elastic.grad_q,
+            grad_theta_sigma=elastic.grad_theta_sigma)
+        # q is consulted on every branch but the triple one.
+        assert (plasticity._stress_tangent_rows(t, sp, negative, ok)[2] == (sp.mult == 3)).all()
+        sig, tan, _ = plasticity._stress_tangent_rows(t, sp, overflows, ok)
+    for k, x in enumerate(tensors):
+        with pytest.raises(OverflowError) if x.trace() > 0.0 else contextlib.nullcontext():
+            stress_and_tangent(x, overflows)
+        assert np.isfinite(sig[k]).all() == (x.trace() <= 0.0)
