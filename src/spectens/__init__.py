@@ -23,27 +23,20 @@ from .errors import (
     SpectensError,
 )
 from .isofunc import (
-    InvariantMapValues,
     ScalarEigenMap,
-    apply_distinct,
-    apply_double,
-    apply_triple,
     check_scalar_map,
     cube_map,
     double_exp_map,
     half_log_map,
     identity_map,
     isotropic_function,
-    scalar_map_invariants,
     square_map,
 )
 from .logstrain import (
     LogStrainResult,
-    TangentCheckReport,
     left_cauchy_green,
     log_strain,
     log_strain_from_b,
-    log_strain_tangent_check,
 )
 from .plasticity import (
     InvariantReturnMap,
@@ -65,8 +58,6 @@ from .spectral import (
     Multiplicity,
     Spectrum,
     classify,
-    eigenbasis_distinct,
-    eigenbasis_double,
     eigenvalues,
     spectrum,
     spin,
@@ -75,21 +66,16 @@ from .tensor_core import (
     IDENTITY2,
     IDENTITY4,
     IXI,
-    ZERO2,
     InvariantSet,
     SymTensor2,
     SymTensor4,
     adjugate,
-    d2_I3,
-    dJ3_ds,
     ddot,
     det,
     deviator,
     dtheta_dT,
-    dyad,
     invariants,
     norm,
-    sym_kron,
     sym_square,
 )
 

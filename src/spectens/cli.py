@@ -21,7 +21,6 @@ from itertools import chain, compress
 
 import numpy as np
 
-from . import oracle
 from .errors import ContractError, DegeneracyError
 from .isofunc import _apply_rows, isotropic_function, square_map
 from .logstrain import (_HALF_LOG, _cauchy_green_terms, _not_spd, left_cauchy_green,
@@ -334,6 +333,8 @@ def _run_records(args) -> int:
 
 def _draw_separated(rng) -> SymTensor2:
     """Random symmetric tensor whose eigenvalue gaps exceed 1e-4 of the spread."""
+    from . import oracle
+
     while True:
         t = SymTensor2(*(float(v) for v in rng.standard_normal(6)))
         pairs = oracle.jacobi_eigen(t)
@@ -344,6 +345,9 @@ def _draw_separated(rng) -> SymTensor2:
 
 
 def _run_verify(args) -> int:
+    # The test oracle stays off the evaluation path: only verify loads it.
+    from . import oracle
+
     rng = np.random.default_rng(args.seed)
     f = square_map()
     lines = []
@@ -356,8 +360,8 @@ def _run_verify(args) -> int:
         basis_dev = max(norm(sp.bases[i] - oracle.projector(pairs[i])) for i in range(3))
         _, tan = isotropic_function(t, f)
         fd = oracle.fd_tensor_derivative(lambda x: isotropic_function(x, f)[0], t)
-        diff = fd - tan
-        tan_dev = (math.sqrt(sum(x * x for x in diff.as_list()))
+        diff = (fd.m - tan.m).ravel().tolist()
+        tan_dev = (math.sqrt(sum(x * x for x in diff))
                    / math.sqrt(sum(x * x for x in tan.as_list())))
         max_basis = max(max_basis, basis_dev)
         max_tan = max(max_tan, tan_dev)
@@ -412,11 +416,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "stress":
+    if args.command == "verify":
+        if args.count < 1:
+            parser.error(f"verify: --count must be at least 1, got {args.count}")
+    else:
+        if args.parallel < 1:
+            parser.error(f"{args.command}: --parallel must be at least 1, got {args.parallel}")
         try:
-            _demo_map(args.bulk, args.shear, args.yield_stress)
+            ClassifyTols(TAU_ABS, args.tol_triple, args.tol_gap)
+            if args.command == "stress":
+                _demo_map(args.bulk, args.shear, args.yield_stress)
         except ContractError as exc:
-            parser.error(f"stress: {exc}")
+            parser.error(f"{args.command}: {exc}")
     try:
         if args.command == "verify":
             return _run_verify(args)

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BranchError, ContractError, MapDomainError
+from .errors import ContractError, MapDomainError
 from .spectral import (
     DEFAULT_TOLS,
     ClassifyTols,
@@ -88,46 +88,23 @@ def check_scalar_map(f: ScalarEigenMap, samples, tol: float = 1e-6) -> None:
                 f"{fd!r} at lam = {lam!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantMapValues:
-    """The degenerate branches see the map only through (I1S, qS) and their
-    four partials in (I1T, qT); theta carries no information there."""
-
-    i1s: float
-    qs: float
-    di1s_di1t: float
-    di1s_dqt: float
-    dqs_di1t: float
-    dqs_dqt: float
-
-
-def scalar_map_invariants(f: ScalarEigenMap, i1t: float, qt: float,
-                          sign: int) -> InvariantMapValues:
-    """Chain rule through the coincident eigenvalues lam_hat = (I1T - 2 s qT)/3
-    (lone) and lam_rep = (I1T + s qT)/3 (repeated), s = theta sign.
-
-    With qt = 0 this degenerates cleanly to the triple point."""
-    s = float(sign)
-    e, d = _eta(f, _coincident(i1t, qt, s))
-    return _map_values(e, d, s)
-
-
 def _coincident(i1t, qt, s) -> tuple:
-    """(lam_hat, lam_rep) of scalar_map_invariants; floats or (n,) arrays."""
+    """The coincident eigenvalues lam_hat = (I1T - 2 s qT)/3 (lone) and
+    lam_rep = (I1T + s qT)/3 (repeated), s the theta sign; with qT = 0 this
+    is the triple point.  Floats or (n,) arrays."""
     return (i1t - 2.0 * s * qt) / 3.0, (i1t + s * qt) / 3.0
 
 
-def _map_values(e, d, s) -> InvariantMapValues:
-    """scalar_map_invariants from the values e and slopes d of the map at
-    (lam_hat, lam_rep); floats or (n,) arrays."""
+def _map_values(e, d, s) -> tuple:
+    """(I1S, qS, dI1S/dI1T, dI1S/dqT, dqS/dI1T, dqS/dqT) from the values e and
+    slopes d of the map at (lam_hat, lam_rep) of _coincident, by the chain
+    rule: the degenerate branches see the map only through (I1S, qS) and
+    their four partials in (I1T, qT), since theta carries no information
+    there.  Floats or (n,) arrays."""
     (e_hat, e_rep), (d_hat, d_rep) = e, d
-    # Positional: keywords cost a tenth of scalar_map_invariants.
-    return InvariantMapValues(e_hat + 2.0 * e_rep,                # i1s
-                              s * (e_rep - e_hat),                # qs
-                              (d_hat + 2.0 * d_rep) / 3.0,        # di1s_di1t
-                              2.0 * s * (d_rep - d_hat) / 3.0,    # di1s_dqt
-                              s * (d_rep - d_hat) / 3.0,          # dqs_di1t
-                              (d_rep + 2.0 * d_hat) / 3.0)        # dqs_dqt
+    return (e_hat + 2.0 * e_rep, s * (e_rep - e_hat), (d_hat + 2.0 * d_rep) / 3.0,
+            2.0 * s * (d_rep - d_hat) / 3.0, s * (d_rep - d_hat) / 3.0,
+            (d_rep + 2.0 * d_hat) / 3.0)
 
 
 def _eta(f: ScalarEigenMap, lams) -> tuple[list, list]:
@@ -162,21 +139,6 @@ def _eta_rows(f: ScalarEigenMap, lams, ok: np.ndarray) -> tuple[list, list, np.n
     return e, d, ok
 
 
-def apply_distinct(t: SymTensor2, sp: Spectrum,
-                   f: ScalarEigenMap) -> tuple[SymTensor2, SymTensor4]:
-    """Evaluate S and dS/dT over a distinct spectrum.
-
-    Assembly is anchored at the middle eigenvalue: sum(N_i) = I and
-    sum(dN_i/dT) = 0 hold exactly, so only eigenvalue *differences* multiply
-    the two bases and spins whose conditioning degrades near coincidence.
-    """
-    if sp.mult.tag is not MultTag.DISTINCT:
-        raise BranchError(f"distinct-branch evaluation on {sp.mult.tag.value} input")
-    e, d = _eta(f, sp.lam)
-    return (_anchored(e, sp.bases[0], sp.bases[2]),
-            SymTensor4(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)))
-
-
 def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
                 ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_apply on the rows of t and sp where ok, whose entries are (n,) arrays
@@ -187,8 +149,8 @@ def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
     e, d, ok_all = _eta_rows(f, sp.lam, ok & (code == 0))
     s_all = _as_vec(_anchored(e, sp.bases[0], sp.bases[2]))
     m_all = _spin_sum_rows(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)
-    # The double and triple rows, with the arguments _apply gives
-    # scalar_map_invariants on each.
+    # The double and triple rows, with the arguments _apply gives _coincident
+    # on each.
     rows = np.flatnonzero(code)
     code, i1, j2 = code[rows], inv.i1[rows], inv.j2[rows]
     sign = np.where(code == 1, -1.0, 1.0)
@@ -208,9 +170,10 @@ _TWO_THIRDS_I = (2.0 / 3.0) * _E
 _WEIGHTS = np.array(WEIGHTS)
 
 
-def apply_double(t: SymTensor2, sp: Spectrum,
-                 mv: InvariantMapValues) -> tuple[SymTensor2, SymTensor4]:
-    """Evaluate S and dS/dT at a double coincidence from invariant map values.
+def _double_terms(t: SymTensor2, j2, sgn, mv: tuple, m) -> tuple:
+    """(S, stored array of dS/dT) at a double coincidence from J2, the theta
+    sign and the map values mv of _map_values; floats or (n,) arrays (then a
+    stack of arrays), with sqrt from m.
 
     S = (I1S/3) I + (qS/qT) dev(t) plus an in-pair term.  The tangent carries
     the four partials on the volumetric/deviatoric axes plus the same in-pair
@@ -226,51 +189,35 @@ def apply_double(t: SymTensor2, sp: Spectrum,
     that residual anisotropy with the wrong slope, breaking finite-difference
     consistency and continuity against the generic branch.
     """
-    if sp.mult.tag not in (MultTag.DOUBLE_HIGH_UNIQUE, MultTag.DOUBLE_LOW_UNIQUE):
-        raise BranchError(f"double-branch evaluation on {sp.mult.tag.value} input")
-    s_out, m = _double_terms(t, sp.inv.j2, float(sp.mult.theta_sign), mv, math)
-    return s_out, SymTensor4(m)
-
-
-def _double_terms(t: SymTensor2, j2, sgn, mv: InvariantMapValues, m) -> tuple:
-    """(S, stored array of dS/dT) of apply_double from J2 and the theta sign;
-    floats or (n,) arrays (then a stack of arrays), with sqrt from m."""
+    i1s, qs, di1s_di1t, di1s_dqt, dqs_di1t, dqs_dqt = mv
     qt = m.sqrt(3.0 * j2)
     dv = _as_vec(deviator(t))
     n_hat_d = _lift(-sgn / qt, 1) * dv
-    ratio = mv.qs / qt
+    ratio = qs / qt
     p_pair = _TWO_THIRDS_I - n_hat_d
-    pair_slope = 2.0 * mv.di1s_di1t - mv.dqs_dqt
+    pair_slope = 2.0 * di1s_di1t - dqs_dqt
     in_pair = _sym_kron_m(p_pair, p_pair) - 0.5 * _outer(p_pair, p_pair)
     # The projector pair is built from the actual deviator, which itself
     # carries the residual anisotropy; that inflates the extracted in-pair
     # part by 4/3 to first order, hence the 3/4.
-    s_out = _from_vec(_lift(mv.i1s / 3.0, 1) * _E + _lift(ratio, 1) * dv
+    s_out = _from_vec(_lift(i1s / 3.0, 1) * _E + _lift(ratio, 1) * dv
                       + _lift(0.75 * (pair_slope - ratio), 1)
                       * (in_pair @ (dv * _WEIGHTS)[..., None])[..., 0])
-    tan = (_iso4(mv.di1s_di1t / 3.0, ratio)
-           + _lift(1.5 * (mv.dqs_dqt - ratio), 2) * _outer(n_hat_d, n_hat_d)
-           - _lift(sgn * 0.5 * mv.di1s_dqt, 2) * _outer(_E, n_hat_d)
-           - _lift(sgn * mv.dqs_di1t, 2) * _outer(n_hat_d, _E)
+    tan = (_iso4(di1s_di1t / 3.0, ratio)
+           + _lift(1.5 * (dqs_dqt - ratio), 2) * _outer(n_hat_d, n_hat_d)
+           - _lift(sgn * 0.5 * di1s_dqt, 2) * _outer(_E, n_hat_d)
+           - _lift(sgn * dqs_di1t, 2) * _outer(n_hat_d, _E)
            + _lift(pair_slope - ratio, 2) * in_pair)
     return s_out, tan
 
 
-def apply_triple(t: SymTensor2, sp: Spectrum,
-                 mv: InvariantMapValues) -> tuple[SymTensor2, SymTensor4]:
-    """Evaluate S and dS/dT at a triple coincidence: S = (I1S/3) I and the
-    tangent is the isotropic pair (dI1S/dI1T, dqS/dqT) on (I x I)/3 and the
-    deviatoric identity."""
-    if sp.mult.tag is not MultTag.TRIPLE:
-        raise BranchError(f"triple-branch evaluation on {sp.mult.tag.value} input")
-    s_out, m = _triple_terms(mv)
-    return s_out, SymTensor4(m)
-
-
-def _triple_terms(mv: InvariantMapValues) -> tuple:
-    """(S, stored array of dS/dT) of apply_triple; floats or (n,) arrays
-    (then a stack of arrays)."""
-    return (mv.i1s / 3.0) * IDENTITY2, _iso4(mv.di1s_di1t / 3.0, mv.dqs_dqt)
+def _triple_terms(mv: tuple) -> tuple:
+    """(S, stored array of dS/dT) at a triple coincidence from the map values
+    mv of _map_values: S = (I1S/3) I and the tangent is the isotropic pair
+    (dI1S/dI1T, dqS/dqT) on (I x I)/3 and the deviatoric identity.  Floats
+    or (n,) arrays (then a stack of arrays)."""
+    i1s, _, di1s_di1t, _, _, dqs_dqt = mv
+    return (i1s / 3.0) * IDENTITY2, _iso4(di1s_di1t / 3.0, dqs_dqt)
 
 
 def isotropic_function(t: SymTensor2, f: ScalarEigenMap,
@@ -281,12 +228,23 @@ def isotropic_function(t: SymTensor2, f: ScalarEigenMap,
 
 def _apply(t: SymTensor2, sp: Spectrum,
            f: ScalarEigenMap) -> tuple[SymTensor2, SymTensor4]:
-    """isotropic_function on the spectrum sp of t, already computed."""
-    if sp.mult.tag is MultTag.DISTINCT:
-        return apply_distinct(t, sp, f)
-    if sp.mult.tag is MultTag.TRIPLE:
-        mv = scalar_map_invariants(f, sp.inv.i1, 0.0, 1)
-        return apply_triple(t, sp, mv)
-    qt = math.sqrt(3.0 * sp.inv.j2)
-    mv = scalar_map_invariants(f, sp.inv.i1, qt, sp.mult.theta_sign)
-    return apply_double(t, sp, mv)
+    """isotropic_function on the spectrum sp of t, already computed.
+
+    On the distinct branch the assembly is anchored at the middle eigenvalue:
+    sum(N_i) = I and sum(dN_i/dT) = 0 hold exactly, so only eigenvalue
+    *differences* multiply the two bases and spins whose conditioning
+    degrades near coincidence.
+    """
+    tag = sp.mult.tag
+    if tag is MultTag.DISTINCT:
+        e, d = _eta(f, sp.lam)
+        return (_anchored(e, sp.bases[0], sp.bases[2]),
+                SymTensor4(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)))
+    if tag is MultTag.TRIPLE:
+        s_out, m = _triple_terms(_map_values(*_eta(f, _coincident(sp.inv.i1, 0.0, 1.0)), 1.0))
+    else:
+        sign = float(sp.mult.theta_sign)
+        qt = math.sqrt(3.0 * sp.inv.j2)
+        mv = _map_values(*_eta(f, _coincident(sp.inv.i1, qt, sign)), sign)
+        s_out, m = _double_terms(t, sp.inv.j2, sign, mv, math)
+    return s_out, SymTensor4(m)

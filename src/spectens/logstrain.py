@@ -3,14 +3,12 @@ with the exact material tangent d(eps)/dB on every multiplicity branch."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from . import oracle
 from .errors import KinematicsError
 from .isofunc import _apply, half_log_map
 from .spectral import DEFAULT_TOLS, ClassifyTols, Multiplicity, spectrum
-from .tensor_core import SymTensor2, SymTensor4, norm
+from .tensor_core import SymTensor2, SymTensor4
 
 # Relative floor on the smallest stretch: below this the tensor logarithm is
 # numerically meaningless even though the eigenvalue may still be positive.
@@ -83,26 +81,3 @@ def _not_spd(lam):
 def log_strain(f) -> LogStrainResult:
     """Hencky strain of a deformation gradient: ln(F F^T)/2 with tangent."""
     return log_strain_from_b(left_cauchy_green(f))
-
-
-@dataclass(frozen=True, slots=True)
-class TangentCheckReport:
-    branch: Multiplicity
-    h: float
-    max_rel_error: float
-
-
-def log_strain_tangent_check(f, h: float = 1e-6) -> TangentCheckReport:
-    """Compare the analytic d(eps)/dB against central finite differences on B.
-
-    Returns the relative Frobenius error; near a coincidence the differenced
-    branch may differ from the evaluation branch, which is the interesting
-    regime for this check.
-    """
-    b = left_cauchy_green(f)
-    res = log_strain_from_b(b)
-    step = h * max(1.0, norm(b))
-    fd = oracle.fd_tensor_derivative(lambda x: log_strain_from_b(x).eps, b, step)
-    num = math.sqrt(sum((x - y) ** 2 for x, y in zip(fd.as_list(), res.deps_db.as_list())))
-    den = math.sqrt(sum(x * x for x in res.deps_db.as_list()))
-    return TangentCheckReport(branch=res.branch, h=step, max_rel_error=num / den)

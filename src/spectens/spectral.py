@@ -24,8 +24,6 @@ from .tensor_core import (
     _invariant_rows,
     _invariants,
     _sym_square,
-    deviator,
-    norm,
 )
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -66,11 +64,16 @@ class Multiplicity:
 class ClassifyTols:
     """Coincidence thresholds: triple when the full spread falls below
     tau_abs + tau_rel*scale, double when one gap falls below tau_gap times
-    the spread."""
+    the spread.  Each must be finite; a negative one is allowed."""
 
     tau_abs: float = TAU_ABS
     tau_rel: float = TAU_REL
     tau_gap: float = TAU_GAP
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.tau_abs, self.tau_rel, self.tau_gap))):
+            raise ContractError("classification tolerances must be finite, got "
+                                f"{(self.tau_abs, self.tau_rel, self.tau_gap)!r}")
 
 
 DEFAULT_TOLS = ClassifyTols()
@@ -78,10 +81,9 @@ DEFAULT_TOLS = ClassifyTols()
 
 @dataclass(frozen=True, slots=True)
 class Spectrum:
-    """Ordered eigenvalues, their angles, classification, and eigenbases."""
+    """Ordered eigenvalues, classification, eigenbases, and invariants."""
 
     lam: tuple[float, float, float]
-    beta: tuple[float, float, float]
     mult: Multiplicity
     bases: tuple[SymTensor2, SymTensor2, SymTensor2]
     inv: InvariantSet
@@ -89,7 +91,7 @@ class Spectrum:
 
 def eigenvalues(inv: InvariantSet) -> tuple[float, float, float]:
     """Closed-form eigenvalues lam_i = I1/3 + (2/sqrt(3)) sqrt(J2) sin(beta_i),
-    descending.
+    descending, with beta_i = theta + 2 pi/3, theta, theta - 2 pi/3.
 
     Descending order is a theorem for theta in [-pi/6, pi/6]; roundoff can
     invert an exact tie by one ulp, which the final clamp repairs.
@@ -146,26 +148,17 @@ def _coincidences(lam, scale, tols: ClassifyTols) -> tuple:
             l2 - l3 <= tols.tau_gap * spread, l1 - l2 <= tols.tau_gap * spread)
 
 
-def _distinct_bases(s: tuple, ssq: tuple, j2: float, lis: tuple) -> tuple:
-    """Bases from the deviatoric numerator (s.s + li s + (li^2 - J2) I) / (3 li^2 - J2)
-    for each li in lis, with s and ssq the components of the deviator and of
-    its square, and li a deviatoric eigenvalue lam_i - I1/3.
-
-    Algebraically identical to the adjugate form lam_i((lam_i - I1) I + T) + adj(T)
-    over the same denominator J2 (4 sin^2(beta_i) - 1), but free of the
-    volumetric cancellation that form suffers near coincident eigenvalues.
-    """
-    try:
-        bases, vanished = _bases_over(s, ssq, j2, lis)
-    except ZeroDivisionError:
-        vanished = True
-    if vanished:
-        raise BranchError("eigenbasis denominator vanished: repeated eigenvalue")
-    return bases
-
-
 def _bases_over(s: tuple, ssq: tuple, j2, lis) -> tuple:
-    """(_distinct_bases, whether a denominator vanished); floats or (n,) arrays."""
+    """(distinct bases, whether a denominator vanished); floats or (n,) arrays.
+
+    The basis of each li in lis is the deviatoric numerator
+    (s.s + li s + (li^2 - J2) I) / (3 li^2 - J2), with s and ssq the
+    components of the deviator and of its square, and li a deviatoric
+    eigenvalue lam_i - I1/3.  Algebraically identical to the adjugate form
+    lam_i((lam_i - I1) I + T) + adj(T) over the same denominator, but free
+    of the volumetric cancellation that form suffers near coincident
+    eigenvalues.
+    """
     bases = []
     vanished = False
     for li in lis:
@@ -183,43 +176,14 @@ def _bases_over(s: tuple, ssq: tuple, j2, lis) -> tuple:
     return tuple(bases), vanished
 
 
-def eigenbasis_distinct(t: SymTensor2, inv: InvariantSet, i: int,
-                        lambda_i: float, beta_i: float) -> SymTensor2:
-    """Eigenbasis N_i for a simple eigenvalue of a tensor with distinct spectrum."""
-    if i not in (0, 1, 2):
-        raise BranchError(f"eigenvalue index must be 0, 1 or 2, got {i}")
-    li = lambda_i - inv.i1 / 3.0
-    # beta_i and lambda_i must describe the same eigenvalue: the denominator
-    # J2 (4 sin^2(beta_i) - 1) then equals 3 li^2 - J2.
-    if not (abs(inv.j2 * (4.0 * math.sin(beta_i) ** 2 - 1.0) - (3.0 * li * li - inv.j2))
-            <= 1e-6 * (inv.j2 + 3.0 * li * li) + 1e-300):
-        raise ContractError(
-            f"lambda_i = {lambda_i!r} and beta_i = {beta_i!r} do not describe "
-            "the same eigenvalue")
-    s = deviator(t).as_tuple()
-    return _distinct_bases(s, _sym_square(s), inv.j2, (li,))[0]
-
-
-def eigenbasis_double(t: SymTensor2, inv: InvariantSet,
-                      tols: ClassifyTols = DEFAULT_TOLS) -> tuple[SymTensor2, SymTensor2]:
+def _double_bases(s: tuple, j2, sign, m) -> tuple[SymTensor2, SymTensor2]:
     """(N_hat, N_rep) for a double coincidence: the basis of the lone
-    eigenvalue and the shared basis of the repeated pair.
+    eigenvalue and the shared basis of the repeated pair, from the deviator
+    components s; floats or (n,) arrays, with sqrt from m.
 
     The deviatoric part of N_hat is -sign * dev(t)/q with q = sqrt(3 J2) and
-    the sign taken from the classified branch, never from floating theta.
+    sign the theta sign of the classified branch, never from floating theta.
     """
-    mult = classify(eigenvalues(inv), norm(t), tols)
-    if mult is _TRIPLE:
-        raise BranchError("triple coincidence has no distinguished basis")
-    if mult is _DISTINCT:
-        raise BranchError("eigenvalues are distinct; use the simple-eigenvalue basis")
-    return _double_bases(deviator(t).as_tuple(), inv.j2, float(mult.theta_sign), math)
-
-
-def _double_bases(s: tuple, j2, sign, m) -> tuple[SymTensor2, SymTensor2]:
-    """eigenbasis_double from the deviator components s and the theta sign of
-    a multiplicity already classified as double; floats or (n,) arrays, with
-    sqrt from m."""
     f = -sign / m.sqrt(3.0 * j2)
     third = 1.0 / 3.0
     hxx, hyy, hzz = third + f * s[0], third + f * s[1], third + f * s[2]
@@ -239,11 +203,15 @@ def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
     inv, s, nrm = _invariants(t)
     lam = eigenvalues(inv)
     mult = classify(lam, nrm, tols)
-    beta = (inv.theta + _TWO_THIRDS_PI, inv.theta, inv.theta - _TWO_THIRDS_PI)
     if mult is _DISTINCT:
         third = inv.i1 / 3.0
-        bases = _distinct_bases(s, _sym_square(s), inv.j2,
-                                (lam[0] - third, lam[1] - third, lam[2] - third))
+        try:
+            bases, vanished = _bases_over(s, _sym_square(s), inv.j2,
+                                          (lam[0] - third, lam[1] - third, lam[2] - third))
+        except ZeroDivisionError:
+            vanished = True
+        if vanished:
+            raise BranchError("eigenbasis denominator vanished: repeated eigenvalue")
     elif mult is _TRIPLE:
         bases = (_THIRD_I, _THIRD_I, _THIRD_I)
     else:
@@ -252,7 +220,7 @@ def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
             bases = (n_hat, n_rep, n_rep)
         else:
             bases = (n_rep, n_rep, n_hat)
-    return Spectrum(lam, beta, mult, bases, inv)
+    return Spectrum(lam, mult, bases, inv)
 
 
 def _spectrum_rows(t: SymTensor2, tols: ClassifyTols) -> tuple[Spectrum, np.ndarray]:
@@ -273,8 +241,7 @@ def _spectrum_rows(t: SymTensor2, tols: ClassifyTols) -> tuple[Spectrum, np.ndar
                                for k in range(6))) for i in range(3))
     # The scalar bases raise where a distinct denominator vanishes or J2 = 0.
     failed = np.where(code == 0, vanished, (code != 3) & (inv.j2 == 0.0))
-    beta = (inv.theta + _TWO_THIRDS_PI, inv.theta, inv.theta - _TWO_THIRDS_PI)
-    return Spectrum(lam, beta, code, bases, inv), ok & in_order & ~failed
+    return Spectrum(lam, code, bases, inv), ok & in_order & ~failed
 
 
 _I = IDENTITY2.as_tuple()
@@ -297,7 +264,7 @@ def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> n
     """Stored array of sum_i c[i] spin(t, sp, i) + sum_i d[i] N_i x N_i, plus
     sum_i N_i x tail[i] when a (3, 6) array tail is given.
 
-    With a_i = c[i] / (J2 (4 sin^2(beta_i) - 1)) and w_i the w of spin, the
+    With a_i = c[i] / (3 l_i^2 - J2) and w_i the w of spin, the
     dyads on N_i are X^T Y + (X^T Y)^T over rows X_i = N_i and
     Y_i = a_i w_i + d[i] N_i / 2,
     and the rest is (sum a_i lam_i)(I4 - I x I) + (sum a_i) d2_I3(T), one
@@ -305,7 +272,7 @@ def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> n
     transpose is, so that the array is exactly symmetric without the tail.
     An eigenvalue of weight 0 is skipped: its denominator may vanish.
     """
-    coef, half, half_al = _spin_coef(sp, c, d, math)
+    coef, half, half_al = _spin_coef(sp, c, d)
     tv = t.as_tuple()
     rows = np.array((*(n.as_tuple() for n in sp.bases), _I, tv))
     rest = np.array([half * x for x in tv] + [half_al]) @ _SPIN_TABLE
@@ -316,7 +283,7 @@ def _spin_sum_rows(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0),
                    tail=None) -> np.ndarray:
     """_spin_sum of the rows of t and sp, whose entries are (n,) arrays, as
     an (n, 6, 6) array; c and d hold floats or (n,) arrays, tail is (n, 3, 6)."""
-    coef, half, half_al = _spin_coef(sp, c, d, _ROW_MATH)
+    coef, half, half_al = _spin_coef(sp, c, d)
     tv = np.stack(t.as_tuple(), -1)
     rows = np.stack((*(np.stack(b.as_tuple(), -1) for b in sp.bases),
                      np.broadcast_to(_I, tv.shape), tv), 1)
@@ -327,20 +294,20 @@ def _spin_sum_rows(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0),
     return _spin_assembled(rows, coef_m, rest, tail)
 
 
-def _spin_coef(sp: Spectrum, c, d, m) -> tuple:
+def _spin_coef(sp: Spectrum, c, d) -> tuple:
     """(row i: the coefficients of Y_i on N_0, N_1, N_2, I and T; (sum a_i)/2;
-    (sum a_i lam_i)/2) of _spin_sum; floats or (n,) arrays, sqrt and sin from m."""
+    (sum a_i lam_i)/2) of _spin_sum; floats or (n,) arrays."""
     j2, i1 = sp.inv.j2, sp.inv.i1
-    root = 2.0 * m.sqrt(3.0 * j2)
+    third = i1 / 3.0
     coef = [[0.0] * 5 for _ in range(3)]
     sum_a = sum_al = 0.0
     for i in range(3):
         coef[i][i] = 0.5 * d[i]
         # A weight given as an array is evaluated on every row.
         if not isinstance(c[i], float) or c[i]:
-            sb = m.sin(sp.beta[i])
-            a = c[i] / (j2 * (4.0 * sb * sb - 1.0))
-            coef[i][i] -= a * root * sb
+            li = sp.lam[i] - third
+            a = c[i] / (3.0 * li * li - j2)
+            coef[i][i] -= 3.0 * a * li
             coef[i][3] = a * (2.0 * sp.lam[i] - i1)
             coef[i][4] = a
             sum_a += a
@@ -364,8 +331,9 @@ def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:
     eigenvalue in the double case; never for a repeated eigenvalue.
 
     dN_i/dT = (N_i x w + w x N_i + lam_i (I4 - I x I) + d2_I3(T))
-    / (J2 (4 sin^2(beta_i) - 1)) with w = -2 sqrt(3 J2) sin(beta_i) N_i
-    + (2 lam_i - I1) I + T.  The stored entry at row (ab), column (cd) is
+    / (3 l_i^2 - J2), the denominator of the basis, with l_i = lam_i - I1/3,
+    w = -3 l_i N_i + (2 lam_i - I1) I + T and d2_I3 the second derivative of
+    det (see tensor_core._D2).  The stored entry at row (ab), column (cd) is
     N_ab w_cd + w_ab N_cd + lam_i ((I_ac I_bd + I_ad I_bc)/2 - I_ab I_cd)
     + d2_I3(T)[ab, cd] over that denominator: plain component products,
     with the shear doubled by apply().

@@ -140,7 +140,6 @@ _SET_XX, _SET_YY, _SET_ZZ, _SET_XY, _SET_XZ, _SET_YZ = (
     getattr(SymTensor2, f).__set__ for f in ("xx", "yy", "zz", "xy", "xz", "yz"))
 
 IDENTITY2 = SymTensor2(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-ZERO2 = SymTensor2(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def ddot(a: SymTensor2, b: SymTensor2) -> float:
@@ -273,14 +272,6 @@ def _sin3theta(j2, j3, sqrt_j2):
     return -0.5 * math.sqrt(27.0) * j3 / (j2 * sqrt_j2)
 
 
-def dJ3_ds(s: SymTensor2) -> SymTensor2:
-    """Gradient of det(s) for a deviatoric s; equals adjugate(s)."""
-    tr = s.trace()
-    if abs(tr) > 1e-12 * norm(s):
-        raise ContractError(f"dJ3_ds requires a deviatoric tensor; trace is {tr!r}")
-    return adjugate(s)
-
-
 def dtheta_dT(t: SymTensor2, inv: InvariantSet) -> SymTensor2:
     """Gradient of the Lode angle; undefined at J2 = 0 and theta = +/-pi/6."""
     if not inv.theta_defined or inv.j2 <= 0.0:
@@ -314,7 +305,7 @@ def _dtheta(t: SymTensor2, j2, theta, cos3t, m) -> SymTensor2:
 class SymTensor4:
     """Fourth-order tensor with minor symmetries stored as a 6x6 array.
 
-    Stored entries are plain component products, e.g. dyad(a, b) stores
+    Stored entries are plain component products, e.g. the dyad a x b stores
     a[i]*b[j]; apply() supplies the shear doubling of the contraction.
     Major symmetry of the tensor is symmetry of the stored matrix.
     """
@@ -337,27 +328,13 @@ class SymTensor4:
     def as_list(self) -> list[float]:
         return self.m.ravel().tolist()
 
-    def transpose(self) -> "SymTensor4":
-        return SymTensor4(self.m.T)
-
     def __add__(self, o: "SymTensor4") -> "SymTensor4":
         return SymTensor4(self.m + o.m)
-
-    def __sub__(self, o: "SymTensor4") -> "SymTensor4":
-        return SymTensor4(self.m - o.m)
-
-    def __neg__(self) -> "SymTensor4":
-        return SymTensor4(-self.m)
 
     def __mul__(self, a: float) -> "SymTensor4":
         return SymTensor4(self.m * float(a))
 
     __rmul__ = __mul__
-
-
-def dyad(a: SymTensor2, b: SymTensor2) -> SymTensor4:
-    """(a x b) : c = (b : c) a."""
-    return SymTensor4(np.outer(a.as_tuple(), b.as_tuple()))
 
 
 # Slot of each 3x3 component in the stored order, and the (i, j) of each slot.
@@ -373,8 +350,10 @@ _KRON_RIGHT = np.array((_JL + 6, _JL, _JK + 6, _JK))
 
 
 def _sym_kron_m(a, b) -> np.ndarray:
-    """Stored array of sym_kron from the components of a and b: tuples or
-    (6,) arrays, or (n, 6) arrays for a stack of n arrays.  The pairing
+    """Stored array of the symmetrized dyad of a and b, which maps d to
+    (a.d.b + b.d.a) / 2, from their components: tuples or (6,) arrays, or
+    (n, 6) arrays for a stack of n arrays.  The entry at row (ij), column
+    (kl) is (a_ik b_jl + a_il b_jk + b_ik a_jl + b_il a_jk) / 4; the pairing
     (a_ik b_jl + b_ik a_jl) + (a_il b_jk + b_il a_jk) makes the array exactly
     symmetric, and exactly symmetric in a and b."""
     ab = np.concatenate((a, b), -1)
@@ -383,19 +362,9 @@ def _sym_kron_m(a, b) -> np.ndarray:
     return 0.25 * ((p[..., 0, :, :] + p[..., 1, :, :]) + (p[..., 2, :, :] + p[..., 3, :, :]))
 
 
-def sym_kron(a: SymTensor2, b: SymTensor2) -> SymTensor4:
-    """Symmetrized dyad: sym_kron(a, b) : d = (a.d.b + b.d.a) / 2.
-
-    Stored entry at row (ij), column (kl), in the component order of this
-    module: (a_ik b_jl + a_il b_jk + b_ik a_jl + b_il a_jk) / 4.  Entries are
-    plain component products; apply() doubles the shear of d.
-    """
-    return SymTensor4(_sym_kron_m(a.as_tuple(), b.as_tuple()))
-
-
 IDENTITY4 = SymTensor4(np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5]))
-IXI = dyad(IDENTITY2, IDENTITY2)
 _E = np.array(IDENTITY2.as_tuple())
+IXI = SymTensor4(np.outer(_E, _E))
 _IXI_MINUS_I4 = IXI.m - IDENTITY4.m
 _IDEV = IDENTITY4.m - IXI.m / 3.0
 
@@ -431,27 +400,20 @@ def _iso4(k, g) -> np.ndarray:
     return _lift(k, 2) * IXI.m + _lift(g, 2) * _IDEV
 
 
-def d2_I3(t: SymTensor2) -> SymTensor4:
-    """Second derivative of det(t): d -> t.d + d.t - tr(d) t - I1 d + (I1 tr(d) - t:d) I.
-
-    Stored as 2 sym_kron(t, I) - t x I - I x t + I1 (I x I - I4): the entry at
-    row (ij), column (kl) is (t_ik I_jl + t_il I_jk + I_ik t_jl + I_il t_jk)/2
-    - t_ij I_kl - I_ij t_kl + I1 (I_ij I_kl - (I_ik I_jl + I_il I_jk)/2), with
-    I_ij the Kronecker delta.  Entries are plain component products; apply()
-    doubles the shear.  The map is linear in t: the array is the components
-    of t times the constant table _D2.
-    """
-    return SymTensor4((np.array(t.as_tuple()) @ _D2).reshape(6, 6))
-
-
 def _d2_I3_unit(k: int) -> np.ndarray:
-    """The entry formula of d2_I3 at the unit tensor of slot k, flattened."""
+    """The stored array of d2_I3 (see _D2) at the unit tensor of slot k, flattened."""
     e = tuple(float(j == k) for j in range(6))
     ev = np.array(e)
     return (2.0 * _sym_kron_m(e, IDENTITY2.as_tuple()) - ev[:, None] * _E
             - _E[:, None] * ev + sum(e[:3]) * _IXI_MINUS_I4).ravel()
 
 
-# Row k is d2_I3 of the k-th unit tensor, so that the stored array of
-# d2_I3(t) is t.as_tuple() @ _D2 reshaped to 6x6.
+# d2_I3(t), the second derivative of det(t), maps d to t.d + d.t - tr(d) t
+# - I1 d + (I1 tr(d) - t:d) I.  Its stored array is 2 sym(t x I) - t x I
+# - I x t + I1 (I x I - I4): the entry at row (ij), column (kl) is
+# (t_ik I_jl + t_il I_jk + I_ik t_jl + I_il t_jk)/2 - t_ij I_kl - I_ij t_kl
+# + I1 (I_ij I_kl - (I_ik I_jl + I_il I_jk)/2), with I_ij the Kronecker
+# delta; apply() doubles the shear.  The map is linear in t: row k of _D2 is
+# d2_I3 of the k-th unit tensor, and the stored array of d2_I3(t) is
+# t.as_tuple() @ _D2 reshaped to 6x6.
 _D2 = np.array([_d2_I3_unit(k) for k in range(6)])

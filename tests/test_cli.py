@@ -25,7 +25,7 @@ from spectens import cli
 from spectens.plasticity import _map_at
 from spectens.tensor_core import TAU_GAP, TAU_REL
 
-from util import cli_record, quat_rotation
+from util import cli_record, quat_rotation, spin_den
 
 
 def run_cli(args, stdin_text=""):
@@ -236,8 +236,7 @@ def _spin_sum_tol(t, sp, c, d=(0.0, 0.0, 0.0), extra=0.0):
     tol = 8.0 * eps * (sum(abs(x) for x in d) + extra)
     for i in range(3):
         if c[i]:
-            sb = math.sin(sp.beta[i])
-            tol += abs(c[i]) * 128.0 * eps * norm(t) / abs(sp.inv.j2 * (4.0 * sb * sb - 1.0))
+            tol += abs(c[i]) * 128.0 * eps * norm(t) / abs(spin_den(sp, i))
     return tol
 
 
@@ -459,6 +458,31 @@ def test_bad_stress_parameters_are_a_usage_error(option, value):
         assert proc.stdout == ""
         assert "usage:" in proc.stderr and "finite and positive" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cmd, option, value", (("eigen", "--tol-gap", "nan"),
+                                                ("eigen", "--tol-triple", "inf"),
+                                                ("stress", "--tol-triple", "nan")))
+def test_tolerances_that_are_not_finite_are_a_usage_error(cmd, option, value):
+    record = '{"id": 1, "T": [4, 1, 1, 0, 0, 0]}\n'
+    for parallel, stdin in (("1", record), ("2", record), ("1", "")):
+        proc = run_cli([cmd, option, value, "--parallel", parallel], stdin)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr and "tolerances must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    # A negative floor stays accepted.
+    proc = run_cli(["eigen", "--tol-triple=-1e-10"], record)
+    assert proc.returncode == 0 and lines_of(proc)[0]["multiplicity"] == "double_high_unique"
+
+
+@pytest.mark.parametrize("args", (["eigen", "--parallel", "0"], ["spin", "--parallel", "-3"],
+                                  ["verify", "--count", "0"], ["verify", "--count", "-5"]))
+def test_counts_below_one_are_a_usage_error(args):
+    proc = run_cli(args, '{"id": 1, "T": [5, 2, -1, 0, 0, 0]}\n')
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr and "must be at least 1" in proc.stderr
 
 
 def test_error_message_is_never_empty(monkeypatch):

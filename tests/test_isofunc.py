@@ -7,11 +7,10 @@ import pytest
 
 import spectens as st
 from spectens import oracle
-from spectens.isofunc import (InvariantMapValues, _apply_rows, apply_double, apply_triple,
-                              scalar_map_invariants)
-from spectens.spectral import MultTag, _spectrum_rows
+from spectens.isofunc import _apply_rows, _coincident, _eta, _map_values
+from spectens.spectral import _spectrum_rows
 
-from util import make_with_eigs, rand_rotation, rand_sym, rel4, rotate
+from util import make_with_eigs, rand_rotation, rand_sym, rel4, rotate, sym_kron
 
 ALL_MAPS = (st.identity_map, st.half_log_map, st.square_map, st.cube_map, st.double_exp_map)
 
@@ -58,7 +57,7 @@ def test_square_map_distinct_with_tangent():
     s, m = st.isotropic_function(t, st.square_map())
     assert st.norm(s - st.sym_square(t)) <= 1e-11
     # d(T^2) = T.d + d.T exactly.
-    assert rel4(m, st.SymTensor4(2.0 * st.sym_kron(t, st.IDENTITY2).m)) <= 1e-10
+    assert rel4(m, 2.0 * sym_kron(t, st.IDENTITY2)) <= 1e-10
 
 
 def test_half_log_double_diagonal():
@@ -148,56 +147,46 @@ def test_domain_violations_raise():
         st.isotropic_function(st.SymTensor2(-2.0, -2.0, -2.0, 0, 0, 0), f)
 
 
-def test_branch_dispatch_guards():
-    rng = np.random.default_rng(55)
-    t = rand_sym(rng)
-    sp = st.spectrum(t)
-    assert sp.mult.tag is MultTag.DISTINCT
-    mv = scalar_map_invariants(st.square_map(), sp.inv.i1, 1.0, 1)
-    with pytest.raises(st.BranchError):
-        apply_double(t, sp, mv)
-    with pytest.raises(st.BranchError):
-        apply_triple(t, sp, mv)
-    d = st.SymTensor2(4.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(st.BranchError):
-        st.apply_distinct(d, st.spectrum(d), st.square_map())
+_MAP_FIELDS = ("i1s", "qs", "di1s_di1t", "di1s_dqt", "dqs_di1t", "dqs_dqt")
 
 
-def test_scalar_map_invariants_structure():
-    assert tuple(InvariantMapValues.__dataclass_fields__) == (
-        "i1s", "qs", "di1s_di1t", "di1s_dqt", "dqs_di1t", "dqs_dqt")
+def _map_invariants(f, i1t, qt, sign):
+    """The map values of the degenerate branches of isotropic_function, by
+    name: the chain rule through the coincident eigenvalues."""
+    s = float(sign)
+    return dict(zip(_MAP_FIELDS, _map_values(*_eta(f, _coincident(i1t, qt, s)), s)))
 
 
 def test_scalar_map_invariants_values():
     # Repeated low pair of diag(4,1,1): I1 = 6, q = 3, sign = -1,
     # lam_hat = 4, lam_rep = 1.
     f = st.half_log_map()
-    mv = scalar_map_invariants(f, 6.0, 3.0, -1)
-    assert abs(mv.i1s - 0.5 * math.log(4.0)) <= 1e-14
-    assert abs(mv.qs - (-1) * (0.0 - 0.5 * math.log(4.0))) <= 1e-14
-    assert abs(mv.di1s_di1t - (0.125 + 1.0) / 3.0) <= 1e-14
-    assert abs(mv.dqs_dqt - (0.5 + 0.25) / 3.0) <= 1e-14
+    mv = _map_invariants(f, 6.0, 3.0, -1)
+    assert abs(mv["i1s"] - 0.5 * math.log(4.0)) <= 1e-14
+    assert abs(mv["qs"] - (-1) * (0.0 - 0.5 * math.log(4.0))) <= 1e-14
+    assert abs(mv["di1s_di1t"] - (0.125 + 1.0) / 3.0) <= 1e-14
+    assert abs(mv["dqs_dqt"] - (0.5 + 0.25) / 3.0) <= 1e-14
     # Triple limit: qt = 0 collapses the chain rule to eta'.
-    mv = scalar_map_invariants(st.square_map(), 6.0, 0.0, 1)
-    assert abs(mv.di1s_di1t - 4.0) <= 1e-14
-    assert abs(mv.dqs_dqt - 4.0) <= 1e-14
-    assert mv.di1s_dqt == 0.0
-    assert mv.dqs_di1t == 0.0
+    mv = _map_invariants(st.square_map(), 6.0, 0.0, 1)
+    assert abs(mv["di1s_di1t"] - 4.0) <= 1e-14
+    assert abs(mv["dqs_dqt"] - 4.0) <= 1e-14
+    assert mv["di1s_dqt"] == 0.0
+    assert mv["dqs_di1t"] == 0.0
 
 
 def test_scalar_map_invariants_fd_cross_check():
     # The four declared partials against finite differences in (I1, q).
     f = st.cube_map()
     i1, qt, s = 2.4, 0.9, -1
-    mv = scalar_map_invariants(f, i1, qt, s)
+    mv = _map_invariants(f, i1, qt, s)
     h = 1e-6
     for field, axis in (("di1s_di1t", 0), ("di1s_dqt", 1), ("dqs_di1t", 0), ("dqs_dqt", 1)):
         which = "i1s" if field.startswith("di1s") else "qs"
         args_hi = (i1 + h, qt, s) if axis == 0 else (i1, qt + h, s)
         args_lo = (i1 - h, qt, s) if axis == 0 else (i1, qt - h, s)
-        fd = (getattr(scalar_map_invariants(f, *args_hi), which)
-              - getattr(scalar_map_invariants(f, *args_lo), which)) / (2.0 * h)
-        assert abs(fd - getattr(mv, field)) <= 1e-6 * max(1.0, abs(fd))
+        fd = (_map_invariants(f, *args_hi)[which]
+              - _map_invariants(f, *args_lo)[which]) / (2.0 * h)
+        assert abs(fd - mv[field]) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_map_failure_is_a_map_domain_error_on_every_branch():

@@ -16,12 +16,10 @@ from spectens import (
     left_cauchy_green,
     log_strain,
     log_strain_from_b,
-    log_strain_tangent_check,
     norm,
-    scalar_map_invariants,
 )
 
-from util import make_with_eigs, rand_rotation, rel2, rel4, rotate
+from util import log_strain_tangent_check, make_with_eigs, rand_rotation, rel2, rel4, rotate
 
 
 def test_left_cauchy_green_diagonal():

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from util import (
     rel4,
     rotate,
     spectrum_ref,
+    spin_den,
     spin_ref,
 )
 
@@ -75,6 +77,15 @@ def test_classify_examples():
     assert classify((1.0 + 5e-7, 1.0, 0.0), 1.0).tag is MultTag.DISTINCT
 
 
+def test_classify_tols_must_be_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("tau_abs", "tau_rel", "tau_gap"):
+            with pytest.raises(st.ContractError, match="must be finite"):
+                st.ClassifyTols(**{field: bad})
+    # A negative floor is allowed: it only moves the branch switch.
+    assert st.ClassifyTols(tau_rel=-1.0).tau_rel == -1.0
+
+
 def test_theta_sign_branch_guard():
     with pytest.raises(st.BranchError):
         Multiplicity(MultTag.DISTINCT).theta_sign
@@ -83,38 +94,18 @@ def test_theta_sign_branch_guard():
 
 
 def test_eigenbasis_distinct_diagonal_example():
-    t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
-    inv = st.invariants(t)
-    lam = eigenvalues(inv)
-    beta = (inv.theta + 2 * math.pi / 3, inv.theta, inv.theta - 2 * math.pi / 3)
+    sp = st.spectrum(st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0))
+    assert sp.mult.tag is MultTag.DISTINCT
     for i, axis in enumerate(((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))):
-        n = st.eigenbasis_distinct(t, inv, i, lam[i], beta[i])
-        assert st.norm(n - st.SymTensor2(*(float(x) for x in axis))) <= 1e-12
+        assert st.norm(sp.bases[i] - st.SymTensor2(*(float(x) for x in axis))) <= 1e-12
 
 
 def test_eigenbasis_distinct_guards():
-    t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
-    inv = st.invariants(t)
-    lam = eigenvalues(inv)
-    with pytest.raises(st.BranchError):
-        st.eigenbasis_distinct(t, inv, 3, lam[0], inv.theta)
-    # Repeated eigenvalue: the basis denominator vanishes.
+    # Repeated eigenvalue classified as distinct (a negative gap floor): the
+    # basis denominator vanishes.
     d = st.SymTensor2(4.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-    dinv = st.invariants(d)
-    dlam = eigenvalues(dinv)
-    with pytest.raises(st.BranchError):
-        st.eigenbasis_distinct(d, dinv, 1, dlam[1], dinv.theta)
-
-
-def test_eigenbasis_distinct_rejects_inconsistent_eigenvalue_and_angle():
-    t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
-    inv = st.invariants(t)
-    lam = eigenvalues(inv)
-    with pytest.raises(st.ContractError, match="same eigenvalue"):
-        st.eigenbasis_distinct(t, inv, 0, lam[0], inv.theta)
-    huge_inv = st.invariants(_HUGE)
-    with pytest.raises(st.ContractError, match="same eigenvalue"):
-        st.eigenbasis_distinct(_HUGE, huge_inv, 0, 1e110, huge_inv.theta)
+    with pytest.raises(st.BranchError, match="denominator vanished"):
+        st.spectrum(d, st.ClassifyTols(tau_gap=-1.0))
 
 
 def test_overflowing_norm_raises_typed_error_with_and_without_asserts():
@@ -144,19 +135,29 @@ def test_eigenbasis_agrees_with_adjugate_form():
             continue
         adj = st.adjugate(t)
         for i in range(3):
-            lam, beta = sp.lam[i], sp.beta[i]
-            den = sp.inv.j2 * (4.0 * math.sin(beta) ** 2 - 1.0)
-            alt = (1.0 / den) * (lam * ((lam - sp.inv.i1) * st.IDENTITY2 + t) + adj)
+            lam = sp.lam[i]
+            alt = (1.0 / spin_den(sp, i)) * (lam * ((lam - sp.inv.i1) * st.IDENTITY2 + t) + adj)
             assert st.norm(alt - sp.bases[i]) <= 1e-11 * max(1.0, st.norm(sp.bases[i]))
+
+
+def _double_pair(t):
+    """(N_hat, N_rep) of the double spectrum of t: the basis of the lone
+    eigenvalue and the shared basis of the repeated pair."""
+    sp = st.spectrum(t)
+    assert sp.mult.tag is not MultTag.DISTINCT and sp.mult.tag is not MultTag.TRIPLE
+    k = sp.mult.unique_index
+    n_hat, n_rep = sp.bases[k], sp.bases[2 - k]
+    assert sp.bases[1] is n_rep
+    return n_hat, n_rep
 
 
 def test_eigenbasis_double_examples():
     d = st.SymTensor2(4.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-    n_hat, n_rep = st.eigenbasis_double(d, st.invariants(d))
+    n_hat, n_rep = _double_pair(d)
     assert st.norm(n_hat - st.SymTensor2(1, 0, 0, 0, 0, 0)) <= 1e-12
     assert st.norm(n_rep - st.SymTensor2(0, 0.5, 0.5, 0, 0, 0)) <= 1e-12
     d = st.SymTensor2(1.0, 1.0, -2.0, 0.0, 0.0, 0.0)
-    n_hat, n_rep = st.eigenbasis_double(d, st.invariants(d))
+    n_hat, n_rep = _double_pair(d)
     assert st.norm(n_hat - st.SymTensor2(0, 0, 1, 0, 0, 0)) <= 1e-12
     assert st.norm(n_rep - st.SymTensor2(0.5, 0.5, 0, 0, 0, 0)) <= 1e-12
 
@@ -166,19 +167,10 @@ def test_eigenbasis_double_rotated():
     for _ in range(200):
         r = rand_rotation(rng)
         t = rotate(st.SymTensor2(4.0, 1.0, 1.0, 0, 0, 0), r)
-        n_hat, n_rep = st.eigenbasis_double(t, st.invariants(t))
+        n_hat, n_rep = _double_pair(t)
         want = rotate(st.SymTensor2(1, 0, 0, 0, 0, 0), r)
         assert st.norm(n_hat - want) <= 1e-10
         assert st.norm(n_rep - 0.5 * (st.IDENTITY2 - n_hat)) <= 1e-14
-
-
-def test_eigenbasis_double_branch_guards():
-    t = st.SymTensor2(2.0, 2.0, 2.0, 0.0, 0.0, 0.0)
-    with pytest.raises(st.BranchError):
-        st.eigenbasis_double(t, st.invariants(t))
-    t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(st.BranchError):
-        st.eigenbasis_double(t, st.invariants(t))
 
 
 def test_spectrum_partition_and_reconstruction():
@@ -265,7 +257,6 @@ def _assert_same_spectrum(t):
         assert got is ref
         return got
     assert got.lam == ref.lam
-    assert got.beta == ref.beta
     assert got.mult == ref.mult
     assert got.bases == ref.bases
     assert got.inv == ref.inv
@@ -424,9 +415,7 @@ def test_spin_matches_dyad_reference_across_scales():
             sp = _scaled_spectrum(sp1, scale)
             tols = []
             for i in range(3):
-                sb = math.sin(sp.beta[i])
-                den = sp.inv.j2 * (4.0 * sb * sb - 1.0)
-                tols.append(128.0 * eps * st.norm(t) / abs(den))
+                tols.append(128.0 * eps * st.norm(t) / abs(spin_den(sp, i)))
                 assert np.all(np.abs(st.spin(t, sp, i).m - spin_ref(t, sp, i)) <= tols[i])
             # The fused kernel: two weighted spins plus the dyads d_i N_i x N_i,
             # whose entries are at most |d_i| and round a few times each.
@@ -438,6 +427,58 @@ def test_spin_matches_dyad_reference_across_scales():
             tol = abs(c0) * tols[0] + abs(c2) * tols[2] + 8.0 * eps * np.sum(np.abs(d))
             assert np.all(np.abs(_spin_sum(t, sp, (c0, 0.0, c2), d) - want) <= tol)
         done += 1
+
+
+_SLOTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _spins_mp(t):
+    """The three spins of t as stored 6x6 arrays from a 60-digit
+    eigendecomposition of its float64 components: dN_i[D] is the sum over
+    j != i of (N_i D N_j + N_j D N_i) / (lam_i - lam_j), and column k is that
+    at the unit tensor of slot k, over the slot's shear weight."""
+    out = np.empty((3, 6, 6))
+    with mpmath.workdps(60):
+        e, q = mpmath.eigsy(mpmath.matrix(t.to_matrix()))
+        order = sorted(range(3), key=lambda k: -e[k])
+        lam = [e[k] for k in order]
+        v = [[q[r, k] for r in range(3)] for k in order]
+        for i in range(3):
+            for k, (p, r) in enumerate(_SLOTS):
+                col = [mpmath.mpf(0)] * 6
+                for j in range(3):
+                    if j != i:
+                        # N_i E_k N_j = (v_i . E_k v_j) v_i v_j^T
+                        c = v[i][p] * v[j][r] + (v[i][r] * v[j][p] if p != r else 0)
+                        c /= lam[i] - lam[j]
+                        for m, (a, b) in enumerate(_SLOTS):
+                            col[m] += c * (v[i][a] * v[j][b] + v[j][a] * v[i][b])
+                out[i, :, k] = [float(x) / (1.0 if p == r else 2.0) for x in col]
+    return out
+
+
+def test_spin_near_a_double_is_as_accurate_as_the_trigonometric_form():
+    # The spin weights come from l_i = lam_i - I1/3, not from sin(beta_i).
+    # Near a coincidence both forms are far from exact, so each is judged
+    # against a 60-digit reference: per (offset, gap) cell the largest error,
+    # in units of the bound of test_spin_matches_dyad_reference_across_scales,
+    # may exceed that of the trigonometric spin_ref by at most 10%.
+    eps = float(np.finfo(float).eps)
+    rng = np.random.default_rng(44)
+    for offset in (0.0, 1e2, 1e4):
+        for gap in (1e-2, 1e-3, 1e-4, 1e-5):
+            worst = [0.0, 0.0]
+            for k in range(25):
+                eigs = (1.0, gap, 0.0) if k % 2 else (1.0, 1.0 - gap, 0.0)
+                t = make_with_eigs(rng, [offset + x for x in eigs])
+                sp = st.spectrum(t)
+                assert sp.mult.tag is MultTag.DISTINCT
+                ref = _spins_mp(t)
+                for i in range(3):
+                    unit = 128.0 * eps * st.norm(t) / abs(spin_den(sp, i))
+                    for w, m in enumerate((st.spin(t, sp, i).m, spin_ref(t, sp, i))):
+                        worst[w] = max(worst[w], np.max(np.abs(m - ref[i])) / unit)
+            assert worst[0] <= 1.1 * worst[1], (offset, gap, worst)
 
 
 def test_spin_second_order_convergence():

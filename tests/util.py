@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random tensors with controlled spectra."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,18 +11,21 @@ from spectens import (
     IDENTITY4,
     IXI,
     InvariantSet,
+    Multiplicity,
     MultTag,
     Spectrum,
     SymTensor2,
     classify,
     det,
     deviator,
-    dyad,
     eigenvalues,
+    left_cauchy_green,
+    log_strain_from_b,
     norm,
     sym_square,
 )
-from spectens.tensor_core import TAU_ABS, TAU_REL
+from spectens.oracle import fd_tensor_derivative
+from spectens.tensor_core import _D2, TAU_ABS, TAU_REL, SymTensor4, _sym_kron_m
 
 
 def rand_sym(rng, scale=1.0):
@@ -76,8 +80,20 @@ def frob4(a):
     return math.sqrt(sum(x * x for x in a.as_list()))
 
 
+# The 6x6 kernels of the tangent path as fourth-order tensors.
+
+def sym_kron(a, b):
+    """The symmetrized dyad of a and b: d -> (a.d.b + b.d.a) / 2."""
+    return SymTensor4(_sym_kron_m(a.as_tuple(), b.as_tuple()))
+
+
+def d2_I3(t):
+    """The second derivative of det(t), as the spin kernel builds it."""
+    return SymTensor4((np.array(t.as_tuple()) @ _D2).reshape(6, 6))
+
+
 # Loop and dyad-composed references for the closed-form 6x6 kernels of
-# sym_kron, d2_I3 and spin.  They return the stored 6x6 arrays.
+# the symmetrized dyad, d2_I3 and spin.  They return the stored 6x6 arrays.
 
 _BASIS_MATRICES = tuple(
     np.array(m, dtype=float)
@@ -106,24 +122,42 @@ def sym_kron_ref(a, b):
     return cols
 
 
+def _dyad(a, b):
+    return np.outer(a.as_tuple(), b.as_tuple())
+
+
 def d2_I3_ref(t):
     return (2.0 * sym_kron_ref(t, IDENTITY2)
-            - dyad(t, IDENTITY2).m - dyad(IDENTITY2, t).m
+            - _dyad(t, IDENTITY2) - _dyad(IDENTITY2, t)
             + t.trace() * (IXI.m - IDENTITY4.m))
+
+
+_SHIFTS = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
+
+
+def sin_beta(sp, i):
+    """sin(beta_i), beta_i = theta + 2 pi/3, theta, theta - 2 pi/3: the angle
+    of the i-th eigenvalue in lam_i = I1/3 + (2/sqrt(3)) sqrt(J2) sin(beta_i)."""
+    return math.sin(sp.inv.theta + _SHIFTS[i])
+
+
+def spin_den(sp, i):
+    """The spin denominator J2 (4 sin^2 beta_i - 1) in its trigonometric form."""
+    sb = sin_beta(sp, i)
+    return sp.inv.j2 * (4.0 * sb * sb - 1.0)
 
 
 def spin_ref(t, sp, i):
     """dN_i/dT as the sum of six dyads over J2 (4 sin^2 beta_i - 1)."""
     j2 = sp.inv.j2
-    sb = math.sin(sp.beta[i])
-    den = j2 * (4.0 * sb * sb - 1.0)
+    sb = sin_beta(sp, i)
     lam_i = sp.lam[i]
     n = sp.bases[i]
-    return (-4.0 * math.sqrt(3.0 * j2) * sb * dyad(n, n).m
-            + (2.0 * lam_i - sp.inv.i1) * (dyad(n, IDENTITY2).m + dyad(IDENTITY2, n).m)
-            + (dyad(n, t).m + dyad(t, n).m)
+    return (-4.0 * math.sqrt(3.0 * j2) * sb * _dyad(n, n)
+            + (2.0 * lam_i - sp.inv.i1) * (_dyad(n, IDENTITY2) + _dyad(IDENTITY2, n))
+            + (_dyad(n, t) + _dyad(t, n))
             + lam_i * (IDENTITY4.m - IXI.m)
-            + d2_I3_ref(t)) * (1.0 / den)
+            + d2_I3_ref(t)) * (1.0 / spin_den(sp, i))
 
 
 # spectrum composed step by step from the public functions, as it was before
@@ -175,8 +209,6 @@ def spectrum_ref(t, tols=DEFAULT_TOLS):
     inv = invariants_ref(t)
     lam = eigenvalues(inv)
     mult = classify(lam, norm(t), tols)
-    shift = 2.0 * math.pi / 3.0
-    beta = (inv.theta + shift, inv.theta, inv.theta - shift)
     if mult.tag is MultTag.DISTINCT:
         s = deviator(t)
         ssq = sym_square(s)
@@ -187,7 +219,7 @@ def spectrum_ref(t, tols=DEFAULT_TOLS):
     else:
         n_hat, n_rep = _double_bases_ref(t, inv.j2, mult)
         bases = (n_hat, n_rep, n_rep) if mult.unique_index == 0 else (n_rep, n_rep, n_hat)
-    return Spectrum(lam, beta, mult, bases, inv)
+    return Spectrum(lam, mult, bases, inv)
 
 
 def cli_record(cmd, rec_id, row, extra):
@@ -210,3 +242,24 @@ def cli_record(cmd, rec_id, row, extra):
     if cmd == "basis":
         out["bases"] = [row[3:9], row[9:15], row[15:]]
     return out
+
+
+@dataclass(frozen=True)
+class TangentCheckReport:
+    branch: Multiplicity
+    h: float
+    max_rel_error: float
+
+
+def log_strain_tangent_check(f, h=1e-6):
+    """Compare the analytic d(eps)/dB against central finite differences on B.
+
+    Returns the relative Frobenius error; near a coincidence the differenced
+    branch may differ from the evaluation branch, which is the interesting
+    regime for this check.
+    """
+    b = left_cauchy_green(f)
+    res = log_strain_from_b(b)
+    step = h * max(1.0, norm(b))
+    fd = fd_tensor_derivative(lambda x: log_strain_from_b(x).eps, b, step)
+    return TangentCheckReport(branch=res.branch, h=step, max_rel_error=rel4(fd, res.deps_db))
