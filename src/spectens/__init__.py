@@ -6,78 +6,43 @@ of double and triple eigenvalue coincidences.  On top of that sit isotropic
 tensor functions with exact consistent tangents, the logarithmic strain of a
 deformation gradient, and stress reconstruction from invariant-space return
 maps.
+
+A public name's submodule is imported on its first use (PEP 562), so
+`import spectens` itself loads no numpy.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from types import ModuleType as _ModuleType
+# Each public name, by the submodule that defines it.
+_SOURCES = {
+    "errors": "BranchError ConditioningWarning ContractError ConvergenceError "
+              "DegeneracyError KinematicsError MapDomainError SpectensError",
+    "isofunc": "ScalarEigenMap check_scalar_map cube_map double_exp_map half_log_map "
+               "identity_map isotropic_function square_map",
+    "logstrain": "LogStrainResult left_cauchy_green log_strain log_strain_from_b",
+    "plasticity": "InvariantReturnMap StrainPredictorInvariants StressInvariants "
+                  "consistent_tangent linear_elastic_map predictor_invariants "
+                  "reconstruct_stress stress_and_tangent stress_invariants "
+                  "verify_return_map vonmises_demo_map",
+    "spectral": "DEFAULT_TOLS ClassifyTols MultTag Multiplicity Spectrum classify "
+                "eigenvalues spectrum spin",
+    "tensor_core": "IDENTITY2 IDENTITY4 IXI InvariantSet SymTensor2 SymTensor4 adjugate "
+                   "ddot det deviator dtheta_dT invariants norm sym_square",
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
 
-from .errors import (
-    BranchError,
-    ConditioningWarning,
-    ContractError,
-    ConvergenceError,
-    DegeneracyError,
-    KinematicsError,
-    MapDomainError,
-    SpectensError,
-)
-from .isofunc import (
-    ScalarEigenMap,
-    check_scalar_map,
-    cube_map,
-    double_exp_map,
-    half_log_map,
-    identity_map,
-    isotropic_function,
-    square_map,
-)
-from .logstrain import (
-    LogStrainResult,
-    left_cauchy_green,
-    log_strain,
-    log_strain_from_b,
-)
-from .plasticity import (
-    InvariantReturnMap,
-    StrainPredictorInvariants,
-    StressInvariants,
-    consistent_tangent,
-    linear_elastic_map,
-    predictor_invariants,
-    reconstruct_stress,
-    stress_and_tangent,
-    stress_invariants,
-    verify_return_map,
-    vonmises_demo_map,
-)
-from .spectral import (
-    DEFAULT_TOLS,
-    ClassifyTols,
-    MultTag,
-    Multiplicity,
-    Spectrum,
-    classify,
-    eigenvalues,
-    spectrum,
-    spin,
-)
-from .tensor_core import (
-    IDENTITY2,
-    IDENTITY4,
-    IXI,
-    InvariantSet,
-    SymTensor2,
-    SymTensor4,
-    adjugate,
-    ddot,
-    det,
-    deviator,
-    dtheta_dT,
-    invariants,
-    norm,
-    sym_square,
-)
+__all__ = sorted(_MODULE_OF)
 
-__all__ = [name for name, obj in globals().items()
-           if not name.startswith("_") and not isinstance(obj, _ModuleType)]
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -316,13 +316,15 @@ def _run_records(args) -> int:
     if args.parallel > 1:
         # Several chunks per worker, so that no worker idles at the end.
         size = max(1, min(_CHUNK, math.ceil(len(lines) / (4 * args.parallel))))
-    jobs = ((cfg, i + 1, lines[i:i + size]) for i in range(0, len(lines), size))
+    starts = range(0, len(lines), size)
+    jobs = ((cfg, i + 1, lines[i:i + size]) for i in starts)
+    workers = min(args.parallel, len(starts))
     all_ok = True
     with _output(args.output) as out, contextlib.ExitStack() as stack:
-        if args.parallel > 1:
+        if workers > 1:
             from multiprocessing import Pool
 
-            results = stack.enter_context(Pool(args.parallel)).imap(_run_chunk, jobs)
+            results = stack.enter_context(Pool(workers)).imap(_run_chunk, jobs)
         else:
             results = map(_run_chunk, jobs)
         for ok, text in results:

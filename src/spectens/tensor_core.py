@@ -328,9 +328,6 @@ class SymTensor4:
     def as_list(self) -> list[float]:
         return self.m.ravel().tolist()
 
-    def __add__(self, o: "SymTensor4") -> "SymTensor4":
-        return SymTensor4(self.m + o.m)
-
     def __mul__(self, a: float) -> "SymTensor4":
         return SymTensor4(self.m * float(a))
 

@@ -1,8 +1,11 @@
 """The public API surface: a name added to or removed from the package shows
 up here as a deliberate edit."""
 
+import importlib
 import subprocess
 import sys
+
+import pytest
 
 import spectens
 
@@ -43,17 +46,67 @@ REMOVED = {
 }
 
 
+# The public constants and the submodule that defines each; every other
+# public name is a class or function that names its own module.
+CONSTANTS = {"DEFAULT_TOLS": "spectral", "IDENTITY2": "tensor_core",
+             "IDENTITY4": "tensor_core", "IXI": "tensor_core"}
+
+
+def _fresh(code: str) -> list[str]:
+    """The stdout lines of code run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_public_names_are_pinned():
     assert sorted(spectens.__all__) == PUBLIC_NAMES
+    assert spectens.__all__ == PUBLIC_NAMES
     assert not set(REMOVED) & set(dir(spectens))
+    assert not any(hasattr(spectens, name) for name in REMOVED)
 
 
 def test_importing_the_package_leaves_the_oracle_unloaded():
     """The Jacobi oracle and the finite-difference checks judge the closed
-    forms from outside; only the CLI's verify command loads them."""
-    code = ("import sys, spectens, spectens.cli\n"
+    forms from outside; only the CLI's verify command loads them.  The
+    package itself imports its submodules on first use, so `import
+    spectens` loads no numpy."""
+    code = ("import sys, spectens\n"
+            "print('numpy' in sys.modules)\n"
+            "import spectens.cli\n"
             "print('spectens.oracle' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _fresh(code) == ["False", "False"]
+
+
+def test_each_public_name_is_the_object_of_its_submodule():
+    """Checked in a fresh interpreter, so that every name is looked up for
+    the first time."""
+    code = ("import importlib, spectens\n"
+            f"constants = {CONSTANTS!r}\n"
+            "for name in spectens.__all__:\n"
+            "    obj = getattr(spectens, name)\n"
+            "    home = ('spectens.' + constants[name] if name in constants\n"
+            "            else obj.__module__)\n"
+            "    print(name, getattr(importlib.import_module(home), name) is obj)\n")
+    assert _fresh(code) == [x for name in PUBLIC_NAMES for x in (name, "True")]
+
+
+def test_dir_lists_every_public_name_before_any_is_used():
+    code = ("import spectens\n"
+            "print(*sorted(set(dir(spectens)) & set(spectens.__all__)))\n")
+    assert _fresh(code) == PUBLIC_NAMES
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(spectens, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from spectens import no_such_name", {})
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from spectens import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    assert all(namespace[name] is getattr(spectens, name) for name in PUBLIC_NAMES)

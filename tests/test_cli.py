@@ -1,7 +1,10 @@
 """End-to-end command-line checks through subprocess, one JSON record per line."""
 
+import importlib
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -534,6 +537,44 @@ def test_parallel_output_matches_serial(tmp_path):
         assert len(serial.stdout.splitlines()) == n - (n + 19) // 20
 
 
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the number of workers it
+    is asked for and maps in this process."""
+
+    def __init__(self, sizes, processes):
+        sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, jobs):
+        return map(func, jobs)
+
+
+@pytest.mark.parametrize(("n", "workers"), ((0, []), (1, []), (3, [3]), (100, [8])))
+def test_parallel_starts_no_more_workers_than_chunks(n, workers, monkeypatch, tmp_path):
+    """--parallel 8 chunks 3 lines into 3 chunks and 100 lines into 25;
+    zero or one chunk is evaluated without a pool.  The output is the
+    serial run's."""
+    sizes = []
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        lambda processes: _RecordingPool(sizes, processes))
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(line + "\n" for line in _mixed_lines(np.random.default_rng(3), n)))
+    outputs = []
+    for parallel in ("1", "8"):
+        out = tmp_path / f"out-{parallel}.jsonl"
+        status = cli.main(["stress", "--input", str(src), "--output", str(out),
+                           "--parallel", parallel])
+        outputs.append((status, out.read_text()))
+    assert sizes == workers
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1].splitlines()) == n - (n + 19) // 20
+
+
 def test_missing_input_file_is_io_error(tmp_path):
     proc = run_cli(["eigen", "--input", str(tmp_path / "absent.jsonl")])
     assert proc.returncode == 1
@@ -544,3 +585,46 @@ def test_version_flag():
     proc = run_cli(["--version"])
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("spectens ")
+
+
+def test_version_flag_through_the_console_script_entry():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from spectens.__main__ import main; sys.exit(main())",
+         "--version"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().startswith("spectens ")
+
+
+# Runs `python -m spectens basis` as the benchmark launches it, through
+# runpy, and then prints the BLAS thread setting the CLI ran with.
+_BLAS_SETTING = """\
+import os, runpy, sys
+sys.argv = ["spectens", "basis"]
+try:
+    runpy.run_module("spectens", run_name="__main__", alter_sys=True)
+finally:
+    print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize(("given", "used"), ((None, "1"), ("3", "3")))
+def test_cli_runs_one_blas_thread_unless_the_user_sets_more(given, used):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", _BLAS_SETTING], input="", env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == used
+
+
+def test_importing_the_cli_leaves_the_environment_alone(monkeypatch):
+    """The setting belongs to the entry point: a process that imports the CLI
+    as a library keeps its environment and the BLAS set-up of its children."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delitem(sys.modules, "spectens.cli")
+    monkeypatch.setattr("spectens.cli", cli)
+    before = dict(os.environ)
+    fresh = importlib.import_module("spectens.cli")
+    assert fresh is not cli
+    assert dict(os.environ) == before
