@@ -42,8 +42,9 @@ _VERIFY_TANGENT_TOL = 1e-4
 
 # Records parsed, evaluated as arrays and written together.  Large enough
 # that the per-chunk cost of the array kernels is spread thin, small enough
-# that a chunk's output stays a few hundred kB.
-_CHUNK = 1024
+# that the texts of a chunk's distinct tangent numbers (_row_numbers) fit in
+# the heap the kernels just freed: at 1,024 lines they raised the peak memory.
+_CHUNK = 512
 
 def _finite_floats(vals, n: int, label: str) -> list[float]:
     if not isinstance(vals, list) or len(vals) != n:
@@ -142,8 +143,9 @@ _LAYOUT = {
 @functools.cache
 def _template(cmd: str, extra) -> str:
     """The output line of cmd with extra field extra (see _dispatch), as a
-    %-template of the JSON text of the id and then the record's numbers.
-    %r of a float is float.__repr__, which is what json writes for one."""
+    %-template of the JSON text of the id and then the record's numbers,
+    each a float or its text (see _row_numbers).  %s of a float is
+    float.__repr__, which is what json writes for one."""
     parts = ['{"id": %s']
     for field in _LAYOUT[cmd]:
         if isinstance(field, str):
@@ -151,11 +153,27 @@ def _template(cmd: str, extra) -> str:
                      extra.unique_index if field == "unique_index" else extra.tag.value)
             parts.append(f'"{field}": {json.dumps(value)}')
         else:
-            text = "%r"
+            text = "%s"
             for n in reversed(field[1]):
                 text = "[" + ", ".join([text] * n) + "]"
             parts.append(f'"{field[0]}": {text}')
     return ", ".join(parts) + "}\n"
+
+
+def _row_numbers(cmd: str, vals: np.ndarray) -> list[list]:
+    """The rows of the (m, k) array vals of cmd's numbers as lists for its
+    template: floats, but the entries of a last field of 6x6 tangents as
+    their text.  Tangents repeat numbers, by symmetry and across isotropic
+    records, so each distinct bit pattern among them (-0.0 is not 0.0) is
+    converted once, and its rows share that one str."""
+    field = _LAYOUT[cmd][-1]
+    if isinstance(field, str) or field[1][-1] != 36:
+        return vals.tolist()
+    w = math.prod(field[1])
+    bits, where = np.unique(vals[:, -w:].view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return [row + tail for row, tail in
+            zip(vals[:, :-w].tolist(), texts[where].reshape(-1, w).tolist())]
 
 
 def _id_text(rec_id) -> str:
@@ -233,6 +251,22 @@ def _columns(recs: list) -> tuple[list[int], np.ndarray]:
     return picked, np.hstack(comps)
 
 
+_SCAN_ONCE = json.JSONDecoder().scan_once
+
+
+def _loads(line: str):
+    """json.loads(line), read by the decoder's scanner when the value it
+    scans from the start of line ends where line ends, and else by
+    json.loads itself, which gives the record or its exact error."""
+    try:
+        rec, end = _SCAN_ONCE(line, 0)
+        if end == len(line):
+            return rec
+    except Exception:
+        pass
+    return json.loads(line)
+
+
 # The return map of stress, built once per process: a map is not picklable,
 # so each worker of --parallel builds its own from the options.
 _demo_map = functools.cache(vonmises_demo_map)
@@ -241,9 +275,10 @@ _demo_map = functools.cache(vonmises_demo_map)
 def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
     """(whether every record succeeded, output text) of one chunk of input
     lines, the first of which has number first.  The records are checked,
-    evaluated and written as columns; a record that fails a check or a
-    guard of the arrays, or all of them if the checks raise, goes through
-    _dispatch, so that its output and errors are the scalar path's."""
+    evaluated and written as columns, with each distinct tangent number of
+    the chunk converted to text once (_row_numbers); a record that fails a
+    check or a guard of the arrays, or all of them if the checks raise, goes
+    through _dispatch, so that its output and errors are the scalar path's."""
     cfg, first, lines = job
     cmd = cfg["command"]
     tols = ClassifyTols(tau_abs=TAU_ABS, tau_rel=cfg["tau_rel"], tau_gap=cfg["tau_gap"])
@@ -253,7 +288,7 @@ def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
     recs, places = [], []
     for k, line in enumerate(lines):
         try:
-            recs.append(json.loads(line))
+            recs.append(_loads(line))
             places.append(k)
         except Exception as exc:
             if line.strip():
@@ -269,15 +304,16 @@ def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
             ok, vals, kind, extras = _dispatch_rows(cmd, SymTensor2(*comps), tols, rm)
             ok &= np.isfinite(vals).all(1)
             templates = [_template(cmd, e) for e in extras]
-            rows, kind = vals.tolist(), kind.tolist()
-            for j in np.flatnonzero(ok).tolist():
+            good = np.flatnonzero(ok)
+            rows = _row_numbers(cmd, vals[good])
+            for j, row, kind_j in zip(good.tolist(), rows, kind[good].tolist()):
                 i = picked[j]
                 rec = recs[i]
                 try:
                     text = _id_text(rec["id"] if "id" in rec else f"line {first + places[i]}")
                 except ContractError:
                     continue
-                outs[places[i]] = templates[kind[j]] % (text, *rows[j])
+                outs[places[i]] = templates[kind_j] % (text, *row)
                 scalar[i] = False
     for i in compress(range(len(recs)), scalar):
         ok_i, outs[places[i]] = _scalar_line(cmd, recs[i], f"line {first + places[i]}", tols, rm)

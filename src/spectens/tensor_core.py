@@ -328,11 +328,6 @@ class SymTensor4:
     def as_list(self) -> list[float]:
         return self.m.ravel().tolist()
 
-    def __mul__(self, a: float) -> "SymTensor4":
-        return SymTensor4(self.m * float(a))
-
-    __rmul__ = __mul__
-
 
 # Slot of each 3x3 component in the stored order, and the (i, j) of each slot.
 _SLOT = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])

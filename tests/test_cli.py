@@ -350,6 +350,57 @@ def test_serializer_matches_json_reference(cmd):
             assert got == json.dumps(cli_record(cmd, rec_id, row, extra)) + "\n"
 
 
+_TABLE_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  1e16, 1e-7, -1e16, -1e-7)
+
+
+@settings(max_examples=40)
+@given(hs.lists(hs.one_of(hs.sampled_from(_TABLE_SPECIAL),
+                          hs.floats(allow_nan=False, allow_infinity=False)), min_size=1),
+       hs.integers(1, 4), hs.integers(0, 2 ** 32 - 1))
+def test_number_table_writes_what_json_writes(pool, m, seed):
+    """m rows drawn from a small pool of numbers, so that they repeat within
+    and across rows, are written as json.dumps of the record."""
+    rng = np.random.default_rng(seed)
+    for cmd in RECORD_COMMANDS:
+        vals = np.array(pool)[rng.integers(0, len(pool), (m, _WIDTH[cmd]))]
+        rows = cli._row_numbers(cmd, vals)
+        for extra in _EXTRAS[cmd]:
+            for row, want in zip(rows, vals.tolist()):
+                got = cli._template(cmd, extra) % (cli._id_text(7), *row)
+                assert got == json.dumps(cli_record(cmd, 7, want, extra)) + "\n"
+
+
+def test_equal_tangent_numbers_of_a_chunk_share_one_str():
+    """Each bit pattern among the tangent entries of a chunk is converted to
+    text once: equal patterns share one str, 0.0 and -0.0 do not, and the
+    stress itself stays floats."""
+    tangents = np.array([[0.1, -0.0, 0.0, 0.1, 1e16, 0.1] * 6, [0.1] * 36])
+    rows = cli._row_numbers("stress", np.hstack((np.full((2, 6), 0.1), tangents)))
+    assert [type(x) for row in rows for x in row[:6]] == [float] * 12
+    texts = [x for row in rows for x in row[6:]]
+    assert texts == [repr(x) for x in tangents.ravel().tolist()]
+    first = {}
+    for x in texts:
+        assert first.setdefault(x, x) is x
+    assert len(first) == 4
+
+
+@pytest.mark.parametrize("cmd", RECORD_COMMANDS)
+def test_chunk_size_does_not_change_the_output(cmd, monkeypatch, tmp_path):
+    """Chunks of 1, 7 and 512 lines, with a number table each, give the same
+    bytes and exit status."""
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(line + "\n" for line in _mixed_lines(np.random.default_rng(31), 530)))
+    outputs = set()
+    for size in (1, 7, 512):
+        monkeypatch.setattr(cli, "_CHUNK", size)
+        out = tmp_path / f"out-{size}.jsonl"
+        status = cli.main([*_argv(cmd), "--input", str(src), "--output", str(out)])
+        outputs.add((status, out.read_bytes()))
+    assert len(outputs) == 1
+
+
 @pytest.mark.parametrize("cmd", RECORD_COMMANDS)
 def test_every_id_type_is_written_as_json_writes_it(cmd):
     lines = [json.dumps({"id": rec_id, "T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}) for rec_id in _IDS]
@@ -382,6 +433,38 @@ def test_malformed_records_match_the_scalar_path(cmd):
         want_status, want = _scalar_output(cmd, lines)
         assert (0 if ok else 2) == want_status
         _assert_same_records(cmd, lines, text.splitlines(), want)
+
+
+_JSON_VALUES = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers() | hs.floats() | hs.text(max_size=4),
+    lambda inner: hs.lists(inner, max_size=3) | hs.dictionaries(hs.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_PARSE_CASES = ('', '   ', '{"id": 1, "id": 2, "T": [1, 2, 3, 0, 0, 0]}',
+                '{"id": 1, "T": [1e400, NaN, -Infinity, 0, 0, -0.0]}', '1e400', 'NaN',
+                '\ufeff{"id": 1, "T": [1, 2, 3, 0, 0, 0]}', '{"x": 0}, {"b": [{}', '{}]}',
+                '{"x": 0}, {"b": [{}{}]}', '{"a": 1} {"b": 2}', '{"a": 1}x', '[1, 2',
+                '"\\ud800"', '{"a": "\u2028"}')
+_PADDING = hs.text(" \t\r\n\x0c\u00a0\u2028\ufeff", max_size=3)
+
+
+@settings(max_examples=300)
+@given(hs.one_of(_JSON_VALUES.map(json.dumps), hs.sampled_from(_PARSE_CASES)),
+       _PADDING, _PADDING, hs.integers(0, 10 ** 6), hs.sampled_from(("whole", "head", "tail")))
+def test_parse_gives_the_record_or_error_of_json_loads(text, lead, trail, cut, part):
+    """Valid records and fragments of them, with whitespace, a BOM or other
+    characters around them, parse to json.loads's record, or raise its
+    exception with its message."""
+    cut %= len(text) + 1
+    line = lead + {"whole": text, "head": text[:cut], "tail": text[cut:]}[part] + trail
+    try:
+        want = json.loads(line)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            cli._loads(line)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert repr(cli._loads(line)) == repr(want)
 
 
 def test_double_row_with_zero_j2_takes_the_scalar_path():

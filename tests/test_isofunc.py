@@ -57,7 +57,7 @@ def test_square_map_distinct_with_tangent():
     s, m = st.isotropic_function(t, st.square_map())
     assert st.norm(s - st.sym_square(t)) <= 1e-11
     # d(T^2) = T.d + d.T exactly.
-    assert rel4(m, 2.0 * sym_kron(t, st.IDENTITY2)) <= 1e-10
+    assert rel4(m, st.SymTensor4(sym_kron(t, st.IDENTITY2).m * 2.0)) <= 1e-10
 
 
 def test_half_log_double_diagonal():

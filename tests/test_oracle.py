@@ -74,7 +74,7 @@ def test_fd_derivative_of_deviator():
 def test_fd_derivative_of_square():
     t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
     fd = oracle.fd_tensor_derivative(st.sym_square, t)
-    want = 2.0 * sym_kron(t, st.IDENTITY2)
+    want = st.SymTensor4(sym_kron(t, st.IDENTITY2).m * 2.0)
     assert rel4(fd, want) <= 1e-5
 
 
