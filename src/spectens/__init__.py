@@ -19,17 +19,16 @@ __version__ = "0.1.0"
 _SOURCES = {
     "errors": "BranchError ConditioningWarning ContractError ConvergenceError "
               "DegeneracyError KinematicsError MapDomainError SpectensError",
-    "isofunc": "ScalarEigenMap check_scalar_map cube_map double_exp_map half_log_map "
-               "identity_map isotropic_function square_map",
+    "isofunc": "ScalarEigenMap cube_map double_exp_map half_log_map isotropic_function "
+               "square_map",
     "logstrain": "LogStrainResult left_cauchy_green log_strain log_strain_from_b",
     "plasticity": "InvariantReturnMap StrainPredictorInvariants StressInvariants "
                   "consistent_tangent linear_elastic_map predictor_invariants "
-                  "reconstruct_stress stress_and_tangent stress_invariants "
-                  "verify_return_map vonmises_demo_map",
+                  "reconstruct_stress stress_and_tangent stress_invariants vonmises_demo_map",
     "spectral": "DEFAULT_TOLS ClassifyTols MultTag Multiplicity Spectrum classify "
                 "eigenvalues spectrum spin",
     "tensor_core": "IDENTITY2 IDENTITY4 IXI InvariantSet SymTensor2 SymTensor4 adjugate "
-                   "ddot det deviator dtheta_dT invariants norm sym_square",
+                   "ddot det deviator dtheta_dT invariants norm",
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
 

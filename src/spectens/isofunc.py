@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, MapDomainError
+from .errors import MapDomainError
 from .spectral import (
     DEFAULT_TOLS,
     ClassifyTols,
@@ -52,10 +52,6 @@ class ScalarEigenMap:
         return (self.domain[0] < lam) & (lam < self.domain[1])
 
 
-def identity_map() -> ScalarEigenMap:
-    return ScalarEigenMap(lambda x: x, lambda x: 1.0)
-
-
 def half_log_map() -> ScalarEigenMap:
     """eta = ln(lam)/2, the logarithmic-strain kernel; domain lam > 0."""
     return ScalarEigenMap(lambda x: 0.5 * math.log(x), lambda x: 0.5 / x, (0.0, math.inf))
@@ -72,20 +68,6 @@ def cube_map() -> ScalarEigenMap:
 def double_exp_map() -> ScalarEigenMap:
     """eta = exp(2 lam), the inverse of the logarithmic-strain kernel."""
     return ScalarEigenMap(lambda x: math.exp(2.0 * x), lambda x: 2.0 * math.exp(2.0 * x))
-
-
-def check_scalar_map(f: ScalarEigenMap, samples, tol: float = 1e-6) -> None:
-    """Self-consistency gate: deriv must match central differences of eval."""
-    for lam in samples:
-        h = 1e-6 * max(1.0, abs(lam))
-        if not (f.contains(lam - h) and f.contains(lam + h)):
-            continue
-        fd = (f.eval(lam + h) - f.eval(lam - h)) / (2.0 * h)
-        d = f.deriv(lam)
-        if abs(fd - d) > tol * max(1.0, abs(d)):
-            raise ContractError(
-                f"scalar map derivative {d!r} disagrees with finite differences "
-                f"{fd!r} at lam = {lam!r}")
 
 
 def _coincident(i1t, qt, s) -> tuple:

@@ -21,6 +21,7 @@ from .spectral import (
     ClassifyTols,
     MultTag,
     Spectrum,
+    _I,
     _anchored,
     _spin_sum,
     _spin_sum_rows,
@@ -38,12 +39,12 @@ from .tensor_core import (
     _ROW_MATH,
     _as_vec,
     _dtheta,
+    _dtheta_of_dev,
     _iso4,
     _lift,
     _outer,
     _per_row,
     deviator,
-    dtheta_dT,
     invariants,
 )
 
@@ -185,11 +186,11 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
         return SymTensor4(_coincident_tangent(eps_star, sp.mult.tag, args[1], q, gp, gq))
     f = 2.0 / (3.0 * args[1])
     gth = rm.grad_theta_sigma(*args)
+    s = deviator(eps_star)
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
-    grads = np.array((IDENTITY2.as_tuple(), (f * deviator(eps_star)).as_tuple(),
-                      dtheta_dT(eps_star, sp.inv).as_tuple()))
+    grads = (*_I, *[f * x for x in s.as_tuple()], *_dtheta_of_dev(s, sp.inv).as_tuple())
     m = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
-                  tail=np.array(_dsigma(gp, gq, gth, q, th, math)) @ grads)
+                  tail=(grads, _dsigma(gp, gq, gth, q, th, math)))
     return SymTensor4(m)
 
 
@@ -247,10 +248,10 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     cos3t = _ROW_MATH.cos(3.0 * inv.theta)
     ok &= ~dist | (inv.theta_defined & ~(inv.j2 <= 0.0) & ~(abs(cos3t) <= COS3THETA_FLOOR))
     f = 2.0 / (3.0 * eps_q)
+    s = deviator(eps_star)
     grads = np.stack([np.broadcast_to(_E, (len(f), 6)),
-                      np.stack([f * x for x in deviator(eps_star).as_tuple()], -1),
-                      np.stack(_dtheta(eps_star, inv.j2, inv.theta, cos3t,
-                                       _ROW_MATH).as_tuple(), -1)], 1)
+                      np.stack([f * x for x in s.as_tuple()], -1),
+                      np.stack(_dtheta(s, inv.j2, inv.theta, cos3t, _ROW_MATH).as_tuple(), -1)], 1)
     coeff = np.array(_dsigma(gp, gq, gth, q, th, _ROW_MATH)).transpose(2, 0, 1)
     tan = _spin_sum_rows(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
                          tail=coeff @ grads)
@@ -306,43 +307,3 @@ def vonmises_demo_map(bulk: float, shear: float, yield_q: float) -> InvariantRet
         grad_q=grad_q_fn,
         grad_theta_sigma=lambda ev, eq, th: (0.0, 0.0, 1.0),
     )
-
-
-def verify_return_map(rm: InvariantReturnMap, points, tol: float = 1e-6) -> None:
-    """Gate a user map before trusting its gradients.
-
-    At every point, all nine declared partials must match finite differences
-    of the scalars (forward differences on the eps_q axis when a central
-    stencil would cross eps_q < 0).  Additionally, at eps_q = 0 the map must
-    decouple volume from shear: dp/d(eps_q) = dq/d(eps_v) = 0, or a purely
-    volumetric state would not produce a purely volumetric stress.
-    """
-    scalars = ((rm.p, rm.grad_p, "p"), (rm.q, rm.grad_q, "q"),
-               (rm.theta_sigma, rm.grad_theta_sigma, "theta_sigma"))
-    for pt in points:
-        ev, eq, th = (float(x) for x in pt)
-        for fn, grad, name in scalars:
-            g = grad(ev, eq, th)
-            for axis in range(3):
-                x0 = (ev, eq, th)[axis]
-                h = 1e-6 * max(1.0, abs(x0))
-                lo = [ev, eq, th]
-                hi = [ev, eq, th]
-                if axis == 1 and eq - h < 0.0:
-                    hi[1] = eq + h
-                    fd = (fn(*hi) - fn(ev, eq, th)) / h
-                else:
-                    lo[axis] = x0 - h
-                    hi[axis] = x0 + h
-                    fd = (fn(*hi) - fn(*lo)) / (2.0 * h)
-                if abs(fd - g[axis]) > tol * max(1.0, abs(g[axis])):
-                    raise ContractError(
-                        f"return map {name} gradient component {axis} is "
-                        f"{g[axis]!r} but finite differences give {fd!r} at "
-                        f"{(ev, eq, th)!r}")
-        gp0 = rm.grad_p(ev, 0.0, 0.0)
-        gq0 = rm.grad_q(ev, 0.0, 0.0)
-        if abs(gp0[1]) > tol or abs(gq0[0]) > tol:
-            raise ContractError(
-                "return map couples volume and shear at eps_q = 0: "
-                f"dp/deps_q = {gp0[1]!r}, dq/deps_v = {gq0[0]!r}")

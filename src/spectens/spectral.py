@@ -79,7 +79,7 @@ class ClassifyTols:
 DEFAULT_TOLS = ClassifyTols()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Spectrum:
     """Ordered eigenvalues, classification, eigenbases, and invariants."""
 
@@ -87,6 +87,18 @@ class Spectrum:
     mult: Multiplicity
     bases: tuple[SymTensor2, SymTensor2, SymTensor2]
     inv: InvariantSet
+
+    def __init__(self, lam: tuple[float, float, float], mult: Multiplicity,
+                 bases: tuple[SymTensor2, SymTensor2, SymTensor2], inv: InvariantSet):
+        # The slot descriptors, as in SymTensor2.
+        _SET_LAM(self, lam)
+        _SET_MULT(self, mult)
+        _SET_BASES(self, bases)
+        _SET_INV(self, inv)
+
+
+_SET_LAM, _SET_MULT, _SET_BASES, _SET_INV = (
+    getattr(Spectrum, f).__set__ for f in ("lam", "mult", "bases", "inv"))
 
 
 def eigenvalues(inv: InvariantSet) -> tuple[float, float, float]:
@@ -262,7 +274,8 @@ _SPIN_TABLE = np.vstack((_D2, (IDENTITY4.m - IXI.m).ravel()))
 
 def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> np.ndarray:
     """Stored array of sum_i c[i] spin(t, sp, i) + sum_i d[i] N_i x N_i, plus
-    sum_i N_i x tail[i] when a (3, 6) array tail is given.
+    sum_i N_i x (K G)[i] when tail = (G, K) is given: G the components of
+    three gradient rows, 18 numbers, and K a 3x3 nested sequence.
 
     With a_i = c[i] / (3 l_i^2 - J2) and w_i the w of spin, the
     dyads on N_i are X^T Y + (X^T Y)^T over rows X_i = N_i and
@@ -271,12 +284,24 @@ def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> n
     product with a constant table.  Half of that rest is added before the
     transpose is, so that the array is exactly symmetric without the tail.
     An eigenvalue of weight 0 is skipped: its denominator may vanish.
+
+    The operands are two arrays built from flat tuples, and views of them:
+    the rows N_0, N_1, N_2, I, T and G, and the numbers of the 3x5
+    coefficients of Y on the first five rows, the rest vector (half T, half
+    sum a_i lam_i) and K.  Their products are ndarray.dot, which rounds as
+    the matmul of _spin_sum_rows does on each row.
     """
     coef, half, half_al = _spin_coef(sp, c, d)
     tv = t.as_tuple()
-    rows = np.array((*(n.as_tuple() for n in sp.bases), _I, tv))
-    rest = np.array([half * x for x in tv] + [half_al]) @ _SPIN_TABLE
-    return _spin_assembled(rows, np.array(coef), rest, tail)
+    b0, b1, b2 = sp.bases
+    g, k = tail or ((), ((), (), ()))
+    rows = np.array((*b0.as_tuple(), *b1.as_tuple(), *b2.as_tuple(), *_I, *tv, *g))
+    rows = rows.reshape(-1, 6)
+    nums = np.array((*coef[0], *coef[1], *coef[2], *[half * x for x in tv], half_al,
+                     *k[0], *k[1], *k[2]))
+    rest = nums[15:22].dot(_SPIN_TABLE)
+    tail = nums[22:].reshape(3, 3).dot(rows[5:]) if g else None
+    return _spin_assembled(rows[:5], nums[:15].reshape(3, 5), rest, tail, np.ndarray.dot)
 
 
 def _spin_sum_rows(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0),
@@ -291,7 +316,7 @@ def _spin_sum_rows(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0),
     for i, k in np.ndindex(3, 5):
         coef_m[:, i, k] = coef[i][k]
     rest = np.hstack((half[:, None] * tv, half_al[:, None])) @ _SPIN_TABLE
-    return _spin_assembled(rows, coef_m, rest, tail)
+    return _spin_assembled(rows, coef_m, rest, tail, np.matmul)
 
 
 def _spin_coef(sp: Spectrum, c, d) -> tuple:
@@ -315,13 +340,14 @@ def _spin_coef(sp: Spectrum, c, d) -> tuple:
     return coef, 0.5 * sum_a, 0.5 * sum_al
 
 
-def _spin_assembled(rows, coef, rest, tail) -> np.ndarray:
+def _spin_assembled(rows, coef, rest, tail, mm) -> np.ndarray:
     """Q + Q^T (+ X^T tail) with Q = X^T (coef rows) + rest, X the first
-    three rows; for one array or a stack of them."""
-    nv_t = np.swapaxes(rows[..., :3, :], -1, -2)
-    q = nv_t @ (coef @ rows) + rest.reshape(rest.shape[:-1] + (6, 6))
-    q = q + np.swapaxes(q, -1, -2)
-    return q if tail is None else q + nv_t @ tail
+    three of the five rows; for one array or a stack of them.  mm is the
+    matrix product: ndarray.dot for one array, np.matmul for a stack."""
+    nv_t = rows[..., :3, :].swapaxes(-1, -2)
+    q = mm(nv_t, mm(coef, rows)) + rest.reshape(rest.shape[:-1] + (6, 6))
+    q = q + q.swapaxes(-1, -2)
+    return q if tail is None else q + mm(nv_t, tail)
 
 
 def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:

@@ -158,11 +158,6 @@ def deviator(t: SymTensor2) -> SymTensor2:
     return SymTensor2(t.xx - m, t.yy - m, t.zz - m, t.xy, t.xz, t.yz)
 
 
-def sym_square(t: SymTensor2) -> SymTensor2:
-    """t.t, which is symmetric whenever t is."""
-    return SymTensor2(*_sym_square(t.as_tuple()))
-
-
 def _sym_square(a: tuple) -> tuple:
     """Components of t.t from the components a of t."""
     xx, yy, zz, xy, xz, yz = a
@@ -196,7 +191,7 @@ def adjugate(t: SymTensor2) -> SymTensor2:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InvariantSet:
     """Principal invariants of a tensor and of its deviator.
 
@@ -211,6 +206,22 @@ class InvariantSet:
     j3: float
     theta: float
     theta_defined: bool
+
+    def __init__(self, i1: float, i2: float, i3: float, j2: float, j3: float,
+                 theta: float, theta_defined: bool):
+        # The slot descriptors, as in SymTensor2.
+        _SET_I1(self, i1)
+        _SET_I2(self, i2)
+        _SET_I3(self, i3)
+        _SET_J2(self, j2)
+        _SET_J3(self, j3)
+        _SET_THETA(self, theta)
+        _SET_THETA_DEFINED(self, theta_defined)
+
+
+_SET_I1, _SET_I2, _SET_I3, _SET_J2, _SET_J3, _SET_THETA, _SET_THETA_DEFINED = (
+    getattr(InvariantSet, f).__set__
+    for f in ("i1", "i2", "i3", "j2", "j3", "theta", "theta_defined"))
 
 
 def invariants(t: SymTensor2) -> InvariantSet:
@@ -274,18 +285,23 @@ def _sin3theta(j2, j3, sqrt_j2):
 
 def dtheta_dT(t: SymTensor2, inv: InvariantSet) -> SymTensor2:
     """Gradient of the Lode angle; undefined at J2 = 0 and theta = +/-pi/6."""
+    return _dtheta_of_dev(deviator(t), inv)
+
+
+def _dtheta_of_dev(s: SymTensor2, inv: InvariantSet) -> SymTensor2:
+    """dtheta_dT from the deviator s of t, with its guards."""
     if not inv.theta_defined or inv.j2 <= 0.0:
         raise DegeneracyError("theta gradient undefined: J2 is below the coincidence floor")
     cos3t = math.cos(3.0 * inv.theta)
     if abs(cos3t) <= COS3THETA_FLOOR:
         raise DegeneracyError(
             "theta gradient undefined at a repeated eigenvalue (theta = +/-pi/6)")
-    return _dtheta(t, inv.j2, inv.theta, cos3t, math)
+    return _dtheta(s, inv.j2, inv.theta, cos3t, math)
 
 
-def _dtheta(t: SymTensor2, j2, theta, cos3t, m) -> SymTensor2:
-    """dtheta_dT past its guards, for floats or (n,) arrays; m supplies sqrt and sin."""
-    s = deviator(t)
+def _dtheta(s: SymTensor2, j2, theta, cos3t, m) -> SymTensor2:
+    """dtheta_dT past its guards from the deviator s of t, for floats or (n,)
+    arrays; m supplies sqrt and sin."""
     adj_s = adjugate(s)
     sqrt_j2 = m.sqrt(j2)
     c_adj = math.sqrt(3.0) / (2.0 * j2 * sqrt_j2)

@@ -1,7 +1,16 @@
 """Echo the acceptance criterion verdicts after the run, outside capture,
 and fix the Hypothesis settings of the property tests."""
 
+import os
+from pathlib import Path
+
 from hypothesis import settings
+
+# Fresh interpreters and `python -m spectens` runs started by the tests find
+# the package in src/, as the test process does through the pythonpath
+# setting in pyproject.toml.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 # The same examples on every run, and no per-example deadline, so that the
 # property tests pass or fail deterministically on a loaded machine.

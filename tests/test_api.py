@@ -16,14 +16,13 @@ PUBLIC_NAMES = [
     "KinematicsError", "LogStrainResult", "MapDomainError", "MultTag",
     "Multiplicity", "ScalarEigenMap", "SpectensError", "Spectrum",
     "StrainPredictorInvariants", "StressInvariants", "SymTensor2",
-    "SymTensor4", "adjugate", "check_scalar_map", "classify",
-    "consistent_tangent", "cube_map", "ddot", "det", "deviator",
-    "double_exp_map", "dtheta_dT", "eigenvalues", "half_log_map",
-    "identity_map", "invariants", "isotropic_function", "left_cauchy_green",
+    "SymTensor4", "adjugate", "classify", "consistent_tangent", "cube_map",
+    "ddot", "det", "deviator", "double_exp_map", "dtheta_dT", "eigenvalues",
+    "half_log_map", "invariants", "isotropic_function", "left_cauchy_green",
     "linear_elastic_map", "log_strain", "log_strain_from_b", "norm",
     "predictor_invariants", "reconstruct_stress", "spectrum", "spin",
-    "square_map", "stress_and_tangent", "stress_invariants", "sym_square",
-    "verify_return_map", "vonmises_demo_map",
+    "square_map", "stress_and_tangent", "stress_invariants",
+    "vonmises_demo_map",
 ]
 
 # Names taken out of the package, and why.  None of them was on a production
@@ -43,6 +42,10 @@ REMOVED = {
     "InvariantMapValues": "the map values are a tuple passed between two private bodies",
     "log_strain_tangent_check": "a finite-difference check belongs to the tests (tests/util.py)",
     "TangentCheckReport": "the report of that check, moved with it",
+    "check_scalar_map": "a finite-difference gate of a user map, moved to tests/util.py",
+    "verify_return_map": "a finite-difference gate of a user map, moved to tests/util.py",
+    "identity_map": "a one-line ScalarEigenMap that only the tests use (tests/util.py)",
+    "sym_square": "the spectrum calls the kernel _sym_square on components",
 }
 
 

@@ -26,7 +26,7 @@ from spectens import (
 )
 from spectens import cli
 from spectens.plasticity import _map_at
-from spectens.tensor_core import TAU_GAP, TAU_REL
+from spectens.tensor_core import TAU_ABS, TAU_GAP, TAU_REL
 
 from util import cli_record, quat_rotation, spin_den
 
@@ -292,6 +292,45 @@ def test_chunked_output_equals_scalar_dispatch(cmd, tmp_path):
     want_status, want = _scalar_output(cmd, lines)
     assert status == want_status == 2
     _assert_same_records(cmd, lines, dst.read_text().splitlines(), want)
+
+
+_scalar_line = cli._scalar_line
+
+
+def _branch_lines(rng, n, cmd):
+    """n T records with distinct, two equal and three equal eigenvalues at
+    norms 1e-3..1e3 (SPD ones for logstrain, half of whose records are F
+    with distinct, two equal and three equal stretches)."""
+    lines = []
+    for k in range(n):
+        r = _unit(rng.standard_normal(4))
+        e = rng.uniform(0.1, 2.0, 3) if cmd == "logstrain" else rng.uniform(-1.0, 1.0, 3)
+        e = e[[[0, 1, 2], [0, 1, 1], [0, 0, 2], [0, 0, 0]][k % 4]]
+        if cmd == "logstrain" and k % 2:
+            lines.append(_gradient_line(k, e, r, _unit(rng.standard_normal(4))))
+        else:
+            lines.append(_tensor_line(k, e * 10.0 ** rng.uniform(-3, 3) / np.linalg.norm(e), r))
+    return lines
+
+
+@pytest.mark.parametrize("cmd", ("stress", "logstrain", "spin"))
+def test_row_path_lines_equal_scalar_lines_bit_for_bit(cmd, monkeypatch):
+    """The row kernels multiply stacks with np.matmul and the scalar path
+    multiplies single arrays with ndarray.dot, on the same formula bodies:
+    every line of _run_chunk is byte-identical to the line _scalar_line
+    writes for the same record, on every branch.  Only the records that
+    fail (spin of a repeated eigenvalue) reach _scalar_line in _run_chunk."""
+    lines = _branch_lines(np.random.default_rng(11), 800, cmd)
+    scalar = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_scalar_line", lambda *a: scalar.append(a) or _scalar_line(*a))
+        _, text = cli._run_chunk((_cfg(cmd), 1, lines))
+    assert cmd == "spin" or not scalar
+    tols = ClassifyTols(tau_abs=TAU_ABS, tau_rel=TAU_REL, tau_gap=TAU_GAP)
+    rm = vonmises_demo_map(2.0, 1.0, 0.5)
+    want = [_scalar_line(cmd, json.loads(line), None, tols, rm)[1] for line in lines]
+    assert text.splitlines(keepends=True) == want
+    assert sum('"error"' in line for line in want) == len(scalar)
 
 
 _EIGS = hs.floats(-10.0, 10.0, allow_subnormal=False)

@@ -10,20 +10,30 @@ from spectens import oracle
 from spectens.isofunc import _apply_rows, _coincident, _eta, _map_values
 from spectens.spectral import _spectrum_rows
 
-from util import make_with_eigs, rand_rotation, rand_sym, rel4, rotate, sym_kron
+from util import (
+    check_scalar_map,
+    identity_map,
+    make_with_eigs,
+    rand_rotation,
+    rand_sym,
+    rel4,
+    rotate,
+    sym_kron,
+    sym_square,
+)
 
-ALL_MAPS = (st.identity_map, st.half_log_map, st.square_map, st.cube_map, st.double_exp_map)
+ALL_MAPS = (identity_map, st.half_log_map, st.square_map, st.cube_map, st.double_exp_map)
 
 
 def test_factory_maps_pass_derivative_gate():
     for factory in ALL_MAPS:
-        st.check_scalar_map(factory(), (0.3, 0.9, 1.7, 2.5))
+        check_scalar_map(factory(), (0.3, 0.9, 1.7, 2.5))
 
 
 def test_gate_rejects_wrong_derivative():
     bad = st.ScalarEigenMap(lambda x: x * x, lambda x: 3.0 * x)
     with pytest.raises(st.ContractError):
-        st.check_scalar_map(bad, (1.0, 2.0))
+        check_scalar_map(bad, (1.0, 2.0))
 
 
 def test_domain_containment():
@@ -35,7 +45,7 @@ def test_domain_containment():
 
 def test_identity_map_reproduces_input_on_all_branches():
     rng = np.random.default_rng(50)
-    f = st.identity_map()
+    f = identity_map()
     cases = [rand_sym(rng), make_with_eigs(rng, (4.0, 1.0, 1.0)),
              make_with_eigs(rng, (1.0, 1.0, -2.0)),
              st.SymTensor2(3.0, 3.0, 3.0, 0.0, 0.0, 0.0)]
@@ -55,7 +65,7 @@ def test_half_log_distinct_diagonal():
 def test_square_map_distinct_with_tangent():
     t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
     s, m = st.isotropic_function(t, st.square_map())
-    assert st.norm(s - st.sym_square(t)) <= 1e-11
+    assert st.norm(s - sym_square(t)) <= 1e-11
     # d(T^2) = T.d + d.T exactly.
     assert rel4(m, st.SymTensor4(sym_kron(t, st.IDENTITY2).m * 2.0)) <= 1e-10
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spectens import (
+    IDENTITY2,
     IDENTITY4,
     KinematicsError,
     MultTag,
@@ -20,7 +21,16 @@ from spectens import (
     norm,
 )
 
-from util import log_strain_tangent_check, make_with_eigs, rand_rotation, rel2, rel4, rotate
+from util import (
+    invert_log_strain,
+    log_strain_tangent_check,
+    make_with_eigs,
+    quadratic_ratio,
+    rand_rotation,
+    rel2,
+    rel4,
+    rotate,
+)
 
 
 def test_left_cauchy_green_diagonal():
@@ -199,3 +209,22 @@ def _sqrt_factor(b):
     w, v = np.linalg.eigh(np.array(b.to_matrix()))
     m = v @ np.diag(np.sqrt(w)) @ v.T
     return list(m.reshape(-1))
+
+
+@pytest.mark.parametrize("stretches, tag", (((1.3, 0.95, 0.8), MultTag.DISTINCT),
+                                            ((1.3, 0.85, 0.85), MultTag.DOUBLE_HIGH_UNIQUE),
+                                            ((1.2, 1.2, 0.8), MultTag.DOUBLE_LOW_UNIQUE)))
+def test_newton_on_deps_db_inverts_log_strain_quadratically(stretches, tag):
+    """Newton on the exact tangent d(eps)/dB recovers B from eps = ln(B)/2,
+    from B_0 = I + 2 eps, with e_{k+1} <= C e_k^2 down to the rounding
+    floor, on the distinct and both double branches."""
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        b = make_with_eigs(rng, [s * s for s in stretches])
+        res = log_strain_from_b(b)
+        assert res.branch.tag is tag
+        eps = res.eps
+        got, errs = invert_log_strain(eps, IDENTITY2 + 2.0 * eps)
+        assert len(errs) <= 8
+        assert quadratic_ratio(errs, 1e-14) <= 4.0
+        assert rel2(got, b) <= 1e-14

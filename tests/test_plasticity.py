@@ -8,6 +8,7 @@ import pytest
 
 from spectens import (
     ContractError,
+    ConvergenceError,
     IDENTITY4,
     IXI,
     InvariantReturnMap,
@@ -23,13 +24,21 @@ from spectens import (
     spectrum,
     stress_and_tangent,
     stress_invariants,
-    verify_return_map,
     vonmises_demo_map,
 )
 from spectens import plasticity, spectral, tensor_core
 from spectens.oracle import fd_tensor_derivative, jacobi_eigen
 
-from util import make_with_eigs, rand_rotation, rand_sym, rel2, rel4
+from util import (
+    make_with_eigs,
+    mixed_control_point,
+    quadratic_ratio,
+    rand_rotation,
+    rand_sym,
+    rel2,
+    rel4,
+    verify_return_map,
+)
 
 _SHIFTS = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
 
@@ -399,3 +408,25 @@ def test_rows_match_stress_and_tangent_on_every_branch():
         with pytest.raises(OverflowError) if x.trace() > 0.0 else contextlib.nullcontext():
             stress_and_tangent(x, overflows)
         assert np.isfinite(sig[k]).all() == (x.trace() <= 0.0)
+
+
+@pytest.mark.parametrize("eps0", (SymTensor2(0.05, -0.02, -0.01, 0.003, -0.002, 0.001),
+                                  SymTensor2(0.05, 0.0, 0.0, 0.0, 0.0, 0.0)))
+def test_mixed_control_newton_converges_quadratically(eps0):
+    """Uniaxial stress past yield: eps_11 held, the other five stresses
+    zero, solved by Newton on stress_and_tangent with the von Mises demo
+    map, from a plastic distinct predictor and from the uniaxial strain
+    (a double one).  e_{k+1} <= C e_k^2 down to the rounding floor, and
+    the solution is the uniaxial stress q_y on the double branch."""
+    rm = vonmises_demo_map(2.0, 1.0, 0.02)
+    assert (spectrum(eps0).mult.tag is MultTag.DISTINCT) == (eps0.xy != 0.0)
+    with pytest.raises(ConvergenceError):
+        mixed_control_point(rm, eps0, fixed=(0,), max_iter=1)
+    eps, errs = mixed_control_point(rm, eps0, fixed=(0,))
+    assert len(errs) <= 8
+    assert quadratic_ratio(errs, 1e-15) <= 100.0
+    assert eps.xx == eps0.xx
+    assert spectrum(eps).mult.tag is MultTag.DOUBLE_HIGH_UNIQUE
+    sigma = reconstruct_stress(eps, rm)
+    assert sigma.xx == pytest.approx(0.02, rel=1e-14)
+    assert max(map(abs, sigma.as_tuple()[1:])) <= 1e-15

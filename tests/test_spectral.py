@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import subprocess
 import sys
 
@@ -25,6 +26,7 @@ from util import (
     spectrum_ref,
     spin_den,
     spin_ref,
+    sym_square,
 )
 
 # Norm 1e110: J3 and J2^(3/2) overflow, so the Lode angle comes out NaN.
@@ -201,7 +203,7 @@ def test_spectrum_distinct_bases_are_orthogonal_projectors():
         if gaps < 1e-3 * (sp.lam[0] - sp.lam[2]):
             continue
         for i in range(3):
-            assert st.norm(st.sym_square(sp.bases[i]) - sp.bases[i]) <= 1e-9
+            assert st.norm(sym_square(sp.bases[i]) - sp.bases[i]) <= 1e-9
             assert abs(sp.bases[i].trace() - 1.0) <= 1e-10
         for i in range(3):
             for j in range(i + 1, 3):
@@ -522,3 +524,26 @@ def test_spin_branch_guards():
         st.spin(t, st.spectrum(t), 5)
     with pytest.raises(st.BranchError):
         st.spin(td, spd, 5)
+
+
+@pytest.mark.parametrize("kind", ("invariants", "spectrum"))
+def test_hand_written_inits_keep_dataclass_behaviour(kind):
+    """InvariantSet and Spectrum set their slots in a written __init__; they
+    still construct by keyword, replace, pickle, compare, hash and refuse
+    assignment as frozen dataclasses do."""
+    t = st.SymTensor2(1.5, -0.25, 0.5, 0.125, -0.375, 0.25)
+    obj = st.invariants(t) if kind == "invariants" else st.spectrum(t)
+    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    again = type(obj)(**fields)
+    assert again == obj and hash(again) == hash(obj) and again is not obj
+    assert repr(again) == repr(obj) == (
+        f"{type(obj).__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")")
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    name = next(iter(fields))
+    other = dataclasses.replace(obj, **{name: 7.0})
+    assert getattr(other, name) == 7.0 and other != obj
+    assert all(getattr(other, k) is v for k, v in fields.items() if k != name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, 7.0)
+    with pytest.raises(TypeError):
+        type(obj)(*fields.values(), None)

@@ -7,12 +7,16 @@ import numpy as np
 
 from spectens import (
     DEFAULT_TOLS,
+    ContractError,
+    ConvergenceError,
     IDENTITY2,
     IDENTITY4,
     IXI,
+    InvariantReturnMap,
     InvariantSet,
     Multiplicity,
     MultTag,
+    ScalarEigenMap,
     Spectrum,
     SymTensor2,
     classify,
@@ -22,10 +26,76 @@ from spectens import (
     left_cauchy_green,
     log_strain_from_b,
     norm,
-    sym_square,
+    stress_and_tangent,
 )
 from spectens.oracle import fd_tensor_derivative
-from spectens.tensor_core import _D2, TAU_ABS, TAU_REL, SymTensor4, _sym_kron_m
+from spectens.tensor_core import _D2, TAU_ABS, TAU_REL, SymTensor4, _sym_kron_m, _sym_square
+
+
+# Finite-difference gates for user-supplied maps, and small helpers that
+# only the tests call.
+
+def identity_map() -> ScalarEigenMap:
+    return ScalarEigenMap(lambda x: x, lambda x: 1.0)
+
+
+def check_scalar_map(f: ScalarEigenMap, samples, tol: float = 1e-6) -> None:
+    """Self-consistency gate: deriv must match central differences of eval."""
+    for lam in samples:
+        h = 1e-6 * max(1.0, abs(lam))
+        if not (f.contains(lam - h) and f.contains(lam + h)):
+            continue
+        fd = (f.eval(lam + h) - f.eval(lam - h)) / (2.0 * h)
+        d = f.deriv(lam)
+        if abs(fd - d) > tol * max(1.0, abs(d)):
+            raise ContractError(
+                f"scalar map derivative {d!r} disagrees with finite differences "
+                f"{fd!r} at lam = {lam!r}")
+
+
+def sym_square(t: SymTensor2) -> SymTensor2:
+    """t.t, which is symmetric whenever t is."""
+    return SymTensor2(*_sym_square(t.as_tuple()))
+
+
+def verify_return_map(rm: InvariantReturnMap, points, tol: float = 1e-6) -> None:
+    """Gate a user map before trusting its gradients.
+
+    At every point, all nine declared partials must match finite differences
+    of the scalars (forward differences on the eps_q axis when a central
+    stencil would cross eps_q < 0).  Additionally, at eps_q = 0 the map must
+    decouple volume from shear: dp/d(eps_q) = dq/d(eps_v) = 0, or a purely
+    volumetric state would not produce a purely volumetric stress.
+    """
+    scalars = ((rm.p, rm.grad_p, "p"), (rm.q, rm.grad_q, "q"),
+               (rm.theta_sigma, rm.grad_theta_sigma, "theta_sigma"))
+    for pt in points:
+        ev, eq, th = (float(x) for x in pt)
+        for fn, grad, name in scalars:
+            g = grad(ev, eq, th)
+            for axis in range(3):
+                x0 = (ev, eq, th)[axis]
+                h = 1e-6 * max(1.0, abs(x0))
+                lo = [ev, eq, th]
+                hi = [ev, eq, th]
+                if axis == 1 and eq - h < 0.0:
+                    hi[1] = eq + h
+                    fd = (fn(*hi) - fn(ev, eq, th)) / h
+                else:
+                    lo[axis] = x0 - h
+                    hi[axis] = x0 + h
+                    fd = (fn(*hi) - fn(*lo)) / (2.0 * h)
+                if abs(fd - g[axis]) > tol * max(1.0, abs(g[axis])):
+                    raise ContractError(
+                        f"return map {name} gradient component {axis} is "
+                        f"{g[axis]!r} but finite differences give {fd!r} at "
+                        f"{(ev, eq, th)!r}")
+        gp0 = rm.grad_p(ev, 0.0, 0.0)
+        gq0 = rm.grad_q(ev, 0.0, 0.0)
+        if abs(gp0[1]) > tol or abs(gq0[0]) > tol:
+            raise ContractError(
+                "return map couples volume and shear at eps_q = 0: "
+                f"dp/deps_q = {gp0[1]!r}, dq/deps_v = {gq0[0]!r}")
 
 
 def rand_sym(rng, scale=1.0):
@@ -263,3 +333,59 @@ def log_strain_tangent_check(f, h=1e-6):
     step = h * max(1.0, norm(b))
     fd = fd_tensor_derivative(lambda x: log_strain_from_b(x).eps, b, step)
     return TangentCheckReport(branch=res.branch, h=step, max_rel_error=rel4(fd, res.deps_db))
+
+
+# Newton drivers on the library's exact tangents.  Each returns the error
+# norms of its iterates, so that a test can check that they fall
+# quadratically.  The stored 6x6 array m of a tangent maps the components v
+# of a perturbation to m @ (v * _WEIGHTS), since apply() doubles the shear.
+
+def _newton(residual, x, free, max_iter, floor):
+    """Newton iterates of residual(x) -> (r, stored tangent m) = 0 over the
+    slots free of the 6-vector x: (solution, residual norms).  Stops once a
+    norm is at most floor; ConvergenceError if none is within max_iter."""
+    weights = np.array(_WEIGHTS)
+    errs = []
+    for _ in range(max_iter):
+        r, m = residual(x)
+        errs.append(float(np.linalg.norm(r[free])))
+        if errs[-1] <= floor:
+            return x, errs
+        jac = m[np.ix_(free, free)] * weights[free]
+        x = x.copy()
+        x[free] -= np.linalg.solve(jac, r[free])
+    raise ConvergenceError(f"Newton did not reach {floor:.1e} in {max_iter} steps: {errs}")
+
+
+def invert_log_strain(eps, b0, max_iter=20, floor=1e-14):
+    """B with log_strain_from_b(B).eps = eps by Newton on deps_db from b0:
+    (B, residual norms)."""
+    target = np.array(eps.as_tuple())
+
+    def residual(b):
+        res = log_strain_from_b(SymTensor2(*b.tolist()))
+        return np.array(res.eps.as_tuple()) - target, res.deps_db.m
+
+    b, errs = _newton(residual, np.array(b0.as_tuple()), list(range(6)), max_iter, floor)
+    return SymTensor2(*b.tolist()), errs
+
+
+def mixed_control_point(rm, eps0, fixed, max_iter=30, floor=1e-15):
+    """The material point of the return map rm with the strain slots in
+    fixed held at their values in eps0 and the stress zero in every other
+    slot, by Newton on stress_and_tangent from eps0: (strain, residual
+    norms of the free stresses)."""
+    free = [k for k in range(6) if k not in fixed]
+
+    def residual(e):
+        sigma, tan = stress_and_tangent(SymTensor2(*e.tolist()), rm)
+        return np.array(sigma.as_tuple()), tan.m
+
+    e, errs = _newton(residual, np.array(eps0.as_tuple()), free, max_iter, floor)
+    return SymTensor2(*e.tolist()), errs
+
+
+def quadratic_ratio(errs, floor):
+    """The largest e_{k+1} / e_k^2 over the Newton steps of errs that end
+    above floor, the rounding floor; 0.0 if none does."""
+    return max((e1 / (e0 * e0) for e0, e1 in zip(errs, errs[1:]) if e1 > floor), default=0.0)
