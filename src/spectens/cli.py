@@ -324,12 +324,13 @@ def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
 def _read_lines(path) -> list[str]:
     """The lines of the input file at path, or of stdin, in universal newline
     mode: only LF, CR and CRLF end a line.  JSON allows the other line
-    breaks of str.splitlines, such as U+2028, raw inside a string."""
+    breaks of str.splitlines, such as U+2028, raw inside a string.  Both
+    are UTF-8 (RFC 8259), whatever the locale; a byte that does not decode
+    is kept as a lone surrogate, so that it fails or passes with its own
+    line only."""
     # On POSIX, sys.stdin itself translates no line ends.
-    fh = (open(path, "r", encoding="utf-8") if path is not None else
-          open(sys.stdin.fileno(), "r", encoding=sys.stdin.encoding, errors=sys.stdin.errors,
-               closefd=False))
-    with fh:
+    with open(sys.stdin.fileno() if path is None else path, "r", encoding="utf-8",
+              errors="surrogateescape", closefd=path is not None) as fh:
         lines = fh.read().split("\n")
     if not lines[-1]:
         lines.pop()
@@ -457,6 +458,8 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if args.count < 1:
             parser.error(f"verify: --count must be at least 1, got {args.count}")
+        if args.seed < 0:
+            parser.error(f"verify: --seed must be at least 0, got {args.seed}")
     else:
         if args.parallel < 1:
             parser.error(f"{args.command}: --parallel must be at least 1, got {args.parallel}")

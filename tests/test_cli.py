@@ -610,6 +610,39 @@ def test_counts_below_one_are_a_usage_error(args):
     assert "usage:" in proc.stderr and "must be at least 1" in proc.stderr
 
 
+def test_negative_seed_is_a_usage_error():
+    proc = run_cli(["verify", "--seed", "-1", "--count", "1"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr and "--seed must be at least 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+_NOT_UTF8 = ('{"id": "\u00e9", "T": [5, 2, -1, 0, 0, 0]}\n'.encode() + b"\xff\n"
+             b'{"id": 3, "T": [5, 2, -1, 0, 0, 0]}\n')
+
+
+@pytest.mark.parametrize(("source", "stdin_encoding"), (("file", None), ("stdin", None),
+                                                        ("stdin", "utf-8:strict"),
+                                                        ("stdin", "latin-1")))
+def test_a_line_that_is_not_utf8_is_an_error_record(source, stdin_encoding, tmp_path):
+    """Input is UTF-8 from a file as from stdin, whatever encoding and error
+    handler the locale gives stdin, and a byte that does not decode fails
+    its own line only."""
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(_NOT_UTF8)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    if stdin_encoding:
+        env["PYTHONIOENCODING"] = stdin_encoding
+    args = ["--input", str(src)] if source == "file" else []
+    proc = subprocess.run([sys.executable, "-m", "spectens", "eigen", *args], env=env,
+                          input=b"" if args else _NOT_UTF8, capture_output=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    recs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["id"] for r in recs] == ["\u00e9", "line 2", 3]
+    assert "error" in recs[1] and "error" not in recs[0] and "error" not in recs[2]
+
+
 def test_error_message_is_never_empty(monkeypatch):
     class Bare(Exception):
         pass
@@ -717,16 +750,25 @@ def test_version_flag_through_the_console_script_entry():
     assert proc.stdout.strip().startswith("spectens ")
 
 
-# Runs `python -m spectens basis` as the benchmark launches it, through
-# runpy, and then prints the BLAS thread setting the CLI ran with.
-_BLAS_SETTING = """\
-import os, runpy, sys
+# Runs `python -m spectens basis` on empty input as the benchmark launches
+# it, through runpy, and then prints the BLAS thread setting the CLI ran with
+# and the number of objects frozen out of the garbage collector.
+_ENTRY_STATE = """\
+import gc, os, runpy, sys
 sys.argv = ["spectens", "basis"]
 try:
     runpy.run_module("spectens", run_name="__main__", alter_sys=True)
 finally:
-    print(os.environ.get("OPENBLAS_NUM_THREADS"))
+    print(os.environ.get("OPENBLAS_NUM_THREADS"), gc.get_freeze_count())
 """
+
+
+def _entry_state(script, env=None):
+    proc = subprocess.run([sys.executable, "-c", script], input="", env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    blas, frozen = proc.stdout.split()
+    return blas, int(frozen)
 
 
 @pytest.mark.parametrize(("given", "used"), ((None, "1"), ("3", "3")))
@@ -734,10 +776,20 @@ def test_cli_runs_one_blas_thread_unless_the_user_sets_more(given, used):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if given is not None:
         env["OPENBLAS_NUM_THREADS"] = given
-    proc = subprocess.run([sys.executable, "-c", _BLAS_SETTING], input="", env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == used
+    assert _entry_state(_ENTRY_STATE, env)[0] == used
+
+
+def test_the_entry_point_freezes_the_import_time_heap():
+    """Everything alive once the CLI is imported is frozen before it runs,
+    so no collection, the one at shutdown included, walks it again."""
+    assert _entry_state(_ENTRY_STATE)[1] > 0
+
+
+def test_importing_the_package_freezes_nothing_and_sets_no_blas_threads():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    script = ("import gc, os, spectens, spectens.cli\n"
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'), gc.get_freeze_count())\n")
+    assert _entry_state(script, env) == ("None", 0)
 
 
 def test_importing_the_cli_leaves_the_environment_alone(monkeypatch):

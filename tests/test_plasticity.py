@@ -29,6 +29,7 @@ from spectens import (
 from spectens import plasticity, spectral, tensor_core
 from spectens.oracle import fd_tensor_derivative, jacobi_eigen
 
+import util
 from util import (
     make_with_eigs,
     mixed_control_point,
@@ -410,8 +411,12 @@ def test_rows_match_stress_and_tangent_on_every_branch():
         assert np.isfinite(sig[k]).all() == (x.trace() <= 0.0)
 
 
-@pytest.mark.parametrize("eps0", (SymTensor2(0.05, -0.02, -0.01, 0.003, -0.002, 0.001),
-                                  SymTensor2(0.05, 0.0, 0.0, 0.0, 0.0, 0.0)))
+# A plastic distinct predictor and the uniaxial strain, a double one.
+_UNIAXIAL_STARTS = (SymTensor2(0.05, -0.02, -0.01, 0.003, -0.002, 0.001),
+                    SymTensor2(0.05, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("eps0", _UNIAXIAL_STARTS)
 def test_mixed_control_newton_converges_quadratically(eps0):
     """Uniaxial stress past yield: eps_11 held, the other five stresses
     zero, solved by Newton on stress_and_tangent with the von Mises demo
@@ -430,3 +435,23 @@ def test_mixed_control_newton_converges_quadratically(eps0):
     sigma = reconstruct_stress(eps, rm)
     assert sigma.xx == pytest.approx(0.02, rel=1e-14)
     assert max(map(abs, sigma.as_tuple()[1:])) <= 1e-15
+
+
+def test_mixed_control_newton_on_the_row_path_takes_the_scalar_steps(monkeypatch):
+    """The Newton iteration of the test above on both starting points at
+    once, evaluated by the row kernels: every iterate and residual norm is
+    the scalar one to the bit, so the row tangent converges as fast."""
+    rm = vonmises_demo_map(2.0, 1.0, 0.02)
+    x, errs, iterates = util.mixed_control_rows(rm, _UNIAXIAL_STARTS, fixed=(0,))
+    for k, eps0 in enumerate(_UNIAXIAL_STARTS):
+        seen = []
+
+        def recording(eps, rm):
+            seen.append(np.array(eps.as_tuple()))
+            return stress_and_tangent(eps, rm)
+        monkeypatch.setattr(util, "stress_and_tangent", recording)
+        eps, want = mixed_control_point(rm, eps0, fixed=(0,))
+        assert errs[k] == want
+        assert [i.tolist() for i in iterates[k]] == [i.tolist() for i in seen]
+        assert x[k].tolist() == list(eps.as_tuple())
+        assert quadratic_ratio(errs[k], 1e-15) <= 100.0

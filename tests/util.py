@@ -29,6 +29,8 @@ from spectens import (
     stress_and_tangent,
 )
 from spectens.oracle import fd_tensor_derivative
+from spectens.plasticity import _stress_tangent_rows
+from spectens.spectral import _spectrum_rows
 from spectens.tensor_core import _D2, TAU_ABS, TAU_REL, SymTensor4, _sym_kron_m, _sym_square
 
 
@@ -383,6 +385,37 @@ def mixed_control_point(rm, eps0, fixed, max_iter=30, floor=1e-15):
 
     e, errs = _newton(residual, np.array(eps0.as_tuple()), free, max_iter, floor)
     return SymTensor2(*e.tolist()), errs
+
+
+def mixed_control_rows(rm, eps0s, fixed, max_iter=30, floor=1e-15):
+    """mixed_control_point from each strain of eps0s at once, each Newton
+    step evaluated on the rows not yet converged by the CLI's row kernels,
+    _spectrum_rows and _stress_tangent_rows: (final strains as (n, 6),
+    residual norms of each row, strain iterates of each row)."""
+    free = [k for k in range(6) if k not in fixed]
+    jac_weights = np.array(_WEIGHTS)[free]
+    x = np.array([e.as_tuple() for e in eps0s])
+    errs, iterates = [[] for _ in eps0s], [[] for _ in eps0s]
+    live = list(range(len(x)))
+    for _ in range(max_iter):
+        t = SymTensor2(*x[live].T)
+        with np.errstate(all="ignore"):
+            sp, ok = _spectrum_rows(t, DEFAULT_TOLS)
+            sigma, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
+        if not ok.all():
+            raise ConvergenceError(f"the row kernels refused the iterates {x[live][~ok]}")
+        still = []
+        for j, i in enumerate(live):
+            iterates[i].append(x[i].copy())
+            errs[i].append(float(np.linalg.norm(sigma[j, free])))
+            if errs[i][-1] > floor:
+                x[i, free] -= np.linalg.solve(tan[j][np.ix_(free, free)] * jac_weights,
+                                              sigma[j, free])
+                still.append(i)
+        live = still
+        if not live:
+            return x, errs, iterates
+    raise ConvergenceError(f"Newton did not reach {floor:.1e} in {max_iter} steps: {errs}")
 
 
 def quadratic_ratio(errs, floor):
