@@ -177,17 +177,23 @@ def _row_numbers(cmd: str, vals: np.ndarray) -> list[list]:
 
 
 def _id_text(rec_id) -> str:
-    """The JSON text of rec_id, or ContractError if it holds NaN or Infinity."""
+    """The JSON text of rec_id, or ContractError if _checked_id refuses it."""
     return str(rec_id) if type(rec_id) is int else json.dumps(_checked_id(rec_id))
 
 
 def _checked_id(rec_id):
-    """rec_id, or ContractError if it holds NaN or Infinity, which JSON lacks."""
-    if not isinstance(rec_id, (int, str)):
-        try:
-            json.JSONEncoder(allow_nan=False).encode(rec_id)
-        except ValueError:
-            raise ContractError("'id' holds NaN or Infinity, which JSON does not allow") from None
+    """rec_id, or ContractError if it holds NaN or Infinity, which JSON lacks,
+    or a lone surrogate (a byte that is not UTF-8 is read as one), which
+    UTF-8 cannot encode."""
+    try:
+        if type(rec_id) is str:
+            rec_id.encode()
+        elif not isinstance(rec_id, int):
+            json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode(rec_id).encode()
+    except UnicodeEncodeError:
+        raise ContractError("'id' holds a byte that is not UTF-8 or a lone surrogate") from None
+    except ValueError:
+        raise ContractError("'id' holds NaN or Infinity, which JSON does not allow") from None
     return rec_id
 
 
@@ -216,9 +222,10 @@ def _scalar_line(cmd: str, rec, rec_id, tols: ClassifyTols, rm) -> tuple[bool, s
     try:
         if not isinstance(rec, dict):
             raise ContractError("record must be a JSON object")
-        rec_id = _checked_id(rec.get("id", rec_id))
+        text = _id_text(rec["id"]) if "id" in rec else json.dumps(rec_id)
+        rec_id = rec.get("id", rec_id)
         row, extra = _dispatch(cmd, _record_tensor(rec), tols, rm)
-        return True, _template(cmd, extra) % (_id_text(rec_id), *_checked_finite(cmd, row))
+        return True, _template(cmd, extra) % (text, *_checked_finite(cmd, row))
     except Exception as exc:
         return False, _error_line(rec_id, exc)
 
@@ -310,7 +317,8 @@ def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
                 i = picked[j]
                 rec = recs[i]
                 try:
-                    text = _id_text(rec["id"] if "id" in rec else f"line {first + places[i]}")
+                    text = (_id_text(rec["id"]) if "id" in rec
+                            else f'"line {first + places[i]}"')
                 except ContractError:
                     continue
                 outs[places[i]] = templates[kind_j] % (text, *row)

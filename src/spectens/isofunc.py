@@ -221,7 +221,7 @@ def _apply(t: SymTensor2, sp: Spectrum,
     if tag is MultTag.DISTINCT:
         e, d = _eta(f, sp.lam)
         return (_anchored(e, sp.bases[0], sp.bases[2]),
-                SymTensor4(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)))
+                SymTensor4._of(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)))
     if tag is MultTag.TRIPLE:
         s_out, m = _triple_terms(_map_values(*_eta(f, _coincident(sp.inv.i1, 0.0, 1.0)), 1.0))
     else:

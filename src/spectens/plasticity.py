@@ -162,7 +162,9 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
 def _principal(p, q, th, m) -> list:
     """Principal stresses p + (2/3) q sin(theta_sigma + shift_i); floats or
     (n,) arrays, with sin from m."""
-    return [p + (2.0 / 3.0) * q * m.sin(th + sh) for sh in _SHIFTS]
+    f = (2.0 / 3.0) * q
+    return [p + f * m.sin(th + _SHIFTS[0]), p + f * m.sin(th + _SHIFTS[1]),
+            p + f * m.sin(th + _SHIFTS[2])]
 
 
 def _stress(eps_star: SymTensor2, sp: Spectrum, mv, tag: MultTag) -> SymTensor2:
@@ -186,12 +188,12 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
         return SymTensor4(_coincident_tangent(eps_star, sp.mult.tag, args[1], q, gp, gq))
     f = 2.0 / (3.0 * args[1])
     gth = rm.grad_theta_sigma(*args)
-    s = deviator(eps_star)
+    s = deviator(eps_star).as_tuple()
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
-    grads = (*_I, *[f * x for x in s.as_tuple()], *_dtheta_of_dev(s, sp.inv).as_tuple())
+    grads = (*_I, *[f * x for x in s], *_dtheta_of_dev(s, sp.inv))
     m = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
                   tail=(grads, _dsigma(gp, gq, gth, q, th, math)))
-    return SymTensor4(m)
+    return SymTensor4._of(m)
 
 
 def _coincident_tangent(eps_star: SymTensor2, tag: MultTag, eps_q, q, gp, gq) -> np.ndarray:
@@ -214,8 +216,10 @@ def _dsigma(gp, gq, gth, q, th, m) -> list:
     map's gradients; floats or (n,) arrays, with sin and cos from m."""
     out = []
     for sh in _SHIFTS:
-        s, c = m.sin(th + sh), m.cos(th + sh)
-        out.append([gp[k] + (2.0 / 3.0) * (gq[k] * s + q * c * gth[k]) for k in range(3)])
+        s, qc = m.sin(th + sh), q * m.cos(th + sh)
+        out.append([gp[0] + (2.0 / 3.0) * (gq[0] * s + qc * gth[0]),
+                    gp[1] + (2.0 / 3.0) * (gq[1] * s + qc * gth[1]),
+                    gp[2] + (2.0 / 3.0) * (gq[2] * s + qc * gth[2])])
     return out
 
 
@@ -248,10 +252,10 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     cos3t = _ROW_MATH.cos(3.0 * inv.theta)
     ok &= ~dist | (inv.theta_defined & ~(inv.j2 <= 0.0) & ~(abs(cos3t) <= COS3THETA_FLOOR))
     f = 2.0 / (3.0 * eps_q)
-    s = deviator(eps_star)
+    s = deviator(eps_star).as_tuple()
     grads = np.stack([np.broadcast_to(_E, (len(f), 6)),
-                      np.stack([f * x for x in s.as_tuple()], -1),
-                      np.stack(_dtheta(s, inv.j2, inv.theta, cos3t, _ROW_MATH).as_tuple(), -1)], 1)
+                      np.stack([f * x for x in s], -1),
+                      np.stack(_dtheta(s, inv.j2, inv.theta, cos3t, _ROW_MATH), -1)], 1)
     coeff = np.array(_dsigma(gp, gq, gth, q, th, _ROW_MATH)).transpose(2, 0, 1)
     tan = _spin_sum_rows(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
                          tail=coeff @ grads)

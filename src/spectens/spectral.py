@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,7 @@ from .tensor_core import (
 )
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+_TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
 _EPS = 2.220446049250313e-16
 
 
@@ -121,7 +123,7 @@ def eigenvalues(inv: InvariantSet) -> tuple[float, float, float]:
 def _eigen_terms(i1, j2, theta, m) -> tuple:
     """The eigenvalues before the clamp and whether they are in order (not if
     one is not finite); floats or (n,) arrays, with sqrt and sin from m."""
-    r = 2.0 / math.sqrt(3.0) * m.sqrt(j2)
+    r = _TWO_OVER_SQRT3 * m.sqrt(j2)
     third = i1 / 3.0
     l1 = third + r * m.sin(theta + _TWO_THIRDS_PI)
     l2 = third + r * m.sin(theta)
@@ -262,14 +264,26 @@ _I = IDENTITY2.as_tuple()
 def _anchored(v, n1: SymTensor2, n3: SymTensor2) -> SymTensor2:
     """sum v[i] N_i anchored at the middle eigenvalue as v[1] I + (v[0] - v[1])
     N_1 + (v[2] - v[1]) N_3: sum(N_i) = I holds exactly, so only differences
-    of v multiply the bases that degrade near a coincidence."""
-    a, b = v[0] - v[1], v[2] - v[1]
-    return SymTensor2(*(v[1] * e + a * x + b * y
-                        for e, x, y in zip(_I, n1.as_tuple(), n3.as_tuple())))
+    of v multiply the bases that degrade near a coincidence.  The shear
+    components keep the I term v[1] * 0.0, which is a signed zero, or NaN
+    for an infinite v[1]."""
+    m, a, b = v[1], v[0] - v[1], v[2] - v[1]
+    return SymTensor2(m + a * n1.xx + b * n3.xx,
+                      m + a * n1.yy + b * n3.yy,
+                      m + a * n1.zz + b * n3.zz,
+                      m * 0.0 + a * n1.xy + b * n3.xy,
+                      m * 0.0 + a * n1.xz + b * n3.xz,
+                      m * 0.0 + a * n1.yz + b * n3.yz)
 
 
 # Rows 0-5: d2_I3 of the unit tensors; row 6: I4 - I x I.
 _SPIN_TABLE = np.vstack((_D2, (IDENTITY4.m - IXI.m).ravel()))
+
+
+# The flat operands of _spin_sum as the bytes of doubles, without and with a
+# tail: 30 rows and 22 numbers, plus 18 rows and 9 numbers.  Packing and
+# viewing the bytes costs about a third of np.array on the same floats.
+_PACK_SPIN_OPERANDS = (struct.Struct("52d").pack, struct.Struct("79d").pack)
 
 
 def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> np.ndarray:
@@ -285,20 +299,21 @@ def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> n
     transpose is, so that the array is exactly symmetric without the tail.
     An eigenvalue of weight 0 is skipped: its denominator may vanish.
 
-    The operands are two arrays built from flat tuples, and views of them:
-    the rows N_0, N_1, N_2, I, T and G, and the numbers of the 3x5
-    coefficients of Y on the first five rows, the rest vector (half T, half
-    sum a_i lam_i) and K.  Their products are ndarray.dot, which rounds as
-    the matmul of _spin_sum_rows does on each row.
+    The operands are views of one packed array of doubles: the rows
+    N_0, N_1, N_2, I, T and G, then the numbers of the 3x5 coefficients of
+    Y on the first five rows, the rest vector (half T, half sum a_i lam_i)
+    and K.  Their products are ndarray.dot, which rounds as the matmul of
+    _spin_sum_rows does on each row.
     """
     coef, half, half_al = _spin_coef(sp, c, d)
     tv = t.as_tuple()
     b0, b1, b2 = sp.bases
     g, k = tail or ((), ((), (), ()))
-    rows = np.array((*b0.as_tuple(), *b1.as_tuple(), *b2.as_tuple(), *_I, *tv, *g))
-    rows = rows.reshape(-1, 6)
-    nums = np.array((*coef[0], *coef[1], *coef[2], *[half * x for x in tv], half_al,
-                     *k[0], *k[1], *k[2]))
+    flat = np.frombuffer(_PACK_SPIN_OPERANDS[bool(g)](
+        *b0.as_tuple(), *b1.as_tuple(), *b2.as_tuple(), *_I, *tv, *g,
+        *coef[0], *coef[1], *coef[2], *[half * x for x in tv], half_al, *k[0], *k[1], *k[2]))
+    rows = flat[:30 + len(g)].reshape(-1, 6)
+    nums = flat[30 + len(g):]
     rest = nums[15:22].dot(_SPIN_TABLE)
     tail = nums[22:].reshape(3, 3).dot(rows[5:]) if g else None
     return _spin_assembled(rows[:5], nums[:15].reshape(3, 5), rest, tail, np.ndarray.dot)
@@ -324,7 +339,7 @@ def _spin_coef(sp: Spectrum, c, d) -> tuple:
     (sum a_i lam_i)/2) of _spin_sum; floats or (n,) arrays."""
     j2, i1 = sp.inv.j2, sp.inv.i1
     third = i1 / 3.0
-    coef = [[0.0] * 5 for _ in range(3)]
+    coef = [[0.0] * 5, [0.0] * 5, [0.0] * 5]
     sum_a = sum_al = 0.0
     for i in range(3):
         coef[i][i] = 0.5 * d[i]
@@ -371,4 +386,4 @@ def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:
         raise DegeneracyError("spin undefined: every eigenvalue is repeated")
     if mult.tag is not MultTag.DISTINCT and i != mult.unique_index:
         raise DegeneracyError("spin undefined for a repeated eigenvalue")
-    return SymTensor4(_spin_sum(t, sp, [float(k == i) for k in range(3)]))
+    return SymTensor4._of(_spin_sum(t, sp, [float(k == i) for k in range(3)]))

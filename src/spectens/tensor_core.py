@@ -33,6 +33,9 @@ COS3THETA_FLOOR = 1e-8
 # Pre-clamp excess of |sin 3*theta| beyond 1 that triggers a warning.
 _CLAMP_WARN_EXCESS = 1e-8
 
+_SQRT3 = math.sqrt(3.0)
+_MINUS_HALF_SQRT27 = -0.5 * math.sqrt(27.0)
+
 
 def _each(fn):
     return lambda a: np.fromiter(map(fn, a.tolist()), float, a.size)
@@ -181,14 +184,18 @@ def _det(xx: float, yy: float, zz: float, xy: float, xz: float, yz: float) -> fl
 
 def adjugate(t: SymTensor2) -> SymTensor2:
     """Adjugate (transposed cofactors); equals det(t) t^-1 when t is invertible."""
-    return SymTensor2(
-        t.yy * t.zz - t.yz * t.yz,
-        t.xx * t.zz - t.xz * t.xz,
-        t.xx * t.yy - t.xy * t.xy,
-        t.xz * t.yz - t.xy * t.zz,
-        t.xy * t.yz - t.xz * t.yy,
-        t.xy * t.xz - t.yz * t.xx,
-    )
+    return SymTensor2(*_adjugate(t.as_tuple()))
+
+
+def _adjugate(a: tuple) -> tuple:
+    """Components of adjugate(t) from the components a of t."""
+    xx, yy, zz, xy, xz, yz = a
+    return (yy * zz - yz * yz,
+            xx * zz - xz * xz,
+            xx * yy - xy * xy,
+            xz * yz - xy * zz,
+            xy * yz - xz * yy,
+            xy * xz - yz * xx)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -280,16 +287,17 @@ def _invariant_terms(t: SymTensor2, m) -> tuple:
 
 def _sin3theta(j2, j3, sqrt_j2):
     """sin(3 theta) before its clamp to [-1, 1]."""
-    return -0.5 * math.sqrt(27.0) * j3 / (j2 * sqrt_j2)
+    return _MINUS_HALF_SQRT27 * j3 / (j2 * sqrt_j2)
 
 
 def dtheta_dT(t: SymTensor2, inv: InvariantSet) -> SymTensor2:
     """Gradient of the Lode angle; undefined at J2 = 0 and theta = +/-pi/6."""
-    return _dtheta_of_dev(deviator(t), inv)
+    return SymTensor2(*_dtheta_of_dev(deviator(t).as_tuple(), inv))
 
 
-def _dtheta_of_dev(s: SymTensor2, inv: InvariantSet) -> SymTensor2:
-    """dtheta_dT from the deviator s of t, with its guards."""
+def _dtheta_of_dev(s: tuple, inv: InvariantSet) -> tuple:
+    """The components of dtheta_dT from those of the deviator s of t, with
+    its guards."""
     if not inv.theta_defined or inv.j2 <= 0.0:
         raise DegeneracyError("theta gradient undefined: J2 is below the coincidence floor")
     cos3t = math.cos(3.0 * inv.theta)
@@ -299,23 +307,21 @@ def _dtheta_of_dev(s: SymTensor2, inv: InvariantSet) -> SymTensor2:
     return _dtheta(s, inv.j2, inv.theta, cos3t, math)
 
 
-def _dtheta(s: SymTensor2, j2, theta, cos3t, m) -> SymTensor2:
-    """dtheta_dT past its guards from the deviator s of t, for floats or (n,)
-    arrays; m supplies sqrt and sin."""
-    adj_s = adjugate(s)
+def _dtheta(s: tuple, j2, theta, cos3t, m) -> tuple:
+    """The components of dtheta_dT past its guards from those of the
+    deviator s of t, for floats or (n,) arrays; m supplies sqrt and sin."""
+    a = _adjugate(s)
     sqrt_j2 = m.sqrt(j2)
-    c_adj = math.sqrt(3.0) / (2.0 * j2 * sqrt_j2)
-    c_eye = math.sqrt(3.0) / (6.0 * sqrt_j2)
+    c_adj = _SQRT3 / (2.0 * j2 * sqrt_j2)
+    c_eye = _SQRT3 / (6.0 * sqrt_j2)
     c_dev = m.sin(3.0 * theta) / (2.0 * j2)
     g = -1.0 / cos3t
-    return SymTensor2(
-        g * (c_adj * adj_s.xx + c_eye + c_dev * s.xx),
-        g * (c_adj * adj_s.yy + c_eye + c_dev * s.yy),
-        g * (c_adj * adj_s.zz + c_eye + c_dev * s.zz),
-        g * (c_adj * adj_s.xy + c_dev * s.xy),
-        g * (c_adj * adj_s.xz + c_dev * s.xz),
-        g * (c_adj * adj_s.yz + c_dev * s.yz),
-    )
+    return (g * (c_adj * a[0] + c_eye + c_dev * s[0]),
+            g * (c_adj * a[1] + c_eye + c_dev * s[1]),
+            g * (c_adj * a[2] + c_eye + c_dev * s[2]),
+            g * (c_adj * a[3] + c_dev * s[3]),
+            g * (c_adj * a[4] + c_dev * s[4]),
+            g * (c_adj * a[5] + c_dev * s[5]))
 
 
 class SymTensor4:
@@ -334,6 +340,15 @@ class SymTensor4:
             raise ContractError(f"expected a 6x6 array, got shape {arr.shape}")
         arr.flags.writeable = False
         self.m = arr
+
+    @classmethod
+    def _of(cls, arr: np.ndarray) -> "SymTensor4":
+        """The tensor stored in arr, a new (6, 6) float array that nothing
+        else holds, which it keeps without the copy and check of __init__."""
+        t = object.__new__(cls)
+        arr.flags.writeable = False
+        t.m = arr
+        return t
 
     def apply(self, v: SymTensor2) -> SymTensor2:
         w = (v.xx, v.yy, v.zz, 2.0 * v.xy, 2.0 * v.xz, 2.0 * v.yz)

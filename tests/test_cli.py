@@ -643,6 +643,24 @@ def test_a_line_that_is_not_utf8_is_an_error_record(source, stdin_encoding, tmp_
     assert "error" in recs[1] and "error" not in recs[0] and "error" not in recs[2]
 
 
+def test_an_id_that_utf8_cannot_encode_is_an_error_record():
+    """An id holding a lone surrogate, from a byte that is not UTF-8 or from
+    a JSON escape, at any depth, fails its record as NaN does; a letter
+    that is not ASCII and an escaped surrogate pair echo as before."""
+    ids = (b'"a\xff"', b'"\\ud800"', b'["x\x80"]', b'{"k\\udfff": 1}',
+           '"\u00e9"'.encode(), b'"\\ud83d\\ude00"')
+    text = b"".join(b'{"id": %s, "T": [5, 2, -1, 0, 0, 0]}\n' % i for i in ids)
+    proc = subprocess.run([sys.executable, "-m", "spectens", "eigen"], input=text,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stdout.decode("ascii").splitlines()
+    for k, line in enumerate(lines[:4], 1):
+        assert json.loads(line) == {"id": f"line {k}", "error": "'id' holds a byte that is "
+                                                                "not UTF-8 or a lone surrogate"}
+    assert lines[4].startswith('{"id": "\\u00e9", "lambda": [5.0')
+    assert lines[5].startswith('{"id": "\\ud83d\\ude00", "lambda": [5.0')
+
+
 def test_error_message_is_never_empty(monkeypatch):
     class Bare(Exception):
         pass

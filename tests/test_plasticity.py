@@ -455,3 +455,24 @@ def test_mixed_control_newton_on_the_row_path_takes_the_scalar_steps(monkeypatch
         assert [i.tolist() for i in iterates[k]] == [i.tolist() for i in seen]
         assert x[k].tolist() == list(eps.as_tuple())
         assert quadratic_ratio(errs[k], 1e-15) <= 100.0
+
+
+def test_mixed_control_newton_with_the_lode_twisting_map():
+    """Newton with _map_b, whose theta_sigma depends on eps_q, from the
+    distinct start with eps_11, eps_22 and eps_12 held and the other
+    stresses zero.  The solution is distinct, so the theta partials enter
+    every step; both paths converge quadratically through the same
+    iterates.  (Uniaxial stress is out of reach from a distinct start:
+    _map_b does not send theta_eps = pi/6 to pi/6, so its distinct-branch
+    stress does not meet the double-branch one at the switch.)"""
+    rm, eps0, fixed = _map_b(), _UNIAXIAL_STARTS[0], (0, 1, 3)
+    eps, errs = mixed_control_point(rm, eps0, fixed)
+    assert len(errs) <= 8
+    assert quadratic_ratio(errs, 1e-15) <= 100.0
+    assert [eps.xx, eps.yy, eps.xy] == [eps0.xx, eps0.yy, eps0.xy]
+    assert spectrum(eps).mult.tag is MultTag.DISTINCT
+    sigma = reconstruct_stress(eps, rm)
+    assert max(abs(sigma.zz), abs(sigma.xz), abs(sigma.yz)) <= 1e-15
+    x, row_errs, _ = util.mixed_control_rows(rm, [eps0], fixed)
+    assert row_errs[0] == errs
+    assert x[0].tolist() == list(eps.as_tuple())

@@ -14,7 +14,7 @@ from hypothesis import strategies as hs
 
 import spectens as st
 from spectens import oracle
-from spectens.spectral import MultTag, Multiplicity, _spin_sum, classify, eigenvalues
+from spectens.spectral import MultTag, Multiplicity, _anchored, _spin_sum, classify, eigenvalues
 
 from util import (
     make_with_eigs,
@@ -547,3 +547,19 @@ def test_hand_written_inits_keep_dataclass_behaviour(kind):
         setattr(obj, name, 7.0)
     with pytest.raises(TypeError):
         type(obj)(*fields.values(), None)
+
+
+def test_anchored_sum_is_the_sum_over_the_components_of_i():
+    """_anchored writes v[1] I + a N_1 + b N_3 out component by component;
+    each component has the bits of the sum over I's components (1 or 0),
+    also where v[1] * 0.0 is -0.0 or NaN."""
+    n1 = st.SymTensor2(0.5, 0.25, 0.25, -0.0, 0.5, 0.0)
+    n3 = st.SymTensor2(0.25, 0.5, 0.25, -0.0, 0.25, -0.25)
+    eye = st.IDENTITY2.as_tuple()
+    # (2, 1, 3): 0.0 + -0.0 + -0.0 on xy; (0, -inf, 0): NaN + inf + inf on xz.
+    for v in ((2.0, 1.0, 3.0), (1.0, -2.0, 3.0), (-0.0, -0.0, -0.0), (0.0, -math.inf, 0.0),
+              (1.0, math.inf, 3.0), (1e308, -1e308, 1e308), (math.nan, 1.0, 2.0)):
+        a, b = v[0] - v[1], v[2] - v[1]
+        want = [v[1] * e + a * x + b * y for e, x, y in zip(eye, n1.as_tuple(), n3.as_tuple())]
+        got = _anchored(v, n1, n3).as_tuple()
+        assert np.array(got).tobytes() == np.array(want).tobytes(), v

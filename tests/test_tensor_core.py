@@ -238,6 +238,26 @@ def test_symtensor4_shape_guard():
         st.SymTensor4(np.zeros((3, 3)))
 
 
+def test_every_tangent_owns_a_read_only_6x6_array():
+    """Tangents built from a new array without the copy of __init__ (the
+    distinct consistent tangent, spin, the distinct isotropic tangent) hold
+    it as __init__ would: read-only, float, (6, 6), shared with no other
+    result."""
+    t = st.SymTensor2(0.03, -0.01, 0.005, 0.004, 0.002, 0.001)
+    sp = st.spectrum(t)
+    assert sp.mult.tag is st.MultTag.DISTINCT
+    rm = st.vonmises_demo_map(2.0, 1.0, 0.02)
+    tangents = [st.consistent_tangent(t, rm), st.stress_and_tangent(t, rm)[1],
+                st.spin(t, sp, 0), st.spin(t, sp, 2),
+                st.isotropic_function(t, st.square_map())[1], st.SymTensor4(np.eye(6))]
+    for k, tan in enumerate(tangents):
+        assert tan.m.shape == (6, 6) and tan.m.dtype == np.float64
+        assert tan.m.flags.owndata and not tan.m.flags.writeable
+        with pytest.raises(ValueError):
+            tan.m[0, 0] = 1.0
+        assert not any(np.shares_memory(tan.m, other.m) for other in tangents[k + 1:])
+
+
 def test_sym_square_matches_matrix_product():
     rng = np.random.default_rng(13)
     for _ in range(50):
