@@ -16,8 +16,8 @@ def main() -> int:
 
     # Importing numpy, argparse and spectens leaves some 20k tracked objects
     # that live until exit.  Frozen, they are skipped by every later
-    # collection, the one at shutdown included, and --parallel workers
-    # inherit them frozen.  Cycles made during the run are still collected.
+    # collection, the one at shutdown included.  Cycles made during the run
+    # are still collected.
     gc.freeze()
     return run()
 

@@ -3,10 +3,10 @@
 Each input line is one record: a JSON object with an "id" and exactly one of
 "T" (six components, order 11,22,33,12,13,23) or "F" (row-major 3x3
 deformation gradient, from which B = F F^T is formed).  Output is one JSON
-object per record, in input order regardless of --parallel; records are
-evaluated and written chunk by chunk.  A record that fails, also one whose
-result is not finite, produces {"id": ..., "error": ...} and flips the exit
-status to 2; exit status 1 is reserved for I/O-level failures.
+object per record, in input order; records are evaluated and written chunk
+by chunk.  A record that fails, also one whose result is not finite,
+produces {"id": ..., "error": ...} and flips the exit status to 2; exit
+status 1 is reserved for I/O-level failures.
 """
 
 from __future__ import annotations
@@ -27,15 +27,7 @@ from .logstrain import (_HALF_LOG, _cauchy_green_terms, _not_spd, left_cauchy_gr
                         log_strain_from_b)
 from .plasticity import _stress_tangent_rows, stress_and_tangent, vonmises_demo_map
 from .spectral import _MULTS, ClassifyTols, MultTag, _spectrum_rows, _spin_sum_rows, spectrum, spin
-from .tensor_core import (
-    TAU_ABS,
-    TAU_GAP,
-    TAU_REL,
-    SymTensor2,
-    _invariant_rows,
-    invariants,
-    norm,
-)
+from .tensor_core import TAU_GAP, TAU_REL, SymTensor2, _invariant_rows, invariants, norm
 
 _VERIFY_BASIS_TOL = 1e-8
 _VERIFY_TANGENT_TOL = 1e-4
@@ -274,22 +266,15 @@ def _loads(line: str):
     return json.loads(line)
 
 
-# The return map of stress, built once per process: a map is not picklable,
-# so each worker of --parallel builds its own from the options.
-_demo_map = functools.cache(vonmises_demo_map)
-
-
-def _run_chunk(job: tuple[dict, int, list[str]]) -> tuple[bool, str]:
-    """(whether every record succeeded, output text) of one chunk of input
-    lines, the first of which has number first.  The records are checked,
+def _run_chunk(cmd: str, tols: ClassifyTols, rm, first: int,
+               lines: list[str]) -> tuple[bool, str]:
+    """(whether every record of cmd succeeded, output text) of one chunk of
+    input lines, the first of which has number first, with the tolerances
+    tols and, for stress, the return map rm.  The records are checked,
     evaluated and written as columns, with each distinct tangent number of
     the chunk converted to text once (_row_numbers); a record that fails a
     check or a guard of the arrays, or all of them if the checks raise, goes
     through _dispatch, so that its output and errors are the scalar path's."""
-    cfg, first, lines = job
-    cmd = cfg["command"]
-    tols = ClassifyTols(tau_abs=TAU_ABS, tau_rel=cfg["tau_rel"], tau_gap=cfg["tau_gap"])
-    rm = _demo_map(cfg["bulk"], cfg["shear"], cfg["yield_q"]) if cmd == "stress" else None
     outs = [""] * len(lines)
     all_ok = True
     recs, places = [], []
@@ -352,27 +337,12 @@ def _output(path):
     return open(path, "w", encoding="utf-8")
 
 
-def _run_records(args) -> int:
-    cfg = {"command": args.command, "tau_rel": args.tol_triple, "tau_gap": args.tol_gap}
-    if args.command == "stress":
-        cfg.update(bulk=args.bulk, shear=args.shear, yield_q=args.yield_stress)
+def _run_records(args, tols: ClassifyTols, rm) -> int:
     lines = _read_lines(args.input)
-    size = _CHUNK
-    if args.parallel > 1:
-        # Several chunks per worker, so that no worker idles at the end.
-        size = max(1, min(_CHUNK, math.ceil(len(lines) / (4 * args.parallel))))
-    starts = range(0, len(lines), size)
-    jobs = ((cfg, i + 1, lines[i:i + size]) for i in starts)
-    workers = min(args.parallel, len(starts))
     all_ok = True
-    with _output(args.output) as out, contextlib.ExitStack() as stack:
-        if workers > 1:
-            from multiprocessing import Pool
-
-            results = stack.enter_context(Pool(workers)).imap(_run_chunk, jobs)
-        else:
-            results = map(_run_chunk, jobs)
-        for ok, text in results:
+    with _output(args.output) as out:
+        for i in range(0, len(lines), _CHUNK):
+            ok, text = _run_chunk(args.command, tols, rm, i + 1, lines[i:i + _CHUNK])
             out.write(text)
             all_ok &= ok
     return 0 if all_ok else 2
@@ -447,8 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="relative eigenvalue-spread floor for the triple branch")
         q.add_argument("--tol-gap", type=float, default=TAU_GAP, dest="tol_gap",
                        help="relative gap floor for the double branch")
-        q.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="worker processes (output order is still input order)")
+        # Accepted and ignored, as long as bench/measure.py passes it.
+        q.add_argument("--parallel", type=int, default=1, help=argparse.SUPPRESS)
         if name == "stress":
             q.add_argument("--bulk", type=float, default=1.0)
             q.add_argument("--shear", type=float, default=1.0)
@@ -472,15 +442,15 @@ def main(argv=None) -> int:
         if args.parallel < 1:
             parser.error(f"{args.command}: --parallel must be at least 1, got {args.parallel}")
         try:
-            ClassifyTols(TAU_ABS, args.tol_triple, args.tol_gap)
-            if args.command == "stress":
-                _demo_map(args.bulk, args.shear, args.yield_stress)
+            tols = ClassifyTols(args.tol_triple, args.tol_gap)
+            rm = (vonmises_demo_map(args.bulk, args.shear, args.yield_stress)
+                  if args.command == "stress" else None)
         except ContractError as exc:
             parser.error(f"{args.command}: {exc}")
     try:
         if args.command == "verify":
             return _run_verify(args)
-        return _run_records(args)
+        return _run_records(args, tols, rm)
     except OSError as exc:
         print(f"spectens: {exc}", file=sys.stderr)
         return 1

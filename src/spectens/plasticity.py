@@ -75,7 +75,11 @@ class StressInvariants:
 class InvariantReturnMap:
     """Invariant-space constitutive map.  Each scalar takes
     (eps_v, eps_q, theta_eps); each gradient returns the partials in that
-    same order.  q must be nonnegative on the admissible domain."""
+    same order.  q must be nonnegative on the admissible domain, and
+    theta_sigma(eps_v, eps_q, +-pi/6) = +-pi/6 for the stress to be
+    continuous at the double switch, where the stress deviator is taken
+    parallel to the strain's.  The double-branch tangent also takes
+    d(theta_sigma)/d(theta_eps) = 1 there."""
 
     p: Callable[[float, float, float], float]
     q: Callable[[float, float, float], float]

@@ -65,17 +65,18 @@ class Multiplicity:
 @dataclass(frozen=True, slots=True)
 class ClassifyTols:
     """Coincidence thresholds: triple when the full spread falls below
-    tau_abs + tau_rel*scale, double when one gap falls below tau_gap times
-    the spread.  Each must be finite; a negative one is allowed."""
+    TAU_ABS + tau_rel*scale, double when one gap falls below tau_gap times
+    the spread.  Each must be finite and at least 0: a negative one would
+    call an exact tie distinct or leave J2 = 0 off the triple branch, where
+    the bases divide by zero."""
 
-    tau_abs: float = TAU_ABS
     tau_rel: float = TAU_REL
     tau_gap: float = TAU_GAP
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.tau_abs, self.tau_rel, self.tau_gap))):
-            raise ContractError("classification tolerances must be finite, got "
-                                f"{(self.tau_abs, self.tau_rel, self.tau_gap)!r}")
+        if not (0.0 <= self.tau_rel < math.inf and 0.0 <= self.tau_gap < math.inf):
+            raise ContractError("classification tolerances must be finite and at least 0, "
+                                f"got {(self.tau_rel, self.tau_gap)!r}")
 
 
 DEFAULT_TOLS = ClassifyTols()
@@ -158,7 +159,7 @@ def _coincidences(lam, scale, tols: ClassifyTols) -> tuple:
     """The three tests of classify, in its order; floats or (n,) arrays."""
     l1, l2, l3 = lam
     spread = l1 - l3
-    return (spread <= tols.tau_abs + tols.tau_rel * scale,
+    return (spread <= TAU_ABS + tols.tau_rel * scale,
             l2 - l3 <= tols.tau_gap * spread, l1 - l2 <= tols.tau_gap * spread)
 
 
@@ -253,9 +254,8 @@ def _spectrum_rows(t: SymTensor2, tols: ClassifyTols) -> tuple[Spectrum, np.ndar
     picks = (dist, (n_hat, n_rep, n_rep), (n_rep, n_rep, n_hat), (_THIRD_I,) * 3)
     bases = tuple(SymTensor2(*(np.choose(code, [p[i].as_tuple()[k] for p in picks])
                                for k in range(6))) for i in range(3))
-    # The scalar bases raise where a distinct denominator vanishes or J2 = 0.
-    failed = np.where(code == 0, vanished, (code != 3) & (inv.j2 == 0.0))
-    return Spectrum(lam, code, bases, inv), ok & in_order & ~failed
+    # The scalar bases raise where a distinct denominator vanishes.
+    return Spectrum(lam, code, bases, inv), ok & in_order & ~((code == 0) & vanished)
 
 
 _I = IDENTITY2.as_tuple()

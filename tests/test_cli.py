@@ -3,7 +3,6 @@
 import importlib
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -26,7 +25,7 @@ from spectens import (
 )
 from spectens import cli
 from spectens.plasticity import _map_at
-from spectens.tensor_core import TAU_ABS, TAU_GAP, TAU_REL
+from spectens.tensor_core import TAU_GAP, TAU_REL
 
 from util import cli_record, quat_rotation, spin_den
 
@@ -204,8 +203,7 @@ def _mixed_lines(rng, n):
 
 def _scalar_output(cmd, lines):
     """(exit status, output lines) of cmd from per-record scalar _dispatch."""
-    tols = ClassifyTols(tau_rel=TAU_REL, tau_gap=TAU_GAP)
-    rm = vonmises_demo_map(2.0, 1.0, 0.5)
+    tols, rm = _options(cmd)
     out, status = [], 0
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -225,10 +223,16 @@ def _scalar_output(cmd, lines):
     return status, out
 
 
-def _cfg(cmd):
-    """The _run_chunk configuration of cmd with the options of _argv."""
-    return {"command": cmd, "tau_rel": TAU_REL, "tau_gap": TAU_GAP,
-            "bulk": 2.0, "shear": 1.0, "yield_q": 0.5}
+def _options(cmd):
+    """The tolerances and the return map that cli.main builds from _argv(cmd)."""
+    return (ClassifyTols(TAU_REL, TAU_GAP),
+            vonmises_demo_map(2.0, 1.0, 0.5) if cmd == "stress" else None)
+
+
+def _chunk(cmd, lines):
+    """_run_chunk of cmd on lines, the first of which is line 1, with the
+    options of _argv(cmd)."""
+    return cli._run_chunk(cmd, *_options(cmd), 1, lines)
 
 
 def _spin_sum_tol(t, sp, c, d=(0.0, 0.0, 0.0), extra=0.0):
@@ -247,7 +251,7 @@ def _assert_same_records(cmd, lines, got, want):
     """Records of cmd byte-identical, but for tangents and spins, which agree
     within _spin_sum_tol."""
     assert len(got) == len(want)
-    tols = ClassifyTols(tau_rel=TAU_REL, tau_gap=TAU_GAP)
+    tols = _options(cmd)[0]
     tensors = {}
     for line in lines:
         try:
@@ -324,10 +328,9 @@ def test_row_path_lines_equal_scalar_lines_bit_for_bit(cmd, monkeypatch):
     scalar = []
     with monkeypatch.context() as m:
         m.setattr(cli, "_scalar_line", lambda *a: scalar.append(a) or _scalar_line(*a))
-        _, text = cli._run_chunk((_cfg(cmd), 1, lines))
+        _, text = _chunk(cmd, lines)
     assert cmd == "spin" or not scalar
-    tols = ClassifyTols(tau_abs=TAU_ABS, tau_rel=TAU_REL, tau_gap=TAU_GAP)
-    rm = vonmises_demo_map(2.0, 1.0, 0.5)
+    tols, rm = _options(cmd)
     want = [_scalar_line(cmd, json.loads(line), None, tols, rm)[1] for line in lines]
     assert text.splitlines(keepends=True) == want
     assert sum('"error"' in line for line in want) == len(scalar)
@@ -359,7 +362,7 @@ def test_chunked_output_equals_scalar_dispatch_property(draws, gradients):
     for k, (s, rep, q1, q2) in enumerate(gradients, start=len(lines)):
         lines.append(_gradient_line(k, [s[i] for i in rep], _unit(q1), _unit(q2)))
     for cmd in RECORD_COMMANDS:
-        ok, text = cli._run_chunk((_cfg(cmd), 1, lines))
+        ok, text = _chunk(cmd, lines)
         want_status, want = _scalar_output(cmd, lines)
         assert (0 if ok else 2) == want_status
         _assert_same_records(cmd, lines, text.splitlines(), want)
@@ -444,7 +447,7 @@ def test_chunk_size_does_not_change_the_output(cmd, monkeypatch, tmp_path):
 def test_every_id_type_is_written_as_json_writes_it(cmd):
     lines = [json.dumps({"id": rec_id, "T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}) for rec_id in _IDS]
     lines.append('{"T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}')
-    _, text = cli._run_chunk((_cfg(cmd), 1, lines))
+    _, text = _chunk(cmd, lines)
     for rec_id, line in zip([*_IDS, f"line {len(lines)}"], text.splitlines()):
         assert line.startswith('{"id": ' + json.dumps(rec_id) + ", ")
         assert "error" not in json.loads(line)
@@ -468,7 +471,7 @@ def test_malformed_records_match_the_scalar_path(cmd):
     chunks.append([*_MALFORMED, overflow])
     chunks.append(["  \t" + line for line in _good_lines(rng, 4)])
     for lines in chunks:
-        ok, text = cli._run_chunk((_cfg(cmd), 1, lines))
+        ok, text = _chunk(cmd, lines)
         want_status, want = _scalar_output(cmd, lines)
         assert (0 if ok else 2) == want_status
         _assert_same_records(cmd, lines, text.splitlines(), want)
@@ -506,17 +509,6 @@ def test_parse_gives_the_record_or_error_of_json_loads(text, lead, trail, cut, p
         assert repr(cli._loads(line)) == repr(want)
 
 
-def test_double_row_with_zero_j2_takes_the_scalar_path():
-    """With a negative --tol-triple, a spherical tensor classifies as double,
-    whose scalar bases divide by sqrt(3 J2) = 0."""
-    cfg = {**_cfg("eigen"), "tau_rel": -1.0}
-    lines = ['{"id": 1, "T": [2, 2, 2, 0, 0, 0]}', '{"id": 2, "T": [3, 2, 1, 0, 0, 0]}']
-    ok, text = cli._run_chunk((cfg, 1, lines))
-    assert not ok
-    assert [json.loads(line).get("error") for line in text.splitlines()] == \
-        ["float division by zero", None]
-
-
 def test_valid_double_and_triple_rows_skip_the_scalar_path(monkeypatch):
     """Every valid record of logstrain and stress, T or F, of any spectrum
     class, is evaluated as a row: none reaches _scalar_line."""
@@ -531,7 +523,7 @@ def test_valid_double_and_triple_rows_skip_the_scalar_path(monkeypatch):
     scalar_line = cli._scalar_line
     monkeypatch.setattr(cli, "_scalar_line", lambda *args: seen.append(args) or scalar_line(*args))
     for cmd in ("logstrain", "stress"):
-        ok, text = cli._run_chunk((_cfg(cmd), 1, lines))
+        ok, text = _chunk(cmd, lines)
         assert ok and not seen, cmd
         want_status, want = _scalar_output(cmd, lines)
         assert want_status == 0
@@ -589,6 +581,9 @@ def test_bad_stress_parameters_are_a_usage_error(option, value):
                                                 ("eigen", "--tol-triple", "inf"),
                                                 ("stress", "--tol-triple", "nan")))
 def test_tolerances_that_are_not_finite_are_a_usage_error(cmd, option, value):
+    """A floor that is not finite, or one below 0, is refused before any
+    input is read: a negative --tol-triple once sent a spherical tensor to
+    the double branch, whose bases divide by zero."""
     record = '{"id": 1, "T": [4, 1, 1, 0, 0, 0]}\n'
     for parallel, stdin in (("1", record), ("2", record), ("1", "")):
         proc = run_cli([cmd, option, value, "--parallel", parallel], stdin)
@@ -596,9 +591,11 @@ def test_tolerances_that_are_not_finite_are_a_usage_error(cmd, option, value):
         assert proc.stdout == ""
         assert "usage:" in proc.stderr and "tolerances must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
-    # A negative floor stays accepted.
-    proc = run_cli(["eigen", "--tol-triple=-1e-10"], record)
-    assert proc.returncode == 0 and lines_of(proc)[0]["multiplicity"] == "double_high_unique"
+    for args in (["--tol-triple", "-1"], ["--tol-gap=-1e-10"]):
+        proc = run_cli(["basis", *args], '{"id": 1, "T": [2, 2, 2, 0, 0, 0]}\n')
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr and "at least 0" in proc.stderr
 
 
 @pytest.mark.parametrize("args", (["eigen", "--parallel", "0"], ["spin", "--parallel", "-3"],
@@ -668,7 +665,7 @@ def test_error_message_is_never_empty(monkeypatch):
     def bare(*args):
         raise Bare()
     monkeypatch.setattr(cli, "_dispatch", bare)
-    ok, text = cli._run_chunk((_cfg("spin"), 1, ['{"id": 9, "T": [4, 1, 1, 0, 0, 0]}']))
+    ok, text = _chunk("spin", ['{"id": 9, "T": [4, 1, 1, 0, 0, 0]}'])
     assert not ok
     assert json.loads(text) == {"id": 9, "error": "Bare"}
 
@@ -692,6 +689,38 @@ def test_nonfinite_results_become_error_records():
     assert all("'id' holds NaN or Infinity" in r["error"] for r in recs[3:])
 
 
+def test_help_does_not_list_parallel(capsys):
+    for cmd in RECORD_COMMANDS:
+        with pytest.raises(SystemExit):
+            cli.main([cmd, "--help"])
+        text = capsys.readouterr().out
+        assert "--tol-gap" in text and "--parallel" not in text
+
+
+# Runs `python -m spectens` with the arguments of this script, as the
+# benchmark launches it, and then writes to stderr whether multiprocessing
+# was imported.
+_LOADS_MULTIPROCESSING = """\
+import runpy, sys
+sys.argv = ["spectens", *sys.argv[1:]]
+try:
+    runpy.run_module("spectens", run_name="__main__", alter_sys=True)
+finally:
+    print("multiprocessing" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_parallel_is_accepted_and_evaluates_in_this_process(tmp_path):
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(line + "\n" for line in _good_lines(np.random.default_rng(7), 40)))
+    proc = subprocess.run([sys.executable, "-c", _LOADS_MULTIPROCESSING, "stress",
+                           "--parallel", "2", "--input", str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert len(proc.stdout.splitlines()) == 40
+    assert proc.stderr == "False\n"
+
+
 def test_parallel_output_matches_serial(tmp_path):
     """Every record command on two chunks with error records: --parallel 2 and
     python -O give the serial run's bytes and exit status."""
@@ -708,44 +737,6 @@ def test_parallel_output_matches_serial(tmp_path):
         assert serial.stdout == para.stdout == optimized.stdout, cmd
         # One output line per non-blank input line: every twentieth is blank.
         assert len(serial.stdout.splitlines()) == n - (n + 19) // 20
-
-
-class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records the number of workers it
-    is asked for and maps in this process."""
-
-    def __init__(self, sizes, processes):
-        sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, func, jobs):
-        return map(func, jobs)
-
-
-@pytest.mark.parametrize(("n", "workers"), ((0, []), (1, []), (3, [3]), (100, [8])))
-def test_parallel_starts_no_more_workers_than_chunks(n, workers, monkeypatch, tmp_path):
-    """--parallel 8 chunks 3 lines into 3 chunks and 100 lines into 25;
-    zero or one chunk is evaluated without a pool.  The output is the
-    serial run's."""
-    sizes = []
-    monkeypatch.setattr(multiprocessing, "Pool",
-                        lambda processes: _RecordingPool(sizes, processes))
-    src = tmp_path / "in.jsonl"
-    src.write_text("".join(line + "\n" for line in _mixed_lines(np.random.default_rng(3), n)))
-    outputs = []
-    for parallel in ("1", "8"):
-        out = tmp_path / f"out-{parallel}.jsonl"
-        status = cli.main(["stress", "--input", str(src), "--output", str(out),
-                           "--parallel", parallel])
-        outputs.append((status, out.read_text()))
-    assert sizes == workers
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0][1].splitlines()) == n - (n + 19) // 20
 
 
 def test_missing_input_file_is_io_error(tmp_path):

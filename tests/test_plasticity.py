@@ -59,8 +59,27 @@ def _map_a(bulk=1.1, shear=0.8, a=0.6, b=0.4, c=0.3):
     )
 
 
+def _map_twist(bulk=1.3, shear=0.7, c=0.1):
+    """Elastic p and q with a Lode angle twisted by c eps_q sin(6 theta):
+    theta_sigma depends on eps_q and theta, and keeps theta = +-pi/6 in
+    place, as the stress's continuity at the double switch needs."""
+    return InvariantReturnMap(
+        p=lambda ev, eq, th: bulk * ev,
+        q=lambda ev, eq, th: 3.0 * shear * eq,
+        theta_sigma=lambda ev, eq, th: th + c * eq * math.sin(6.0 * th),
+        grad_p=lambda ev, eq, th: (bulk, 0.0, 0.0),
+        grad_q=lambda ev, eq, th: (0.0, 3.0 * shear, 0.0),
+        grad_theta_sigma=lambda ev, eq, th: (0.0, c * math.sin(6.0 * th),
+                                             1.0 + 6.0 * c * eq * math.cos(6.0 * th)),
+    )
+
+
 def _map_b(bulk=1.3, shear=0.7, d=5.0):
-    """Map that twists the Lode angle: theta_sigma depends on eps_q too."""
+    """Map that twists the Lode angle by a factor 1/(1 + d eps_q^2), which
+    moves theta = +-pi/6, so its stress jumps at the double switch.  Kept
+    only where that is the point, which _map_twist cannot show: that
+    verify_return_map refuses it, and that its distinct-branch tangent is
+    still the derivative of its distinct-branch stress."""
     return InvariantReturnMap(
         p=lambda ev, eq, th: bulk * ev,
         q=lambda ev, eq, th: 3.0 * shear * eq,
@@ -103,7 +122,12 @@ def test_verify_accepts_elastic_and_demo_maps():
     demo = vonmises_demo_map(2.0, 1.0, 0.06)
     verify_return_map(demo, [(0.01, 0.005, 0.1), (0.01, 0.1, -0.2)])
     verify_return_map(_map_a(), pts)
-    verify_return_map(_map_b(), pts)
+    verify_return_map(_map_twist(), pts)
+
+
+def test_verify_rejects_a_map_that_moves_the_double_lode_angle():
+    with pytest.raises(ContractError, match="pi/6"):
+        verify_return_map(_map_b(), [(0.01, 0.02, 0.1)])
 
 
 def test_verify_rejects_wrong_gradient():
@@ -177,7 +201,7 @@ def test_negative_q_rejected():
 
 def test_invariant_round_trip_distinct():
     rng = np.random.default_rng(35)
-    for rm in (linear_elastic_map(2.0, 1.0), _map_b()):
+    for rm in (linear_elastic_map(2.0, 1.0), _map_twist()):
         n = 0
         while n < 50:
             eps = rand_sym(rng, 0.04)
@@ -214,7 +238,7 @@ def test_invariant_round_trip_double_and_triple():
 
 def test_stress_coaxial_with_predictor():
     rng = np.random.default_rng(37)
-    for rm in (_map_a(), _map_b()):
+    for rm in (_map_a(), _map_twist()):
         for _ in range(100):
             eps = rand_sym(rng, 0.05)
             sig = reconstruct_stress(eps, rm)
@@ -264,6 +288,8 @@ def test_map_a_tangent_fd_all_branches():
 
 
 def test_map_b_tangent_fd_distinct():
+    """The switch condition concerns only the switch: on the distinct
+    branch, the tangent of a map that breaks it is exact all the same."""
     rm = _map_b()
     rng = np.random.default_rng(41)
     n = 0
@@ -306,6 +332,30 @@ def test_branch_continuity_at_pair_closure():
         assert rel4(m_near, m_at) < 1e-3
 
 
+def test_twisting_map_stress_is_continuous_at_the_double_switch():
+    """As criterion 6, for _map_twist, whose theta_sigma depends on eps_q
+    and keeps +-pi/6: at both closures the distinct-branch stress tends to
+    the double-branch one as the gap closes.  The tangent does not: the
+    double branch takes d(theta_sigma)/d(theta) = 1 at +-pi/6, and this
+    map has 1 - 6 c eps_q there (see InvariantReturnMap)."""
+    rm = _map_twist()
+    r = rand_rotation(np.random.default_rng(106))
+    # (principal strains at the switch, the split of the pair per unit gap)
+    cases = (((0.03, 0.012, 0.012), (0.0, 0.012, -0.012), MultTag.DOUBLE_HIGH_UNIQUE),
+             ((0.025, 0.025, -0.01), (0.025, -0.025, 0.0), MultTag.DOUBLE_LOW_UNIQUE))
+    for base, split, tag in cases:
+        eps_at = SymTensor2.from_matrix(r @ np.diag(base) @ r.T)
+        assert spectrum(eps_at).mult.tag is tag
+        sig_at = reconstruct_stress(eps_at, rm)
+        errs = []
+        for delta in (1e-2, 1e-3, 1e-4):
+            eps_near = SymTensor2.from_matrix(r @ np.diag(np.add(base, np.multiply(delta, split)))
+                                              @ r.T)
+            assert spectrum(eps_near).mult.tag is MultTag.DISTINCT
+            errs.append(rel2(reconstruct_stress(eps_near, rm), sig_at))
+        assert errs[0] >= errs[1] >= errs[2] and errs[2] <= 1e-3, (tag, errs)
+
+
 def _branch_cases(rng):
     """One predictor per multiplicity: distinct, both double tags, triple."""
     return [(rand_sym(rng, 0.04), MultTag.DISTINCT),
@@ -316,7 +366,7 @@ def _branch_cases(rng):
 
 def test_stress_and_tangent_equals_the_separate_calls():
     rng = np.random.default_rng(43)
-    for rm in (_map_a(), _map_b(), vonmises_demo_map(2.0, 1.0, 0.02)):
+    for rm in (_map_a(), _map_twist(), vonmises_demo_map(2.0, 1.0, 0.02)):
         for eps, tag in _branch_cases(rng):
             assert spectrum(eps).mult.tag is tag
             sig, tan = stress_and_tangent(eps, rm)
@@ -387,7 +437,7 @@ def test_rows_match_stress_and_tangent_on_every_branch():
     with np.errstate(all="ignore"):
         sp, ok = spectral._spectrum_rows(t, spectral.DEFAULT_TOLS)
         assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
-        for rm in (_map_a(), _map_b(), vonmises_demo_map(2.0, 1.0, 0.02)):
+        for rm in (_map_a(), _map_twist(), vonmises_demo_map(2.0, 1.0, 0.02)):
             sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
             assert ok_rm.all()
             for k, x in enumerate(tensors):
@@ -416,56 +466,63 @@ _UNIAXIAL_STARTS = (SymTensor2(0.05, -0.02, -0.01, 0.003, -0.002, 0.001),
                     SymTensor2(0.05, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
+def _uniaxial_maps():
+    """(map, its uniaxial stress at eps_11 = 0.05): q_y past yield for the
+    von Mises demo map, and E eps_11 with E = 9 K G / (3 K + G) for the
+    elastic _map_twist."""
+    return ((vonmises_demo_map(2.0, 1.0, 0.02), 0.02),
+            (_map_twist(), 9.0 * 1.3 * 0.7 / (3.0 * 1.3 + 0.7) * 0.05))
+
+
 @pytest.mark.parametrize("eps0", _UNIAXIAL_STARTS)
 def test_mixed_control_newton_converges_quadratically(eps0):
-    """Uniaxial stress past yield: eps_11 held, the other five stresses
-    zero, solved by Newton on stress_and_tangent with the von Mises demo
-    map, from a plastic distinct predictor and from the uniaxial strain
-    (a double one).  e_{k+1} <= C e_k^2 down to the rounding floor, and
-    the solution is the uniaxial stress q_y on the double branch."""
-    rm = vonmises_demo_map(2.0, 1.0, 0.02)
+    """Uniaxial stress: eps_11 held, the other five stresses zero, solved
+    by Newton on stress_and_tangent with the von Mises demo map past yield
+    and with the Lode-twisting _map_twist, from a plastic distinct
+    predictor and from the uniaxial strain (a double one).  e_{k+1} <= C
+    e_k^2 down to the rounding floor, and the solution is the uniaxial
+    stress on the double branch."""
     assert (spectrum(eps0).mult.tag is MultTag.DISTINCT) == (eps0.xy != 0.0)
-    with pytest.raises(ConvergenceError):
-        mixed_control_point(rm, eps0, fixed=(0,), max_iter=1)
-    eps, errs = mixed_control_point(rm, eps0, fixed=(0,))
-    assert len(errs) <= 8
-    assert quadratic_ratio(errs, 1e-15) <= 100.0
-    assert eps.xx == eps0.xx
-    assert spectrum(eps).mult.tag is MultTag.DOUBLE_HIGH_UNIQUE
-    sigma = reconstruct_stress(eps, rm)
-    assert sigma.xx == pytest.approx(0.02, rel=1e-14)
-    assert max(map(abs, sigma.as_tuple()[1:])) <= 1e-15
+    for rm, want in _uniaxial_maps():
+        with pytest.raises(ConvergenceError):
+            mixed_control_point(rm, eps0, fixed=(0,), max_iter=1)
+        eps, errs = mixed_control_point(rm, eps0, fixed=(0,))
+        assert len(errs) <= 8
+        assert quadratic_ratio(errs, 1e-15) <= 100.0
+        assert eps.xx == eps0.xx
+        assert spectrum(eps).mult.tag is MultTag.DOUBLE_HIGH_UNIQUE
+        sigma = reconstruct_stress(eps, rm)
+        assert sigma.xx == pytest.approx(want, rel=1e-14)
+        assert max(map(abs, sigma.as_tuple()[1:])) <= 1e-15
 
 
 def test_mixed_control_newton_on_the_row_path_takes_the_scalar_steps(monkeypatch):
-    """The Newton iteration of the test above on both starting points at
+    """The Newton iterations of the test above on both starting points at
     once, evaluated by the row kernels: every iterate and residual norm is
     the scalar one to the bit, so the row tangent converges as fast."""
-    rm = vonmises_demo_map(2.0, 1.0, 0.02)
-    x, errs, iterates = util.mixed_control_rows(rm, _UNIAXIAL_STARTS, fixed=(0,))
-    for k, eps0 in enumerate(_UNIAXIAL_STARTS):
-        seen = []
+    for rm, _ in _uniaxial_maps():
+        x, errs, iterates = util.mixed_control_rows(rm, _UNIAXIAL_STARTS, fixed=(0,))
+        for k, eps0 in enumerate(_UNIAXIAL_STARTS):
+            seen = []
 
-        def recording(eps, rm):
-            seen.append(np.array(eps.as_tuple()))
-            return stress_and_tangent(eps, rm)
-        monkeypatch.setattr(util, "stress_and_tangent", recording)
-        eps, want = mixed_control_point(rm, eps0, fixed=(0,))
-        assert errs[k] == want
-        assert [i.tolist() for i in iterates[k]] == [i.tolist() for i in seen]
-        assert x[k].tolist() == list(eps.as_tuple())
-        assert quadratic_ratio(errs[k], 1e-15) <= 100.0
+            def recording(eps, rm):
+                seen.append(np.array(eps.as_tuple()))
+                return stress_and_tangent(eps, rm)
+            monkeypatch.setattr(util, "stress_and_tangent", recording)
+            eps, want = mixed_control_point(rm, eps0, fixed=(0,))
+            assert errs[k] == want
+            assert [i.tolist() for i in iterates[k]] == [i.tolist() for i in seen]
+            assert x[k].tolist() == list(eps.as_tuple())
+            assert quadratic_ratio(errs[k], 1e-15) <= 100.0
 
 
 def test_mixed_control_newton_with_the_lode_twisting_map():
-    """Newton with _map_b, whose theta_sigma depends on eps_q, from the
+    """Newton with _map_twist, whose theta_sigma depends on eps_q, from the
     distinct start with eps_11, eps_22 and eps_12 held and the other
     stresses zero.  The solution is distinct, so the theta partials enter
-    every step; both paths converge quadratically through the same
-    iterates.  (Uniaxial stress is out of reach from a distinct start:
-    _map_b does not send theta_eps = pi/6 to pi/6, so its distinct-branch
-    stress does not meet the double-branch one at the switch.)"""
-    rm, eps0, fixed = _map_b(), _UNIAXIAL_STARTS[0], (0, 1, 3)
+    every step, not only on the way to the double branch as in uniaxial
+    stress; both paths converge quadratically through the same iterates."""
+    rm, eps0, fixed = _map_twist(), _UNIAXIAL_STARTS[0], (0, 1, 3)
     eps, errs = mixed_control_point(rm, eps0, fixed)
     assert len(errs) <= 8
     assert quadratic_ratio(errs, 1e-15) <= 100.0

@@ -80,12 +80,13 @@ def test_classify_examples():
 
 
 def test_classify_tols_must_be_finite():
-    for bad in (math.nan, math.inf, -math.inf):
-        for field in ("tau_abs", "tau_rel", "tau_gap"):
-            with pytest.raises(st.ContractError, match="must be finite"):
+    for bad in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+        for field in ("tau_rel", "tau_gap"):
+            with pytest.raises(st.ContractError, match="must be finite and at least 0"):
                 st.ClassifyTols(**{field: bad})
-    # A negative floor is allowed: it only moves the branch switch.
-    assert st.ClassifyTols(tau_rel=-1.0).tau_rel == -1.0
+    # A floor of 0 is allowed: a spherical tensor is still triple.
+    zero = st.ClassifyTols(0.0, 0.0)
+    assert st.spectrum(st.SymTensor2(2, 2, 2, 0, 0, 0), zero).mult.tag is MultTag.TRIPLE
 
 
 def test_theta_sign_branch_guard():
@@ -103,11 +104,11 @@ def test_eigenbasis_distinct_diagonal_example():
 
 
 def test_eigenbasis_distinct_guards():
-    # Repeated eigenvalue classified as distinct (a negative gap floor): the
-    # basis denominator vanishes.
-    d = st.SymTensor2(4.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    # A gap of one rounding error classified as distinct (a zero gap floor):
+    # the basis denominator vanishes.
+    d = st.SymTensor2(4.0, 1.0, 1.0 + 1e-15, 0.0, 0.0, 0.0)
     with pytest.raises(st.BranchError, match="denominator vanished"):
-        st.spectrum(d, st.ClassifyTols(tau_gap=-1.0))
+        st.spectrum(d, st.ClassifyTols(tau_gap=0.0))
 
 
 def test_overflowing_norm_raises_typed_error_with_and_without_asserts():

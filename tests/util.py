@@ -67,7 +67,11 @@ def verify_return_map(rm: InvariantReturnMap, points, tol: float = 1e-6) -> None
     of the scalars (forward differences on the eps_q axis when a central
     stencil would cross eps_q < 0).  Additionally, at eps_q = 0 the map must
     decouple volume from shear: dp/d(eps_q) = dq/d(eps_v) = 0, or a purely
-    volumetric state would not produce a purely volumetric stress.
+    volumetric state would not produce a purely volumetric stress.  And at
+    theta = +-pi/6 the map must keep the Lode angle where it is:
+    theta_sigma = +-pi/6 with zero eps_v and eps_q partials, or the
+    distinct-branch stress would not meet the double-branch one at the
+    switch.
     """
     scalars = ((rm.p, rm.grad_p, "p"), (rm.q, rm.grad_q, "q"),
                (rm.theta_sigma, rm.grad_theta_sigma, "theta_sigma"))
@@ -98,6 +102,14 @@ def verify_return_map(rm: InvariantReturnMap, points, tol: float = 1e-6) -> None
             raise ContractError(
                 "return map couples volume and shear at eps_q = 0: "
                 f"dp/deps_q = {gp0[1]!r}, dq/deps_v = {gq0[0]!r}")
+        for th0 in (-math.pi / 6.0, math.pi / 6.0):
+            ts = rm.theta_sigma(ev, eq, th0)
+            g = rm.grad_theta_sigma(ev, eq, th0)
+            if abs(ts - th0) > tol or abs(g[0]) > tol or abs(g[1]) > tol:
+                raise ContractError(
+                    "return map moves the Lode angle of a double predictor, so the stress "
+                    f"jumps at the switch: theta_sigma = {ts!r} and its eps_v and eps_q "
+                    f"partials are {tuple(g[:2])!r} at {(ev, eq, th0)!r}, theta = +-pi/6")
 
 
 def rand_sym(rng, scale=1.0):
