@@ -25,8 +25,7 @@ _SOURCES = {
     "plasticity": "InvariantReturnMap StrainPredictorInvariants StressInvariants "
                   "consistent_tangent linear_elastic_map predictor_invariants "
                   "reconstruct_stress stress_and_tangent stress_invariants vonmises_demo_map",
-    "spectral": "DEFAULT_TOLS ClassifyTols MultTag Multiplicity Spectrum classify "
-                "eigenvalues spectrum spin",
+    "spectral": "MultTag Multiplicity Spectrum classify eigenvalues spectrum spin",
     "tensor_core": "IDENTITY2 IDENTITY4 IXI InvariantSet SymTensor2 SymTensor4 adjugate "
                    "ddot det deviator dtheta_dT invariants norm",
 }

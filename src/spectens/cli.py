@@ -26,8 +26,8 @@ from .isofunc import _apply_rows, isotropic_function, square_map
 from .logstrain import (_HALF_LOG, _cauchy_green_terms, _not_spd, left_cauchy_green,
                         log_strain_from_b)
 from .plasticity import _stress_tangent_rows, stress_and_tangent, vonmises_demo_map
-from .spectral import _MULTS, ClassifyTols, MultTag, _spectrum_rows, _spin_sum_rows, spectrum, spin
-from .tensor_core import TAU_GAP, TAU_REL, SymTensor2, _invariant_rows, invariants, norm
+from .spectral import _MULTS, MultTag, _spectrum_rows, _spin_sum_rows, spectrum, spin
+from .tensor_core import SymTensor2, _invariant_rows, invariants, norm
 
 _VERIFY_BASIS_TOL = 1e-8
 _VERIFY_TANGENT_TOL = 1e-4
@@ -62,7 +62,7 @@ def _record_tensor(rec: dict) -> SymTensor2:
     return left_cauchy_green(_finite_floats(rec["F"], 9, "F"))
 
 
-def _dispatch(cmd: str, t: SymTensor2, tols: ClassifyTols, rm) -> tuple[list, object]:
+def _dispatch(cmd: str, t: SymTensor2, rm) -> tuple[list, object]:
     """The numbers of the record of cmd at t, in output order, and its extra
     field: theta_defined for invariants, None for stress, else the
     multiplicity.  From the scalar library calls."""
@@ -70,12 +70,12 @@ def _dispatch(cmd: str, t: SymTensor2, tols: ClassifyTols, rm) -> tuple[list, ob
         inv = invariants(t)
         return [inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta], inv.theta_defined
     if cmd == "logstrain":
-        res = log_strain_from_b(t, tols)
+        res = log_strain_from_b(t)
         return [*res.eps.as_tuple(), *res.deps_db.as_list()], res.branch
     if cmd == "stress":
-        sig, tan = stress_and_tangent(t, rm, tols)
+        sig, tan = stress_and_tangent(t, rm)
         return [*sig.as_tuple(), *tan.as_list()], None
-    sp = spectrum(t, tols)
+    sp = spectrum(t)
     if cmd == "spin":
         if sp.mult.tag is not MultTag.DISTINCT:
             raise DegeneracyError(
@@ -87,7 +87,7 @@ def _dispatch(cmd: str, t: SymTensor2, tols: ClassifyTols, rm) -> tuple[list, ob
     return list(sp.lam), sp.mult
 
 
-def _dispatch_rows(cmd: str, t: SymTensor2, tols: ClassifyTols, rm):
+def _dispatch_rows(cmd: str, t: SymTensor2, rm):
     """_dispatch on the rows of t, whose components are (n,) arrays: (mask of
     the rows it holds for, (n, k) numbers, (n,) position of each row's extra
     field in the tuple of extra fields that ends the result).  It leaves out
@@ -97,24 +97,21 @@ def _dispatch_rows(cmd: str, t: SymTensor2, tols: ClassifyTols, rm):
         inv, _, _, ok = _invariant_rows(t)
         vals = np.stack((inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta), 1)
         return ok, vals, inv.theta_defined, (False, True)
-    sp, ok = _spectrum_rows(t, tols)
+    sp, ok = _spectrum_rows(t)
     kind, extras = sp.mult, _MULTS
-    distinct = kind == 0
     if cmd in ("eigen", "basis"):
         blocks = list(sp.lam)
         if cmd == "basis":
             blocks += [x for b in sp.bases for x in b.as_tuple()]
     elif cmd == "spin":
-        ok = ok & distinct & sp.inv.theta_defined
+        ok = ok & (kind == 0)
         blocks = [_spin_sum_rows(t, sp, [float(k == i) for k in range(3)]) for i in range(3)]
+    elif cmd == "logstrain":
+        eps, deps, ok = _apply_rows(t, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
+        blocks = [eps, deps]
     else:
-        ok = ok & (~distinct | sp.inv.theta_defined)
-        if cmd == "logstrain":
-            eps, deps, ok = _apply_rows(t, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
-            blocks = [eps, deps]
-        else:
-            sig, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
-            blocks, kind, extras = [sig, tan], np.zeros_like(kind), (None,)
+        sig, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
+        blocks, kind, extras = [sig, tan], np.zeros_like(kind), (None,)
     return ok, np.hstack([b.reshape(len(ok), -1) for b in blocks]), kind, extras
 
 
@@ -208,7 +205,7 @@ def _error_line(rec_id, exc: Exception) -> str:
     return json.dumps({"id": rec_id, "error": str(exc) or type(exc).__name__}) + "\n"
 
 
-def _scalar_line(cmd: str, rec, rec_id, tols: ClassifyTols, rm) -> tuple[bool, str]:
+def _scalar_line(cmd: str, rec, rec_id, rm) -> tuple[bool, str]:
     """(whether it succeeded, output line) of the parsed record rec from the
     scalar library calls; rec_id is the id of a record without one."""
     try:
@@ -216,7 +213,7 @@ def _scalar_line(cmd: str, rec, rec_id, tols: ClassifyTols, rm) -> tuple[bool, s
             raise ContractError("record must be a JSON object")
         text = _id_text(rec["id"]) if "id" in rec else json.dumps(rec_id)
         rec_id = rec.get("id", rec_id)
-        row, extra = _dispatch(cmd, _record_tensor(rec), tols, rm)
+        row, extra = _dispatch(cmd, _record_tensor(rec), rm)
         return True, _template(cmd, extra) % (text, *_checked_finite(cmd, row))
     except Exception as exc:
         return False, _error_line(rec_id, exc)
@@ -266,15 +263,14 @@ def _loads(line: str):
     return json.loads(line)
 
 
-def _run_chunk(cmd: str, tols: ClassifyTols, rm, first: int,
-               lines: list[str]) -> tuple[bool, str]:
+def _run_chunk(cmd: str, rm, first: int, lines: list[str]) -> tuple[bool, str]:
     """(whether every record of cmd succeeded, output text) of one chunk of
-    input lines, the first of which has number first, with the tolerances
-    tols and, for stress, the return map rm.  The records are checked,
-    evaluated and written as columns, with each distinct tangent number of
-    the chunk converted to text once (_row_numbers); a record that fails a
-    check or a guard of the arrays, or all of them if the checks raise, goes
-    through _dispatch, so that its output and errors are the scalar path's."""
+    input lines, the first of which has number first, with, for stress, the
+    return map rm.  The records are checked, evaluated and written as
+    columns, with each distinct tangent number of the chunk converted to
+    text once (_row_numbers); a record that fails a check or a guard of the
+    arrays, or all of them if the checks raise, goes through _dispatch, so
+    that its output and errors are the scalar path's."""
     outs = [""] * len(lines)
     all_ok = True
     recs, places = [], []
@@ -293,7 +289,7 @@ def _run_chunk(cmd: str, tols: ClassifyTols, rm, first: int,
         except OverflowError:
             picked = []
         if picked:
-            ok, vals, kind, extras = _dispatch_rows(cmd, SymTensor2(*comps), tols, rm)
+            ok, vals, kind, extras = _dispatch_rows(cmd, SymTensor2(*comps), rm)
             ok &= np.isfinite(vals).all(1)
             templates = [_template(cmd, e) for e in extras]
             good = np.flatnonzero(ok)
@@ -309,7 +305,7 @@ def _run_chunk(cmd: str, tols: ClassifyTols, rm, first: int,
                 outs[places[i]] = templates[kind_j] % (text, *row)
                 scalar[i] = False
     for i in compress(range(len(recs)), scalar):
-        ok_i, outs[places[i]] = _scalar_line(cmd, recs[i], f"line {first + places[i]}", tols, rm)
+        ok_i, outs[places[i]] = _scalar_line(cmd, recs[i], f"line {first + places[i]}", rm)
         all_ok &= ok_i
     return all_ok, "".join(outs)
 
@@ -337,12 +333,12 @@ def _output(path):
     return open(path, "w", encoding="utf-8")
 
 
-def _run_records(args, tols: ClassifyTols, rm) -> int:
+def _run_records(args, rm) -> int:
     lines = _read_lines(args.input)
     all_ok = True
     with _output(args.output) as out:
         for i in range(0, len(lines), _CHUNK):
-            ok, text = _run_chunk(args.command, tols, rm, i + 1, lines[i:i + _CHUNK])
+            ok, text = _run_chunk(args.command, rm, i + 1, lines[i:i + _CHUNK])
             out.write(text)
             all_ok &= ok
     return 0 if all_ok else 2
@@ -413,10 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--input", default=None, help="input file (default stdin)")
         q.add_argument("--output", default=None, help="output file (default stdout)")
-        q.add_argument("--tol-triple", type=float, default=TAU_REL, dest="tol_triple",
-                       help="relative eigenvalue-spread floor for the triple branch")
-        q.add_argument("--tol-gap", type=float, default=TAU_GAP, dest="tol_gap",
-                       help="relative gap floor for the double branch")
         # Accepted and ignored, as long as bench/measure.py passes it.
         q.add_argument("--parallel", type=int, default=1, help=argparse.SUPPRESS)
         if name == "stress":
@@ -442,7 +434,6 @@ def main(argv=None) -> int:
         if args.parallel < 1:
             parser.error(f"{args.command}: --parallel must be at least 1, got {args.parallel}")
         try:
-            tols = ClassifyTols(args.tol_triple, args.tol_gap)
             rm = (vonmises_demo_map(args.bulk, args.shear, args.yield_stress)
                   if args.command == "stress" else None)
         except ContractError as exc:
@@ -450,7 +441,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _run_verify(args)
-        return _run_records(args, tols, rm)
+        return _run_records(args, rm)
     except OSError as exc:
         print(f"spectens: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import MapDomainError
 from .spectral import (
-    DEFAULT_TOLS,
-    ClassifyTols,
     MultTag,
     Spectrum,
     _anchored,
@@ -202,10 +200,9 @@ def _triple_terms(mv: tuple) -> tuple:
     return (i1s / 3.0) * IDENTITY2, _iso4(di1s_di1t / 3.0, dqs_dqt)
 
 
-def isotropic_function(t: SymTensor2, f: ScalarEigenMap,
-                       tols: ClassifyTols = DEFAULT_TOLS) -> tuple[SymTensor2, SymTensor4]:
+def isotropic_function(t: SymTensor2, f: ScalarEigenMap) -> tuple[SymTensor2, SymTensor4]:
     """Classify t, then evaluate S and its exact tangent on the right branch."""
-    return _apply(t, spectrum(t, tols), f)
+    return _apply(t, spectrum(t), f)
 
 
 def _apply(t: SymTensor2, sp: Spectrum,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import KinematicsError
 from .isofunc import _apply, half_log_map
-from .spectral import DEFAULT_TOLS, ClassifyTols, Multiplicity, spectrum
+from .spectral import Multiplicity, spectrum
 from .tensor_core import SymTensor2, SymTensor4
 
 # Relative floor on the smallest stretch: below this the tensor logarithm is
@@ -60,11 +60,10 @@ class LogStrainResult:
     branch: Multiplicity
 
 
-def log_strain_from_b(b: SymTensor2,
-                      tols: ClassifyTols = DEFAULT_TOLS) -> LogStrainResult:
+def log_strain_from_b(b: SymTensor2) -> LogStrainResult:
     """eps = ln(B)/2 and d(eps)/dB for a left Cauchy-Green tensor B: the
     isotropic function of half_log_map, after a check that B is SPD."""
-    sp = spectrum(b, tols)
+    sp = spectrum(b)
     if _not_spd(sp.lam):
         raise KinematicsError(
             f"B has principal stretches {sp.lam!r}; log strain needs a "

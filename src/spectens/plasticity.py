@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import ContractError
 from .spectral import (
-    DEFAULT_TOLS,
-    ClassifyTols,
     MultTag,
     Spectrum,
     _I,
@@ -106,8 +104,7 @@ def stress_invariants(sig: SymTensor2) -> StressInvariants:
                             theta_sigma=inv.theta)
 
 
-def reconstruct_stress(eps_star: SymTensor2, rm: InvariantReturnMap,
-                       tols: ClassifyTols = DEFAULT_TOLS) -> SymTensor2:
+def reconstruct_stress(eps_star: SymTensor2, rm: InvariantReturnMap) -> SymTensor2:
     """sigma(eps_star) on the branch picked by the predictor's multiplicity.
 
     Distinct: the three principal stresses p + (2/3) q sin(beta_sigma_i) are
@@ -115,12 +112,11 @@ def reconstruct_stress(eps_star: SymTensor2, rm: InvariantReturnMap,
     Double/Triple: theta carries no information, so the stress deviator is
     taken parallel to the strain deviator and theta_sigma is not consulted.
     """
-    sp = spectrum(eps_star, tols)
+    sp = spectrum(eps_star)
     return _stress(eps_star, sp, _map_at(sp, rm), sp.mult.tag)
 
 
-def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
-                       tols: ClassifyTols = DEFAULT_TOLS) -> SymTensor4:
+def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap) -> SymTensor4:
     """Exact d(sigma)/d(eps_star) of reconstruct_stress at eps_star.
 
     On the Double and Triple branches the theta partials of the map are
@@ -128,15 +124,15 @@ def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
     theta_sigma, and in-pair perturbations are carried by the q/eps_q and
     identity terms.
     """
-    sp = spectrum(eps_star, tols)
+    sp = spectrum(eps_star)
     return _tangent(eps_star, sp, rm, _map_at(sp, rm))
 
 
-def stress_and_tangent(eps_star: SymTensor2, rm: InvariantReturnMap,
-                       tols: ClassifyTols = DEFAULT_TOLS) -> tuple[SymTensor2, SymTensor4]:
+def stress_and_tangent(eps_star: SymTensor2,
+                       rm: InvariantReturnMap) -> tuple[SymTensor2, SymTensor4]:
     """(reconstruct_stress, consistent_tangent) at eps_star from one spectral
     decomposition of the predictor and one evaluation of the map."""
-    sp = spectrum(eps_star, tols)
+    sp = spectrum(eps_star)
     mv = _map_at(sp, rm)
     return _stress(eps_star, sp, mv, sp.mult.tag), _tangent(eps_star, sp, rm, mv)
 
@@ -252,9 +248,10 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     sig = _principal(p, q, th, _ROW_MATH)
     gp, gq = (tuple(_per_row(g, ok, args, 3).T) for g in (rm.grad_p, rm.grad_q))
     gth = tuple(_per_row(rm.grad_theta_sigma, ok & dist, args, 3).T)
-    # The guards of dtheta_dT, which only the distinct branch calls.
+    # The guard of dtheta_dT, which only the distinct branch calls; theta is
+    # defined on every distinct row.
     cos3t = _ROW_MATH.cos(3.0 * inv.theta)
-    ok &= ~dist | (inv.theta_defined & ~(inv.j2 <= 0.0) & ~(abs(cos3t) <= COS3THETA_FLOOR))
+    ok &= ~dist | ~(abs(cos3t) <= COS3THETA_FLOOR)
     f = 2.0 / (3.0 * eps_q)
     s = deviator(eps_star).as_tuple()
     grads = np.stack([np.broadcast_to(_E, (len(f), 6)),

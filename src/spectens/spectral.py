@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BranchError, ContractError, DegeneracyError
+from .errors import BranchError, DegeneracyError
 from .tensor_core import (
     IDENTITY2,
     IDENTITY4,
@@ -41,7 +41,7 @@ class MultTag(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Multiplicity:
-    """Eigenvalue coincidence pattern, decided purely from gaps.
+    """Eigenvalue coincidence pattern, decided from gaps and the theta floor.
 
     unique_index is the position of the non-repeated eigenvalue in the
     descending triple: 0 when the low pair is repeated, 2 when the high
@@ -60,26 +60,6 @@ class Multiplicity:
         if self.tag is MultTag.DOUBLE_LOW_UNIQUE:
             return 1
         raise BranchError("theta sign is defined only for double coincidence")
-
-
-@dataclass(frozen=True, slots=True)
-class ClassifyTols:
-    """Coincidence thresholds: triple when the full spread falls below
-    TAU_ABS + tau_rel*scale, double when one gap falls below tau_gap times
-    the spread.  Each must be finite and at least 0: a negative one would
-    call an exact tie distinct or leave J2 = 0 off the triple branch, where
-    the bases divide by zero."""
-
-    tau_rel: float = TAU_REL
-    tau_gap: float = TAU_GAP
-
-    def __post_init__(self):
-        if not (0.0 <= self.tau_rel < math.inf and 0.0 <= self.tau_gap < math.inf):
-            raise ContractError("classification tolerances must be finite and at least 0, "
-                                f"got {(self.tau_rel, self.tau_gap)!r}")
-
-
-DEFAULT_TOLS = ClassifyTols()
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -141,11 +121,10 @@ _DISTINCT = Multiplicity(MultTag.DISTINCT)
 _MULTS = (_DISTINCT, _DOUBLE_HIGH_UNIQUE, _DOUBLE_LOW_UNIQUE, _TRIPLE)
 
 
-def classify(lam: tuple[float, float, float], scale: float,
-             tols: ClassifyTols = DEFAULT_TOLS) -> Multiplicity:
+def classify(lam: tuple[float, float, float], scale: float) -> Multiplicity:
     """Multiplicity from eigenvalue gaps; scale is the source tensor norm.
     The result is one of four shared instances."""
-    triple, high_unique, low_unique = _coincidences(lam, scale, tols)
+    triple, high_unique, low_unique = _coincidences(lam, scale)
     if triple:
         return _TRIPLE
     if high_unique:
@@ -155,12 +134,12 @@ def classify(lam: tuple[float, float, float], scale: float,
     return _DISTINCT
 
 
-def _coincidences(lam, scale, tols: ClassifyTols) -> tuple:
+def _coincidences(lam, scale) -> tuple:
     """The three tests of classify, in its order; floats or (n,) arrays."""
     l1, l2, l3 = lam
     spread = l1 - l3
-    return (spread <= TAU_ABS + tols.tau_rel * scale,
-            l2 - l3 <= tols.tau_gap * spread, l1 - l2 <= tols.tau_gap * spread)
+    return (spread <= TAU_ABS + TAU_REL * scale,
+            l2 - l3 <= TAU_GAP * spread, l1 - l2 <= TAU_GAP * spread)
 
 
 def _bases_over(s: tuple, ssq: tuple, j2, lis) -> tuple:
@@ -211,13 +190,14 @@ def _double_bases(s: tuple, j2, sign, m) -> tuple[SymTensor2, SymTensor2]:
 _THIRD_I = SymTensor2(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0)
 
 
-def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
+def spectrum(t: SymTensor2) -> Spectrum:
     """Full spectral decomposition with branch dispatch, in one pass: the
     invariants, the deviator and the norm come from one evaluation, and
-    only the bases, the invariants and the Spectrum itself are built."""
+    only the bases, the invariants and the Spectrum itself are built.
+    A tensor whose Lode angle is undefined is triple, whatever its gaps."""
     inv, s, nrm = _invariants(t)
     lam = eigenvalues(inv)
-    mult = classify(lam, nrm, tols)
+    mult = classify(lam, nrm) if inv.theta_defined else _TRIPLE
     if mult is _DISTINCT:
         third = inv.i1 / 3.0
         try:
@@ -238,7 +218,7 @@ def spectrum(t: SymTensor2, tols: ClassifyTols = DEFAULT_TOLS) -> Spectrum:
     return Spectrum(lam, mult, bases, inv)
 
 
-def _spectrum_rows(t: SymTensor2, tols: ClassifyTols) -> tuple[Spectrum, np.ndarray]:
+def _spectrum_rows(t: SymTensor2) -> tuple[Spectrum, np.ndarray]:
     """spectrum of the rows of t, whose components are (n,) arrays, and the
     mask of the rows it holds for: those that pass its guards.  mult is the
     (n,) array of each row's position in _MULTS."""
@@ -246,7 +226,8 @@ def _spectrum_rows(t: SymTensor2, tols: ClassifyTols) -> tuple[Spectrum, np.ndar
     l1, l2, l3, in_order = _eigen_terms(inv.i1, inv.j2, inv.theta, _ROW_MATH)
     l2 = np.minimum(l2, l1)
     lam = (l1, l2, np.minimum(l3, l2))
-    triple, high_unique, low_unique = _coincidences(lam, nrm, tols)
+    triple, high_unique, low_unique = _coincidences(lam, nrm)
+    triple = triple | ~inv.theta_defined
     code = np.select((triple, high_unique, low_unique), (3, 1, 2), 0)
     third = inv.i1 / 3.0
     dist, vanished = _bases_over(s, _sym_square(s), inv.j2, tuple(x - third for x in lam))

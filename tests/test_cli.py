@@ -1,5 +1,6 @@
 """End-to-end command-line checks through subprocess, one JSON record per line."""
 
+import argparse
 import importlib
 import json
 import math
@@ -13,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from spectens import (
-    ClassifyTols,
     ContractError,
     MultTag,
     SymTensor2,
@@ -25,9 +25,9 @@ from spectens import (
 )
 from spectens import cli
 from spectens.plasticity import _map_at
-from spectens.tensor_core import TAU_GAP, TAU_REL
+from spectens.tensor_core import TAU_GAP
 
-from util import cli_record, quat_rotation, spin_den
+from util import BAND_TENSOR, cli_record, quat_rotation, spin_den
 
 
 def run_cli(args, stdin_text=""):
@@ -203,7 +203,7 @@ def _mixed_lines(rng, n):
 
 def _scalar_output(cmd, lines):
     """(exit status, output lines) of cmd from per-record scalar _dispatch."""
-    tols, rm = _options(cmd)
+    rm = _return_map(cmd)
     out, status = [], 0
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -214,7 +214,7 @@ def _scalar_output(cmd, lines):
             if not isinstance(rec, dict):
                 raise ContractError("record must be a JSON object")
             rec_id = cli._checked_id(rec.get("id", rec_id))
-            row, extra = cli._dispatch(cmd, cli._record_tensor(rec), tols, rm)
+            row, extra = cli._dispatch(cmd, cli._record_tensor(rec), rm)
             res = cli_record(cmd, rec_id, cli._checked_finite(cmd, row), extra)
         except Exception as exc:
             res = {"id": rec_id, "error": str(exc) or type(exc).__name__}
@@ -223,16 +223,15 @@ def _scalar_output(cmd, lines):
     return status, out
 
 
-def _options(cmd):
-    """The tolerances and the return map that cli.main builds from _argv(cmd)."""
-    return (ClassifyTols(TAU_REL, TAU_GAP),
-            vonmises_demo_map(2.0, 1.0, 0.5) if cmd == "stress" else None)
+def _return_map(cmd):
+    """The return map that cli.main builds from _argv(cmd)."""
+    return vonmises_demo_map(2.0, 1.0, 0.5) if cmd == "stress" else None
 
 
 def _chunk(cmd, lines):
     """_run_chunk of cmd on lines, the first of which is line 1, with the
     options of _argv(cmd)."""
-    return cli._run_chunk(cmd, *_options(cmd), 1, lines)
+    return cli._run_chunk(cmd, _return_map(cmd), 1, lines)
 
 
 def _spin_sum_tol(t, sp, c, d=(0.0, 0.0, 0.0), extra=0.0):
@@ -251,7 +250,6 @@ def _assert_same_records(cmd, lines, got, want):
     """Records of cmd byte-identical, but for tangents and spins, which agree
     within _spin_sum_tol."""
     assert len(got) == len(want)
-    tols = _options(cmd)[0]
     tensors = {}
     for line in lines:
         try:
@@ -268,7 +266,7 @@ def _assert_same_records(cmd, lines, got, want):
         assert {k: v for k, v in rg.items() if k != field} == \
             {k: v for k, v in rw.items() if k != field}
         t = tensors[rw["id"]]
-        sp = spectrum(t, tols)
+        sp = spectrum(t)
         assert sp.mult.tag is MultTag.DISTINCT
         if cmd == "spin":
             for i in range(3):
@@ -330,8 +328,8 @@ def test_row_path_lines_equal_scalar_lines_bit_for_bit(cmd, monkeypatch):
         m.setattr(cli, "_scalar_line", lambda *a: scalar.append(a) or _scalar_line(*a))
         _, text = _chunk(cmd, lines)
     assert cmd == "spin" or not scalar
-    tols, rm = _options(cmd)
-    want = [_scalar_line(cmd, json.loads(line), None, tols, rm)[1] for line in lines]
+    rm = _return_map(cmd)
+    want = [_scalar_line(cmd, json.loads(line), None, rm)[1] for line in lines]
     assert text.splitlines(keepends=True) == want
     assert sum('"error"' in line for line in want) == len(scalar)
 
@@ -577,25 +575,59 @@ def test_bad_stress_parameters_are_a_usage_error(option, value):
         assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("cmd, option, value", (("eigen", "--tol-gap", "nan"),
-                                                ("eigen", "--tol-triple", "inf"),
-                                                ("stress", "--tol-triple", "nan")))
-def test_tolerances_that_are_not_finite_are_a_usage_error(cmd, option, value):
-    """A floor that is not finite, or one below 0, is refused before any
-    input is read: a negative --tol-triple once sent a spherical tensor to
-    the double branch, whose bases divide by zero."""
-    record = '{"id": 1, "T": [4, 1, 1, 0, 0, 0]}\n'
-    for parallel, stdin in (("1", record), ("2", record), ("1", "")):
-        proc = run_cli([cmd, option, value, "--parallel", parallel], stdin)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "usage:" in proc.stderr and "tolerances must be finite" in proc.stderr
-        assert "Traceback" not in proc.stderr
-    for args in (["--tol-triple", "-1"], ["--tol-gap=-1e-10"]):
-        proc = run_cli(["basis", *args], '{"id": 1, "T": [2, 2, 2, 0, 0, 0]}\n')
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "usage:" in proc.stderr and "at least 0" in proc.stderr
+def test_classification_floors_are_not_options():
+    """The coincidence floors are constants: a gap floor of 0.6 once called
+    every tensor double, with bases that are not projectors."""
+    proc = run_cli(["basis", "--tol-gap", "0.6"], '{"id": 1, "T": [3, 2, 1, 0, 0, 0]}\n')
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr and "unrecognized arguments: --tol-gap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# The option strings of each subcommand but -h and --help: a new knob
+# changes this list on purpose.
+_RECORD_OPTIONS = ["--input", "--output", "--parallel"]
+CLI_OPTIONS = {
+    "invariants": _RECORD_OPTIONS,
+    "eigen": _RECORD_OPTIONS,
+    "basis": _RECORD_OPTIONS,
+    "spin": _RECORD_OPTIONS,
+    "logstrain": _RECORD_OPTIONS,
+    "stress": [*_RECORD_OPTIONS, "--bulk", "--shear", "--yield-stress"],
+    "verify": ["--seed", "--count", "--output"],
+}
+
+
+def test_cli_options_are_pinned():
+    parser = cli._build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+           for name, p in sub.choices.items()}
+    assert got == CLI_OPTIONS
+
+
+def test_record_with_undefined_theta_is_triple_in_every_command(tmp_path):
+    """BAND_TENSOR, whose Lode angle is undefined, is triple on every
+    command: spin refuses it, and stress is spherical."""
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps({"id": 1, "T": list(BAND_TENSOR.as_tuple())}) + "\n")
+    for cmd in ("eigen", "basis", "spin", "logstrain", "stress"):
+        dst = tmp_path / f"{cmd}.jsonl"
+        status = cli.main([*_argv(cmd), "--input", str(src), "--output", str(dst)])
+        rec = json.loads(dst.read_text())
+        if cmd == "spin":
+            assert status == 2
+            assert rec["error"].endswith("input classified as triple")
+        elif cmd == "stress":
+            assert status == 0
+            sigma = rec["sigma"]
+            assert sigma[0] == sigma[1] == sigma[2] and sigma[3:] == [0.0, 0.0, 0.0]
+        else:
+            assert status == 0
+            assert rec["multiplicity" if cmd != "logstrain" else "branch"] == "triple"
+        if cmd == "basis":
+            assert rec["bases"] == [[1.0 / 3.0] * 3 + [0.0] * 3] * 3
 
 
 @pytest.mark.parametrize("args", (["eigen", "--parallel", "0"], ["spin", "--parallel", "-3"],
@@ -694,7 +726,7 @@ def test_help_does_not_list_parallel(capsys):
         with pytest.raises(SystemExit):
             cli.main([cmd, "--help"])
         text = capsys.readouterr().out
-        assert "--tol-gap" in text and "--parallel" not in text
+        assert "--output" in text and "--parallel" not in text
 
 
 # Runs `python -m spectens` with the arguments of this script, as the

@@ -224,7 +224,7 @@ def test_rows_match_the_scalar_path_and_leave_out_map_failures():
     tensors = [make_with_eigs(rng, e) for e in eigs]
     t = st.SymTensor2(*np.array([x.as_tuple() for x in tensors]).T)
     with np.errstate(all="ignore"):
-        sp, ok = _spectrum_rows(t, st.DEFAULT_TOLS)
+        sp, ok = _spectrum_rows(t)
         assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
         steep = st.ScalarEigenMap(lambda x: x, lambda x: 1.0 if x < 100.0 else math.inf)
         for f in (st.double_exp_map(), st.cube_map(), st.half_log_map(), steep):

@@ -435,7 +435,7 @@ def test_rows_match_stress_and_tangent_on_every_branch():
         p=lambda ev, eq, th: math.exp(1e5 * ev), q=elastic.q, theta_sigma=elastic.theta_sigma,
         grad_p=elastic.grad_p, grad_q=elastic.grad_q, grad_theta_sigma=elastic.grad_theta_sigma)
     with np.errstate(all="ignore"):
-        sp, ok = spectral._spectrum_rows(t, spectral.DEFAULT_TOLS)
+        sp, ok = spectral._spectrum_rows(t)
         assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
         for rm in (_map_a(), _map_twist(), vonmises_demo_map(2.0, 1.0, 0.02)):
             sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
@@ -461,9 +461,11 @@ def test_rows_match_stress_and_tangent_on_every_branch():
         assert np.isfinite(sig[k]).all() == (x.trace() <= 0.0)
 
 
-# A plastic distinct predictor and the uniaxial strain, a double one.
+# A plastic distinct predictor, the uniaxial strain (a double one), and a
+# spherical strain, a triple one, whose plastic normals are undefined.
 _UNIAXIAL_STARTS = (SymTensor2(0.05, -0.02, -0.01, 0.003, -0.002, 0.001),
-                    SymTensor2(0.05, 0.0, 0.0, 0.0, 0.0, 0.0))
+                    SymTensor2(0.05, 0.0, 0.0, 0.0, 0.0, 0.0),
+                    SymTensor2(0.05, 0.05, 0.05, 0.0, 0.0, 0.0))
 
 
 def _uniaxial_maps():
@@ -479,7 +481,8 @@ def test_mixed_control_newton_converges_quadratically(eps0):
     """Uniaxial stress: eps_11 held, the other five stresses zero, solved
     by Newton on stress_and_tangent with the von Mises demo map past yield
     and with the Lode-twisting _map_twist, from a plastic distinct
-    predictor and from the uniaxial strain (a double one).  e_{k+1} <= C
+    predictor, from the uniaxial strain (a double one) and from a spherical
+    strain (a triple one).  e_{k+1} <= C
     e_k^2 down to the rounding floor, and the solution is the uniaxial
     stress on the double branch."""
     assert (spectrum(eps0).mult.tag is MultTag.DISTINCT) == (eps0.xy != 0.0)
@@ -497,7 +500,7 @@ def test_mixed_control_newton_converges_quadratically(eps0):
 
 
 def test_mixed_control_newton_on_the_row_path_takes_the_scalar_steps(monkeypatch):
-    """The Newton iterations of the test above on both starting points at
+    """The Newton iterations of the test above on all starting points at
     once, evaluated by the row kernels: every iterate and residual norm is
     the scalar one to the bit, so the row tangent converges as fast."""
     for rm, _ in _uniaxial_maps():

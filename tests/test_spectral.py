@@ -13,10 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 import spectens as st
-from spectens import oracle
+from spectens import oracle, spectral
 from spectens.spectral import MultTag, Multiplicity, _anchored, _spin_sum, classify, eigenvalues
+from spectens.tensor_core import TAU_ABS, TAU_REL
 
 from util import (
+    BAND_TENSOR,
+    invariants_ref,
     make_with_eigs,
     quat_rotation,
     rand_rotation,
@@ -79,16 +82,6 @@ def test_classify_examples():
     assert classify((1.0 + 5e-7, 1.0, 0.0), 1.0).tag is MultTag.DISTINCT
 
 
-def test_classify_tols_must_be_finite():
-    for bad in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
-        for field in ("tau_rel", "tau_gap"):
-            with pytest.raises(st.ContractError, match="must be finite and at least 0"):
-                st.ClassifyTols(**{field: bad})
-    # A floor of 0 is allowed: a spherical tensor is still triple.
-    zero = st.ClassifyTols(0.0, 0.0)
-    assert st.spectrum(st.SymTensor2(2, 2, 2, 0, 0, 0), zero).mult.tag is MultTag.TRIPLE
-
-
 def test_theta_sign_branch_guard():
     with pytest.raises(st.BranchError):
         Multiplicity(MultTag.DISTINCT).theta_sign
@@ -103,12 +96,13 @@ def test_eigenbasis_distinct_diagonal_example():
         assert st.norm(sp.bases[i] - st.SymTensor2(*(float(x) for x in axis))) <= 1e-12
 
 
-def test_eigenbasis_distinct_guards():
+def test_eigenbasis_distinct_guards(monkeypatch):
     # A gap of one rounding error classified as distinct (a zero gap floor):
     # the basis denominator vanishes.
+    monkeypatch.setattr(spectral, "TAU_GAP", 0.0)
     d = st.SymTensor2(4.0, 1.0, 1.0 + 1e-15, 0.0, 0.0, 0.0)
     with pytest.raises(st.BranchError, match="denominator vanished"):
-        st.spectrum(d, st.ClassifyTols(tau_gap=0.0))
+        st.spectrum(d)
 
 
 def test_overflowing_norm_raises_typed_error_with_and_without_asserts():
@@ -301,6 +295,43 @@ def test_spectrum_is_bit_identical_to_the_composed_reference_property(e, rep, qu
     r = quat_rotation(q / np.linalg.norm(q))
     eigs = np.array([e[k] for k in rep]) * 10.0 ** log10_scale
     _assert_same_spectrum(st.SymTensor2.from_matrix(r @ np.diag(eigs) @ r.T))
+
+
+def _row_codes(t):
+    """The class code and the mask of _spectrum_rows on t as one row."""
+    sp, ok = spectral._spectrum_rows(st.SymTensor2(*(np.array([c]) for c in t.as_tuple())))
+    return sp.mult.tolist(), ok.tolist()
+
+
+def test_undefined_theta_is_triple_on_both_paths():
+    """The gaps of BAND_TENSOR alone would call it distinct, with bases that
+    are not projectors; its Lode angle is undefined, so it is triple."""
+    assert not st.invariants(BAND_TENSOR).theta_defined
+    assert _assert_same_spectrum(BAND_TENSOR).mult.tag is MultTag.TRIPLE
+    assert _row_codes(BAND_TENSOR) == ([3], [True])
+
+
+@settings(max_examples=300)
+@given(hs.floats(-6.0, 6.0), hs.sampled_from((-1.0, 1.0)), hs.integers(-4, 4),
+       hs.floats(-math.pi / 6.0, math.pi / 6.0), _QUAT)
+def test_undefined_theta_is_triple_property(log10_scale, sign, ulps, theta, quat):
+    """Tensors of mean eigenvalue sign 10^log10_scale whose sqrt(J2) is
+    drawn within 4 ulps of the theta floor (TAU_ABS + TAU_REL |T|)/2, at
+    Lode angle theta, in a random rotation.  Roundoff in the components
+    scatters the computed J2 to both sides of the floor: wherever theta
+    comes out undefined, the scalar and the row spectrum are triple."""
+    q = np.array(quat)
+    assume(np.linalg.norm(q) > 0.1)
+    r = quat_rotation(q / np.linalg.norm(q))
+    mean = sign * 10.0 ** log10_scale
+    floor = 0.5 * (TAU_ABS + TAU_REL * math.sqrt(3.0) * abs(mean))
+    sqrt_j2 = floor + ulps * math.ulp(floor)
+    eigs = [mean + 2.0 / math.sqrt(3.0) * sqrt_j2 * math.sin(theta + s)
+            for s in (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)]
+    t = st.SymTensor2.from_matrix(r @ np.diag(eigs) @ r.T)
+    if not invariants_ref(t).theta_defined:
+        assert _assert_same_spectrum(t).mult.tag is MultTag.TRIPLE
+        assert _row_codes(t) == ([3], [True])
 
 
 def test_spectrum_equivariance():
