@@ -26,7 +26,7 @@ from .isofunc import _apply_rows, isotropic_function, square_map
 from .logstrain import (_HALF_LOG, _cauchy_green_terms, _not_spd, left_cauchy_green,
                         log_strain_from_b)
 from .plasticity import _stress_tangent_rows, stress_and_tangent, vonmises_demo_map
-from .spectral import _MULTS, MultTag, _spectrum_rows, _spin_sum_rows, spectrum, spin
+from .spectral import _MULTS, MultTag, _spectrum_rows, _spin_sum, spectrum, spin
 from .tensor_core import SymTensor2, _invariant_rows, invariants, norm
 
 _VERIFY_BASIS_TOL = 1e-8
@@ -105,7 +105,7 @@ def _dispatch_rows(cmd: str, t: SymTensor2, rm):
             blocks += [x for b in sp.bases for x in b.as_tuple()]
     elif cmd == "spin":
         ok = ok & (kind == 0)
-        blocks = [_spin_sum_rows(t, sp, [float(k == i) for k in range(3)]) for i in range(3)]
+        blocks = [_spin_sum(t, sp, [float(k == i) for k in range(3)]) for i in range(3)]
     elif cmd == "logstrain":
         eps, deps, ok = _apply_rows(t, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
         blocks = [eps, deps]

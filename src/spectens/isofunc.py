@@ -15,7 +15,6 @@ from .spectral import (
     Spectrum,
     _anchored,
     _spin_sum,
-    _spin_sum_rows,
     spectrum,
 )
 from .tensor_core import (
@@ -128,7 +127,7 @@ def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
     code, inv = sp.mult, sp.inv
     e, d, ok_all = _eta_rows(f, sp.lam, ok & (code == 0))
     s_all = _as_vec(_anchored(e, sp.bases[0], sp.bases[2]))
-    m_all = _spin_sum_rows(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)
+    m_all = _spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)
     # The double and triple rows, with the arguments _apply gives _coincident
     # on each.
     rows = np.flatnonzero(code)

@@ -22,7 +22,6 @@ from .spectral import (
     _I,
     _anchored,
     _spin_sum,
-    _spin_sum_rows,
     spectrum,
 )
 from .tensor_core import (
@@ -254,12 +253,9 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     ok &= ~dist | ~(abs(cos3t) <= COS3THETA_FLOOR)
     f = 2.0 / (3.0 * eps_q)
     s = deviator(eps_star).as_tuple()
-    grads = np.stack([np.broadcast_to(_E, (len(f), 6)),
-                      np.stack([f * x for x in s], -1),
-                      np.stack(_dtheta(s, inv.j2, inv.theta, cos3t, _ROW_MATH), -1)], 1)
-    coeff = np.array(_dsigma(gp, gq, gth, q, th, _ROW_MATH)).transpose(2, 0, 1)
-    tan = _spin_sum_rows(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
-                         tail=coeff @ grads)
+    grads = (*_I, *[f * x for x in s], *_dtheta(s, inv.j2, inv.theta, cos3t, _ROW_MATH))
+    tan = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
+                    tail=(grads, _dsigma(gp, gq, gth, q, th, _ROW_MATH)))
     sigma = _as_vec(_anchored(sig, sp.bases[0], sp.bases[2]))
     # The double and triple rows.
     rows = np.flatnonzero(code)

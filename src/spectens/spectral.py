@@ -261,16 +261,17 @@ def _anchored(v, n1: SymTensor2, n3: SymTensor2) -> SymTensor2:
 _SPIN_TABLE = np.vstack((_D2, (IDENTITY4.m - IXI.m).ravel()))
 
 
-# The flat operands of _spin_sum as the bytes of doubles, without and with a
-# tail: 30 rows and 22 numbers, plus 18 rows and 9 numbers.  Packing and
-# viewing the bytes costs about a third of np.array on the same floats.
+# The flat operands of one _spin_sum as the bytes of doubles, without and
+# with a tail: 30 rows and 22 numbers, plus 18 rows and 9 numbers.  Packing
+# and viewing the bytes costs about a third of np.array on the same floats.
 _PACK_SPIN_OPERANDS = (struct.Struct("52d").pack, struct.Struct("79d").pack)
 
 
 def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> np.ndarray:
     """Stored array of sum_i c[i] spin(t, sp, i) + sum_i d[i] N_i x N_i, plus
     sum_i N_i x (K G)[i] when tail = (G, K) is given: G the components of
-    three gradient rows, 18 numbers, and K a 3x3 nested sequence.
+    three gradient rows, 18 numbers, and K a 3x3 nested sequence.  Floats,
+    or (n,) arrays for the rows of t and sp, then an (n, 6, 6) stack.
 
     With a_i = c[i] / (3 l_i^2 - J2) and w_i the w of spin, the
     dyads on N_i are X^T Y + (X^T Y)^T over rows X_i = N_i and
@@ -280,39 +281,33 @@ def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> n
     transpose is, so that the array is exactly symmetric without the tail.
     An eigenvalue of weight 0 is skipped: its denominator may vanish.
 
-    The operands are views of one packed array of doubles: the rows
-    N_0, N_1, N_2, I, T and G, then the numbers of the 3x5 coefficients of
-    Y on the first five rows, the rest vector (half T, half sum a_i lam_i)
-    and K.  Their products are ndarray.dot, which rounds as the matmul of
-    _spin_sum_rows does on each row.
+    The operands are views of one array of doubles, one row of it per row
+    of t: the rows N_0, N_1, N_2, I, T and G, then the numbers of the 3x5
+    coefficients of Y on the first five rows, the rest vector (half T, half
+    sum a_i lam_i) and K.  Their products are ndarray.dot for one tensor and
+    np.matmul for a stack; each matrix of the stack has unit inner stride,
+    so matmul rounds as ndarray.dot does on each row.
     """
     coef, half, half_al = _spin_coef(sp, c, d)
     tv = t.as_tuple()
     b0, b1, b2 = sp.bases
     g, k = tail or ((), ((), (), ()))
-    flat = np.frombuffer(_PACK_SPIN_OPERANDS[bool(g)](
-        *b0.as_tuple(), *b1.as_tuple(), *b2.as_tuple(), *_I, *tv, *g,
-        *coef[0], *coef[1], *coef[2], *[half * x for x in tv], half_al, *k[0], *k[1], *k[2]))
-    rows = flat[:30 + len(g)].reshape(-1, 6)
-    nums = flat[30 + len(g):]
-    rest = nums[15:22].dot(_SPIN_TABLE)
-    tail = nums[22:].reshape(3, 3).dot(rows[5:]) if g else None
-    return _spin_assembled(rows[:5], nums[:15].reshape(3, 5), rest, tail, np.ndarray.dot)
-
-
-def _spin_sum_rows(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0),
-                   tail=None) -> np.ndarray:
-    """_spin_sum of the rows of t and sp, whose entries are (n,) arrays, as
-    an (n, 6, 6) array; c and d hold floats or (n,) arrays, tail is (n, 3, 6)."""
-    coef, half, half_al = _spin_coef(sp, c, d)
-    tv = np.stack(t.as_tuple(), -1)
-    rows = np.stack((*(np.stack(b.as_tuple(), -1) for b in sp.bases),
-                     np.broadcast_to(_I, tv.shape), tv), 1)
-    coef_m = np.empty((len(tv), 3, 5))
-    for i, k in np.ndindex(3, 5):
-        coef_m[:, i, k] = coef[i][k]
-    rest = np.hstack((half[:, None] * tv, half_al[:, None])) @ _SPIN_TABLE
-    return _spin_assembled(rows, coef_m, rest, tail, np.matmul)
+    ops = (*b0.as_tuple(), *b1.as_tuple(), *b2.as_tuple(), *_I, *tv, *g,
+           *coef[0], *coef[1], *coef[2], *[half * x for x in tv], half_al, *k[0], *k[1], *k[2])
+    if isinstance(tv[0], np.ndarray):
+        flat, mm = np.stack(np.broadcast_arrays(*ops), -1), np.matmul
+    else:
+        flat, mm = np.frombuffer(_PACK_SPIN_OPERANDS[bool(g)](*ops)), np.ndarray.dot
+    lead, o = flat.shape[:-1], 30 + len(g)
+    nv_t = flat[..., :18].reshape(lead + (3, 6)).swapaxes(-1, -2)
+    q = (mm(nv_t, mm(flat[..., o:o + 15].reshape(lead + (3, 5)),
+                     flat[..., :30].reshape(lead + (5, 6))))
+         + mm(flat[..., o + 15:o + 22], _SPIN_TABLE).reshape(lead + (6, 6)))
+    q = q + q.swapaxes(-1, -2)
+    if not g:
+        return q
+    return q + mm(nv_t, mm(flat[..., o + 22:].reshape(lead + (3, 3)),
+                           flat[..., 30:48].reshape(lead + (3, 6))))
 
 
 def _spin_coef(sp: Spectrum, c, d) -> tuple:
@@ -334,16 +329,6 @@ def _spin_coef(sp: Spectrum, c, d) -> tuple:
             sum_a += a
             sum_al += a * sp.lam[i]
     return coef, 0.5 * sum_a, 0.5 * sum_al
-
-
-def _spin_assembled(rows, coef, rest, tail, mm) -> np.ndarray:
-    """Q + Q^T (+ X^T tail) with Q = X^T (coef rows) + rest, X the first
-    three of the five rows; for one array or a stack of them.  mm is the
-    matrix product: ndarray.dot for one array, np.matmul for a stack."""
-    nv_t = rows[..., :3, :].swapaxes(-1, -2)
-    q = mm(nv_t, mm(coef, rows)) + rest.reshape(rest.shape[:-1] + (6, 6))
-    q = q + q.swapaxes(-1, -2)
-    return q if tail is None else q + mm(nv_t, tail)
 
 
 def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:

@@ -558,6 +558,51 @@ def test_spin_branch_guards():
         st.spin(td, spd, 5)
 
 
+def _row_of(x, i):
+    """Row i of x, an (n,) array, as a float; a float or a sequence of them
+    as it is, with its arrays replaced by their rows."""
+    if isinstance(x, np.ndarray):
+        return float(x[i])
+    if isinstance(x, (tuple, list)):
+        return type(x)(_row_of(y, i) for y in x)
+    return x
+
+
+def _spectrum_row(sp, i):
+    """Row i of the spectrum of rows sp as a scalar Spectrum."""
+    inv = sp.inv
+    return spectral.Spectrum(
+        _row_of(sp.lam, i), spectral._MULTS[sp.mult[i]],
+        tuple(st.SymTensor2(*_row_of(b.as_tuple(), i)) for b in sp.bases),
+        st.InvariantSet(*_row_of((inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta), i),
+                        bool(inv.theta_defined[i])))
+
+
+@pytest.mark.parametrize("n", (1, 7, 512, 1024))
+def test_spin_sum_of_rows_is_bit_identical_to_each_row(n):
+    """_spin_sum of a stack of rows equals the _spin_sum of each row to the
+    bit, for the three forms its callers use: unit weights (spin), weights
+    with dyads (isofunc) and weights with a (G, K) tail (plasticity)."""
+    rng = np.random.default_rng(n)
+    comps = rng.standard_normal((6, n))
+    t = st.SymTensor2(*comps)
+    sp, ok = spectral._spectrum_rows(t)
+    assert ok.all() and (sp.mult == 0).all()
+    c = (rng.standard_normal(n), 0.0, rng.standard_normal(n))
+    d = tuple(rng.standard_normal(n) for _ in range(3))
+    g = (*st.IDENTITY2.as_tuple(), *rng.standard_normal((12, n)))
+    k = [list(rng.standard_normal((3, n))) for _ in range(3)]
+    forms = [((tuple(float(j == i) for j in range(3)),), {}) for i in range(3)]
+    forms += [((c, d), {}), ((c,), {"tail": (g, k)})]
+    for args, kwargs in forms:
+        got = _spin_sum(t, sp, *args, **kwargs)
+        assert got.shape == (n, 6, 6)
+        for i in range(n):
+            want = _spin_sum(st.SymTensor2(*_row_of(t.as_tuple(), i)), _spectrum_row(sp, i),
+                             *_row_of(args, i), **{key: _row_of(v, i) for key, v in kwargs.items()})
+            assert got[i].tobytes() == want.tobytes(), (i, len(args), bool(kwargs))
+
+
 @pytest.mark.parametrize("kind", ("invariants", "spectrum"))
 def test_hand_written_inits_keep_dataclass_behaviour(kind):
     """InvariantSet and Spectrum set their slots in a written __init__; they
