@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -143,18 +144,23 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
     """The map at the predictor of sp, for the stress and its tangent:
     (args, p, q, theta_sigma, principal stresses).  The triple branch
     evaluates only p, at args = (eps_v, 0, 0); only the distinct branch
-    consults theta_sigma and forms the principal stresses."""
+    consults theta_sigma and forms the principal stresses.  A value that is
+    not finite, q < 0 or an ArithmeticError of the map is a ContractError."""
     args = _predictor_args(sp.inv, math)
-    if sp.mult.tag is MultTag.TRIPLE:
+    tag = sp.mult.tag
+    if tag is MultTag.TRIPLE:
         args = (args[0], 0.0, 0.0)
-        return args, rm.p(*args), None, None, None
-    p = rm.p(*args)
-    q = rm.q(*args)
-    if q < 0.0:
-        raise ContractError(f"return map produced q = {q!r} < 0 at {args!r}")
-    if sp.mult.tag is not MultTag.DISTINCT:
+    try:
+        p = rm.p(*args)
+        q = 0.0 if tag is MultTag.TRIPLE else rm.q(*args)
+        th = rm.theta_sigma(*args) if tag is MultTag.DISTINCT else 0.0
+    except ArithmeticError as exc:
+        raise ContractError(f"return map fails at {args!r}: {exc!r}") from exc
+    if not (math.isfinite(p) and 0.0 <= q < math.inf and math.isfinite(th)):
+        raise ContractError(f"return map produced p = {p!r}, q = {q!r}, theta_sigma = {th!r} "
+                            f"at {args!r}; each must be finite, and q >= 0")
+    if tag is not MultTag.DISTINCT:
         return args, p, q, None, None
-    th = rm.theta_sigma(*args)
     return args, p, q, th, _principal(p, q, th, math)
 
 
@@ -181,12 +187,19 @@ def _stress(eps_star: SymTensor2, sp: Spectrum, mv, tag: MultTag) -> SymTensor2:
 def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
              mv) -> SymTensor4:
     args, _, q, th, sig = mv
-    gp = rm.grad_p(*args)
-    gq = rm.grad_q(*args)
-    if sp.mult.tag is not MultTag.DISTINCT:
+    distinct = sp.mult.tag is MultTag.DISTINCT
+    try:
+        gp = rm.grad_p(*args)
+        gq = rm.grad_q(*args)
+        gth = rm.grad_theta_sigma(*args) if distinct else (0.0, 0.0, 0.0)
+    except ArithmeticError as exc:
+        raise ContractError(f"return map gradient fails at {args!r}: {exc!r}") from exc
+    if not all(map(math.isfinite, (*gp, *gq, *gth))):
+        raise ContractError(f"return map gradients {gp!r}, {gq!r}, {gth!r} at {args!r} "
+                            "are not finite")
+    if not distinct:
         return SymTensor4(_coincident_tangent(eps_star, sp.mult.tag, args[1], q, gp, gq))
     f = 2.0 / (3.0 * args[1])
-    gth = rm.grad_theta_sigma(*args)
     s = deviator(eps_star).as_tuple()
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
     grads = (*_I, *[f * x for x in s], *_dtheta_of_dev(s, sp.inv))
@@ -233,20 +246,23 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     entries are (n,) arrays and whose mult holds the class codes of
     _spectrum_rows: (sigma as (n, 6), tangent as (n, 6, 6), ok less the
     rows on which stress_and_tangent would raise).  The map is called only
-    on rows that are still ok, and only where _map_at and _tangent call it;
-    a row on which it raises an ArithmeticError is NaN."""
+    on rows that are still ok, and only where _map_at and _tangent call it."""
     inv, code = sp.inv, sp.mult
     dist, triple = code == 0, code == 3
     eps_v, eps_q, theta = _predictor_args(inv, _ROW_MATH)
     # _map_at evaluates the triple branch at (eps_v, 0, 0).
     args = (eps_v, np.where(triple, 0.0, eps_q), np.where(triple, 0.0, theta))
+    fin = np.isfinite
     p = _per_row(rm.p, ok, args)
     q = _per_row(rm.q, ok & ~triple, args)
-    ok = ok & ~(q < 0.0)
     th = _per_row(rm.theta_sigma, ok & dist, args)
+    ok = ok & fin(p) & (triple | fin(q) & (q >= 0.0)) & (~dist | fin(th))
+    th = np.where(ok, th, np.nan)  # math.sin refuses an infinite theta_sigma
     sig = _principal(p, q, th, _ROW_MATH)
-    gp, gq = (tuple(_per_row(g, ok, args, 3).T) for g in (rm.grad_p, rm.grad_q))
-    gth = tuple(_per_row(rm.grad_theta_sigma, ok & dist, args, 3).T)
+    gp, gq = (_per_row(g, ok, args, 3) for g in (rm.grad_p, rm.grad_q))
+    gth = _per_row(rm.grad_theta_sigma, ok & dist, args, 3)
+    ok &= fin(gp).all(1) & fin(gq).all(1) & (~dist | fin(gth).all(1))
+    gp, gq, gth = (tuple(g.T) for g in (gp, gq, gth))
     # The guard of dtheta_dT, which only the distinct branch calls; theta is
     # defined on every distinct row.
     cos3t = _ROW_MATH.cos(3.0 * inv.theta)
@@ -273,7 +289,7 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
 def linear_elastic_map(bulk: float, shear: float) -> InvariantReturnMap:
     """p = K eps_v, q = 3 G eps_q, theta_sigma = theta_eps: the invariant form
     of isotropic linear elasticity."""
-    if not all(math.isfinite(x) and x > 0.0 for x in (bulk, shear)):
+    if not all(isinstance(x, Real) and math.isfinite(x) and x > 0.0 for x in (bulk, shear)):
         raise ContractError(f"elastic moduli must be finite and positive, got {(bulk, shear)!r}")
     return InvariantReturnMap(
         p=lambda ev, eq, th: bulk * ev,
@@ -288,9 +304,10 @@ def linear_elastic_map(bulk: float, shear: float) -> InvariantReturnMap:
 def vonmises_demo_map(bulk: float, shear: float, yield_q: float) -> InvariantReturnMap:
     """Radial-return von Mises map: elastic below q_y, q capped at q_y above.
     At the yield tie 3 G eps_q == q_y the plastic branch wins."""
-    if not all(math.isfinite(x) and x > 0.0 for x in (bulk, shear, yield_q)):
+    params = (bulk, shear, yield_q)
+    if not all(isinstance(x, Real) and math.isfinite(x) and x > 0.0 for x in params):
         raise ContractError("demo map parameters (bulk, shear, yield_q) must be finite and "
-                            f"positive, got {(bulk, shear, yield_q)!r}")
+                            f"positive, got {params!r}")
 
     def q_fn(ev, eq, th):
         return min(3.0 * shear * eq, yield_q)

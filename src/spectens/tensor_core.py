@@ -87,7 +87,10 @@ class SymTensor2:
 
     @classmethod
     def from_seq(cls, seq) -> "SymTensor2":
-        vals = tuple(float(x) for x in seq)
+        try:
+            vals = tuple(float(x) for x in seq)
+        except (TypeError, ValueError) as exc:
+            raise ContractError(f"expected 6 numbers (11,22,33,12,13,23), got {seq!r}") from exc
         if len(vals) != 6:
             raise ContractError(f"expected 6 components (11,22,33,12,13,23), got {len(vals)}")
         return cls(*vals)
@@ -95,12 +98,15 @@ class SymTensor2:
     @classmethod
     def from_matrix(cls, m) -> "SymTensor2":
         """Build from a 3x3 array-like, symmetrizing the off-diagonal part."""
-        return cls(
-            float(m[0][0]), float(m[1][1]), float(m[2][2]),
-            0.5 * (float(m[0][1]) + float(m[1][0])),
-            0.5 * (float(m[0][2]) + float(m[2][0])),
-            0.5 * (float(m[1][2]) + float(m[2][1])),
-        )
+        try:
+            return cls(
+                float(m[0][0]), float(m[1][1]), float(m[2][2]),
+                0.5 * (float(m[0][1]) + float(m[1][0])),
+                0.5 * (float(m[0][2]) + float(m[2][0])),
+                0.5 * (float(m[1][2]) + float(m[2][1])),
+            )
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
+            raise ContractError(f"expected a 3x3 array of numbers, got {m!r}") from exc
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.xx, self.yy, self.zz, self.xy, self.xz, self.yz)
@@ -234,8 +240,11 @@ _SET_I1, _SET_I2, _SET_I3, _SET_J2, _SET_J3, _SET_THETA, _SET_THETA_DEFINED = (
 def invariants(t: SymTensor2) -> InvariantSet:
     """All six invariants; the arcsin argument for theta is clamped to [-1, 1].
 
-    A pre-clamp excess beyond 1e-8 signals ConditioningWarning: that much
-    overshoot cannot come from roundoff near a repeated eigenvalue alone.
+    A pre-clamp excess beyond 1e-8 signals ConditioningWarning: theta then
+    carries at least that relative error.  Roundoff alone gets there when
+    the deviator is small against |T|, as J3 / J2^(3/2) carries a relative
+    error of about eps |T| / sqrt(J2).  _invariant_rows leaves such rows out
+    of its mask, so the CLI evaluates them here, and they warn.
     """
     return _invariants(t)[0]
 
@@ -335,7 +344,10 @@ class SymTensor4:
     __slots__ = ("m",)
 
     def __init__(self, m):
-        arr = np.array(m, dtype=float, copy=True)
+        try:
+            arr = np.array(m, dtype=float, copy=True)
+        except (TypeError, ValueError) as exc:
+            raise ContractError(f"expected a 6x6 array of numbers, got {m!r}") from exc
         if arr.shape != (6, 6):
             raise ContractError(f"expected a 6x6 array, got shape {arr.shape}")
         arr.flags.writeable = False

@@ -1,6 +1,7 @@
 """Invariant return maps: gates, stress reconstruction, consistent tangents."""
 
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -409,6 +410,55 @@ def test_stress_and_tangent_decomposes_the_predictor_once(monkeypatch):
         assert not [name for name in counts if name.startswith("grad_")], tag
 
 
+# A predictor of each branch, and the map callables stress_and_tangent
+# consults there.
+_BRANCH_PREDICTORS = {
+    MultTag.DISTINCT: (SymTensor2(0.01, 0.002, -0.003, 0.001, 0.0, 0.0), _MAP_FIELDS),
+    MultTag.DOUBLE_HIGH_UNIQUE: (SymTensor2(0.01, -0.005, -0.005, 0.0, 0.0, 0.0),
+                                 ("p", "q", "grad_p", "grad_q")),
+    MultTag.TRIPLE: (SymTensor2(0.004, 0.004, 0.004, 0.0, 0.0, 0.0), ("p", "grad_p", "grad_q")),
+}
+
+
+@pytest.mark.parametrize("bad", ("nan", "inf", "raises"))
+@pytest.mark.parametrize("field", _MAP_FIELDS)
+@pytest.mark.parametrize("tag", tuple(_BRANCH_PREDICTORS))
+def test_map_that_is_not_finite_is_a_contract_error(tag, field, bad):
+    """A map value or gradient that a branch uses and that is NaN or
+    infinite, or a map that raises an ArithmeticError there, is a
+    ContractError of the scalar calls and leaves the row out of
+    _stress_tangent_rows; one the branch does not use changes nothing."""
+    eps, used = _BRANCH_PREDICTORS[tag]
+    assert spectrum(eps).mult.tag is tag
+    value = math.nan if bad == "nan" else math.inf
+
+    def broken(ev, eq, th):
+        if bad == "raises":
+            return ev / 0.0
+        return (0.0, value, 0.0) if field.startswith("grad_") else value
+
+    rm = vonmises_demo_map(2.0, 1.0, 0.02)
+    broken_rm = dataclasses.replace(rm, **{field: broken})
+    rows = SymTensor2(*(np.array([x]) for x in eps.as_tuple()))
+    with np.errstate(all="ignore"):
+        sp, ok = spectral._spectrum_rows(rows)
+        ok_rm = plasticity._stress_tangent_rows(rows, sp, broken_rm, ok)[2]
+    if field not in used:
+        sig, tan = stress_and_tangent(eps, broken_rm)
+        assert sig == reconstruct_stress(eps, rm)
+        assert tan.m.tolist() == consistent_tangent(eps, rm).m.tolist()
+        assert ok_rm.all()
+        return
+    with pytest.raises(ContractError, match="return map"):
+        stress_and_tangent(eps, broken_rm)
+    with pytest.raises(ContractError, match="return map"):
+        consistent_tangent(eps, broken_rm)
+    with (contextlib.nullcontext() if field.startswith("grad_")
+          else pytest.raises(ContractError, match="return map")):
+        reconstruct_stress(eps, broken_rm)
+    assert not ok_rm.any()
+
+
 @pytest.mark.parametrize("bad", (0.0, -1.0, math.nan, math.inf))
 def test_maps_reject_parameters_that_are_not_finite_and_positive(bad):
     for args in ((bad, 1.0), (1.0, bad)):
@@ -419,12 +469,22 @@ def test_maps_reject_parameters_that_are_not_finite_and_positive(bad):
             vonmises_demo_map(*args)
 
 
+@pytest.mark.parametrize("bad", ("a", None, [1.0], 1j))
+def test_maps_reject_parameters_that_are_not_numbers(bad):
+    for args in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ContractError, match="finite and positive"):
+            linear_elastic_map(*args)
+    for args in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+        with pytest.raises(ContractError, match="finite and positive"):
+            vonmises_demo_map(*args)
+
+
 def test_rows_match_stress_and_tangent_on_every_branch():
     """_stress_tangent_rows on rows of every class, with maps whose
     gradients differ on every axis: double and triple rows are the scalar
-    results bit for bit, distinct rows agree to rounding, a row on which the
-    map gives q < 0 is left out, and a row on which it overflows gives NaN
-    instead of raising."""
+    results bit for bit, distinct rows agree to rounding, and a row on which
+    the map gives q < 0 or overflows is left out, where the scalar call
+    raises ContractError."""
     rng = np.random.default_rng(36)
     eigs = ((0.03, 0.01, -0.02), (0.03, -0.01, -0.01), (0.02, 0.02, -0.01), (0.01, 0.01, 0.01),
             (-0.01, -0.01, -0.01))
@@ -454,11 +514,11 @@ def test_rows_match_stress_and_tangent_on_every_branch():
             grad_theta_sigma=elastic.grad_theta_sigma)
         # q is consulted on every branch but the triple one.
         assert (plasticity._stress_tangent_rows(t, sp, negative, ok)[2] == (sp.mult == 3)).all()
-        sig, tan, _ = plasticity._stress_tangent_rows(t, sp, overflows, ok)
+        sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, overflows, ok)
     for k, x in enumerate(tensors):
-        with pytest.raises(OverflowError) if x.trace() > 0.0 else contextlib.nullcontext():
+        with pytest.raises(ContractError) if x.trace() > 0.0 else contextlib.nullcontext():
             stress_and_tangent(x, overflows)
-        assert np.isfinite(sig[k]).all() == (x.trace() <= 0.0)
+        assert ok_rm[k] == np.isfinite(sig[k]).all() == (x.trace() <= 0.0)
 
 
 # A plastic distinct predictor, the uniaxial strain (a double one), and a

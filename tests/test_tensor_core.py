@@ -44,6 +44,21 @@ def test_from_seq_rejects_wrong_length():
         st.SymTensor2.from_seq([1.0, 2.0, 3.0, 4.0, 5.0])
 
 
+@pytest.mark.parametrize("build", (
+    lambda: st.SymTensor2.from_seq([1, 2, 3, 4, 5, "x"]),
+    lambda: st.SymTensor2.from_seq(None),
+    lambda: st.SymTensor2.from_seq([1, 2, 3, 4, 5, [6]]),
+    lambda: st.SymTensor2.from_matrix([[1, 2, 3], [4, 5, 6]]),
+    lambda: st.SymTensor2.from_matrix([[1, 2, 3], [4, 5, 6], [7, 8, None]]),
+    lambda: st.SymTensor4("abc"),
+    lambda: st.SymTensor4([[1.0, [2.0]]]),
+), ids=("seq-text", "seq-none", "seq-nested", "matrix-2x3", "matrix-none", "t4-text",
+        "t4-ragged"))
+def test_constructors_refuse_what_is_not_numbers(build):
+    with pytest.raises(st.ContractError, match="expected"):
+        build()
+
+
 def test_from_matrix_symmetrizes():
     t = st.SymTensor2.from_matrix([[1, 2, 0], [4, 1, 0], [0, 0, 1]])
     assert t.xy == 3.0
