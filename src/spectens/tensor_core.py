@@ -105,7 +105,7 @@ class SymTensor2:
                 0.5 * (float(m[0][2]) + float(m[2][0])),
                 0.5 * (float(m[1][2]) + float(m[2][1])),
             )
-        except (TypeError, ValueError, IndexError, KeyError) as exc:
+        except (TypeError, ValueError, LookupError) as exc:
             raise ContractError(f"expected a 3x3 array of numbers, got {m!r}") from exc
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
