@@ -148,18 +148,19 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
     not finite, q < 0 or an ArithmeticError of the map is a ContractError."""
     args = _predictor_args(sp.inv, math)
     tag = sp.mult.tag
-    if tag is MultTag.TRIPLE:
+    distinct, triple = tag is MultTag.DISTINCT, tag is MultTag.TRIPLE
+    if triple:
         args = (args[0], 0.0, 0.0)
     try:
         p = rm.p(*args)
-        q = 0.0 if tag is MultTag.TRIPLE else rm.q(*args)
-        th = rm.theta_sigma(*args) if tag is MultTag.DISTINCT else 0.0
+        q = 0.0 if triple else rm.q(*args)
+        th = rm.theta_sigma(*args) if distinct else 0.0
     except ArithmeticError as exc:
         raise ContractError(f"return map fails at {args!r}: {exc!r}") from exc
     if not (math.isfinite(p) and 0.0 <= q < math.inf and math.isfinite(th)):
         raise ContractError(f"return map produced p = {p!r}, q = {q!r}, theta_sigma = {th!r} "
                             f"at {args!r}; each must be finite, and q >= 0")
-    if tag is not MultTag.DISTINCT:
+    if not distinct:
         return args, p, q, None, None
     return args, p, q, th, _principal(p, q, th, math)
 

@@ -459,22 +459,12 @@ def test_map_that_is_not_finite_is_a_contract_error(tag, field, bad):
     assert not ok_rm.any()
 
 
-@pytest.mark.parametrize("bad", (0.0, -1.0, math.nan, math.inf))
+@pytest.mark.parametrize("bad", (0.0, -1.0, math.nan, math.inf, "a", None, [1.0], 1j))
 def test_maps_reject_parameters_that_are_not_finite_and_positive(bad):
     for args in ((bad, 1.0), (1.0, bad)):
         with pytest.raises(ContractError, match="finite and positive"):
             linear_elastic_map(*args)
     for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
-        with pytest.raises(ContractError, match="finite and positive"):
-            vonmises_demo_map(*args)
-
-
-@pytest.mark.parametrize("bad", ("a", None, [1.0], 1j))
-def test_maps_reject_parameters_that_are_not_numbers(bad):
-    for args in ((bad, 1.0), (1.0, bad)):
-        with pytest.raises(ContractError, match="finite and positive"):
-            linear_elastic_map(*args)
-    for args in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
         with pytest.raises(ContractError, match="finite and positive"):
             vonmises_demo_map(*args)
 
