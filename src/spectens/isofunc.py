@@ -10,6 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MapDomainError
+from .plasticity import _DOUBLE, _coincident_tangent
 from .spectral import (
     MultTag,
     Spectrum,
@@ -23,10 +24,8 @@ from .tensor_core import (
     SymTensor2,
     SymTensor4,
     _E,
-    _ROW_MATH,
     _as_vec,
     _from_vec,
-    _iso4,
     _lift,
     _outer,
     _per_row,
@@ -75,15 +74,15 @@ def _coincident(i1t, qt, s) -> tuple:
 
 
 def _map_values(e, d, s) -> tuple:
-    """(I1S, qS, dI1S/dI1T, dI1S/dqT, dqS/dI1T, dqS/dqT) from the values e and
-    slopes d of the map at (lam_hat, lam_rep) of _coincident, by the chain
-    rule: the degenerate branches see the map only through (I1S, qS) and
-    their four partials in (I1T, qT), since theta carries no information
+    """(p, q, grad_p, grad_q, eta'(lam_rep)) of S from the values e and slopes
+    d of the map at (lam_hat, lam_rep) of _coincident, with the gradients by
+    the chain rule in plasticity's (eps_v, eps_q) = (I1T, 2 qT/3): the
+    degenerate branches are a return map, as theta carries no information
     there.  Floats or (n,) arrays."""
     (e_hat, e_rep), (d_hat, d_rep) = e, d
-    return (e_hat + 2.0 * e_rep, s * (e_rep - e_hat), (d_hat + 2.0 * d_rep) / 3.0,
-            2.0 * s * (d_rep - d_hat) / 3.0, s * (d_rep - d_hat) / 3.0,
-            (d_rep + 2.0 * d_hat) / 3.0)
+    cross = s * (d_rep - d_hat) / 3.0
+    return ((e_hat + 2.0 * e_rep) / 3.0, s * (e_rep - e_hat),
+            ((d_hat + 2.0 * d_rep) / 9.0, cross), (cross, (d_rep + 2.0 * d_hat) / 2.0), d_rep)
 
 
 def _eta(f: ScalarEigenMap, lams) -> tuple[list, list]:
@@ -135,13 +134,15 @@ def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
     sign = np.where(code == 1, -1.0, 1.0)
     qt = np.where(code == 3, 0.0, np.sqrt(3.0 * j2))
     e, d, ok_all[rows] = _eta_rows(f, _coincident(i1, qt, sign), ok[rows])
-    mv = _map_values(e, d, sign)
-    s_double, m_double = _double_terms(SymTensor2(*(x[rows] for x in t.as_tuple())),
-                                       j2, sign, mv, _ROW_MATH)
-    s_triple, m_triple = _triple_terms(mv)
+    p, q, gp, gq, slope = _map_values(e, d, sign)
+    dv = _as_vec(deviator(SymTensor2(*(x[rows] for x in t.as_tuple()))))
+    s_pair, m_pair = _in_pair(dv, qt, sign, slope - q / qt)
     triple = code == 3
-    s_all[rows] = np.where(_lift(triple, 1), _as_vec(s_triple), _as_vec(s_double))
-    m_all[rows] = np.where(_lift(triple, 2), m_triple, m_double)
+    s_all[rows] = np.where(_lift(triple, 1), _lift(p, 1) * _E,
+                           _lift(p, 1) * _E + _lift(q / qt, 1) * dv + s_pair)
+    m_all[rows] = np.where(_lift(triple, 2),
+                           _coincident_tangent(dv, MultTag.TRIPLE, 0.0, q, gp, gq),
+                           _coincident_tangent(dv, _DOUBLE, 2.0 * qt / 3.0, q, gp, gq) + m_pair)
     return s_all, m_all, ok_all
 
 
@@ -149,18 +150,16 @@ _TWO_THIRDS_I = (2.0 / 3.0) * _E
 _WEIGHTS = np.array(WEIGHTS)
 
 
-def _double_terms(t: SymTensor2, j2, sgn, mv: tuple, m) -> tuple:
-    """(S, stored array of dS/dT) at a double coincidence from J2, the theta
-    sign and the map values mv of _map_values; floats or (n,) arrays (then a
-    stack of arrays), with sqrt from m.
+def _in_pair(dv, qt, sgn, c) -> tuple:
+    """(vector, stored array): the in-pair terms of S and of dS/dT at a double
+    coincidence, from the deviator dv of t as a (6,) array, qT, the theta
+    sign and c = eta'(lam_rep) - qS/qT; floats or (n,) arrays (then stacks,
+    with dv as (n, 6)).
 
-    S = (I1S/3) I + (qS/qT) dev(t) plus an in-pair term.  The tangent carries
-    the four partials on the volumetric/deviatoric axes plus the same in-pair
-    structure: perturbations that split the repeated pair see the map respond
-    with slope d eta/d lam|rep = 2 dI1S/dI1T - dqS/dqT, while the (I1, q)
-    axes alone only encode qS/qT there; the difference acts through the
-    traceless projector pair D -> P.D.P - (P:D) P/2, P = I - N_hat.  It
-    vanishes for affine maps.
+    Perturbations that split the repeated pair see the map respond with
+    slope eta'(lam_rep), while the (I1, q) axes alone only encode qS/qT
+    there; the difference c acts through the traceless projector pair
+    D -> P.D.P - (P:D) P/2, P = I - N_hat.  It vanishes for affine maps.
 
     The value-level in-pair term is identically zero at an exact coincidence;
     it matters because classification admits tensors whose pair is split by
@@ -168,35 +167,13 @@ def _double_terms(t: SymTensor2, j2, sgn, mv: tuple, m) -> tuple:
     that residual anisotropy with the wrong slope, breaking finite-difference
     consistency and continuity against the generic branch.
     """
-    i1s, qs, di1s_di1t, di1s_dqt, dqs_di1t, dqs_dqt = mv
-    qt = m.sqrt(3.0 * j2)
-    dv = _as_vec(deviator(t))
-    n_hat_d = _lift(-sgn / qt, 1) * dv
-    ratio = qs / qt
-    p_pair = _TWO_THIRDS_I - n_hat_d
-    pair_slope = 2.0 * di1s_di1t - dqs_dqt
+    p_pair = _TWO_THIRDS_I + _lift(sgn / qt, 1) * dv
     in_pair = _sym_kron_m(p_pair, p_pair) - 0.5 * _outer(p_pair, p_pair)
     # The projector pair is built from the actual deviator, which itself
     # carries the residual anisotropy; that inflates the extracted in-pair
     # part by 4/3 to first order, hence the 3/4.
-    s_out = _from_vec(_lift(i1s / 3.0, 1) * _E + _lift(ratio, 1) * dv
-                      + _lift(0.75 * (pair_slope - ratio), 1)
-                      * (in_pair @ (dv * _WEIGHTS)[..., None])[..., 0])
-    tan = (_iso4(di1s_di1t / 3.0, ratio)
-           + _lift(1.5 * (dqs_dqt - ratio), 2) * _outer(n_hat_d, n_hat_d)
-           - _lift(sgn * 0.5 * di1s_dqt, 2) * _outer(_E, n_hat_d)
-           - _lift(sgn * dqs_di1t, 2) * _outer(n_hat_d, _E)
-           + _lift(pair_slope - ratio, 2) * in_pair)
-    return s_out, tan
-
-
-def _triple_terms(mv: tuple) -> tuple:
-    """(S, stored array of dS/dT) at a triple coincidence from the map values
-    mv of _map_values: S = (I1S/3) I and the tangent is the isotropic pair
-    (dI1S/dI1T, dqS/dqT) on (I x I)/3 and the deviatoric identity.  Floats
-    or (n,) arrays (then a stack of arrays)."""
-    i1s, _, di1s_di1t, _, _, dqs_dqt = mv
-    return (i1s / 3.0) * IDENTITY2, _iso4(di1s_di1t / 3.0, dqs_dqt)
+    return (_lift(0.75 * c, 1) * (in_pair @ (dv * _WEIGHTS)[..., None])[..., 0],
+            _lift(c, 2) * in_pair)
 
 
 def isotropic_function(t: SymTensor2, f: ScalarEigenMap) -> tuple[SymTensor2, SymTensor4]:
@@ -219,10 +196,12 @@ def _apply(t: SymTensor2, sp: Spectrum,
         return (_anchored(e, sp.bases[0], sp.bases[2]),
                 SymTensor4._of(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)))
     if tag is MultTag.TRIPLE:
-        s_out, m = _triple_terms(_map_values(*_eta(f, _coincident(sp.inv.i1, 0.0, 1.0)), 1.0))
-    else:
-        sign = float(sp.mult.theta_sign)
-        qt = math.sqrt(3.0 * sp.inv.j2)
-        mv = _map_values(*_eta(f, _coincident(sp.inv.i1, qt, sign)), sign)
-        s_out, m = _double_terms(t, sp.inv.j2, sign, mv, math)
-    return s_out, SymTensor4(m)
+        p, q, gp, gq, _ = _map_values(*_eta(f, _coincident(sp.inv.i1, 0.0, 1.0)), 1.0)
+        return p * IDENTITY2, SymTensor4._of(_coincident_tangent(None, tag, 0.0, q, gp, gq))
+    sign = float(sp.mult.theta_sign)
+    qt = math.sqrt(3.0 * sp.inv.j2)
+    p, q, gp, gq, slope = _map_values(*_eta(f, _coincident(sp.inv.i1, qt, sign)), sign)
+    dv = _as_vec(deviator(t))
+    s_pair, m_pair = _in_pair(dv, qt, sign, slope - q / qt)
+    return (_from_vec(p * _E + (q / qt) * dv + s_pair),
+            SymTensor4._of(_coincident_tangent(dv, tag, 2.0 * qt / 3.0, q, gp, gq) + m_pair))

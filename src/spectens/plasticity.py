@@ -199,7 +199,8 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
         raise ContractError(f"return map gradients {gp!r}, {gq!r}, {gth!r} at {args!r} "
                             "are not finite")
     if not distinct:
-        return SymTensor4(_coincident_tangent(eps_star, sp.mult.tag, args[1], q, gp, gq))
+        dev = None if sp.mult.tag is MultTag.TRIPLE else _as_vec(deviator(eps_star))
+        return SymTensor4._of(_coincident_tangent(dev, sp.mult.tag, args[1], q, gp, gq))
     f = 2.0 / (3.0 * args[1])
     s = deviator(eps_star).as_tuple()
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
@@ -209,18 +210,17 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
     return SymTensor4._of(m)
 
 
-def _coincident_tangent(eps_star: SymTensor2, tag: MultTag, eps_q, q, gp, gq) -> np.ndarray:
-    """Stored array of consistent_tangent on the triple or double branch tag,
-    from the map's gradients gp and gq; floats or (n,) arrays (then a stack
-    of arrays)."""
+def _coincident_tangent(dev, tag: MultTag, eps_q, q, gp, gq) -> np.ndarray:
+    """Stored array of consistent_tangent on the triple or double branch tag
+    from the map's gradients gp and gq and, if double, the deviator dev of the
+    predictor by _as_vec; floats or (n,) arrays (then a stack of arrays)."""
     if tag is MultTag.TRIPLE:
         return _iso4(gp[0], (2.0 / 3.0) * gq[1])
     f = 2.0 / (3.0 * eps_q)
-    e = _as_vec(deviator(eps_star))
     return (_lift(gp[0], 2) * IXI.m
-            + _lift(f, 2) * (_lift(gp[1], 2) * _outer(_E, e)
-                             + _lift(gq[0], 2) * _outer(e, _E)
-                             + _lift(f * (gq[1] - q / eps_q), 2) * _outer(e, e)
+            + _lift(f, 2) * (_lift(gp[1], 2) * _outer(_E, dev)
+                             + _lift(gq[0], 2) * _outer(dev, _E)
+                             + _lift(f * (gq[1] - q / eps_q), 2) * _outer(dev, dev)
                              + _lift(q, 2) * _IDEV))
 
 
@@ -282,7 +282,8 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     gp, gq = (tuple(x[rows] for x in g) for g in (gp, gq))
     sigma[rows] = np.where(_lift(triple, 1), *(_as_vec(_stress(eps_c, sp, (args, p, q), tag))
                                                for tag in (MultTag.TRIPLE, _DOUBLE)))
-    tan[rows] = np.where(_lift(triple, 2), *(_coincident_tangent(eps_c, tag, args[1], q, gp, gq)
+    dev = np.array(s).T[rows]
+    tan[rows] = np.where(_lift(triple, 2), *(_coincident_tangent(dev, tag, args[1], q, gp, gq)
                                              for tag in (MultTag.TRIPLE, _DOUBLE)))
     return sigma, tan, ok
 

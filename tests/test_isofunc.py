@@ -157,43 +157,47 @@ def test_domain_violations_raise():
         st.isotropic_function(st.SymTensor2(-2.0, -2.0, -2.0, 0, 0, 0), f)
 
 
-_MAP_FIELDS = ("i1s", "qs", "di1s_di1t", "di1s_dqt", "dqs_di1t", "dqs_dqt")
+_MAP_FIELDS = ("p", "q", "dp_dev", "dp_deq", "dq_dev", "dq_deq", "slope")
 
 
-def _map_invariants(f, i1t, qt, sign):
-    """The map values of the degenerate branches of isotropic_function, by
-    name: the chain rule through the coincident eigenvalues."""
+def _map_invariants(f, eps_v, eps_q, sign):
+    """The return map that the degenerate branches of isotropic_function
+    make of f at (eps_v, eps_q) = (I1T, 2 qT/3), by name: the chain rule
+    through the coincident eigenvalues."""
     s = float(sign)
-    return dict(zip(_MAP_FIELDS, _map_values(*_eta(f, _coincident(i1t, qt, s)), s)))
+    p, q, gp, gq, slope = _map_values(*_eta(f, _coincident(eps_v, 1.5 * eps_q, s)), s)
+    return dict(zip(_MAP_FIELDS, (p, q, *gp, *gq, slope)))
 
 
 def test_scalar_map_invariants_values():
-    # Repeated low pair of diag(4,1,1): I1 = 6, q = 3, sign = -1,
+    # Repeated low pair of diag(4,1,1): I1 = 6, q = 3 (eps_q = 2), sign = -1,
     # lam_hat = 4, lam_rep = 1.
     f = st.half_log_map()
-    mv = _map_invariants(f, 6.0, 3.0, -1)
-    assert abs(mv["i1s"] - 0.5 * math.log(4.0)) <= 1e-14
-    assert abs(mv["qs"] - (-1) * (0.0 - 0.5 * math.log(4.0))) <= 1e-14
-    assert abs(mv["di1s_di1t"] - (0.125 + 1.0) / 3.0) <= 1e-14
-    assert abs(mv["dqs_dqt"] - (0.5 + 0.25) / 3.0) <= 1e-14
+    mv = _map_invariants(f, 6.0, 2.0, -1)
+    assert abs(mv["p"] - 0.5 * math.log(4.0) / 3.0) <= 1e-14
+    assert abs(mv["q"] - (-1) * (0.0 - 0.5 * math.log(4.0))) <= 1e-14
+    assert abs(mv["dp_dev"] - (0.125 + 1.0) / 9.0) <= 1e-14
+    assert abs(mv["dq_deq"] - (0.5 + 0.25) / 2.0) <= 1e-14
+    assert abs(mv["slope"] - 0.5) <= 1e-14
     # Triple limit: qt = 0 collapses the chain rule to eta'.
     mv = _map_invariants(st.square_map(), 6.0, 0.0, 1)
-    assert abs(mv["di1s_di1t"] - 4.0) <= 1e-14
-    assert abs(mv["dqs_dqt"] - 4.0) <= 1e-14
-    assert mv["di1s_dqt"] == 0.0
-    assert mv["dqs_di1t"] == 0.0
+    assert abs(mv["dp_dev"] - 4.0 / 3.0) <= 1e-14
+    assert abs(mv["dq_deq"] - 1.5 * 4.0) <= 1e-14
+    assert abs(mv["slope"] - 4.0) <= 1e-14
+    assert mv["dp_deq"] == 0.0
+    assert mv["dq_dev"] == 0.0
 
 
 def test_scalar_map_invariants_fd_cross_check():
-    # The four declared partials against finite differences in (I1, q).
+    # The four declared partials against finite differences in (eps_v, eps_q).
     f = st.cube_map()
-    i1, qt, s = 2.4, 0.9, -1
-    mv = _map_invariants(f, i1, qt, s)
+    ev, eq, s = 2.4, 0.6, -1
+    mv = _map_invariants(f, ev, eq, s)
     h = 1e-6
-    for field, axis in (("di1s_di1t", 0), ("di1s_dqt", 1), ("dqs_di1t", 0), ("dqs_dqt", 1)):
-        which = "i1s" if field.startswith("di1s") else "qs"
-        args_hi = (i1 + h, qt, s) if axis == 0 else (i1, qt + h, s)
-        args_lo = (i1 - h, qt, s) if axis == 0 else (i1, qt - h, s)
+    for field, axis in (("dp_dev", 0), ("dp_deq", 1), ("dq_dev", 0), ("dq_deq", 1)):
+        which = field[1]
+        args_hi = (ev + h, eq, s) if axis == 0 else (ev, eq + h, s)
+        args_lo = (ev - h, eq, s) if axis == 0 else (ev, eq - h, s)
         fd = (_map_invariants(f, *args_hi)[which]
               - _map_invariants(f, *args_lo)[which]) / (2.0 * h)
         assert abs(fd - mv[field]) <= 1e-6 * max(1.0, abs(fd))
