@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .errors import KinematicsError
 from .isofunc import _apply, half_log_map
 from .spectral import Multiplicity, spectrum
-from .tensor_core import SymTensor2, SymTensor4
+from .tensor_core import SymTensor2, SymTensor4, _reals
 
 # Relative floor on the smallest stretch: below this the tensor logarithm is
 # numerically meaningless even though the eigenvalue may still be positive.
@@ -23,16 +23,15 @@ def left_cauchy_green(f) -> SymTensor2:
     try:
         n = len(f)
         if n == 9:
-            rows = [[float(f[0]), float(f[1]), float(f[2])],
-                    [float(f[3]), float(f[4]), float(f[5])],
-                    [float(f[6]), float(f[7]), float(f[8])]]
+            flat = _reals(f, 9)
+            rows = [flat[0:3], flat[3:6], flat[6:9]]
         elif n == 3:
-            rows = [[float(x) for x in row] for row in f]
-    except (TypeError, ValueError, LookupError, OverflowError) as exc:
+            rows = [_reals(row, 3) for row in f]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise KinematicsError(
             f"deformation gradient must be a sequence of numbers or of rows of numbers: {exc}"
         ) from exc
-    if n not in (3, 9) or (n == 3 and any(len(row) != 3 for row in rows)):
+    if n not in (3, 9):
         raise KinematicsError("deformation gradient must be 3x3 or flat length 9")
     det, b = _cauchy_green_terms(rows)
     if not det > 0.0:

@@ -64,6 +64,27 @@ def _per_row(fn, ok, args, width=None) -> np.ndarray:
     return out
 
 
+_TEXT = (str, bytes, bytearray)
+
+
+def _reals(seq, n: int) -> list[float]:
+    """The n real numbers of seq as floats.  Text is a TypeError, as seq or
+    as an entry, though float() would parse it, and so is an entry float()
+    refuses; a count other than n is a ValueError."""
+    if isinstance(seq, _TEXT):
+        raise TypeError(f"text {seq!r} is not numbers")
+    vals = [x if type(x) is float else _real(x) for x in seq]
+    if len(vals) != n:
+        raise ValueError(f"expected {n} numbers, got {len(vals)}")
+    return vals
+
+
+def _real(x) -> float:
+    if isinstance(x, _TEXT):
+        raise TypeError(f"text {x!r} is not a number")
+    return float(x)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class SymTensor2:
     """Symmetric second-order 3x3 tensor; off-diagonal entries stored once.
@@ -88,25 +109,18 @@ class SymTensor2:
     @classmethod
     def from_seq(cls, seq) -> "SymTensor2":
         try:
-            vals = tuple(float(x) for x in seq)
-        except (TypeError, ValueError) as exc:
+            return cls(*_reals(seq, 6))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ContractError(f"expected 6 numbers (11,22,33,12,13,23), got {seq!r}") from exc
-        if len(vals) != 6:
-            raise ContractError(f"expected 6 components (11,22,33,12,13,23), got {len(vals)}")
-        return cls(*vals)
 
     @classmethod
     def from_matrix(cls, m) -> "SymTensor2":
         """Build from a 3x3 array-like, symmetrizing the off-diagonal part."""
         try:
-            return cls(
-                float(m[0][0]), float(m[1][1]), float(m[2][2]),
-                0.5 * (float(m[0][1]) + float(m[1][0])),
-                0.5 * (float(m[0][2]) + float(m[2][0])),
-                0.5 * (float(m[1][2]) + float(m[2][1])),
-            )
-        except (TypeError, ValueError, LookupError) as exc:
+            (xx, a, b), (c, yy, d), (e, f, zz) = [_reals(row, 3) for row in m]
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ContractError(f"expected a 3x3 array of numbers, got {m!r}") from exc
+        return cls(xx, yy, zz, 0.5 * (a + c), 0.5 * (b + e), 0.5 * (d + f))
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.xx, self.yy, self.zz, self.xy, self.xz, self.yz)
@@ -345,11 +359,16 @@ class SymTensor4:
 
     def __init__(self, m):
         try:
-            arr = np.array(m, dtype=float, copy=True)
+            arr = np.asarray(m)
         except (TypeError, ValueError) as exc:
             raise ContractError(f"expected a 6x6 array of numbers, got {m!r}") from exc
+        # Kinds b, i, u and f: numpy would turn None to NaN, parse text and
+        # drop an imaginary part.
+        if arr.dtype.kind not in "biuf":
+            raise ContractError(f"expected a 6x6 array of real numbers, got {arr.dtype} {m!r}")
         if arr.shape != (6, 6):
             raise ContractError(f"expected a 6x6 array, got shape {arr.shape}")
+        arr = arr.astype(float)
         arr.flags.writeable = False
         self.m = arr
 

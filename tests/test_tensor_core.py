@@ -48,12 +48,22 @@ def test_from_seq_rejects_wrong_length():
     lambda: st.SymTensor2.from_seq([1, 2, 3, 4, 5, "x"]),
     lambda: st.SymTensor2.from_seq(None),
     lambda: st.SymTensor2.from_seq([1, 2, 3, 4, 5, [6]]),
+    lambda: st.SymTensor2.from_seq("123456"),
+    lambda: st.SymTensor2.from_seq(b"123456"),
+    lambda: st.SymTensor2.from_seq(["1"] * 6),
+    lambda: st.SymTensor2.from_seq([10 ** 400] * 6),
     lambda: st.SymTensor2.from_matrix([[1, 2, 3], [4, 5, 6]]),
     lambda: st.SymTensor2.from_matrix([[1, 2, 3], [4, 5, 6], [7, 8, None]]),
+    lambda: st.SymTensor2.from_matrix(np.eye(4)),
+    lambda: st.SymTensor2.from_matrix(["123", "456", "789"]),
     lambda: st.SymTensor4("abc"),
     lambda: st.SymTensor4([[1.0, [2.0]]]),
-), ids=("seq-text", "seq-none", "seq-nested", "matrix-2x3", "matrix-none", "t4-text",
-        "t4-ragged"))
+    lambda: st.SymTensor4([[None] * 6] * 6),
+    lambda: st.SymTensor4([["1"] * 6] * 6),
+    lambda: st.SymTensor4(np.eye(6) * (1.0 + 1.0j)),
+), ids=("seq-text", "seq-none", "seq-nested", "seq-string", "seq-bytes", "seq-digits",
+        "seq-overflow", "matrix-2x3", "matrix-none", "matrix-4x4", "matrix-strings",
+        "t4-text", "t4-ragged", "t4-none", "t4-digits", "t4-complex"))
 def test_constructors_refuse_what_is_not_numbers(build):
     with pytest.raises(st.ContractError, match="expected"):
         build()
