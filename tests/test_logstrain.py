@@ -59,7 +59,7 @@ def test_left_cauchy_green_rejects_bad_input():
         left_cauchy_green([1, 2, 3])
     for bad in ([1, 0, 0, 0, 1, 0, 0, 0, "a"], [None] * 9, "abcdefghi", 5.0, "100010001",
                 b"\x01\x00\x00\x00\x01\x00\x00\x00\x01", ["100", "010", "001"],
-                ["1", 0, 0, 0, 1, 0, 0, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0]]):
+                [["1", 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0]]):
         with pytest.raises(KinematicsError):
             left_cauchy_green(bad)
 

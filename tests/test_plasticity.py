@@ -14,10 +14,12 @@ from spectens import (
     IXI,
     InvariantReturnMap,
     MultTag,
+    ScalarEigenMap,
     SymTensor2,
     SymTensor4,
     consistent_tangent,
     deviator,
+    isotropic_function,
     linear_elastic_map,
     norm,
     predictor_invariants,
@@ -27,7 +29,7 @@ from spectens import (
     stress_invariants,
     vonmises_demo_map,
 )
-from spectens import plasticity, spectral, tensor_core
+from spectens import isofunc, plasticity, spectral, tensor_core
 from spectens.oracle import fd_tensor_derivative, jacobi_eigen
 
 import util
@@ -509,6 +511,68 @@ def test_rows_match_stress_and_tangent_on_every_branch():
         with pytest.raises(ContractError) if x.trace() > 0.0 else contextlib.nullcontext():
             stress_and_tangent(x, overflows)
         assert ok_rm[k] == np.isfinite(sig[k]).all() == (x.trace() <= 0.0)
+
+
+def _one_row(eps):
+    rows = SymTensor2(*(np.array([x]) for x in eps.as_tuple()))
+    return rows, *spectral._spectrum_rows(rows)
+
+
+def test_isotropic_function_and_return_map_agree_on_one_material():
+    """sigma = 2 G eps is the isotropic function eta = 2 G lam and the
+    elastic return map with K = 2 G / 3: on every branch, on the scalar and
+    the row path, the two modules give the same stress and tangent."""
+    shear = 0.9
+    rm = linear_elastic_map(2.0 * shear / 3.0, shear)
+    eta = ScalarEigenMap(lambda x: 2.0 * shear * x, lambda x: 2.0 * shear)
+    cases = _branch_cases(np.random.default_rng(44))
+    t = SymTensor2(*np.array([eps.as_tuple() for eps, _ in cases]).T)
+    with np.errstate(all="ignore"):
+        sp, ok = spectral._spectrum_rows(t)
+        s_rows, m_rows, ok_f = isofunc._apply_rows(t, sp, eta, ok)
+        sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
+    assert ok_f.all() and ok_rm.all()
+    for k, (eps, tag) in enumerate(cases):
+        assert spectrum(eps).mult.tag is tag
+        s, m = isotropic_function(eps, eta)
+        sig, tan = stress_and_tangent(eps, rm)
+        assert rel2(s, sig) < 1e-13 and rel4(m, tan) < 1e-13, tag
+        assert rel2(SymTensor2(*s_rows[k]), SymTensor2(*sig_rows[k])) < 1e-13, tag
+        assert rel4(SymTensor4(m_rows[k]), SymTensor4(tan_rows[k])) < 1e-13, tag
+
+
+def test_yield_tie_takes_the_plastic_branch():
+    """A predictor exactly at the yield tie 3 G eps_q == q_y, on the distinct
+    and both double branches: q is q_y, the tangent is that of the plastic
+    branch, the row path gives the scalar result bit for bit, and the
+    tangent matches one-sided differences taken toward the plastic side."""
+    bulk, shear, h = 2.0, 1.0, 1e-7
+    for eps, tag in _branch_cases(np.random.default_rng(45))[:3]:
+        yield_q = 3.0 * shear * predictor_invariants(eps).eps_q
+        rm = vonmises_demo_map(bulk, shear, yield_q)
+        plastic = dataclasses.replace(rm, q=lambda ev, eq, th: yield_q,
+                                      grad_q=lambda ev, eq, th: (0.0, 0.0, 0.0))
+        sig, tan = stress_and_tangent(eps, rm)
+        assert spectrum(eps).mult.tag is tag
+        assert stress_invariants(sig).q == pytest.approx(yield_q, rel=1e-12)
+        assert np.array_equal(tan.m, stress_and_tangent(eps, plastic)[1].m)
+        assert rel4(tan, stress_and_tangent(eps, linear_elastic_map(bulk, shear))[1]) > 0.1
+        with np.errstate(all="ignore"):
+            rows, sp, ok = _one_row(eps)
+            sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(rows, sp, rm, ok)
+        assert ok_rm.all()
+        assert sig_rows[0].tolist() == list(sig.as_tuple())
+        assert tan_rows[0].tolist() == tan.m.tolist()
+        # Column b of the tangent: each unit direction, with the sign that
+        # does not lower eps_q, so that both points are plastic.
+        cols = np.empty((6, 6))
+        for b in range(6):
+            delta = SymTensor2(*(h * (j == b) for j in range(6)))
+            step = max((delta, -delta), key=lambda d: predictor_invariants(eps + d).eps_q)
+            assert 3.0 * shear * predictor_invariants(eps + step).eps_q >= yield_q
+            diff = reconstruct_stress(eps + step, rm) - sig
+            cols[:, b] = np.array(diff.as_tuple()) / (step.as_tuple()[b] * tensor_core.WEIGHTS[b])
+        assert rel4(tan, SymTensor4(cols)) < 1e-4, tag
 
 
 # A plastic distinct predictor, the uniaxial strain (a double one), and a
