@@ -73,7 +73,7 @@ def _reals(seq, n: int) -> list[float]:
     refuses; a count other than n is a ValueError."""
     if isinstance(seq, _TEXT):
         raise TypeError(f"text {seq!r} is not numbers")
-    vals = [x if type(x) is float else _real(x) for x in seq]
+    vals = [_real(x) for x in seq]
     if len(vals) != n:
         raise ValueError(f"expected {n} numbers, got {len(vals)}")
     return vals
