@@ -76,12 +76,12 @@ def test_importing_the_package_leaves_the_oracle_unloaded():
     """The Jacobi oracle and the finite-difference checks judge the closed
     forms from outside; only the CLI's verify command loads them.  The
     package itself imports its submodules on first use, so `import
-    spectens` loads no numpy."""
+    spectens` loads neither numpy nor orjson, which only the CLI uses."""
     code = ("import sys, spectens\n"
-            "print('numpy' in sys.modules)\n"
+            "print('numpy' in sys.modules, 'orjson' in sys.modules)\n"
             "import spectens.cli\n"
             "print('spectens.oracle' in sys.modules)\n")
-    assert _fresh(code) == ["False", "False"]
+    assert _fresh(code) == ["False", "False", "False"]
 
 
 def test_each_public_name_is_the_object_of_its_submodule():

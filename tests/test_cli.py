@@ -370,6 +370,7 @@ _IDS = (7, 2 ** 64 + 3, -12, 1.5, -0.0, 'say "hi" \\ gr\u00fc\u00dfe \u2211', ""
         None, [1, "a", [2.5]], {"k": [1.0, None], "\u00e9": {}})
 _EXTRAS = {"invariants": (True, False), "stress": (None,),
            **{cmd: cli._MULTS for cmd in ("eigen", "basis", "spin", "logstrain")}}
+_WORDS = ("theta_defined", "multiplicity", "unique_index", "branch")
 _WIDTH = {"invariants": 6, "eigen": 3, "basis": 21, "spin": 108, "logstrain": 42, "stress": 42}
 
 
@@ -411,19 +412,63 @@ def test_number_table_writes_what_json_writes(pool, m, seed):
                 assert got == json.dumps(cli_record(cmd, 7, want, extra)) + "\n"
 
 
+def _reprs(vals):
+    return [[repr(x) for x in row] for row in vals.tolist()]
+
+
 def test_equal_tangent_numbers_of_a_chunk_share_one_str():
-    """Each bit pattern among the tangent entries of a chunk is converted to
-    text once: equal patterns share one str, 0.0 and -0.0 do not, and the
-    stress itself stays floats."""
+    """Every entry, the stress included, is written as repr of its float.
+    Each bit pattern among the tangent entries of a chunk is converted to
+    text once: equal patterns share one str, 0.0 and -0.0 do not."""
     tangents = np.array([[0.1, -0.0, 0.0, 0.1, 1e16, 0.1] * 6, [0.1] * 36])
-    rows = cli._row_numbers("stress", np.hstack((np.full((2, 6), 0.1), tangents)))
-    assert [type(x) for row in rows for x in row[:6]] == [float] * 12
+    vals = np.hstack((np.array([[0.1, 1e-5, -2.5, 1e300, 0.0, 7.0]] * 2), tangents))
+    rows = cli._row_numbers("stress", vals)
+    assert rows == _reprs(vals)
     texts = [x for row in rows for x in row[6:]]
-    assert texts == [repr(x) for x in tangents.ravel().tolist()]
     first = {}
     for x in texts:
         assert first.setdefault(x, x) is x
     assert len(first) == 4
+
+
+# Numbers at the edges of the float range and of the exponent styles: repr
+# writes 1e-05 and 1e+16 where orjson writes 0.00001 and 1e16.
+_EDGE_NUMBERS = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+                 sys.float_info.max, -sys.float_info.max,
+                 *(s * y for x in (1e-4, 1e16) for s in (1.0, -1.0)
+                   for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))))
+
+
+@settings(max_examples=25)
+@given(hs.lists(hs.floats(allow_nan=False, allow_infinity=False)), hs.integers(0, 2 ** 32 - 1))
+def test_number_texts_are_repr_entry_for_entry(pool, seed):
+    """cli._texts writes repr of every entry of arrays of numbers from the
+    whole float64 range, the edge values and random bit patterns, in every
+    shape the rows can take and in a non-contiguous slice."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(-2 ** 63, 2 ** 63 - 1, 64, dtype=np.int64, endpoint=True).view(float)
+    pool = np.array([*pool, *_EDGE_NUMBERS, *bits[np.isfinite(bits)]])
+    for shape in ((0, 6), (5, 0), (1, 21), (512, 42)):
+        vals = pool[rng.integers(0, len(pool), shape)]
+        texts = cli._texts(vals)
+        assert texts.shape == shape
+        assert texts.tolist() == _reprs(vals)
+    assert cli._texts(vals[::3, 5:-6]).tolist() == _reprs(vals[::3, 5:-6])
+    assert cli._texts(np.array(_EDGE_NUMBERS)).tolist() == [repr(x) for x in _EDGE_NUMBERS]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_number_texts_refuse_a_number_that_is_not_finite(bad):
+    """orjson writes NaN and Infinity as null, which is no number."""
+    vals = np.full((2, 42), 0.5)
+    vals[1, 3] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        cli._texts(vals)
+    with pytest.raises(ValueError, match="not finite"):
+        cli._row_numbers("stress", vals)
+    vals[1, 3], vals[0, 40] = 0.5, bad
+    with pytest.raises(ValueError, match="not finite"):
+        cli._row_numbers("stress", vals)
 
 
 @pytest.mark.parametrize("cmd", RECORD_COMMANDS)
@@ -719,6 +764,15 @@ def test_nonfinite_results_become_error_records():
     assert "'I3' is not finite" in recs[1]["error"]
     assert recs[2]["I3"] == pytest.approx(-10.0)
     assert all("'id' holds NaN or Infinity" in r["error"] for r in recs[3:])
+    # No answered record of any command holds null where a number belongs
+    # (unique_index is null on a distinct spectrum).
+    for cmd in RECORD_COMMANDS:
+        _, out = _chunk(cmd, text.splitlines())
+        answered = [r for r in map(json.loads, out.splitlines()) if "error" not in r]
+        assert answered
+        for r in answered:
+            numbers = [v for k, v in r.items() if k not in ("id", *_WORDS)]
+            assert numbers and "null" not in json.dumps(numbers)
 
 
 def test_help_does_not_list_parallel(capsys):
