@@ -15,6 +15,7 @@ from .tensor_core import _TEXT, SymTensor2, SymTensor4, _reals
 SPD_RATIO_FLOOR = 1e-14
 
 _HALF_LOG = half_log_map()
+_FLOAT_INT = frozenset((float, int))
 
 
 def left_cauchy_green(f) -> SymTensor2:
@@ -25,12 +26,12 @@ def left_cauchy_green(f) -> SymTensor2:
         if isinstance(f, _TEXT):
             raise TypeError(f"text {f!r} is not numbers")
         if n == 9:
-            # float() also parses a text entry.  _reals would refuse one, but
-            # it costs 1.6 us a call, 13% of a triple log_strain (Python
-            # 3.11.7, 2-vCPU VM).
-            rows = [[float(f[0]), float(f[1]), float(f[2])],
-                    [float(f[3]), float(f[4]), float(f[5])],
-                    [float(f[6]), float(f[7]), float(f[8])]]
+            # float() also parses text, so entries of any type but float and
+            # int go through _reals, which refuses it.
+            x = f if _FLOAT_INT.issuperset(map(type, f)) else _reals(f, 9)
+            rows = [[float(x[0]), float(x[1]), float(x[2])],
+                    [float(x[3]), float(x[4]), float(x[5])],
+                    [float(x[6]), float(x[7]), float(x[8])]]
         elif n == 3:
             rows = [_reals(row, 3) for row in f]
     except (TypeError, ValueError, LookupError, OverflowError) as exc:

@@ -259,8 +259,25 @@ def invariants(t: SymTensor2) -> InvariantSet:
     the deviator is small against |T|, as J3 / J2^(3/2) carries a relative
     error of about eps |T| / sqrt(J2).  _invariant_rows leaves such rows out
     of its mask, so the CLI evaluates them here, and they warn.
+
+    DegeneracyError names the first invariant that is not finite: I3
+    overflows once the components pass about 5e102.
     """
-    return _invariants(t)[0]
+    inv = _invariants(t)[0]
+    vals = (inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta)
+    if not all(map(math.isfinite, vals)):
+        raise _overflow(next(name for name, x in zip(_INVARIANT_NAMES, vals)
+                             if not math.isfinite(x)))
+    return inv
+
+
+_INVARIANT_NAMES = ("I1", "I2", "I3", "J2", "J3", "theta")
+
+
+def _overflow(name: str) -> DegeneracyError:
+    """The error for a result, named name, that is not finite."""
+    return DegeneracyError(f"result field {name!r} is not finite: "
+                           "the input overflows the closed form")
 
 
 def _invariants(t: SymTensor2) -> tuple[InvariantSet, tuple, float]:

@@ -526,30 +526,93 @@ _JSON_VALUES = hs.recursive(
                                                                 max_size=3),
     max_leaves=8)
 _PARSE_CASES = ('', '   ', '{"id": 1, "id": 2, "T": [1, 2, 3, 0, 0, 0]}',
-                '{"id": 1, "T": [1e400, NaN, -Infinity, 0, 0, -0.0]}', '1e400', 'NaN',
-                '\ufeff{"id": 1, "T": [1, 2, 3, 0, 0, 0]}', '{"x": 0}, {"b": [{}', '{}]}',
-                '{"x": 0}, {"b": [{}{}]}', '{"a": 1} {"b": 2}', '{"a": 1}x', '[1, 2',
-                '"\\ud800"', '{"a": "\u2028"}')
+                '{"a": 1, "b": 2, "a": 3}', '{"T": [1, 2, 3, 0, 0, 0], "id": 1, "T": [4]}',
+                '{"id": 1, "T": [1e400, NaN, -Infinity, 0, 0, -0.0]}', '1e400', '-1e400',
+                'NaN', 'Infinity', '-Infinity', '-0', '\ufeff{"id": 1, "T": [1, 2, 3, 0, 0, 0]}',
+                '{"x": 0}, {"b": [{}', '{}]}', '{"x": 0}, {"b": [{}{}]}', '{"a": 1} {"b": 2}',
+                '{"a": 1}x', '[1, 2', '1,2', '[3', '4]', '"\\ud800"', '"\\udc80x"',
+                '{"id": "\ud800", "T": [1, 2, 3, 0, 0, 0]}', '"\udc80"', '{"a": "\u2028"}',
+                '[1.5, 18446744073709551616.5, 0.1234567890123456789012]')
 _PADDING = hs.text(" \t\r\n\x0c\u00a0\u2028\ufeff", max_size=3)
+_RECORD_IDS = (7, -0.0, "a", None, [1, {"b": 2}])
+# Every int literal that orjson 3.8 reads as a float or refuses: past 64
+# bits, and 19 to 31 digits long, as an id and inside T.
+_LONG_INTS = hs.one_of(
+    hs.sampled_from((2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, -2 ** 63 - 1, -2 ** 63, -2 ** 63 + 1,
+                     2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, -2 ** 64)),
+    hs.integers(19, 31).flatmap(lambda n: hs.integers(10 ** (n - 1), 10 ** n - 1)
+                                | hs.integers(1 - 10 ** n, -10 ** (n - 1))))
+_GOOD_LINES = hs.one_of(
+    hs.tuples(hs.sampled_from(_RECORD_IDS), hs.lists(hs.floats(), min_size=6, max_size=6))
+    .map(lambda r: json.dumps({"id": r[0], "T": r[1]})),
+    _LONG_INTS.map(lambda k: f'{{"id": {k}, "T": [1, 2, 3, 0, 0, 0]}}'),
+    _LONG_INTS.map(lambda k: f'{{"id": 1, "T": [1, 2, {k}, 0, 0, 0]}}'))
+
+
+def _piece(args):
+    """A line of text, its head or its tail, with padding around it."""
+    text, lead, trail, cut, part = args
+    cut %= len(text) + 1
+    return lead + {"whole": text, "head": text[:cut], "tail": text[cut:]}[part] + trail
+
+
+_ANY_LINES = hs.tuples(hs.one_of(_JSON_VALUES.map(json.dumps), hs.sampled_from(_PARSE_CASES)),
+                       _PADDING, _PADDING, hs.integers(0, 10 ** 6),
+                       hs.sampled_from(("whole", "head", "tail"))).map(_piece)
+
+
+def _assert_parse_is_json_loads(lines):
+    got = cli._parse(lines)
+    assert len(got) == len(lines)
+    for line, value in zip(lines, got):
+        try:
+            want = json.loads(line)
+        except Exception as exc:
+            assert isinstance(value, Exception), line
+            assert (type(value), str(value)) == (type(exc), str(exc)), line
+        else:
+            assert repr(value) == repr(want), line
 
 
 @settings(max_examples=300)
-@given(hs.one_of(_JSON_VALUES.map(json.dumps), hs.sampled_from(_PARSE_CASES)),
-       _PADDING, _PADDING, hs.integers(0, 10 ** 6), hs.sampled_from(("whole", "head", "tail")))
-def test_parse_gives_the_record_or_error_of_json_loads(text, lead, trail, cut, part):
-    """Valid records and fragments of them, with whitespace, a BOM or other
-    characters around them, parse to json.loads's record, or raise its
-    exception with its message."""
-    cut %= len(text) + 1
-    line = lead + {"whole": text, "head": text[:cut], "tail": text[cut:]}[part] + trail
-    try:
-        want = json.loads(line)
-    except Exception as exc:
-        with pytest.raises(Exception) as got:
-            cli._loads(line)
-        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
-    else:
-        assert repr(cli._loads(line)) == repr(want)
+@given(hs.tuples(hs.lists(_GOOD_LINES, max_size=6), hs.lists(_ANY_LINES, max_size=2))
+       .map(lambda parts: parts[0] + parts[1]).flatmap(hs.permutations))
+def test_parse_gives_the_record_or_error_of_json_loads(lines):
+    """A chunk of records, with up to two other lines among them: valid JSON,
+    fragments of it, whitespace, a BOM or other characters around them,
+    long ints, constants, duplicate keys and lone surrogates.  Each line
+    parses to json.loads's record, or to its exception with its message."""
+    _assert_parse_is_json_loads(lines)
+
+
+@pytest.mark.parametrize("depth", (10, 450, 600, 2000))
+def test_parse_nests_as_deep_as_json_loads(depth):
+    """orjson nests past json's recursion limit: a line nested 2,000 deep is
+    json's RecursionError, and both sides of the line length that orjson
+    may read parse as json does."""
+    good = '{"id": 1, "T": [1, 2, 3, 0, 0, 0]}'
+    _assert_parse_is_json_loads([good, "[" * depth + "]" * depth, good])
+
+
+def test_a_line_nested_a_million_deep_is_an_error_record():
+    """json.loads raises RecursionError on it; orjson 3.8 would crash."""
+    text = '{"id": 1, "T": [5, 2, -1, 0, 0, 0]}\n' + "[" * 10 ** 6 + "]" * 10 ** 6 + "\n"
+    proc = run_cli(["eigen"], text)
+    assert proc.returncode == 2, proc.stderr
+    recs = lines_of(proc)
+    assert recs[0]["id"] == 1 and "lambda" in recs[0]
+    assert recs[1] == {"id": "line 2", "error": "maximum recursion depth exceeded while "
+                                                "decoding a JSON array from a unicode string"}
+
+
+@pytest.mark.parametrize("rec_id", (2 ** 64, -2 ** 63 - 1, 10 ** 30))
+def test_an_id_past_64_bits_stays_an_int(rec_id):
+    lines = [json.dumps({"id": rec_id, "T": [5, 2, -1, 0, 0, 0]}),
+             '{"id": 2, "T": [5, 2, -1, 0, 0, 0]}']
+    proc = run_cli(["eigen"], "".join(line + "\n" for line in lines))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f'{{"id": {rec_id}, "lambda": [')
+    assert [r["id"] for r in lines_of(proc)] == [rec_id, 2]
 
 
 def test_valid_double_and_triple_rows_skip_the_scalar_path(monkeypatch):

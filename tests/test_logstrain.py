@@ -59,9 +59,24 @@ def test_left_cauchy_green_rejects_bad_input():
         left_cauchy_green([1, 2, 3])
     for bad in ([1, 0, 0, 0, 1, 0, 0, 0, "a"], [None] * 9, "abcdefghi", 5.0, "100010001",
                 b"\x01\x00\x00\x00\x01\x00\x00\x00\x01", ["100", "010", "001"],
-                [["1", 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0]]):
+                [["1", 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0]],
+                ["1", 0, 0, 0, 1, 0, 0, 0, 1], np.array(list("100010001")),
+                np.array(list("100010001"), dtype="S1"), np.eye(3).ravel()[:8]):
         with pytest.raises(KinematicsError):
             left_cauchy_green(bad)
+
+
+def test_left_cauchy_green_takes_numbers_of_any_real_type():
+    """Arrays of floats, of float32 and of ints, and lists mixing bool, int
+    and float give the B of the same entries as Python floats."""
+    f = [1.25, 0.5, -0.25, 0.0, 2.0, 0.75, -0.5, 0.125, 1.5]
+    want = left_cauchy_green(f).as_tuple()
+    for same in (np.array(f), np.array(f).reshape(3, 3), np.array(f, dtype=np.float32),
+                 [np.float64(x) for x in f]):
+        assert left_cauchy_green(same).as_tuple() == want
+    want = left_cauchy_green([2.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 1.0]).as_tuple()
+    for same in (np.array([2, 0, 0, 0, 3, 0, 0, 0, 1]), [2, 0, 0.0, False, 3, 0, 0, 0, True]):
+        assert left_cauchy_green(same).as_tuple() == want
 
 
 def test_log_strain_is_the_half_log_isotropic_function():

@@ -111,6 +111,22 @@ def test_invariants_double_examples():
     assert abs(inv.theta - math.pi / 6.0) <= 1e-12
 
 
+@pytest.mark.parametrize(("t", "name"), (
+    (st.SymTensor2(1.3e110, 1.3e110, 1.3e110, 0.0, 0.0, 0.0), "I3"),
+    (st.SymTensor2(5e103, 2e103, -1e103, 4e102, 0.0, 0.0), "I3"),
+    (st.SymTensor2(1e200, 1.0, 1.0, 0.0, 0.0, 0.0), "J2"),
+    (st.SymTensor2(1e308, 1e308, 0.0, 0.0, 0.0, 0.0), "I1")))
+def test_invariants_refuse_a_result_that_is_not_finite(t, name):
+    """invariants names the first invariant that overflows, where it used to
+    return inf; spectrum keeps answering on the triple tensor."""
+    with pytest.raises(st.DegeneracyError, match=f"'{name}' is not finite"):
+        st.invariants(t)
+    with pytest.raises(st.DegeneracyError, match=f"'{name}' is not finite"):
+        st.predictor_invariants(t)
+    if t.xy == 0.0 and t.xx == t.zz:
+        assert st.spectrum(t).lam == pytest.approx((t.xx,) * 3, rel=1e-15)
+
+
 def test_theta_flag_near_spherical():
     inv = st.invariants(st.SymTensor2(5.0, 5.0, 5.0, 1e-12, 0.0, 0.0))
     assert not inv.theta_defined
