@@ -535,8 +535,8 @@ _PARSE_CASES = ('', '   ', '{"id": 1, "id": 2, "T": [1, 2, 3, 0, 0, 0]}',
                 '[1.5, 18446744073709551616.5, 0.1234567890123456789012]')
 _PADDING = hs.text(" \t\r\n\x0c\u00a0\u2028\ufeff", max_size=3)
 _RECORD_IDS = (7, -0.0, "a", None, [1, {"b": 2}])
-# Every int literal that orjson 3.8 reads as a float or refuses: past 64
-# bits, and 19 to 31 digits long, as an id and inside T.
+# Ints at both edges of [-2**63, 2**64), the range orjson 3.8 reads as
+# ints, and of 19 to 31 digits, which it reads as floats if they lie outside.
 _LONG_INTS = hs.one_of(
     hs.sampled_from((2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, -2 ** 63 - 1, -2 ** 63, -2 ** 63 + 1,
                      2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, -2 ** 64)),

@@ -118,13 +118,12 @@ def test_invariants_double_examples():
     (st.SymTensor2(1e308, 1e308, 0.0, 0.0, 0.0, 0.0), "I1")))
 def test_invariants_refuse_a_result_that_is_not_finite(t, name):
     """invariants names the first invariant that overflows, where it used to
-    return inf; spectrum keeps answering on the triple tensor."""
+    return inf.  (spectrum still answers the triple tensor: see
+    test_spectral.test_spectrum_is_bit_identical_to_the_composed_reference.)"""
     with pytest.raises(st.DegeneracyError, match=f"'{name}' is not finite"):
         st.invariants(t)
     with pytest.raises(st.DegeneracyError, match=f"'{name}' is not finite"):
         st.predictor_invariants(t)
-    if t.xy == 0.0 and t.xx == t.zz:
-        assert st.spectrum(t).lam == pytest.approx((t.xx,) * 3, rel=1e-15)
 
 
 def test_theta_flag_near_spherical():
