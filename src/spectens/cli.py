@@ -23,10 +23,6 @@ import numpy as np
 import orjson
 
 from .errors import ContractError, DegeneracyError
-from .isofunc import _apply_rows, isotropic_function, square_map
-from .logstrain import (_HALF_LOG, _cauchy_green_terms, _not_spd, left_cauchy_green,
-                        log_strain_from_b)
-from .plasticity import _stress_tangent_rows, stress_and_tangent, vonmises_demo_map
 from .spectral import _MULTS, MultTag, _spectrum_rows, _spin_sum, spectrum, spin
 from .tensor_core import SymTensor2, _invariant_rows, _overflow, invariants, norm
 
@@ -35,7 +31,7 @@ _VERIFY_TANGENT_TOL = 1e-4
 
 # Records parsed, evaluated as arrays and written together.  Large enough
 # that the per-chunk cost of the array kernels is spread thin, small enough
-# that the texts of a chunk's distinct tangent numbers (_row_numbers) fit in
+# that the texts of a chunk's distinct tangent numbers (_numbers) fit in
 # the heap the kernels just freed: at 1,024 lines they raised the peak memory.
 _CHUNK = 512
 
@@ -60,6 +56,7 @@ def _record_tensor(rec: dict) -> SymTensor2:
         raise ContractError("record must contain exactly one of 'T' or 'F'")
     if has_t:
         return SymTensor2(*_finite_floats(rec["T"], 6, "T"))
+    from .logstrain import left_cauchy_green
     return left_cauchy_green(_finite_floats(rec["F"], 9, "F"))
 
 
@@ -71,9 +68,11 @@ def _dispatch(cmd: str, t: SymTensor2, rm) -> tuple[list, object]:
         inv = invariants(t)
         return [inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta], inv.theta_defined
     if cmd == "logstrain":
+        from .logstrain import log_strain_from_b
         res = log_strain_from_b(t)
         return [*res.eps.as_tuple(), *res.deps_db.as_list()], res.branch
     if cmd == "stress":
+        from .plasticity import stress_and_tangent
         sig, tan = stress_and_tangent(t, rm)
         return [*sig.as_tuple(), *tan.as_list()], None
     sp = spectrum(t)
@@ -108,9 +107,12 @@ def _dispatch_rows(cmd: str, t: SymTensor2, rm):
         ok = ok & (kind == 0)
         blocks = [_spin_sum(t, sp, [float(k == i) for k in range(3)]) for i in range(3)]
     elif cmd == "logstrain":
+        from .isofunc import _apply_rows
+        from .logstrain import _HALF_LOG, _not_spd
         eps, deps, ok = _apply_rows(t, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
         blocks = [eps, deps]
     else:
+        from .plasticity import _stress_tangent_rows
         sig, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
         blocks, kind, extras = [sig, tan], np.zeros_like(kind), (None,)
     return ok, np.hstack([b.reshape(len(ok), -1) for b in blocks]), kind, extras
@@ -131,24 +133,27 @@ _LAYOUT = {
 
 
 @functools.cache
-def _template(cmd: str, extra) -> str:
-    """The output line of cmd with extra field extra (see _dispatch), as a
-    %-template of the JSON text of the id and then the record's numbers,
-    each a float (the scalar path) or its text (the rows, see
-    _row_numbers).  %s of a float is float.__repr__, which is what json
-    writes for one, and _row_numbers writes that same text."""
-    parts = ['{"id": %s']
-    for field in _LAYOUT[cmd]:
-        if isinstance(field, str):
-            value = (extra if field == "theta_defined" else
-                     extra.unique_index if field == "unique_index" else extra.tag.value)
-            parts.append(f'"{field}": {json.dumps(value)}')
-        else:
-            text = "%s"
-            for n in reversed(field[1]):
-                text = "[" + ", ".join([text] * n) + "]"
-            parts.append(f'"{field[0]}": {text}')
-    return ", ".join(parts) + "}\n"
+def _pieces(cmd: str, extras: tuple) -> np.ndarray:
+    """The fixed text of cmd's output line, for each extra field of extras
+    (see _dispatch), as a (len(extras), k + 2) object array: row e holds the
+    text of the line with extra field extras[e] before, between and after
+    the JSON text of the id and the text of the record's k numbers."""
+    lines = []
+    for extra in extras:
+        # "\0" marks a place: the JSON text of the values never holds one.
+        parts = ['{"id": \0']
+        for field in _LAYOUT[cmd]:
+            if isinstance(field, str):
+                value = (extra if field == "theta_defined" else
+                         extra.unique_index if field == "unique_index" else extra.tag.value)
+                parts.append(f'"{field}": {json.dumps(value)}')
+            else:
+                text = "\0"
+                for n in reversed(field[1]):
+                    text = "[" + ", ".join([text] * n) + "]"
+                parts.append(f'"{field[0]}": {text}')
+        lines.append((", ".join(parts) + "}\n").split("\0"))
+    return np.array(lines, dtype=object)
 
 
 def _texts(a: np.ndarray) -> np.ndarray:
@@ -169,25 +174,53 @@ def _texts(a: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def _row_numbers(cmd: str, vals: np.ndarray) -> list[list[str]]:
-    """The rows of the (m, k) array vals of cmd's numbers as lists of their
-    text for its template: repr of each entry (_texts), one orjson call for
+def _numbers(cmd: str, vals: np.ndarray) -> np.ndarray:
+    """The text of each entry of the (m, k) array vals of cmd's numbers, as
+    an (m, k) object array: repr of each entry (_texts), one orjson call for
     the chunk.  Tangents repeat numbers, by symmetry and across isotropic
     records, so the entries of a last field of 6x6 tangents get their text
     from a second call on their distinct bit patterns (-0.0 is not 0.0), and
     the rows share that one str."""
     field = _LAYOUT[cmd][-1]
     if isinstance(field, str) or field[1][-1] != 36:
-        return _texts(vals).tolist()
+        return _texts(vals)
     w = math.prod(field[1])
     bits, where = np.unique(vals[:, -w:].view(np.int64), return_inverse=True)
-    tails = _texts(bits.view(float))[where].reshape(-1, w).tolist()
-    return [row + tail for row, tail in zip(_texts(vals[:, :-w]).tolist(), tails)]
+    return np.hstack((_texts(vals[:, :-w]), _texts(bits.view(float))[where].reshape(-1, w)))
+
+
+def _cells(cmd: str, extras: tuple, kind: np.ndarray, ids, vals: np.ndarray) -> np.ndarray:
+    """The output lines of cmd for m rows, row j with extra field
+    extras[kind[j]], id text ids[j] and the numbers vals[j], as an (m, 2k + 3)
+    object array of text whose row j, joined, is line j: the fixed text of
+    the line (_pieces) with the id and the k numbers (_numbers) between."""
+    numbers = _numbers(cmd, vals)
+    out = np.empty((len(ids), 2 * numbers.shape[1] + 3), dtype=object)
+    out[:, 0::2] = _pieces(cmd, extras)[kind.astype(np.intp)]
+    out[:, 1] = ids
+    out[:, 3::2] = numbers
+    return out
 
 
 def _id_text(rec_id) -> str:
     """The JSON text of rec_id, or ContractError if _checked_id refuses it."""
     return str(rec_id) if type(rec_id) is int else json.dumps(_checked_id(rec_id))
+
+
+def _id_texts(recs: list, numbers: list[int]) -> list:
+    """The JSON text of the id of each record of recs, "line n" for a record
+    without one, whose line has number n in numbers, and None for an id that
+    _checked_id refuses."""
+    ids = [rec.get("id") for rec in recs]
+    if set(map(type, ids)) <= {int}:
+        return list(map(str, ids))
+    out = []
+    for rec, n in zip(recs, numbers):
+        try:
+            out.append(_id_text(rec["id"]) if "id" in rec else f'"line {n}"')
+        except ContractError:
+            out.append(None)
+    return out
 
 
 def _checked_id(rec_id):
@@ -233,7 +266,9 @@ def _scalar_line(cmd: str, rec, rec_id, rm) -> tuple[bool, str]:
         text = _id_text(rec["id"]) if "id" in rec else json.dumps(rec_id)
         rec_id = rec.get("id", rec_id)
         row, extra = _dispatch(cmd, _record_tensor(rec), rm)
-        return True, _template(cmd, extra) % (text, *_checked_finite(cmd, row))
+        cells = _cells(cmd, (extra,), np.zeros(1, dtype=np.intp), [text],
+                       np.array([_checked_finite(cmd, row)]))
+        return True, "".join(cells.ravel().tolist())
     except Exception as exc:
         return False, _error_line(rec_id, exc)
 
@@ -246,7 +281,7 @@ def _columns(recs: list) -> tuple[list[int], np.ndarray]:
     _record_tensor, their tensors as a (6, m) array), checked and stacked
     for all records together.  B = F F^T comes from the formula body of
     left_cauchy_green.  OverflowError for an int past the float range."""
-    picked, comps = [], []
+    picked, comps = [], [np.empty((6, 0))]
     for key, other, n in (("T", "F", 6), ("F", "T", 9)):
         pos = [j for j, r in enumerate(recs) if type(r) is dict and key in r and other not in r]
         vals = [recs[j][key] for j in pos]
@@ -256,9 +291,12 @@ def _columns(recs: list) -> tuple[list[int], np.ndarray]:
             good = [type(v) is list and len(v) == n and set(map(type, v)) <= _NUMBER_TYPES
                     for v in vals]
             pos, vals = list(compress(pos, good)), list(compress(vals, good))
-        x = np.array(vals, dtype=float).reshape(-1, n).T
+        if not pos:
+            continue
+        x = np.fromiter(chain.from_iterable(vals), float, len(vals) * n).reshape(-1, n).T
         ok = np.isfinite(x).all(0)
         if key == "F":
+            from .logstrain import _cauchy_green_terms
             det, b = _cauchy_green_terms(x.reshape(3, 3, -1))
             x, ok = np.array(b), ok & (det > 0.0)
         picked += compress(pos, ok.tolist())
@@ -311,12 +349,13 @@ def _value_or_error(loads, line: str):
 def _run_chunk(cmd: str, rm, first: int, lines: list[str]) -> tuple[bool, str]:
     """(whether every record of cmd succeeded, output text) of one chunk of
     input lines, the first of which has number first, with, for stress, the
-    return map rm.  The records are checked, evaluated and written as
-    columns, with the text of their numbers from _row_numbers; a record
-    that fails a check or a guard of the arrays, or all of them if the
-    checks raise, goes through _dispatch, so that its output and errors are
-    the scalar path's."""
-    outs = [""] * len(lines)
+    return map rm.  The records are checked and evaluated as columns and
+    written as a table of text (_cells) in input order, joined once with
+    the other lines between its rows (_joined).  A record that fails a
+    check or a guard of the arrays, or all of them if the checks raise, goes
+    through _dispatch, so that its output and errors are the scalar
+    path's."""
+    others = {}
     all_ok = True
     recs, places = [], []
     for k, (line, rec) in enumerate(zip(lines, _parse(lines))):
@@ -324,9 +363,10 @@ def _run_chunk(cmd: str, rm, first: int, lines: list[str]) -> tuple[bool, str]:
             recs.append(rec)
             places.append(k)
         elif line.strip():
-            outs[k] = _error_line(f"line {first + k}", rec)
+            others[k] = _error_line(f"line {first + k}", rec)
             all_ok = False
-    scalar = [True] * len(recs)
+    scalar = np.ones(len(recs), dtype=bool)
+    at, cells = np.empty(0, dtype=np.intp), np.empty((0, 1), dtype=object)
     with np.errstate(all="ignore"):
         try:
             picked, comps = _columns(recs)
@@ -334,24 +374,30 @@ def _run_chunk(cmd: str, rm, first: int, lines: list[str]) -> tuple[bool, str]:
             picked = []
         if picked:
             ok, vals, kind, extras = _dispatch_rows(cmd, SymTensor2(*comps), rm)
-            ok &= np.isfinite(vals).all(1)
-            templates = [_template(cmd, e) for e in extras]
-            good = np.flatnonzero(ok)
-            rows = _row_numbers(cmd, vals[good])
-            for j, row, kind_j in zip(good.tolist(), rows, kind[good].tolist()):
-                i = picked[j]
-                rec = recs[i]
-                try:
-                    text = (_id_text(rec["id"]) if "id" in rec
-                            else f'"line {first + places[i]}"')
-                except ContractError:
-                    continue
-                outs[places[i]] = templates[kind_j] % (text, *row)
-                scalar[i] = False
-    for i in compress(range(len(recs)), scalar):
-        ok_i, outs[places[i]] = _scalar_line(cmd, recs[i], f"line {first + places[i]}", rm)
+            at = np.take(places, picked)
+            ids = np.array(_id_texts(list(map(recs.__getitem__, picked)), (at + first).tolist()),
+                           dtype=object)
+            rows = np.flatnonzero(ok & np.isfinite(vals).all(1) & np.not_equal(ids, None))
+            # picked lists the T records before the F records.
+            rows = rows[np.argsort(at[rows])]
+            at, cells = at[rows], _cells(cmd, extras, kind[rows], ids[rows], vals[rows])
+            scalar[np.take(picked, rows)] = False
+    for i in np.flatnonzero(scalar).tolist():
+        ok_i, others[places[i]] = _scalar_line(cmd, recs[i], f"line {first + places[i]}", rm)
         all_ok &= ok_i
-    return all_ok, "".join(outs)
+    return all_ok, _joined(at, cells, others)
+
+
+def _joined(at, cells: np.ndarray, others: dict[int, str]) -> str:
+    """The text of the lines of a chunk: row j of the table cells is line
+    at[j], at ascending, and others maps the other lines to their text.
+    One join, with the other lines between the runs of rows."""
+    flat = cells.ravel()
+    if others:
+        keys = sorted(others)
+        flat = np.insert(flat, np.searchsorted(at, keys) * cells.shape[1],
+                         [others[k] for k in keys])
+    return "".join(flat.tolist())
 
 
 def _read_lines(path) -> list[str]:
@@ -404,6 +450,7 @@ def _draw_separated(rng) -> SymTensor2:
 def _run_verify(args) -> int:
     # The test oracle stays off the evaluation path: only verify loads it.
     from . import oracle
+    from .isofunc import isotropic_function, square_map
 
     rng = np.random.default_rng(args.seed)
     f = square_map()
@@ -477,11 +524,13 @@ def main(argv=None) -> int:
     else:
         if args.parallel < 1:
             parser.error(f"{args.command}: --parallel must be at least 1, got {args.parallel}")
-        try:
-            rm = (vonmises_demo_map(args.bulk, args.shear, args.yield_stress)
-                  if args.command == "stress" else None)
-        except ContractError as exc:
-            parser.error(f"{args.command}: {exc}")
+        rm = None
+        if args.command == "stress":
+            from .plasticity import vonmises_demo_map
+            try:
+                rm = vonmises_demo_map(args.bulk, args.shear, args.yield_stress)
+            except ContractError as exc:
+                parser.error(f"{args.command}: {exc}")
     try:
         if args.command == "verify":
             return _run_verify(args)

@@ -24,6 +24,7 @@ from .tensor_core import (
     _ROW_MATH,
     _invariant_rows,
     _invariants,
+    _refuse_nonfinite,
     _sym_square,
 )
 
@@ -194,9 +195,14 @@ def spectrum(t: SymTensor2) -> Spectrum:
     """Full spectral decomposition with branch dispatch, in one pass: the
     invariants, the deviator and the norm come from one evaluation, and
     only the bases, the invariants and the Spectrum itself are built.
-    A tensor whose Lode angle is undefined is triple, whatever its gaps."""
+    A tensor whose Lode angle is undefined is triple, whatever its gaps.
+    ContractError names a component of t that is NaN or infinite."""
     inv, s, nrm = _invariants(t)
-    lam = eigenvalues(inv)
+    try:
+        lam = eigenvalues(inv)
+    except DegeneracyError:
+        _refuse_nonfinite(t)
+        raise
     mult = classify(lam, nrm) if inv.theta_defined else _TRIPLE
     if mult is _DISTINCT:
         third = inv.i1 / 3.0

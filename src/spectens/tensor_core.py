@@ -261,17 +261,27 @@ def invariants(t: SymTensor2) -> InvariantSet:
     of its mask, so the CLI evaluates them here, and they warn.
 
     DegeneracyError names the first invariant that is not finite: I3
-    overflows once the components pass about 5e102.
+    overflows once the components pass about 5e102.  ContractError names
+    the first component of t that is NaN or infinite, if one is.
     """
     inv = _invariants(t)[0]
     vals = (inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta)
     if not all(map(math.isfinite, vals)):
+        _refuse_nonfinite(t)
         raise _overflow(next(name for name, x in zip(_INVARIANT_NAMES, vals)
                              if not math.isfinite(x)))
     return inv
 
 
 _INVARIANT_NAMES = ("I1", "I2", "I3", "J2", "J3", "theta")
+
+
+def _refuse_nonfinite(t: SymTensor2) -> None:
+    """ContractError naming the first component of t that is NaN or infinite.
+    Called only once a result is not finite, so finite inputs pay nothing."""
+    for name, x in zip(("xx", "yy", "zz", "xy", "xz", "yz"), t.as_tuple()):
+        if not math.isfinite(x):
+            raise ContractError(f"tensor component {name!r} is {x!r}, not a finite number")
 
 
 def _overflow(name: str) -> DegeneracyError:

@@ -348,22 +348,49 @@ def _unit(quat):
     return quat_rotation(q / np.linalg.norm(q))
 
 
+def _scalar_text(cmd, lines):
+    """The output of _run_chunk of cmd on lines, the first of which is line
+    1, with each record written by _scalar_line."""
+    rm = _return_map(cmd)
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            out.append(cli._error_line(f"line {lineno}", exc) if line.strip() else "")
+        else:
+            out.append(_scalar_line(cmd, rec, f"line {lineno}", rm)[1])
+    return "".join(out)
+
+
+# Lines that the row path does not write, or writes with the id of the
+# line's number: blank, malformed, no id, an id refused as JSON.
+_OTHER_LINES = ("", "   ", *_MALFORMED, '{"T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}',
+                '{"F": [1.2, 0.1, 0, 0, 0.9, 0, 0, 0.2, 1.1]}',
+                '{"id": NaN, "T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}')
+
+
 @settings(max_examples=60)
-@given(hs.lists(_TENSOR, min_size=1, max_size=8), hs.lists(_GRADIENT, max_size=4))
-def test_chunked_output_equals_scalar_dispatch_property(draws, gradients):
+@given(hs.lists(_TENSOR, min_size=1, max_size=8), hs.lists(_GRADIENT, max_size=4),
+       hs.lists(hs.sampled_from(_OTHER_LINES), max_size=4), hs.data())
+def test_chunked_output_equals_scalar_dispatch_property(draws, gradients, others, data):
     """T records and F records, each with distinct, two equal or three equal
-    eigenvalues or stretches."""
+    eigenvalues or stretches, shuffled with blank and malformed lines and
+    records without an id: the chunk writes the bytes of the scalar path,
+    line for line in input order."""
     lines = []
     for k, (e, rep, quat, log10_scale) in enumerate(draws):
         eigs = np.array([e[i] for i in rep]) * 10.0 ** log10_scale
         lines.append(_tensor_line(k, eigs, _unit(quat)))
     for k, (s, rep, q1, q2) in enumerate(gradients, start=len(lines)):
         lines.append(_gradient_line(k, [s[i] for i in rep], _unit(q1), _unit(q2)))
+    lines = data.draw(hs.permutations(lines + others))
     for cmd in RECORD_COMMANDS:
         ok, text = _chunk(cmd, lines)
         want_status, want = _scalar_output(cmd, lines)
         assert (0 if ok else 2) == want_status
         _assert_same_records(cmd, lines, text.splitlines(), want)
+        assert text == _scalar_text(cmd, lines)
 
 
 _IDS = (7, 2 ** 64 + 3, -12, 1.5, -0.0, 'say "hi" \\ gr\u00fc\u00dfe \u2211', "", True, False,
@@ -376,19 +403,21 @@ _WIDTH = {"invariants": 6, "eigen": 3, "basis": 21, "spin": 108, "logstrain": 42
 
 @pytest.mark.parametrize("cmd", RECORD_COMMANDS)
 def test_serializer_matches_json_reference(cmd):
-    """Every template of cmd, filled with the JSON text of every kind of id
+    """Every line of cmd, written with the JSON text of every kind of id
     and with numbers across the float range, is json.dumps of the dict."""
     rng = np.random.default_rng(3)
     special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
                1.0, 0.1, -1e16, 1e-7, 123456789012345678.0, 1 / 3]
-    for extra in _EXTRAS[cmd]:
+    for e, extra in enumerate(_EXTRAS[cmd]):
         for rec_id in _IDS:
             row = [float(x) for x in rng.standard_normal(_WIDTH[cmd])
                    * 10.0 ** rng.integers(-300, 300, _WIDTH[cmd])]
             row[:len(special)] = special[:len(row)]
             rng.shuffle(row)
-            got = cli._template(cmd, extra) % (cli._id_text(rec_id), *row)
-            assert got == json.dumps(cli_record(cmd, rec_id, row, extra)) + "\n"
+            want = json.dumps(cli_record(cmd, rec_id, row, extra)) + "\n"
+            cells = cli._cells(cmd, _EXTRAS[cmd], np.array([e]), [cli._id_text(rec_id)],
+                               np.array([row]))
+            assert "".join(cells.ravel()) == want
 
 
 _TABLE_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
@@ -405,11 +434,12 @@ def test_number_table_writes_what_json_writes(pool, m, seed):
     rng = np.random.default_rng(seed)
     for cmd in RECORD_COMMANDS:
         vals = np.array(pool)[rng.integers(0, len(pool), (m, _WIDTH[cmd]))]
-        rows = cli._row_numbers(cmd, vals)
-        for extra in _EXTRAS[cmd]:
-            for row, want in zip(rows, vals.tolist()):
-                got = cli._template(cmd, extra) % (cli._id_text(7), *row)
-                assert got == json.dumps(cli_record(cmd, 7, want, extra)) + "\n"
+        for e, extra in enumerate(_EXTRAS[cmd]):
+            # The kind of invariants is a bool, theta_defined.
+            kind = np.full(m, e, dtype=bool if cmd == "invariants" else np.intp)
+            cells = cli._cells(cmd, _EXTRAS[cmd], kind, [cli._id_text(7)] * m, vals)
+            for row, want in zip(cells.tolist(), vals.tolist()):
+                assert "".join(row) == json.dumps(cli_record(cmd, 7, want, extra)) + "\n"
 
 
 def _reprs(vals):
@@ -422,7 +452,7 @@ def test_equal_tangent_numbers_of_a_chunk_share_one_str():
     text once: equal patterns share one str, 0.0 and -0.0 do not."""
     tangents = np.array([[0.1, -0.0, 0.0, 0.1, 1e16, 0.1] * 6, [0.1] * 36])
     vals = np.hstack((np.array([[0.1, 1e-5, -2.5, 1e300, 0.0, 7.0]] * 2), tangents))
-    rows = cli._row_numbers("stress", vals)
+    rows = cli._numbers("stress", vals).tolist()
     assert rows == _reprs(vals)
     texts = [x for row in rows for x in row[6:]]
     first = {}
@@ -465,10 +495,10 @@ def test_number_texts_refuse_a_number_that_is_not_finite(bad):
     with pytest.raises(ValueError, match="not finite"):
         cli._texts(vals)
     with pytest.raises(ValueError, match="not finite"):
-        cli._row_numbers("stress", vals)
+        cli._numbers("stress", vals)
     vals[1, 3], vals[0, 40] = 0.5, bad
     with pytest.raises(ValueError, match="not finite"):
-        cli._row_numbers("stress", vals)
+        cli._numbers("stress", vals)
 
 
 @pytest.mark.parametrize("cmd", RECORD_COMMANDS)
@@ -488,12 +518,19 @@ def test_chunk_size_does_not_change_the_output(cmd, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("cmd", RECORD_COMMANDS)
 def test_every_id_type_is_written_as_json_writes_it(cmd):
+    """Every kind of id among others, and a chunk of only ints and bools
+    (bool is not int to the chunk's check that all ids are ints)."""
     lines = [json.dumps({"id": rec_id, "T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}) for rec_id in _IDS]
     lines.append('{"T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}')
     _, text = _chunk(cmd, lines)
     for rec_id, line in zip([*_IDS, f"line {len(lines)}"], text.splitlines()):
         assert line.startswith('{"id": ' + json.dumps(rec_id) + ", ")
         assert "error" not in json.loads(line)
+    ids = [7, True, -12, False, 2 ** 64 + 3]
+    _, text = _chunk(cmd, [json.dumps({"id": rec_id, "T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]})
+                           for rec_id in ids])
+    assert [line[:line.index(",")] for line in text.splitlines()] == [
+        '{"id": ' + json.dumps(rec_id) for rec_id in ids]
 
 
 def _good_lines(rng, n):
@@ -941,6 +978,38 @@ def test_the_entry_point_freezes_the_import_time_heap():
     """Everything alive once the CLI is imported is frozen before it runs,
     so no collection, the one at shutdown included, walks it again."""
     assert _entry_state(_ENTRY_STATE)[1] > 0
+
+
+# Runs `python -m spectens <args>` as _ENTRY_STATE does, and then writes the
+# spectens modules it loaded to stderr.
+_ENTRY_MODULES = """\
+import runpy, sys
+sys.argv = ["spectens", *sys.argv[1:]]
+try:
+    runpy.run_module("spectens", run_name="__main__", alter_sys=True)
+finally:
+    print(*sorted(m for m in sys.modules if m.startswith("spectens.")), file=sys.stderr)
+"""
+_T_LINE = '{"id": 1, "T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}\n'
+_F_LINE = '{"id": 2, "F": [1.2, 0.1, 0.0, 0.0, 0.9, 0.0, 0.0, 0.2, 1.1]}\n'
+
+
+@pytest.mark.parametrize(("args", "text", "unused"), (
+    (["basis"], _T_LINE, {"plasticity", "isofunc", "logstrain"}),
+    (["stress", *_STRESS_FLAGS], _T_LINE, {"isofunc", "logstrain"}),
+    (["basis"], _F_LINE, set())))
+def test_a_command_imports_only_the_modules_it_calls(args, text, unused):
+    """basis on a T record does not load the modules of logstrain and stress,
+    and stress does not load those of logstrain; an F record under basis
+    loads what B = F F^T needs and is answered."""
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_MODULES, *args], input=text,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "spectens.cli" in loaded
+    assert not loaded & {f"spectens.{m}" for m in unused}
+    rec = json.loads(proc.stdout)
+    assert rec["id"] == json.loads(text)["id"] and "error" not in rec
 
 
 def test_importing_the_package_freezes_nothing_and_sets_no_blas_threads():

@@ -266,6 +266,21 @@ def _assert_same_spectrum(t):
     return got
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("k", range(6))
+def test_spectrum_names_a_component_that_is_not_finite(k, bad):
+    """spectrum and the functions built on it name a NaN or infinite
+    component, instead of blaming the closed-form eigenvalues."""
+    comps = [2.0, 1.0, 0.5, 0.1, 0.2, 0.3]
+    comps[k] = bad
+    t = st.SymTensor2(*comps)
+    name = ("xx", "yy", "zz", "xy", "xz", "yz")[k]
+    for fn in (st.spectrum, st.log_strain_from_b,
+               lambda x: st.isotropic_function(x, st.square_map())):
+        with pytest.raises(st.ContractError, match=f"component '{name}' is {bad!r}"):
+            fn(t)
+
+
 def test_spectrum_is_bit_identical_to_the_composed_reference():
     rng = np.random.default_rng(38)
     cases = (((2.5, 0.5, -1.5), MultTag.DISTINCT),

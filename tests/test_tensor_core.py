@@ -126,6 +126,20 @@ def test_invariants_refuse_a_result_that_is_not_finite(t, name):
         st.predictor_invariants(t)
 
 
+_COMPONENTS = ("xx", "yy", "zz", "xy", "xz", "yz")
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("k", range(6))
+def test_invariants_name_a_component_that_is_not_finite(k, bad):
+    """A NaN or infinite component is the caller's error, named as such, not
+    an invariant that overflows."""
+    comps = [2.0, 1.0, 0.5, 0.1, 0.2, 0.3]
+    comps[k] = bad
+    with pytest.raises(st.ContractError, match=f"component '{_COMPONENTS[k]}' is {bad!r}"):
+        st.invariants(st.SymTensor2(*comps))
+
+
 def test_theta_flag_near_spherical():
     inv = st.invariants(st.SymTensor2(5.0, 5.0, 5.0, 1e-12, 0.0, 0.0))
     assert not inv.theta_defined
