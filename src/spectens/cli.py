@@ -24,7 +24,8 @@ import orjson
 
 from .errors import ContractError, DegeneracyError
 from .spectral import _MULTS, MultTag, _spectrum_rows, _spin_sum, spectrum, spin
-from .tensor_core import SymTensor2, _invariant_rows, _overflow, invariants, norm
+from .tensor_core import (SymTensor2, _cauchy_green_terms, _invariant_rows, _overflow,
+                          invariants, norm)
 
 _VERIFY_BASIS_TOL = 1e-8
 _VERIFY_TANGENT_TOL = 1e-4
@@ -107,9 +108,8 @@ def _dispatch_rows(cmd: str, t: SymTensor2, rm):
         ok = ok & (kind == 0)
         blocks = [_spin_sum(t, sp, [float(k == i) for k in range(3)]) for i in range(3)]
     elif cmd == "logstrain":
-        from .isofunc import _apply_rows
-        from .logstrain import _HALF_LOG, _not_spd
-        eps, deps, ok = _apply_rows(t, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
+        from .logstrain import _log_strain_rows
+        eps, deps, ok = _log_strain_rows(t, sp, ok)
         blocks = [eps, deps]
     else:
         from .plasticity import _stress_tangent_rows
@@ -296,7 +296,6 @@ def _columns(recs: list) -> tuple[list[int], np.ndarray]:
         x = np.fromiter(chain.from_iterable(vals), float, len(vals) * n).reshape(-1, n).T
         ok = np.isfinite(x).all(0)
         if key == "F":
-            from .logstrain import _cauchy_green_terms
             det, b = _cauchy_green_terms(x.reshape(3, 3, -1))
             x, ok = np.array(b), ok & (det > 0.0)
         picked += compress(pos, ok.tolist())

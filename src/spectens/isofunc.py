@@ -10,7 +10,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import MapDomainError
-from .plasticity import _DOUBLE, _coincident_tangent
 from .spectral import (
     MultTag,
     Spectrum,
@@ -25,6 +24,7 @@ from .tensor_core import (
     SymTensor4,
     _E,
     _as_vec,
+    _coincident_tangent,
     _from_vec,
     _lift,
     _outer,
@@ -88,7 +88,7 @@ def _map_values(e, d, s) -> tuple:
 def _eta(f: ScalarEigenMap, lams) -> tuple[list, list]:
     """(values, slopes) of f at the eigenvalues lams, or MapDomainError if one
     lies outside the domain of f, or f raises an arithmetic error or is not
-    finite there."""
+    a finite real number there."""
     e, d = [], []
     for lam in lams:
         if not f.contains(lam):
@@ -98,8 +98,13 @@ def _eta(f: ScalarEigenMap, lams) -> tuple[list, list]:
             d.append(f.deriv(lam))
         except ArithmeticError as exc:
             raise MapDomainError(f"map fails at eigenvalue {lam!r}: {exc}") from exc
-        if not (math.isfinite(e[-1]) and math.isfinite(d[-1])):
-            raise MapDomainError(f"map is not finite at eigenvalue {lam!r}")
+        try:
+            fine = math.isfinite(e[-1]) and math.isfinite(d[-1])
+        except TypeError:  # None, text or a complex number
+            fine = False
+        if not fine:
+            raise MapDomainError(f"map value {e[-1]!r} or slope {d[-1]!r} is not a real "
+                                 f"number, or not finite at eigenvalue {lam!r}")
     return e, d
 
 
@@ -141,8 +146,8 @@ def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
     s_all[rows] = np.where(_lift(triple, 1), _lift(p, 1) * _E,
                            _lift(p, 1) * _E + _lift(q / qt, 1) * dv + s_pair)
     m_all[rows] = np.where(_lift(triple, 2),
-                           _coincident_tangent(dv, MultTag.TRIPLE, 0.0, q, gp, gq),
-                           _coincident_tangent(dv, _DOUBLE, 2.0 * qt / 3.0, q, gp, gq) + m_pair)
+                           _coincident_tangent(None, 0.0, q, gp, gq),
+                           _coincident_tangent(dv, 2.0 * qt / 3.0, q, gp, gq) + m_pair)
     return s_all, m_all, ok_all
 
 
@@ -197,11 +202,11 @@ def _apply(t: SymTensor2, sp: Spectrum,
                 SymTensor4._of(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)))
     if tag is MultTag.TRIPLE:
         p, q, gp, gq, _ = _map_values(*_eta(f, _coincident(sp.inv.i1, 0.0, 1.0)), 1.0)
-        return p * IDENTITY2, SymTensor4._of(_coincident_tangent(None, tag, 0.0, q, gp, gq))
+        return p * IDENTITY2, SymTensor4._of(_coincident_tangent(None, 0.0, q, gp, gq))
     sign = float(sp.mult.theta_sign)
     qt = math.sqrt(3.0 * sp.inv.j2)
     p, q, gp, gq, slope = _map_values(*_eta(f, _coincident(sp.inv.i1, qt, sign)), sign)
     dv = _as_vec(deviator(t))
     s_pair, m_pair = _in_pair(dv, qt, sign, slope - q / qt)
     return (_from_vec(p * _E + (q / qt) * dv + s_pair),
-            SymTensor4._of(_coincident_tangent(dv, tag, 2.0 * qt / 3.0, q, gp, gq) + m_pair))
+            SymTensor4._of(_coincident_tangent(dv, 2.0 * qt / 3.0, q, gp, gq) + m_pair))

@@ -3,12 +3,13 @@ with the exact material tangent d(eps)/dB on every multiplicity branch."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import KinematicsError
-from .isofunc import _apply, half_log_map
-from .spectral import Multiplicity, spectrum
-from .tensor_core import _TEXT, SymTensor2, SymTensor4, _reals
+from .isofunc import _apply, _apply_rows, half_log_map
+from .spectral import Multiplicity, Spectrum, spectrum
+from .tensor_core import _TEXT, SymTensor2, SymTensor4, _cauchy_green_terms, _reals
 
 # Relative floor on the smallest stretch: below this the tensor logarithm is
 # numerically meaningless even though the eigenvalue may still be positive.
@@ -20,7 +21,8 @@ _FLOAT_INT = frozenset((float, int))
 
 def left_cauchy_green(f) -> SymTensor2:
     """B = F F^T from a deformation gradient given as a flat row-major
-    9-sequence or a 3x3 nested sequence.  Rejects det F <= 0."""
+    9-sequence or a 3x3 nested sequence.  Rejects det F <= 0 and an F
+    whose B overflows."""
     try:
         n = len(f)
         if isinstance(f, _TEXT):
@@ -43,19 +45,10 @@ def left_cauchy_green(f) -> SymTensor2:
     det, b = _cauchy_green_terms(rows)
     if not det > 0.0:
         raise KinematicsError(f"deformation gradient has det = {det!r}, expected > 0")
+    # An off-diagonal entry of B that overflows makes a diagonal one overflow.
+    if not math.isfinite(b[0] + b[1] + b[2]):
+        raise KinematicsError(f"B = F F^T overflows: its trace is {b[0] + b[1] + b[2]!r}")
     return SymTensor2(*b)
-
-
-def _cauchy_green_terms(rows) -> tuple:
-    """(det F, the components of B = F F^T) from the rows of F; floats or
-    (n,) arrays."""
-    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = rows
-    det = (f00 * (f11 * f22 - f12 * f21)
-           - f01 * (f10 * f22 - f12 * f20)
-           + f02 * (f10 * f21 - f11 * f20))
-    return det, (f00 * f00 + f01 * f01 + f02 * f02, f10 * f10 + f11 * f11 + f12 * f12,
-                 f20 * f20 + f21 * f21 + f22 * f22, f00 * f10 + f01 * f11 + f02 * f12,
-                 f00 * f20 + f01 * f21 + f02 * f22, f10 * f20 + f11 * f21 + f12 * f22)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,6 +69,13 @@ def log_strain_from_b(b: SymTensor2) -> LogStrainResult:
             "positive, non-degenerate spectrum")
     eps, deps = _apply(b, sp, _HALF_LOG)
     return LogStrainResult(b=b, eps=eps, deps_db=deps, branch=sp.mult)
+
+
+def _log_strain_rows(b: SymTensor2, sp: Spectrum, ok) -> tuple:
+    """log_strain_from_b on the rows of b and sp where ok, as _apply_rows:
+    (eps as (n, 6), d(eps)/dB as (n, 6, 6), ok less the rows on which
+    log_strain_from_b would raise)."""
+    return _apply_rows(b, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
 
 
 def _not_spd(lam):

@@ -28,19 +28,15 @@ from .spectral import (
 from .tensor_core import (
     COS3THETA_FLOOR,
     IDENTITY2,
-    IXI,
     InvariantSet,
     SymTensor2,
     SymTensor4,
-    _E,
-    _IDEV,
     _ROW_MATH,
     _as_vec,
+    _coincident_tangent,
     _dtheta,
     _dtheta_of_dev,
-    _iso4,
     _lift,
-    _outer,
     _per_row,
     deviator,
     invariants,
@@ -157,9 +153,13 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
         th = rm.theta_sigma(*args) if distinct else 0.0
     except ArithmeticError as exc:
         raise ContractError(f"return map fails at {args!r}: {exc!r}") from exc
-    if not (math.isfinite(p) and 0.0 <= q < math.inf and math.isfinite(th)):
+    try:
+        fine = math.isfinite(p) and 0.0 <= q < math.inf and math.isfinite(th)
+    except TypeError:  # None, text or a complex number
+        fine = False
+    if not fine:
         raise ContractError(f"return map produced p = {p!r}, q = {q!r}, theta_sigma = {th!r} "
-                            f"at {args!r}; each must be finite, and q >= 0")
+                            f"at {args!r}; each must be a finite real number, and q >= 0")
     if not distinct:
         return args, p, q, None, None
     return args, p, q, th, _principal(p, q, th, math)
@@ -195,12 +195,17 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
         gth = rm.grad_theta_sigma(*args) if distinct else (0.0, 0.0, 0.0)
     except ArithmeticError as exc:
         raise ContractError(f"return map gradient fails at {args!r}: {exc!r}") from exc
-    if not all(map(math.isfinite, (*gp, *gq, *gth))):
+    try:
+        fine = (len(gp) == len(gq) == len(gth) == 3
+                and all(map(math.isfinite, (*gp, *gq, *gth))))
+    except TypeError:  # not a sequence, or an entry that is not a real number
+        fine = False
+    if not fine:
         raise ContractError(f"return map gradients {gp!r}, {gq!r}, {gth!r} at {args!r} "
-                            "are not finite")
+                            "are not three finite real numbers each")
     if not distinct:
         dev = None if sp.mult.tag is MultTag.TRIPLE else _as_vec(deviator(eps_star))
-        return SymTensor4._of(_coincident_tangent(dev, sp.mult.tag, args[1], q, gp, gq))
+        return SymTensor4._of(_coincident_tangent(dev, args[1], q, gp, gq))
     f = 2.0 / (3.0 * args[1])
     s = deviator(eps_star).as_tuple()
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
@@ -208,20 +213,6 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
     m = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
                   tail=(grads, _dsigma(gp, gq, gth, q, th, math)))
     return SymTensor4._of(m)
-
-
-def _coincident_tangent(dev, tag: MultTag, eps_q, q, gp, gq) -> np.ndarray:
-    """Stored array of consistent_tangent on the triple or double branch tag
-    from the map's gradients gp and gq and, if double, the deviator dev of the
-    predictor by _as_vec; floats or (n,) arrays (then a stack of arrays)."""
-    if tag is MultTag.TRIPLE:
-        return _iso4(gp[0], (2.0 / 3.0) * gq[1])
-    f = 2.0 / (3.0 * eps_q)
-    return (_lift(gp[0], 2) * IXI.m
-            + _lift(f, 2) * (_lift(gp[1], 2) * _outer(_E, dev)
-                             + _lift(gq[0], 2) * _outer(dev, _E)
-                             + _lift(f * (gq[1] - q / eps_q), 2) * _outer(dev, dev)
-                             + _lift(q, 2) * _IDEV))
 
 
 def _dsigma(gp, gq, gth, q, th, m) -> list:
@@ -234,11 +225,6 @@ def _dsigma(gp, gq, gth, q, th, m) -> list:
                     gp[1] + (2.0 / 3.0) * (gq[1] * s + qc * gth[1]),
                     gp[2] + (2.0 / 3.0) * (gq[2] * s + qc * gth[2])])
     return out
-
-
-# Either double tag: the formulas of the double branch do not depend on
-# which pair is repeated.
-_DOUBLE = MultTag.DOUBLE_HIGH_UNIQUE
 
 
 def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
@@ -280,11 +266,13 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     eps_c = SymTensor2(*(x[rows] for x in eps_star.as_tuple()))
     args, p, q = tuple(a[rows] for a in args), p[rows], q[rows]
     gp, gq = (tuple(x[rows] for x in g) for g in (gp, gq))
+    # Either double tag: the formulas do not depend on which pair is repeated.
+    tags = (MultTag.TRIPLE, MultTag.DOUBLE_HIGH_UNIQUE)
     sigma[rows] = np.where(_lift(triple, 1), *(_as_vec(_stress(eps_c, sp, (args, p, q), tag))
-                                               for tag in (MultTag.TRIPLE, _DOUBLE)))
+                                               for tag in tags))
     dev = np.array(s).T[rows]
-    tan[rows] = np.where(_lift(triple, 2), *(_coincident_tangent(dev, tag, args[1], q, gp, gq)
-                                             for tag in (MultTag.TRIPLE, _DOUBLE)))
+    tan[rows] = np.where(_lift(triple, 2), *(_coincident_tangent(d, args[1], q, gp, gq)
+                                             for d in (None, dev)))
     return sigma, tan, ok
 
 

@@ -218,6 +218,18 @@ def _adjugate(a: tuple) -> tuple:
             xy * xz - yz * xx)
 
 
+def _cauchy_green_terms(rows) -> tuple:
+    """(det F, the components of B = F F^T) from the rows of F; floats or
+    (n,) arrays."""
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = rows
+    det = (f00 * (f11 * f22 - f12 * f21)
+           - f01 * (f10 * f22 - f12 * f20)
+           + f02 * (f10 * f21 - f11 * f20))
+    return det, (f00 * f00 + f01 * f01 + f02 * f02, f10 * f10 + f11 * f11 + f12 * f12,
+                 f20 * f20 + f21 * f21 + f22 * f22, f00 * f10 + f01 * f11 + f02 * f12,
+                 f00 * f20 + f01 * f21 + f02 * f22, f10 * f20 + f11 * f21 + f12 * f22)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class InvariantSet:
     """Principal invariants of a tensor and of its deviator.
@@ -479,6 +491,20 @@ def _iso4(k, g) -> np.ndarray:
     """k I x I + g (I4 - I x I / 3), the stored array of an isotropic tangent;
     a stack of them for (n,) arrays k and g."""
     return _lift(k, 2) * IXI.m + _lift(g, 2) * _IDEV
+
+
+def _coincident_tangent(dev, eps_q, q, gp, gq) -> np.ndarray:
+    """Stored array of consistent_tangent on the triple branch (dev None) or a
+    double branch from the map's gradients gp and gq and the deviator dev of
+    the predictor by _as_vec; floats or (n,) arrays (then a stack of arrays)."""
+    if dev is None:
+        return _iso4(gp[0], (2.0 / 3.0) * gq[1])
+    f = 2.0 / (3.0 * eps_q)
+    return (_lift(gp[0], 2) * IXI.m
+            + _lift(f, 2) * (_lift(gp[1], 2) * _outer(_E, dev)
+                             + _lift(gq[0], 2) * _outer(dev, _E)
+                             + _lift(f * (gq[1] - q / eps_q), 2) * _outer(dev, dev)
+                             + _lift(q, 2) * _IDEV))
 
 
 def _d2_I3_unit(k: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """The public API surface: a name added to or removed from the package shows
 up here as a deliberate edit."""
 
+import ast
 import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -115,3 +117,38 @@ def test_star_import_binds_the_public_names():
     exec("from spectens import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
     assert all(namespace[name] is getattr(spectens, name) for name in PUBLIC_NAMES)
+
+
+# Each module of the package and its rank: a module imports only modules of
+# a lower rank, so the shared kernels sit below every module that uses them.
+RANKS = {"errors": 0, "tensor_core": 1, "spectral": 2, "oracle": 2, "isofunc": 3,
+         "plasticity": 3, "logstrain": 4, "cli": 5, "__main__": 6, "__init__": 6}
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The package's modules that tree imports, also inside functions, by
+    `from .x import`, `from . import x`, `from spectens(.x) import` or
+    `import spectens.x`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("spectens."))
+        elif isinstance(node, ast.ImportFrom):
+            path = ("spectens." * node.level + (node.module or "")).split(".")
+            if path[0] != "spectens":
+                continue
+            out.update([path[1]] if len(path) > 1 and path[1]
+                       else (a.name for a in node.names if a.name in RANKS))
+    return out
+
+
+def test_the_modules_import_one_way():
+    src = pathlib.Path(spectens.__file__).parent
+    files = {p.stem: p for p in src.glob("*.py")}
+    assert set(files) == set(RANKS)
+    upward = sorted((name, other)
+                    for name, path in files.items()
+                    for other in _imported_modules(ast.parse(path.read_text()))
+                    if RANKS[other] >= RANKS[name])
+    assert upward == []

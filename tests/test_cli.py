@@ -847,6 +847,18 @@ def test_error_message_is_never_empty(monkeypatch):
     assert json.loads(text) == {"id": 9, "error": "Bare"}
 
 
+@pytest.mark.parametrize("cmd", ("basis", "logstrain"))
+def test_an_overflowing_b_is_an_error_record(cmd):
+    text = ('{"id": 1, "F": [1e200, 0, 0, 0, 1, 0, 0, 0, 1]}\n'
+            '{"id": 2, "F": [1, 1e160, 0, 0, 1, 0, 0, 0, 1]}\n'
+            '{"id": 3, "F": [1.2, 0.1, 0, 0, 0.9, 0, 0, 0.2, 1.1]}\n')
+    proc = run_cli([cmd], text)
+    assert proc.returncode == 2
+    recs = lines_of(proc)
+    assert [r["id"] for r in recs] == [1, 2, 3]
+    assert [r.get("error") for r in recs] == ["B = F F^T overflows: its trace is inf"] * 2 + [None]
+
+
 def test_nonfinite_results_become_error_records():
     text = ('{"id": "triple", "T": [1.3e110, 1.3e110, 1.3e110, 1e95, 0, 0]}\n'
             '{"id": "distinct", "T": [5e103, 2e103, -1e103, 4e102, 0, 0]}\n'
@@ -997,11 +1009,12 @@ _F_LINE = '{"id": 2, "F": [1.2, 0.1, 0.0, 0.0, 0.9, 0.0, 0.0, 0.2, 1.1]}\n'
 @pytest.mark.parametrize(("args", "text", "unused"), (
     (["basis"], _T_LINE, {"plasticity", "isofunc", "logstrain"}),
     (["stress", *_STRESS_FLAGS], _T_LINE, {"isofunc", "logstrain"}),
-    (["basis"], _F_LINE, set())))
+    (["logstrain"], _F_LINE, {"plasticity"}),
+    (["basis"], _F_LINE, {"plasticity", "isofunc", "logstrain"})))
 def test_a_command_imports_only_the_modules_it_calls(args, text, unused):
-    """basis on a T record does not load the modules of logstrain and stress,
-    and stress does not load those of logstrain; an F record under basis
-    loads what B = F F^T needs and is answered."""
+    """basis does not load the modules of logstrain and stress, also on an F
+    record, whose B = F F^T is a kernel of tensor_core; stress does not load
+    those of logstrain, nor logstrain the module of stress."""
     proc = subprocess.run([sys.executable, "-c", _ENTRY_MODULES, *args], input=text,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

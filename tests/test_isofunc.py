@@ -157,6 +157,18 @@ def test_domain_violations_raise():
         st.isotropic_function(st.SymTensor2(-2.0, -2.0, -2.0, 0, 0, 0), f)
 
 
+@pytest.mark.parametrize("bad", (None, "1", 1j))
+def test_a_map_that_is_not_a_number_is_a_domain_error(bad):
+    """A value or slope that is not a real number is a MapDomainError on
+    every branch, not a TypeError."""
+    for f in (st.ScalarEigenMap(lambda x: bad, lambda x: 1.0),
+              st.ScalarEigenMap(lambda x: x, lambda x: bad)):
+        for t in (st.SymTensor2(3.0, 2.0, 1.0, 0, 0, 0), st.SymTensor2(3.0, 1.0, 1.0, 0, 0, 0),
+                  st.SymTensor2(2.0, 2.0, 2.0, 0, 0, 0)):
+            with pytest.raises(st.MapDomainError, match="not a real number"):
+                st.isotropic_function(t, f)
+
+
 _MAP_FIELDS = ("p", "q", "dp_dev", "dp_deq", "dq_dev", "dq_deq", "slope")
 
 

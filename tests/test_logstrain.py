@@ -66,6 +66,16 @@ def test_left_cauchy_green_rejects_bad_input():
             left_cauchy_green(bad)
 
 
+@pytest.mark.parametrize("f", ([1e200, 0, 0, 0, 1, 0, 0, 0, 1],
+                               [[1, 1e160, 0], [0, 1, 0], [0, 0, 1]]))
+def test_an_overflowing_b_is_a_kinematics_error(f):
+    """det F is finite and positive, 1e200 and 1, but B = F F^T overflows:
+    the error names B, not a component of B that the caller never wrote."""
+    for call in (left_cauchy_green, log_strain):
+        with pytest.raises(KinematicsError, match=r"B = F F\^T overflows"):
+            call(f)
+
+
 def test_left_cauchy_green_takes_numbers_of_any_real_type():
     """Arrays of floats, of float32 and of ints, and lists mixing bool, int
     and float give the B of the same entries as Python floats."""

@@ -461,6 +461,27 @@ def test_map_that_is_not_finite_is_a_contract_error(tag, field, bad):
     assert not ok_rm.any()
 
 
+@pytest.mark.parametrize(("field", "bad"), (
+    ("p", None), ("p", "1"), ("p", 1j), ("q", None), ("q", "1"), ("theta_sigma", None),
+    ("grad_p", None), ("grad_p", (2.0, 0.0)), ("grad_q", (0.0, 3.0, 0.0, 0.0)),
+    ("grad_q", "abc"), ("grad_theta_sigma", (0.0, 0.0, None)), ("grad_theta_sigma", 1.0)))
+def test_map_that_is_not_numbers_is_a_contract_error(field, bad):
+    """A map value that is not a real number, or a gradient that is not
+    three of them, is a ContractError on every branch that uses it, not a
+    TypeError or IndexError."""
+    rm = dataclasses.replace(vonmises_demo_map(2.0, 1.0, 0.02),
+                             **{field: lambda ev, eq, th: bad})
+    calls = (stress_and_tangent, consistent_tangent)
+    if not field.startswith("grad_"):
+        calls += (reconstruct_stress,)
+    for eps, used in _BRANCH_PREDICTORS.values():
+        if field not in used:
+            continue
+        for call in calls:
+            with pytest.raises(ContractError, match="return map"):
+                call(eps, rm)
+
+
 @pytest.mark.parametrize("bad", (0.0, -1.0, math.nan, math.inf, "a", None, [1.0], 1j))
 def test_maps_reject_parameters_that_are_not_finite_and_positive(bad):
     for args in ((bad, 1.0), (1.0, bad)):
