@@ -21,13 +21,13 @@ _SOURCES = {
               "DegeneracyError KinematicsError MapDomainError SpectensError",
     "isofunc": "ScalarEigenMap cube_map double_exp_map half_log_map isotropic_function "
                "square_map",
-    "logstrain": "LogStrainResult left_cauchy_green log_strain log_strain_from_b",
+    "logstrain": "LogStrainResult log_strain log_strain_from_b",
     "plasticity": "InvariantReturnMap StrainPredictorInvariants StressInvariants "
                   "consistent_tangent linear_elastic_map predictor_invariants "
                   "reconstruct_stress stress_and_tangent stress_invariants vonmises_demo_map",
     "spectral": "MultTag Multiplicity Spectrum classify eigenvalues spectrum spin",
     "tensor_core": "IDENTITY2 IDENTITY4 IXI InvariantSet SymTensor2 SymTensor4 adjugate "
-                   "ddot det deviator dtheta_dT invariants norm",
+                   "ddot det deviator dtheta_dT invariants left_cauchy_green norm",
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
 

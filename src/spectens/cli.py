@@ -25,7 +25,7 @@ import orjson
 from .errors import ContractError, DegeneracyError
 from .spectral import _MULTS, MultTag, _spectrum_rows, _spin_sum, spectrum, spin
 from .tensor_core import (SymTensor2, _cauchy_green_terms, _invariant_rows, _overflow,
-                          invariants, norm)
+                          invariants, left_cauchy_green, norm)
 
 _VERIFY_BASIS_TOL = 1e-8
 _VERIFY_TANGENT_TOL = 1e-4
@@ -57,7 +57,6 @@ def _record_tensor(rec: dict) -> SymTensor2:
         raise ContractError("record must contain exactly one of 'T' or 'F'")
     if has_t:
         return SymTensor2(*_finite_floats(rec["T"], 6, "T"))
-    from .logstrain import left_cauchy_green
     return left_cauchy_green(_finite_floats(rec["F"], 9, "F"))
 
 

@@ -29,6 +29,7 @@ from .tensor_core import (
     _lift,
     _outer,
     _per_row,
+    _real_result,
     _sym_kron_m,
     deviator,
 )
@@ -86,24 +87,21 @@ def _map_values(e, d, s) -> tuple:
 
 
 def _eta(f: ScalarEigenMap, lams) -> tuple[list, list]:
-    """(values, slopes) of f at the eigenvalues lams, or MapDomainError if one
-    lies outside the domain of f, or f raises an arithmetic error or is not
-    a finite real number there."""
+    """(values, slopes) of f at the eigenvalues lams, as _real_result reads
+    them, or MapDomainError if one lies outside the domain of f, or f raises
+    an arithmetic error there or gives a result that _real_result refuses."""
     e, d = [], []
     for lam in lams:
         if not f.contains(lam):
             raise MapDomainError(f"eigenvalue {lam!r} outside map domain {f.domain}")
         try:
-            e.append(f.eval(lam))
-            d.append(f.deriv(lam))
+            val, slope = f.eval(lam), f.deriv(lam)
         except ArithmeticError as exc:
             raise MapDomainError(f"map fails at eigenvalue {lam!r}: {exc}") from exc
-        try:
-            fine = math.isfinite(e[-1]) and math.isfinite(d[-1])
-        except TypeError:  # None, text or a complex number
-            fine = False
-        if not fine:
-            raise MapDomainError(f"map value {e[-1]!r} or slope {d[-1]!r} is not a real "
+        e.append(_real_result(val))
+        d.append(_real_result(slope))
+        if e[-1] is None or d[-1] is None:
+            raise MapDomainError(f"map value {val!r} or slope {slope!r} is not a real "
                                  f"number, or not finite at eigenvalue {lam!r}")
     return e, d
 
@@ -114,11 +112,10 @@ def _eta_rows(f: ScalarEigenMap, lams, ok: np.ndarray) -> tuple[list, list, np.n
     that are still ok."""
     e, d = [], []
     for lam in lams:
-        ok = ok & f.contains(lam)
-        e.append(_per_row(f.eval, ok, (lam,)))
-        ok = ok & np.isfinite(e[-1])
-        d.append(_per_row(f.deriv, ok, (lam,)))
-        ok = ok & np.isfinite(d[-1])
+        val, ok = _per_row(f.eval, ok & f.contains(lam), (lam,))
+        slope, ok = _per_row(f.deriv, ok, (lam,))
+        e.append(val)
+        d.append(slope)
     return e, d, ok
 
 

@@ -38,6 +38,7 @@ from .tensor_core import (
     _dtheta_of_dev,
     _lift,
     _per_row,
+    _real_result,
     deviator,
     invariants,
 )
@@ -140,8 +141,9 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
     """The map at the predictor of sp, for the stress and its tangent:
     (args, p, q, theta_sigma, principal stresses).  The triple branch
     evaluates only p, at args = (eps_v, 0, 0); only the distinct branch
-    consults theta_sigma and forms the principal stresses.  A value that is
-    not finite, q < 0 or an ArithmeticError of the map is a ContractError."""
+    consults theta_sigma and forms the principal stresses, from the values
+    as _real_result reads them.  A value that it refuses, q < 0 or an
+    ArithmeticError of the map is a ContractError."""
     args = _predictor_args(sp.inv, math)
     tag = sp.mult.tag
     distinct, triple = tag is MultTag.DISTINCT, tag is MultTag.TRIPLE
@@ -153,13 +155,11 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
         th = rm.theta_sigma(*args) if distinct else 0.0
     except ArithmeticError as exc:
         raise ContractError(f"return map fails at {args!r}: {exc!r}") from exc
-    try:
-        fine = math.isfinite(p) and 0.0 <= q < math.inf and math.isfinite(th)
-    except TypeError:  # None, text or a complex number
-        fine = False
-    if not fine:
+    vals = _real_result((p, q, th), (3,))
+    if vals is None or vals[1] < 0.0:
         raise ContractError(f"return map produced p = {p!r}, q = {q!r}, theta_sigma = {th!r} "
                             f"at {args!r}; each must be a finite real number, and q >= 0")
+    p, q, th = vals
     if not distinct:
         return args, p, q, None, None
     return args, p, q, th, _principal(p, q, th, math)
@@ -195,14 +195,11 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
         gth = rm.grad_theta_sigma(*args) if distinct else (0.0, 0.0, 0.0)
     except ArithmeticError as exc:
         raise ContractError(f"return map gradient fails at {args!r}: {exc!r}") from exc
-    try:
-        fine = (len(gp) == len(gq) == len(gth) == 3
-                and all(map(math.isfinite, (*gp, *gq, *gth))))
-    except TypeError:  # not a sequence, or an entry that is not a real number
-        fine = False
-    if not fine:
+    grads = _real_result(gp, (3,)), _real_result(gq, (3,)), _real_result(gth, (3,))
+    if None in grads:
         raise ContractError(f"return map gradients {gp!r}, {gq!r}, {gth!r} at {args!r} "
                             "are not three finite real numbers each")
+    gp, gq, gth = grads
     if not distinct:
         dev = None if sp.mult.tag is MultTag.TRIPLE else _as_vec(deviator(eps_star))
         return SymTensor4._of(_coincident_tangent(dev, args[1], q, gp, gq))
@@ -239,16 +236,15 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     eps_v, eps_q, theta = _predictor_args(inv, _ROW_MATH)
     # _map_at evaluates the triple branch at (eps_v, 0, 0).
     args = (eps_v, np.where(triple, 0.0, eps_q), np.where(triple, 0.0, theta))
-    fin = np.isfinite
-    p = _per_row(rm.p, ok, args)
-    q = _per_row(rm.q, ok & ~triple, args)
-    th = _per_row(rm.theta_sigma, ok & dist, args)
-    ok = ok & fin(p) & (triple | fin(q) & (q >= 0.0)) & (~dist | fin(th))
-    th = np.where(ok, th, np.nan)  # math.sin refuses an infinite theta_sigma
+    p, ok = _per_row(rm.p, ok, args)
+    q, ok_q = _per_row(rm.q, ok & ~triple, args)
+    th, ok_th = _per_row(rm.theta_sigma, ok & dist, args)
+    ok &= (triple | ok_q & (q >= 0.0)) & (~dist | ok_th)
     sig = _principal(p, q, th, _ROW_MATH)
-    gp, gq = (_per_row(g, ok, args, 3) for g in (rm.grad_p, rm.grad_q))
-    gth = _per_row(rm.grad_theta_sigma, ok & dist, args, 3)
-    ok &= fin(gp).all(1) & fin(gq).all(1) & (~dist | fin(gth).all(1))
+    gp, ok = _per_row(rm.grad_p, ok, args, (3,))
+    gq, ok = _per_row(rm.grad_q, ok, args, (3,))
+    gth, ok_th = _per_row(rm.grad_theta_sigma, ok & dist, args, (3,))
+    ok &= ~dist | ok_th
     gp, gq, gth = (tuple(g.T) for g in (gp, gq, gth))
     # The guard of dtheta_dT, which only the distinct branch calls; theta is
     # defined on every distinct row.
@@ -281,14 +277,7 @@ def linear_elastic_map(bulk: float, shear: float) -> InvariantReturnMap:
     of isotropic linear elasticity."""
     if not all(isinstance(x, Real) and math.isfinite(x) and x > 0.0 for x in (bulk, shear)):
         raise ContractError(f"elastic moduli must be finite and positive, got {(bulk, shear)!r}")
-    return InvariantReturnMap(
-        p=lambda ev, eq, th: bulk * ev,
-        q=lambda ev, eq, th: 3.0 * shear * eq,
-        theta_sigma=lambda ev, eq, th: th,
-        grad_p=lambda ev, eq, th: (bulk, 0.0, 0.0),
-        grad_q=lambda ev, eq, th: (0.0, 3.0 * shear, 0.0),
-        grad_theta_sigma=lambda ev, eq, th: (0.0, 0.0, 1.0),
-    )
+    return _radial_return(bulk, shear, math.inf)
 
 
 def vonmises_demo_map(bulk: float, shear: float, yield_q: float) -> InvariantReturnMap:
@@ -298,20 +287,19 @@ def vonmises_demo_map(bulk: float, shear: float, yield_q: float) -> InvariantRet
     if not all(isinstance(x, Real) and math.isfinite(x) and x > 0.0 for x in params):
         raise ContractError("demo map parameters (bulk, shear, yield_q) must be finite and "
                             f"positive, got {params!r}")
+    return _radial_return(bulk, shear, yield_q)
 
-    def q_fn(ev, eq, th):
-        return min(3.0 * shear * eq, yield_q)
 
-    def grad_q_fn(ev, eq, th):
-        if 3.0 * shear * eq >= yield_q:
-            return (0.0, 0.0, 0.0)
-        return (0.0, 3.0 * shear, 0.0)
-
+def _radial_return(bulk: float, shear: float, yield_q: float) -> InvariantReturnMap:
+    """The map of vonmises_demo_map, and with yield_q = inf that of
+    linear_elastic_map: min(3 G eps_q, inf) is 3 G eps_q, and grad_q takes
+    the plastic branch only where q is inf, which every caller refuses."""
     return InvariantReturnMap(
         p=lambda ev, eq, th: bulk * ev,
-        q=q_fn,
+        q=lambda ev, eq, th: min(3.0 * shear * eq, yield_q),
         theta_sigma=lambda ev, eq, th: th,
         grad_p=lambda ev, eq, th: (bulk, 0.0, 0.0),
-        grad_q=grad_q_fn,
+        grad_q=lambda ev, eq, th: ((0.0, 0.0, 0.0) if 3.0 * shear * eq >= yield_q
+                                   else (0.0, 3.0 * shear, 0.0)),
         grad_theta_sigma=lambda ev, eq, th: (0.0, 0.0, 1.0),
     )

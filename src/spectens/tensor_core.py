@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConditioningWarning, ContractError, DegeneracyError
+from .errors import ConditioningWarning, ContractError, DegeneracyError, KinematicsError
 
 WEIGHTS = (1.0, 1.0, 1.0, 2.0, 2.0, 2.0)
 
@@ -48,11 +49,13 @@ _ROW_MATH = SimpleNamespace(sqrt=np.sqrt, sin=_each(math.sin), cos=_each(math.co
                             asin=_each(math.asin))
 
 
-def _per_row(fn, ok, args, width=None) -> np.ndarray:
-    """fn(*row) over the (n,) arrays args on the rows where ok, NaN on the
-    rest and where fn raises an ArithmeticError: shape (n,), or (n, width)
-    for an fn that returns width numbers."""
-    out = np.full(ok.shape if width is None else (ok.size, width), np.nan)
+def _per_row(fn, ok, args, shape=()) -> tuple[np.ndarray, np.ndarray]:
+    """fn(*row) over the (n,) arrays args on the rows where ok, as read by
+    _real_result for results of the given shape: ((n, *shape) floats, NaN on
+    the rows left out; ok less the rows where fn raises an ArithmeticError
+    or its result is refused).  Results that numpy reads as real numbers of
+    the right shape are checked in bulk, and only the others one by one."""
+    out = np.full(ok.shape + shape, np.nan)
     vals = []
     for row in zip(*(a[ok].tolist() for a in args)):
         try:
@@ -60,8 +63,40 @@ def _per_row(fn, ok, args, width=None) -> np.ndarray:
         except ArithmeticError:
             vals.append(out[0])  # NaN: out is not filled yet
     if vals:
-        out[ok] = vals
-    return out
+        try:
+            res = np.array(vals)
+        except (TypeError, ValueError):  # sequences of different lengths, say
+            res = None
+        if res is None or res.dtype.kind not in "biuf" or res.shape != (len(vals), *shape):
+            read = (_real_result(v, shape) for v in vals)
+            res = np.array([out[0] if x is None else x for x in read], float)
+        out[ok] = res
+    fine = np.isfinite(out).all(-1) if shape else np.isfinite(out)
+    out[~fine] = np.nan
+    return out, fine
+
+
+def _real_result(v, shape=()):
+    """v, a result of a user map, as floats if it is a finite real number
+    (shape ()) or three of them (shape (3,), such as a gradient; then a
+    sequence), else None: what numpy reads as such, or a numbers.Real such
+    as a Fraction.  None, text, complex numbers and numbers past the float
+    range are not."""
+    # A float, and a tuple of three, as numpy reads them, only faster.
+    if type(v) is float:
+        return v if not shape and math.isfinite(v) else None
+    fin = math.isfinite
+    if type(v) is tuple and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float:
+        return v if shape == (3,) and fin(v[0]) and fin(v[1]) and fin(v[2]) else None
+    try:
+        a = np.asarray(v)
+        if a.shape == shape and (a.dtype.kind in "biuf" or a.dtype.kind == "O"
+                                 and all(isinstance(x, Real) for x in a.flat)):
+            x = a.astype(float).tolist()
+            return x if all(map(fin, x if shape else (x,))) else None
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
 
 
 _TEXT = (str, bytes, bytearray)
@@ -228,6 +263,41 @@ def _cauchy_green_terms(rows) -> tuple:
     return det, (f00 * f00 + f01 * f01 + f02 * f02, f10 * f10 + f11 * f11 + f12 * f12,
                  f20 * f20 + f21 * f21 + f22 * f22, f00 * f10 + f01 * f11 + f02 * f12,
                  f00 * f20 + f01 * f21 + f02 * f22, f10 * f20 + f11 * f21 + f12 * f22)
+
+
+_FLOAT_INT = frozenset((float, int))
+
+
+def left_cauchy_green(f) -> SymTensor2:
+    """B = F F^T from a deformation gradient given as a flat row-major
+    9-sequence or a 3x3 nested sequence.  Rejects det F <= 0 and an F
+    whose B overflows."""
+    try:
+        n = len(f)
+        if isinstance(f, _TEXT):
+            raise TypeError(f"text {f!r} is not numbers")
+        if n == 9:
+            # float() also parses text, so entries of any type but float and
+            # int go through _reals, which refuses it.
+            x = f if _FLOAT_INT.issuperset(map(type, f)) else _reals(f, 9)
+            rows = [[float(x[0]), float(x[1]), float(x[2])],
+                    [float(x[3]), float(x[4]), float(x[5])],
+                    [float(x[6]), float(x[7]), float(x[8])]]
+        elif n == 3:
+            rows = [_reals(row, 3) for row in f]
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
+        raise KinematicsError(
+            f"deformation gradient must be a sequence of numbers or of rows of numbers: {exc}"
+        ) from exc
+    if n not in (3, 9):
+        raise KinematicsError("deformation gradient must be 3x3 or flat length 9")
+    det, b = _cauchy_green_terms(rows)
+    if not det > 0.0:
+        raise KinematicsError(f"deformation gradient has det = {det!r}, expected > 0")
+    # An off-diagonal entry of B that overflows makes a diagonal one overflow.
+    if not math.isfinite(b[0] + b[1] + b[2]):
+        raise KinematicsError(f"B = F F^T overflows: its trace is {b[0] + b[1] + b[2]!r}")
+    return SymTensor2(*b)
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -1004,25 +1004,29 @@ finally:
 """
 _T_LINE = '{"id": 1, "T": [3.0, 2.0, 1.0, 0.3, 0.2, 0.1]}\n'
 _F_LINE = '{"id": 2, "F": [1.2, 0.1, 0.0, 0.0, 0.9, 0.0, 0.0, 0.2, 1.1]}\n'
+_F_REFUSED_LINE = '{"id": 3, "F": [-1, 0, 0, 0, 1, 0, 0, 0, 1]}\n'
 
 
 @pytest.mark.parametrize(("args", "text", "unused"), (
     (["basis"], _T_LINE, {"plasticity", "isofunc", "logstrain"}),
     (["stress", *_STRESS_FLAGS], _T_LINE, {"isofunc", "logstrain"}),
     (["logstrain"], _F_LINE, {"plasticity"}),
-    (["basis"], _F_LINE, {"plasticity", "isofunc", "logstrain"})))
+    (["basis"], _F_LINE, {"plasticity", "isofunc", "logstrain"}),
+    (["basis"], _F_REFUSED_LINE, {"plasticity", "isofunc", "logstrain"})))
 def test_a_command_imports_only_the_modules_it_calls(args, text, unused):
     """basis does not load the modules of logstrain and stress, also on an F
-    record, whose B = F F^T is a kernel of tensor_core; stress does not load
-    those of logstrain, nor logstrain the module of stress."""
+    record, whose B = F F^T is a kernel of tensor_core, nor on one that it
+    refuses, whose error comes from tensor_core's left_cauchy_green; stress
+    does not load those of logstrain, nor logstrain the module of stress."""
     proc = subprocess.run([sys.executable, "-c", _ENTRY_MODULES, *args], input=text,
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    refused = text is _F_REFUSED_LINE
+    assert proc.returncode == (2 if refused else 0), proc.stderr
     loaded = set(proc.stderr.split())
     assert "spectens.cli" in loaded
     assert not loaded & {f"spectens.{m}" for m in unused}
     rec = json.loads(proc.stdout)
-    assert rec["id"] == json.loads(text)["id"] and "error" not in rec
+    assert rec["id"] == json.loads(text)["id"] and ("error" in rec) == refused
 
 
 def test_importing_the_package_freezes_nothing_and_sets_no_blas_threads():

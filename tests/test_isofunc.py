@@ -1,6 +1,7 @@
 """Isotropic tensor functions and their consistent tangents."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,16 +158,54 @@ def test_domain_violations_raise():
         st.isotropic_function(st.SymTensor2(-2.0, -2.0, -2.0, 0, 0, 0), f)
 
 
-@pytest.mark.parametrize("bad", (None, "1", 1j))
+# A tensor of each branch: distinct, double and triple.
+_BRANCH_TENSORS = (st.SymTensor2(3.0, 2.0, 1.0, 0, 0, 0), st.SymTensor2(3.0, 1.0, 1.0, 0, 0, 0),
+                   st.SymTensor2(2.0, 2.0, 2.0, 0, 0, 0))
+
+
+def _one_row(t):
+    rows = st.SymTensor2(*(np.array([x]) for x in t.as_tuple()))
+    return rows, *_spectrum_rows(rows)
+
+
+@pytest.mark.parametrize("bad", (None, "1", 1j, math.nan, math.inf, -math.inf, 10 ** 400),
+                         ids=lambda x: repr(x)[:16])
 def test_a_map_that_is_not_a_number_is_a_domain_error(bad):
-    """A value or slope that is not a real number is a MapDomainError on
-    every branch, not a TypeError."""
+    """A value or slope that is not a finite real number is a MapDomainError
+    of isotropic_function on every branch, not a TypeError or
+    OverflowError, and leaves the row out of _apply_rows, which does not
+    raise."""
     for f in (st.ScalarEigenMap(lambda x: bad, lambda x: 1.0),
               st.ScalarEigenMap(lambda x: x, lambda x: bad)):
-        for t in (st.SymTensor2(3.0, 2.0, 1.0, 0, 0, 0), st.SymTensor2(3.0, 1.0, 1.0, 0, 0, 0),
-                  st.SymTensor2(2.0, 2.0, 2.0, 0, 0, 0)):
+        for t in _BRANCH_TENSORS:
             with pytest.raises(st.MapDomainError, match="not a real number"):
                 st.isotropic_function(t, f)
+            with np.errstate(all="ignore"):
+                rows, sp, ok = _one_row(t)
+                assert _apply_rows(rows, sp, f, ok)[2].tolist() == [False]
+
+
+@pytest.mark.parametrize("conv", (Fraction, np.float64, lambda x: int(1e6 * x)),
+                         ids=("Fraction", "numpy.float64", "int"))
+def test_map_results_that_are_real_numbers_are_read_as_floats_on_both_paths(conv):
+    """A map that returns Fractions, numpy floats or ints is answered on
+    every branch, by isotropic_function and by _apply_rows, with the bits of
+    the map that returns their floats, and with floats."""
+    f = st.square_map()
+    got = st.ScalarEigenMap(lambda x: conv(f.eval(x)), lambda x: conv(f.deriv(x)))
+    want = st.ScalarEigenMap(lambda x: float(conv(f.eval(x))), lambda x: float(conv(f.deriv(x))))
+    for t in _BRANCH_TENSORS:
+        s, m = st.isotropic_function(t, got)
+        want_s, want_m = st.isotropic_function(t, want)
+        assert s.as_tuple() == want_s.as_tuple() and {type(x) for x in s.as_tuple()} == {float}
+        assert m.m.dtype == float and m.m.tolist() == want_m.m.tolist()
+        with np.errstate(all="ignore"):
+            rows, sp, ok = _one_row(t)
+            s_rows, m_rows, ok_f = _apply_rows(rows, sp, got, ok)
+            want_rows = _apply_rows(rows, sp, want, ok)
+        assert ok_f.all() and want_rows[2].all()
+        assert s_rows.tolist() == want_rows[0].tolist()
+        assert m_rows.tolist() == want_rows[1].tolist()
 
 
 _MAP_FIELDS = ("p", "q", "dp_dev", "dp_deq", "dq_dev", "dq_deq", "slope")
@@ -232,8 +271,8 @@ def test_map_failure_is_a_map_domain_error_on_every_branch():
 def test_rows_match_the_scalar_path_and_leave_out_map_failures():
     """_apply_rows on rows of every class: S of every row and the tangent of
     every double and triple row are the scalar results bit for bit, and a
-    row on which the map overflows or its slope is not finite is left out
-    instead of raising."""
+    row on which the map overflows, its slope is not finite or its value is
+    text is left out instead of raising."""
     rng = np.random.default_rng(58)
     eigs = ((3.0, 2.0, 1.0), (400.0, 2.0, 1.0), (3.0, 1.0, 1.0), (3.0, 3.0, 1.0),
             (400.0, 400.0, 1.0), (2.0, 2.0, 2.0), (400.0, 400.0, 400.0), (0.5, -0.5, -0.5))
@@ -243,7 +282,8 @@ def test_rows_match_the_scalar_path_and_leave_out_map_failures():
         sp, ok = _spectrum_rows(t)
         assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
         steep = st.ScalarEigenMap(lambda x: x, lambda x: 1.0 if x < 100.0 else math.inf)
-        for f in (st.double_exp_map(), st.cube_map(), st.half_log_map(), steep):
+        text = st.ScalarEigenMap(lambda x: x if x < 100.0 else "1", lambda x: 1.0)
+        for f in (st.double_exp_map(), st.cube_map(), st.half_log_map(), steep, text):
             s, m, ok_f = _apply_rows(t, sp, f, ok)
             for k, x in enumerate(tensors):
                 try:

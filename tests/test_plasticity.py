@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -461,25 +462,74 @@ def test_map_that_is_not_finite_is_a_contract_error(tag, field, bad):
     assert not ok_rm.any()
 
 
-@pytest.mark.parametrize(("field", "bad"), (
-    ("p", None), ("p", "1"), ("p", 1j), ("q", None), ("q", "1"), ("theta_sigma", None),
-    ("grad_p", None), ("grad_p", (2.0, 0.0)), ("grad_q", (0.0, 3.0, 0.0, 0.0)),
-    ("grad_q", "abc"), ("grad_theta_sigma", (0.0, 0.0, None)), ("grad_theta_sigma", 1.0)))
+# Results that are not a finite real number, and gradients that are not
+# three of them; 10**400 is a real number past the float range.
+_NOT_NUMBERS = (None, "1", 1j, math.nan, math.inf, -math.inf, 10 ** 400, (1.0, 2.0, 3.0))
+_NOT_GRADIENTS = (None, (2.0, 0.0), (0.0, 3.0, 0.0, 0.0), "abc", (0.0, 0.0, None), 1.0,
+                  (0.0, 1j, 0.0), ("1", 0.0, 0.0), (Fraction(1), "1", 0.0),
+                  (0.0, math.nan, 0.0), (0.0, math.inf, 0.0), (0.0, -math.inf, 0.0))
+
+
+@pytest.mark.parametrize(("field", "bad"), [
+    (field, bad) for field in _MAP_FIELDS
+    for bad in (_NOT_GRADIENTS if field.startswith("grad_") else _NOT_NUMBERS)],
+    ids=lambda x: repr(x)[:16])
 def test_map_that_is_not_numbers_is_a_contract_error(field, bad):
-    """A map value that is not a real number, or a gradient that is not
-    three of them, is a ContractError on every branch that uses it, not a
-    TypeError or IndexError."""
+    """A map value that is not a finite real number, or a gradient that is
+    not three of them, is a ContractError of the one-tensor calls on every
+    branch that uses it, not a TypeError, IndexError or OverflowError, and
+    leaves the row out of _stress_tangent_rows, which does not raise.  On a
+    branch that does not use it, both paths answer."""
     rm = dataclasses.replace(vonmises_demo_map(2.0, 1.0, 0.02),
                              **{field: lambda ev, eq, th: bad})
     calls = (stress_and_tangent, consistent_tangent)
     if not field.startswith("grad_"):
         calls += (reconstruct_stress,)
     for eps, used in _BRANCH_PREDICTORS.values():
-        if field not in used:
-            continue
+        with np.errstate(all="ignore"):
+            rows, sp, ok = _one_row(eps)
+            ok_rm = plasticity._stress_tangent_rows(rows, sp, rm, ok)[2]
         for call in calls:
-            with pytest.raises(ContractError, match="return map"):
+            with (pytest.raises(ContractError, match="return map") if field in used
+                  else contextlib.nullcontext()):
                 call(eps, rm)
+        assert ok_rm.tolist() == [field not in used]
+
+
+def _converted(rm: InvariantReturnMap, conv) -> InvariantReturnMap:
+    """rm with conv applied to each value and to each entry of each gradient."""
+    def value(fn):
+        return lambda *args: conv(fn(*args))
+
+    def gradient(fn):
+        return lambda *args: tuple(map(conv, fn(*args)))
+
+    return dataclasses.replace(rm, **{f: (gradient if f.startswith("grad_") else value)(
+        getattr(rm, f)) for f in _MAP_FIELDS})
+
+
+@pytest.mark.parametrize("conv", (Fraction, np.float64, lambda x: int(1e6 * x)),
+                         ids=("Fraction", "numpy.float64", "int"))
+def test_map_results_that_are_real_numbers_are_read_as_floats_on_both_paths(conv):
+    """A map that returns Fractions, numpy floats or ints is answered on
+    every branch, by the one-tensor calls and by _stress_tangent_rows, with
+    the bits of the map that returns their floats, and with floats: no
+    object array of Fractions, no numpy scalars."""
+    rm = _map_twist()
+    got, want = _converted(rm, conv), _converted(rm, lambda x: float(conv(x)))
+    for eps, _ in _BRANCH_PREDICTORS.values():
+        sig, tan = stress_and_tangent(eps, got)
+        want_sig, want_tan = stress_and_tangent(eps, want)
+        assert sig.as_tuple() == want_sig.as_tuple()
+        assert {type(x) for x in sig.as_tuple()} == {float}
+        assert tan.m.dtype == float and tan.m.tolist() == want_tan.m.tolist()
+        with np.errstate(all="ignore"):
+            rows, sp, ok = _one_row(eps)
+            sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(rows, sp, got, ok)
+            want_rows = plasticity._stress_tangent_rows(rows, sp, want, ok)
+        assert ok_rm.all() and want_rows[2].all()
+        assert sig_rows.tolist() == want_rows[0].tolist()
+        assert tan_rows.tolist() == want_rows[1].tolist()
 
 
 @pytest.mark.parametrize("bad", (0.0, -1.0, math.nan, math.inf, "a", None, [1.0], 1j))
@@ -492,12 +542,38 @@ def test_maps_reject_parameters_that_are_not_finite_and_positive(bad):
             vonmises_demo_map(*args)
 
 
+def test_linear_elastic_map_is_hookes_map_to_the_bit():
+    """linear_elastic_map is the radial return with yield_q = inf: on every
+    branch, on both paths, it gives the stress and tangent of Hooke's map
+    written out, bit for bit."""
+    bulk, shear = 2.0, 0.75
+    hooke = InvariantReturnMap(
+        p=lambda ev, eq, th: bulk * ev, q=lambda ev, eq, th: 3.0 * shear * eq,
+        theta_sigma=lambda ev, eq, th: th, grad_p=lambda ev, eq, th: (bulk, 0.0, 0.0),
+        grad_q=lambda ev, eq, th: (0.0, 3.0 * shear, 0.0),
+        grad_theta_sigma=lambda ev, eq, th: (0.0, 0.0, 1.0))
+    rm = linear_elastic_map(bulk, shear)
+    rng = np.random.default_rng(107)
+    cases = [eps for _ in range(5) for eps, _ in _branch_cases(rng)]
+    for eps in cases:
+        sig, tan = stress_and_tangent(eps, rm)
+        want_sig, want_tan = stress_and_tangent(eps, hooke)
+        assert sig == want_sig and tan.m.tolist() == want_tan.m.tolist()
+    t = SymTensor2(*np.array([x.as_tuple() for x in cases]).T)
+    with np.errstate(all="ignore"):
+        sp, ok = spectral._spectrum_rows(t)
+        got = plasticity._stress_tangent_rows(t, sp, rm, ok)
+        want = plasticity._stress_tangent_rows(t, sp, hooke, ok)
+    assert got[2].all() and want[2].all()
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+
 def test_rows_match_stress_and_tangent_on_every_branch():
     """_stress_tangent_rows on rows of every class, with maps whose
     gradients differ on every axis: double and triple rows are the scalar
     results bit for bit, distinct rows agree to rounding, and a row on which
-    the map gives q < 0 or overflows is left out, where the scalar call
-    raises ContractError."""
+    the map gives q < 0, overflows or gives a gradient of two numbers is
+    left out, where the scalar call raises ContractError."""
     rng = np.random.default_rng(36)
     eigs = ((0.03, 0.01, -0.02), (0.03, -0.01, -0.01), (0.02, 0.02, -0.01), (0.01, 0.01, 0.01),
             (-0.01, -0.01, -0.01))
@@ -532,6 +608,15 @@ def test_rows_match_stress_and_tangent_on_every_branch():
         with pytest.raises(ContractError) if x.trace() > 0.0 else contextlib.nullcontext():
             stress_and_tangent(x, overflows)
         assert ok_rm[k] == np.isfinite(sig[k]).all() == (x.trace() <= 0.0)
+    # Gradients of two lengths in one chunk: numpy cannot stack them.
+    ragged = dataclasses.replace(elastic, grad_p=lambda ev, eq, th: (
+        (2.0, 0.0) if ev > 0.0 else (2.0, 0.0, 0.0)))
+    with np.errstate(all="ignore"):
+        ok_rm = plasticity._stress_tangent_rows(t, sp, ragged, ok)[2]
+    for k, x in enumerate(tensors):
+        with pytest.raises(ContractError) if x.trace() > 0.0 else contextlib.nullcontext():
+            stress_and_tangent(x, ragged)
+        assert ok_rm[k] == (x.trace() <= 0.0)
 
 
 def _one_row(eps):
