@@ -3,10 +3,11 @@
 Each input line is one record: a JSON object with an "id" and exactly one of
 "T" (six components, order 11,22,33,12,13,23) or "F" (row-major 3x3
 deformation gradient, from which B = F F^T is formed).  Output is one JSON
-object per record, in input order; records are evaluated and written chunk
-by chunk.  A record that fails, also one whose result is not finite,
-produces {"id": ..., "error": ...} and flips the exit status to 2; exit
-status 1 is reserved for I/O-level failures.
+object per record, in input order; records are read, evaluated and written
+chunk by chunk, so memory is bounded by a chunk, not by the input.  A
+record that fails, also one whose result is not finite, produces
+{"id": ..., "error": ...} and flips the exit status to 2; exit status 1 is
+reserved for I/O-level failures.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 import numpy as np
 import orjson
@@ -158,17 +161,18 @@ def _pieces(cmd: str, extras: tuple) -> np.ndarray:
 def _texts(a: np.ndarray) -> np.ndarray:
     """repr of each entry of the float array a, as an object array of a's
     shape.  orjson writes the same shortest round-trip digits as repr, about
-    ten times faster, but not the same exponents: 0.00001 and 1e16 where
-    repr writes 1e-05 and 1e+16.  So the entries with 0 < |x| < 1e-4 or
-    |x| >= 1e16 go through repr.  ValueError for an entry that is not
-    finite, which orjson would write as null."""
+    ten times faster, but not the same exponents: 0.00001, 1.5e-9 and 1e16
+    where repr writes 1e-05, 1.5e-09 and 1e+16.  So the entries with
+    1e-9 <= |x| < 1e-4 or |x| >= 1e16 go through repr; below 1e-9 the
+    exponent has two digits or more and the two agree.  ValueError for an
+    entry that is not finite, which orjson would write as null."""
     a = np.ascontiguousarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("a number to be written as JSON is not finite")
     x = np.abs(a)
     text = orjson.dumps(a.ravel(), option=orjson.OPT_SERIALIZE_NUMPY).decode()
     out = np.array(text[1:-1].split(",") if a.size else [], dtype=object)
-    far = ((x > 0.0) & (x < 1e-4)) | (x >= 1e16)
+    far = ((x >= 1e-9) & (x < 1e-4)) | (x >= 1e16)
     out[far.ravel()] = list(map(repr, a[far].tolist()))
     return out.reshape(a.shape)
 
@@ -398,20 +402,28 @@ def _joined(at, cells: np.ndarray, others: dict[int, str]) -> str:
     return "".join(flat.tolist())
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of the input file at path, or of stdin, in universal newline
-    mode: only LF, CR and CRLF end a line.  JSON allows the other line
-    breaks of str.splitlines, such as U+2028, raw inside a string.  Both
-    are UTF-8 (RFC 8259), whatever the locale; a byte that does not decode
-    is kept as a lone surrogate, so that it fails or passes with its own
-    line only."""
+def _input(path):
+    """The input file at path, or stdin, opened for reading in universal
+    newline mode: only LF, CR and CRLF end a line.  JSON allows the other
+    line breaks of str.splitlines, such as U+2028, raw inside a string.
+    Both are UTF-8 (RFC 8259), whatever the locale; a byte that does not
+    decode is kept as a lone surrogate, so that it fails or passes with its
+    own line only."""
     # On POSIX, sys.stdin itself translates no line ends.
-    with open(sys.stdin.fileno() if path is None else path, "r", encoding="utf-8",
-              errors="surrogateescape", closefd=path is not None) as fh:
-        lines = fh.read().split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
+    return open(sys.stdin.fileno() if path is None else path, "r", encoding="utf-8",
+                errors="surrogateescape", closefd=path is not None)
+
+
+def _writes_over(fh, path) -> bool:
+    """Whether the output, the file at path or else stdout, is the regular
+    file that fh reads: writing it would empty the input before it is read,
+    or feed the output back in."""
+    src = os.fstat(fh.fileno())
+    try:
+        dst = os.stat(path) if path is not None else os.fstat(sys.stdout.fileno())
+    except OSError:  # no such output file yet, or no stdout
+        return False
+    return stat.S_ISREG(src.st_mode) and os.path.samestat(src, dst)
 
 
 def _output(path):
@@ -421,14 +433,22 @@ def _output(path):
     return open(path, "w", encoding="utf-8")
 
 
-def _run_records(args, rm) -> int:
-    lines = _read_lines(args.input)
-    all_ok = True
-    with _output(args.output) as out:
-        for i in range(0, len(lines), _CHUNK):
-            ok, text = _run_chunk(args.command, rm, i + 1, lines[i:i + _CHUNK])
+def _run_records(cmd: str, rm, fh, path) -> int:
+    """Answer the records of the open input fh into the file at path, or
+    stdout, a chunk of _CHUNK lines at a time: each chunk is written out
+    before the next is read, also from a pipe that stays open."""
+    all_ok, first = True, 1
+    with _output(path) as out:
+        # Line by line: fh.read(n) would wait on a pipe for n characters.
+        while text := "".join(islice(fh, _CHUNK)):
+            lines = text.split("\n")
+            if not lines[-1]:
+                lines.pop()
+            ok, text = _run_chunk(cmd, rm, first, lines)
             out.write(text)
+            out.flush()
             all_ok &= ok
+            first += len(lines)
     return 0 if all_ok else 2
 
 
@@ -532,7 +552,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _run_verify(args)
-        return _run_records(args, rm)
+        with _input(args.input) as fh:
+            if _writes_over(fh, args.output):
+                parser.error(f"{args.command}: the output file is the input file; "
+                             "write the output to another file")
+            return _run_records(args.command, rm, fh, args.output)
     except OSError as exc:
         print(f"spectens: {exc}", file=sys.stderr)
         return 1

@@ -133,13 +133,18 @@ def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
     # on each.
     rows = np.flatnonzero(code)
     code, i1, j2 = code[rows], inv.i1[rows], inv.j2[rows]
+    triple = code == 3
     sign = np.where(code == 1, -1.0, 1.0)
-    qt = np.where(code == 3, 0.0, np.sqrt(3.0 * j2))
-    e, d, ok_all[rows] = _eta_rows(f, _coincident(i1, qt, sign), ok[rows])
-    p, q, gp, gq, slope = _map_values(e, d, sign)
+    qt = np.where(triple, 0.0, np.sqrt(3.0 * j2))
+    lam_hat, lam_rep = _coincident(i1, qt, sign)
+    (e_hat,), (d_hat,), ok_hat = _eta_rows(f, (lam_hat,), ok[rows])
+    # On a triple row the two coincide: f is called once.
+    (e_rep,), (d_rep,), ok_rep = _eta_rows(f, (lam_rep,), ok_hat & ~triple)
+    ok_all[rows] = ok_rep | ok_hat & triple
+    p, q, gp, gq, slope = _map_values((e_hat, np.where(triple, e_hat, e_rep)),
+                                      (d_hat, np.where(triple, d_hat, d_rep)), sign)
     dv = _as_vec(deviator(SymTensor2(*(x[rows] for x in t.as_tuple()))))
     s_pair, m_pair = _in_pair(dv, qt, sign, slope - q / qt)
-    triple = code == 3
     s_all[rows] = np.where(_lift(triple, 1), _lift(p, 1) * _E,
                            _lift(p, 1) * _E + _lift(q / qt, 1) * dv + s_pair)
     m_all[rows] = np.where(_lift(triple, 2),
@@ -198,7 +203,9 @@ def _apply(t: SymTensor2, sp: Spectrum,
         return (_anchored(e, sp.bases[0], sp.bases[2]),
                 SymTensor4._of(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)))
     if tag is MultTag.TRIPLE:
-        p, q, gp, gq, _ = _map_values(*_eta(f, _coincident(sp.inv.i1, 0.0, 1.0)), 1.0)
+        # lam_hat is lam_rep at the triple point: f is called once.
+        (e,), (d,) = _eta(f, _coincident(sp.inv.i1, 0.0, 1.0)[:1])
+        p, q, gp, gq, _ = _map_values((e, e), (d, d), 1.0)
         return p * IDENTITY2, SymTensor4._of(_coincident_tangent(None, 0.0, q, gp, gq))
     sign = float(sp.mult.theta_sign)
     qt = math.sqrt(3.0 * sp.inv.j2)

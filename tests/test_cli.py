@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -462,10 +463,11 @@ def test_equal_tangent_numbers_of_a_chunk_share_one_str():
 
 
 # Numbers at the edges of the float range and of the exponent styles: repr
-# writes 1e-05 and 1e+16 where orjson writes 0.00001 and 1e16.
+# writes 1e-05, 1e-09 and 1e+16 where orjson writes 0.00001, 1e-9 and 1e16,
+# and both write 1e-10.
 _EDGE_NUMBERS = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
                  sys.float_info.max, -sys.float_info.max,
-                 *(s * y for x in (1e-4, 1e16) for s in (1.0, -1.0)
+                 *(s * y for x in (1e-9, 1e-4, 1e16) for s in (1.0, -1.0)
                    for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))))
 
 
@@ -938,9 +940,164 @@ def test_parallel_output_matches_serial(tmp_path):
 
 
 def test_missing_input_file_is_io_error(tmp_path):
-    proc = run_cli(["eigen", "--input", str(tmp_path / "absent.jsonl")])
+    """The input is opened before the output, so an existing output file is
+    left as it was."""
+    dst = tmp_path / "out.jsonl"
+    dst.write_bytes(b"kept\n")
+    proc = run_cli(["eigen", "--input", str(tmp_path / "absent.jsonl"), "--output", str(dst)])
     assert proc.returncode == 1
     assert proc.stderr.startswith("spectens:")
+    assert dst.read_bytes() == b"kept\n"
+
+
+def _same_file(src, tmp_path, form):
+    """A path that names the file src: src itself, a symlink or a hard link."""
+    if form == "path":
+        return src
+    other = tmp_path / f"{form}.jsonl"
+    (other.symlink_to if form == "symlink" else other.hardlink_to)(src)
+    return other
+
+
+@pytest.mark.parametrize("form", ("path", "symlink", "hardlink"))
+def test_an_output_that_is_the_input_file_is_a_usage_error(form, tmp_path):
+    """Input is read as output is written, so writing the input file would
+    empty it before it is read: refused before anything is opened for
+    writing, whatever name the output gives the file."""
+    src = tmp_path / "in.jsonl"
+    text = _T_LINE.encode() * 3
+    src.write_bytes(text)
+    dst = _same_file(src, tmp_path, form)
+    proc = run_cli(["eigen", "--input", str(src), "--output", str(dst)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr and "the output file is the input file" in proc.stderr
+    assert src.read_bytes() == text
+
+
+def test_stdin_or_stdout_that_is_the_input_file_is_a_usage_error(tmp_path):
+    """The same holds where stdin is the file that --output names, or stdout
+    is the --input file opened to append, which would feed each output
+    line back in as input."""
+    src = tmp_path / "in.jsonl"
+    text = _T_LINE.encode() * 3
+    src.write_bytes(text)
+    with open(src, "rb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "spectens", "eigen", "--output", str(src)],
+                              stdin=fh, capture_output=True, timeout=60)
+    assert proc.returncode == 2 and b"the output file is the input file" in proc.stderr
+    with open(src, "ab") as fh:
+        proc = subprocess.run([sys.executable, "-m", "spectens", "eigen", "--input", str(src)],
+                              stdout=fh, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 2 and b"the output file is the input file" in proc.stderr
+    assert src.read_bytes() == text
+    # Another file, or stdin and stdout that are not regular files, run.
+    proc = run_cli(["eigen", "--input", str(src), "--output", str(tmp_path / "out.jsonl")])
+    assert proc.returncode == 0 and (tmp_path / "out.jsonl").read_bytes().count(b"\n") == 3
+
+
+def test_a_pipe_gets_each_chunk_before_the_input_ends():
+    """Records are answered a chunk at a time, and each chunk's answers are
+    flushed: with stdin still open after a chunk of _CHUNK records, a chunk
+    of one record and _CHUNK - 1 blank lines, whose one output line would
+    sit in a buffer, and 10 more records, the first _CHUNK + 1 output lines
+    arrive; the last 10 follow when stdin closes."""
+    n, rng = cli._CHUNK, np.random.default_rng(3)
+    lines = _good_lines(rng, n + 11)
+    lines[n + 1:n + 1] = [""] * (n - 1)
+    # Buffered, as stdout to a pipe is by default.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "spectens", "eigen"], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    got = []
+    reader = threading.Thread(target=lambda: got.extend(proc.stdout.readline()
+                                                        for _ in range(n + 1)))
+    try:
+        reader.start()
+        proc.stdin.write("".join(line + "\n" for line in lines))
+        proc.stdin.flush()
+        reader.join(60)
+        answered = len(got)
+    finally:
+        proc.stdin.close()
+        reader.join(60)
+        rest = proc.stdout.read()
+        proc.stdout.close()
+        proc.stderr.close()
+        proc.wait(60)
+    assert answered == n + 1
+    assert not reader.is_alive() and proc.returncode == 0
+    assert [json.loads(line)["id"] for line in got] == [f"good {k}" for k in range(n + 1)]
+    assert len(rest.splitlines()) == 10
+
+
+# Runs `python -m spectens <args>` as the benchmark launches it, and then
+# writes its peak resident memory (VmHWM, in kB) to stderr.
+_ENTRY_PEAK = """\
+import runpy, sys
+sys.argv = ["spectens", *sys.argv[1:]]
+try:
+    runpy.run_module("spectens", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_peak_memory_does_not_grow_with_the_input(tmp_path):
+    """Memory is bounded by a chunk: basis on 40k records peaks within 2 MB
+    of basis on 2k records."""
+    rng = np.random.default_rng(41)
+    peaks = []
+    for n in (2000, 40000):
+        src = tmp_path / f"in-{n}.jsonl"
+        comps = rng.standard_normal((n, 6)).tolist()
+        src.write_text("".join(json.dumps({"id": k, "T": t}) + "\n" for k, t in enumerate(comps)))
+        proc = subprocess.run([sys.executable, "-c", _ENTRY_PEAK, "basis", "--input", str(src),
+                               "--output", str(tmp_path / "out.jsonl")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stderr) / 1024.0)
+    assert abs(peaks[1] - peaks[0]) < 2.0, peaks
+
+
+# Lines that end in LF, CR and CRLF, a U+2028 inside a string, a byte that
+# is not UTF-8, a blank line and a malformed one, and a last line without
+# its end.
+_LINE_ENDS = ('{"id": "a\u2028b", "T": [3, 2, 1, 0.3, 0.2, 0.1]}\r'.encode()
+              + b'{"id": 2, "T": [5, 2, -1, 0, 0, 0]}\r\n'
+              + b'{"id": 3, "T": [5, 2, -1, 0, 0, 0]}\n'
+              + b'{"id": "\xff", "T": [5, 2, -1, 0, 0, 0]}\r\n'
+              + b'\r'
+              + b'not json\r\n'
+              + b'{"id": 7, "T": [4, 1, 1, 0, 0, 0]}\r'
+              + b'{"id": 8, "F": [1.2, 0.1, 0, 0, 0.9, 0, 0, 0.2, 1.1]}')
+
+
+@pytest.mark.parametrize("size", (1, 2, 3))
+def test_line_ends_across_chunk_boundaries(size, monkeypatch, tmp_path):
+    """Chunks of 1, 2 and 3 lines end after each kind of line end: the
+    output, with the line numbers of the error records, is that of one
+    chunk, from --input and from stdin alike."""
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(_LINE_ENDS)
+
+    def run(chunk, stdin):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        out = tmp_path / "out.jsonl"
+        with open(src, "rb") as fh:
+            monkeypatch.setattr(sys, "stdin", fh)
+            status = cli.main(["basis", "--output", str(out),
+                               *(() if stdin else ("--input", str(src)))])
+        return status, out.read_bytes()
+
+    want = run(512, False)
+    assert run(size, False) == run(size, True) == want
+    recs = [json.loads(line) for line in want[1].splitlines()]
+    assert [r["id"] for r in recs] == ["a\u2028b", 2, 3, "line 4", "line 6", 7, 8]
+    assert want[0] == 2 and "error" in recs[3] and "error" in recs[4] and "bases" in recs[6]
 
 
 def test_version_flag():

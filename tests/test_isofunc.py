@@ -185,6 +185,29 @@ def test_a_map_that_is_not_a_number_is_a_domain_error(bad):
                 assert _apply_rows(rows, sp, f, ok)[2].tolist() == [False]
 
 
+def test_the_map_is_called_once_per_distinct_eigenvalue_on_both_paths():
+    """eval and deriv each run once per eigenvalue that the branch tells
+    apart: at the three of a distinct spectrum, at lam_hat and lam_rep of a
+    double one, and once at the triple point, by isotropic_function and by
+    _apply_rows alike."""
+    calls = []
+    f = st.square_map()
+    counted = st.ScalarEigenMap(lambda x: calls.append(("eval", x)) or f.eval(x),
+                                lambda x: calls.append(("deriv", x)) or f.deriv(x))
+    want = ([3.0, 2.0, 1.0], [3.0, 1.0], [2.0])
+    for t, lams in zip(_BRANCH_TENSORS, want):
+        with np.errstate(all="ignore"):
+            rows, sp, ok = _one_row(t)
+        for apply in (lambda: st.isotropic_function(t, counted),
+                      lambda: _apply_rows(rows, sp, counted, ok)):
+            calls.clear()
+            with np.errstate(all="ignore"):
+                apply()
+            for kind in ("eval", "deriv"):
+                at = sorted(x for k, x in calls if k == kind)
+                assert at == pytest.approx(sorted(lams), rel=1e-14), (t, kind)
+
+
 @pytest.mark.parametrize("conv", (Fraction, np.float64, lambda x: int(1e6 * x)),
                          ids=("Fraction", "numpy.float64", "int"))
 def test_map_results_that_are_real_numbers_are_read_as_floats_on_both_paths(conv):
