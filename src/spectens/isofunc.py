@@ -14,23 +14,19 @@ from .spectral import (
     MultTag,
     Spectrum,
     _anchored,
+    _coincident_tangent,
+    _double_values,
     _spin_sum,
     spectrum,
 )
 from .tensor_core import (
     IDENTITY2,
-    WEIGHTS,
     SymTensor2,
     SymTensor4,
     _E,
     _as_vec,
-    _coincident_tangent,
-    _from_vec,
-    _lift,
-    _outer,
     _per_row,
     _real_result,
-    _sym_kron_m,
     deviator,
 )
 
@@ -143,44 +139,13 @@ def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
     ok_all[rows] = ok_rep | ok_hat & triple
     p, q, gp, gq, slope = _map_values((e_hat, np.where(triple, e_hat, e_rep)),
                                       (d_hat, np.where(triple, d_hat, d_rep)), sign)
-    dv = _as_vec(deviator(SymTensor2(*(x[rows] for x in t.as_tuple()))))
-    s_pair, m_pair = _in_pair(dv, qt, sign, slope - q / qt)
-    s_all[rows] = np.where(_lift(triple, 1), _lift(p, 1) * _E,
-                           _lift(p, 1) * _E + _lift(q / qt, 1) * dv + s_pair)
-    m_all[rows] = np.where(_lift(triple, 2),
-                           _coincident_tangent(None, 0.0, q, gp, gq),
-                           _coincident_tangent(dv, 2.0 * qt / 3.0, q, gp, gq) + m_pair)
+    dv = deviator(SymTensor2(*(x[rows] for x in t.as_tuple()))).as_tuple()
+    args = (dv, 2.0 * qt / 3.0, sign, q)
+    c = slope - q / qt
+    s_all[rows] = np.where(triple[:, None], p[:, None] * _E,
+                           np.array(_double_values(*args, p, c, j2, inv.j3[rows])).T)
+    m_all[rows] = _coincident_tangent(*args, gp, gq, c)
     return s_all, m_all, ok_all
-
-
-_TWO_THIRDS_I = (2.0 / 3.0) * _E
-_WEIGHTS = np.array(WEIGHTS)
-
-
-def _in_pair(dv, qt, sgn, c) -> tuple:
-    """(vector, stored array): the in-pair terms of S and of dS/dT at a double
-    coincidence, from the deviator dv of t as a (6,) array, qT, the theta
-    sign and c = eta'(lam_rep) - qS/qT; floats or (n,) arrays (then stacks,
-    with dv as (n, 6)).
-
-    Perturbations that split the repeated pair see the map respond with
-    slope eta'(lam_rep), while the (I1, q) axes alone only encode qS/qT
-    there; the difference c acts through the traceless projector pair
-    D -> P.D.P - (P:D) P/2, P = I - N_hat.  It vanishes for affine maps.
-
-    The value-level in-pair term is identically zero at an exact coincidence;
-    it matters because classification admits tensors whose pair is split by
-    up to the gap tolerance, and without it the evaluation would respond to
-    that residual anisotropy with the wrong slope, breaking finite-difference
-    consistency and continuity against the generic branch.
-    """
-    p_pair = _TWO_THIRDS_I + _lift(sgn / qt, 1) * dv
-    in_pair = _sym_kron_m(p_pair, p_pair) - 0.5 * _outer(p_pair, p_pair)
-    # The projector pair is built from the actual deviator, which itself
-    # carries the residual anisotropy; that inflates the extracted in-pair
-    # part by 4/3 to first order, hence the 3/4.
-    return (_lift(0.75 * c, 1) * (in_pair @ (dv * _WEIGHTS)[..., None])[..., 0],
-            _lift(c, 2) * in_pair)
 
 
 def isotropic_function(t: SymTensor2, f: ScalarEigenMap) -> tuple[SymTensor2, SymTensor4]:
@@ -206,11 +171,11 @@ def _apply(t: SymTensor2, sp: Spectrum,
         # lam_hat is lam_rep at the triple point: f is called once.
         (e,), (d,) = _eta(f, _coincident(sp.inv.i1, 0.0, 1.0)[:1])
         p, q, gp, gq, _ = _map_values((e, e), (d, d), 1.0)
-        return p * IDENTITY2, SymTensor4._of(_coincident_tangent(None, 0.0, q, gp, gq))
+        return p * IDENTITY2, SymTensor4._of(_coincident_tangent(None, 0.0, 1.0, q, gp, gq, 0.0))
     sign = float(sp.mult.theta_sign)
     qt = math.sqrt(3.0 * sp.inv.j2)
     p, q, gp, gq, slope = _map_values(*_eta(f, _coincident(sp.inv.i1, qt, sign)), sign)
-    dv = _as_vec(deviator(t))
-    s_pair, m_pair = _in_pair(dv, qt, sign, slope - q / qt)
-    return (_from_vec(p * _E + (q / qt) * dv + s_pair),
-            SymTensor4._of(_coincident_tangent(dv, 2.0 * qt / 3.0, q, gp, gq) + m_pair))
+    args = (deviator(t).as_tuple(), 2.0 * qt / 3.0, sign, q)
+    c = slope - q / qt
+    return (SymTensor2(*_double_values(*args, p, c, sp.inv.j2, sp.inv.j3)),
+            SymTensor4._of(_coincident_tangent(*args, gp, gq, c)))

@@ -22,6 +22,8 @@ from .spectral import (
     Spectrum,
     _I,
     _anchored,
+    _coincident_tangent,
+    _double_values,
     _spin_sum,
     spectrum,
 )
@@ -31,12 +33,11 @@ from .tensor_core import (
     InvariantSet,
     SymTensor2,
     SymTensor4,
+    _E,
     _ROW_MATH,
     _as_vec,
-    _coincident_tangent,
     _dtheta,
     _dtheta_of_dev,
-    _lift,
     _per_row,
     _real_result,
     deviator,
@@ -73,8 +74,7 @@ class InvariantReturnMap:
     same order.  q must be nonnegative on the admissible domain, and
     theta_sigma(eps_v, eps_q, +-pi/6) = +-pi/6 for the stress to be
     continuous at the double switch, where the stress deviator is taken
-    parallel to the strain's.  The double-branch tangent also takes
-    d(theta_sigma)/d(theta_eps) = 1 there."""
+    parallel to the strain's and the stress also reads grad_theta_sigma."""
 
     p: Callable[[float, float, float], float]
     q: Callable[[float, float, float], float]
@@ -106,20 +106,22 @@ def reconstruct_stress(eps_star: SymTensor2, rm: InvariantReturnMap) -> SymTenso
 
     Distinct: the three principal stresses p + (2/3) q sin(beta_sigma_i) are
     placed on the predictor's eigenbases (anchored at the middle one).
-    Double/Triple: theta carries no information, so the stress deviator is
-    taken parallel to the strain deviator and theta_sigma is not consulted.
+    Double: theta carries no information, so the stress deviator is taken
+    parallel to the strain deviator and theta_sigma is not consulted; a
+    pair split within the gap tolerance turns it at the rate
+    d(theta_sigma)/d(theta_eps) of grad_theta_sigma (see
+    spectral._double_values).  Triple: p I.
     """
     sp = spectrum(eps_star)
-    return _stress(eps_star, sp, _map_at(sp, rm), sp.mult.tag)
+    return _stress(eps_star, sp, _map_at(sp, rm))
 
 
 def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap) -> SymTensor4:
     """Exact d(sigma)/d(eps_star) of reconstruct_stress at eps_star.
 
-    On the Double and Triple branches the theta partials of the map are
-    ignored by construction: there the reconstruction never consults
-    theta_sigma, and in-pair perturbations are carried by the q/eps_q and
-    identity terms.
+    On the Double branch, perturbations that split the repeated pair turn
+    the stress deviator at d(theta_sigma)/d(theta_eps), the only theta
+    partial of the map consulted there; the Triple branch consults none.
     """
     sp = spectrum(eps_star)
     return _tangent(eps_star, sp, rm, _map_at(sp, rm))
@@ -131,7 +133,7 @@ def stress_and_tangent(eps_star: SymTensor2,
     decomposition of the predictor and one evaluation of the map."""
     sp = spectrum(eps_star)
     mv = _map_at(sp, rm)
-    return _stress(eps_star, sp, mv, sp.mult.tag), _tangent(eps_star, sp, rm, mv)
+    return _stress(eps_star, sp, mv), _tangent(eps_star, sp, rm, mv)
 
 
 _SHIFTS = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
@@ -139,11 +141,12 @@ _SHIFTS = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
 
 def _map_at(sp: Spectrum, rm: InvariantReturnMap):
     """The map at the predictor of sp, for the stress and its tangent:
-    (args, p, q, theta_sigma, principal stresses).  The triple branch
-    evaluates only p, at args = (eps_v, 0, 0); only the distinct branch
-    consults theta_sigma and forms the principal stresses, from the values
-    as _real_result reads them.  A value that it refuses, q < 0 or an
-    ArithmeticError of the map is a ContractError."""
+    (args, p, q, theta_sigma, principal stresses, in-pair coefficient).  The
+    triple branch evaluates only p, at args = (eps_v, 0, 0); only the
+    distinct branch consults theta_sigma and forms the principal stresses,
+    and only the double branch grad_theta_sigma, for the in-pair coefficient
+    (_in_pair); from the values as _real_result reads them.  A value that
+    it refuses, q < 0 or an ArithmeticError of the map is a ContractError."""
     args = _predictor_args(sp.inv, math)
     tag = sp.mult.tag
     distinct, triple = tag is MultTag.DISTINCT, tag is MultTag.TRIPLE
@@ -153,6 +156,7 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
         p = rm.p(*args)
         q = 0.0 if triple else rm.q(*args)
         th = rm.theta_sigma(*args) if distinct else 0.0
+        gth = None if distinct or triple else rm.grad_theta_sigma(*args)
     except ArithmeticError as exc:
         raise ContractError(f"return map fails at {args!r}: {exc!r}") from exc
     vals = _real_result((p, q, th), (3,))
@@ -160,9 +164,15 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
         raise ContractError(f"return map produced p = {p!r}, q = {q!r}, theta_sigma = {th!r} "
                             f"at {args!r}; each must be a finite real number, and q >= 0")
     p, q, th = vals
-    if not distinct:
-        return args, p, q, None, None
-    return args, p, q, th, _principal(p, q, th, math)
+    if distinct:
+        return args, p, q, th, _principal(p, q, th, math), None
+    if triple:
+        return args, p, q, None, None, None
+    dth = _real_result(gth, (3,))
+    if dth is None:
+        raise ContractError(f"return map gradient of theta_sigma {gth!r} at {args!r} is not "
+                            "three finite real numbers")
+    return args, p, q, None, None, _in_pair(dth[2], q, args[1])
 
 
 def _principal(p, q, th, m) -> list:
@@ -173,22 +183,24 @@ def _principal(p, q, th, m) -> list:
             p + f * m.sin(th + _SHIFTS[2])]
 
 
-def _stress(eps_star: SymTensor2, sp: Spectrum, mv, tag: MultTag) -> SymTensor2:
-    """reconstruct_stress on the branch tag from the map values mv of _map_at
-    (of which the triple and double branches read the first three); floats
-    or (n,) arrays."""
+def _stress(eps_star: SymTensor2, sp: Spectrum, mv) -> SymTensor2:
+    """reconstruct_stress from the map values mv of _map_at."""
+    tag = sp.mult.tag
     if tag is MultTag.DISTINCT:
         return _anchored(mv[4], sp.bases[0], sp.bases[2])
     args, p, q = mv[:3]
     if tag is MultTag.TRIPLE:
         return p * IDENTITY2
-    return p * IDENTITY2 + (2.0 * q / (3.0 * args[1])) * deviator(eps_star)
+    return SymTensor2(*_double_values(deviator(eps_star).as_tuple(), args[1],
+                                      float(sp.mult.theta_sign), q, p, mv[5], sp.inv.j2,
+                                      sp.inv.j3))
 
 
 def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
              mv) -> SymTensor4:
-    args, _, q, th, sig = mv
-    distinct = sp.mult.tag is MultTag.DISTINCT
+    args, _, q, th, sig, c = mv
+    tag = sp.mult.tag
+    distinct = tag is MultTag.DISTINCT
     try:
         gp = rm.grad_p(*args)
         gq = rm.grad_q(*args)
@@ -200,16 +212,24 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
         raise ContractError(f"return map gradients {gp!r}, {gq!r}, {gth!r} at {args!r} "
                             "are not three finite real numbers each")
     gp, gq, gth = grads
-    if not distinct:
-        dev = None if sp.mult.tag is MultTag.TRIPLE else _as_vec(deviator(eps_star))
-        return SymTensor4._of(_coincident_tangent(dev, args[1], q, gp, gq))
-    f = 2.0 / (3.0 * args[1])
     s = deviator(eps_star).as_tuple()
+    if not distinct:
+        # eps_q is 0 on the triple branch, where the kernel reads no sign.
+        sign = -1.0 if tag is MultTag.DOUBLE_HIGH_UNIQUE else 1.0
+        return SymTensor4._of(_coincident_tangent(s, args[1], sign, q, gp, gq, c))
+    f = 2.0 / (3.0 * args[1])
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
     grads = (*_I, *[f * x for x in s], *_dtheta_of_dev(s, sp.inv))
     m = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
                   tail=(grads, _dsigma(gp, gq, gth, q, th, math)))
     return SymTensor4._of(m)
+
+
+def _in_pair(dth, q, eps_q):
+    """The in-pair coefficient of _coincident_tangent on a double branch:
+    splitting the repeated pair turns the Lode angle of the stress at
+    dth = d(theta_sigma)/d(theta_eps), not at 1.  Floats or (n,) arrays."""
+    return (dth - 1.0) * (2.0 * q / (3.0 * eps_q))
 
 
 def _dsigma(gp, gq, gth, q, th, m) -> list:
@@ -243,8 +263,8 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     sig = _principal(p, q, th, _ROW_MATH)
     gp, ok = _per_row(rm.grad_p, ok, args, (3,))
     gq, ok = _per_row(rm.grad_q, ok, args, (3,))
-    gth, ok_th = _per_row(rm.grad_theta_sigma, ok & dist, args, (3,))
-    ok &= ~dist | ok_th
+    gth, ok_th = _per_row(rm.grad_theta_sigma, ok & ~triple, args, (3,))
+    ok &= triple | ok_th
     gp, gq, gth = (tuple(g.T) for g in (gp, gq, gth))
     # The guard of dtheta_dT, which only the distinct branch calls; theta is
     # defined on every distinct row.
@@ -256,19 +276,15 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     tan = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
                     tail=(grads, _dsigma(gp, gq, gth, q, th, _ROW_MATH)))
     sigma = _as_vec(_anchored(sig, sp.bases[0], sp.bases[2]))
-    # The double and triple rows.
+    # The double and triple rows, with the arguments _stress and _tangent
+    # give the kernels.
     rows = np.flatnonzero(code)
-    triple = code[rows] == 3
-    eps_c = SymTensor2(*(x[rows] for x in eps_star.as_tuple()))
-    args, p, q = tuple(a[rows] for a in args), p[rows], q[rows]
-    gp, gq = (tuple(x[rows] for x in g) for g in (gp, gq))
-    # Either double tag: the formulas do not depend on which pair is repeated.
-    tags = (MultTag.TRIPLE, MultTag.DOUBLE_HIGH_UNIQUE)
-    sigma[rows] = np.where(_lift(triple, 1), *(_as_vec(_stress(eps_c, sp, (args, p, q), tag))
-                                               for tag in tags))
-    dev = np.array(s).T[rows]
-    tan[rows] = np.where(_lift(triple, 2), *(_coincident_tangent(d, args[1], q, gp, gq)
-                                             for d in (None, dev)))
+    code, eps_q, p, q = code[rows], args[1][rows], p[rows], q[rows]
+    kern = (tuple(x[rows] for x in s), eps_q, np.where(code == 1, -1.0, 1.0), q)
+    c = _in_pair(gth[2][rows], q, eps_q)
+    sigma[rows] = np.where((code == 3)[:, None], p[:, None] * _E,
+                           np.array(_double_values(*kern, p, c, inv.j2[rows], inv.j3[rows])).T)
+    tan[rows] = _coincident_tangent(*kern, *(tuple(x[rows] for x in g) for g in (gp, gq)), c)
     return sigma, tan, ok
 
 

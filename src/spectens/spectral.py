@@ -1,4 +1,4 @@
-"""Closed-form eigenvalues, multiplicity classification, eigenbases, spins."""
+"""Closed-form eigenvalues, multiplicity classification, eigenbases, spins, tangent kernels."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .tensor_core import (
     SymTensor4,
     _D2,
     _ROW_MATH,
+    _SYM,
     _invariant_rows,
     _invariants,
     _refuse_nonfinite,
@@ -267,9 +268,23 @@ def _anchored(v, n1: SymTensor2, n3: SymTensor2) -> SymTensor2:
 _SPIN_TABLE = np.vstack((_D2, (IDENTITY4.m - IXI.m).ravel()))
 
 
-# The flat operands of one _spin_sum as the bytes of doubles, without and
-# with a tail: 30 rows and 22 numbers, plus 18 rows and 9 numbers.  Packing
-# and viewing the bytes costs about a third of np.array on the same floats.
+def _packed(ops, pack, like) -> tuple:
+    """(flat, matrix product) of the floats ops: their bytes as doubles, and
+    ndarray.dot; or, when like is an (n,) array, ops of (n,) arrays and
+    floats as the columns of an (n, len(ops)) array, and np.matmul, which
+    rounds as ndarray.dot does on each matrix view with unit inner stride.
+    Packing bytes costs a third of np.array, and np.stack of the broadcast
+    operands 2.5 times these column writes on 512 rows."""
+    if not isinstance(like, np.ndarray):
+        return np.frombuffer(pack(*ops)), np.ndarray.dot
+    flat = np.empty((len(like), len(ops)))
+    for i, x in enumerate(ops):
+        flat[:, i] = x
+    return flat, np.matmul
+
+
+# The flat operands of one _spin_sum, without and with a tail: 30 rows and
+# 22 numbers, plus 18 rows and 9 numbers.
 _PACK_SPIN_OPERANDS = (struct.Struct("52d").pack, struct.Struct("79d").pack)
 
 
@@ -287,12 +302,10 @@ def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> n
     transpose is, so that the array is exactly symmetric without the tail.
     An eigenvalue of weight 0 is skipped: its denominator may vanish.
 
-    The operands are views of one array of doubles, one row of it per row
-    of t: the rows N_0, N_1, N_2, I, T and G, then the numbers of the 3x5
-    coefficients of Y on the first five rows, the rest vector (half T, half
-    sum a_i lam_i) and K.  Their products are ndarray.dot for one tensor and
-    np.matmul for a stack; each matrix of the stack has unit inner stride,
-    so matmul rounds as ndarray.dot does on each row.
+    The operands are views of one array of doubles (see _packed), one row
+    of it per row of t: the rows N_0, N_1, N_2, I, T and G, then the numbers
+    of the 3x5 coefficients of Y on the first five rows, the rest vector
+    (half T, half sum a_i lam_i) and K.
     """
     coef, half, half_al = _spin_coef(sp, c, d)
     tv = t.as_tuple()
@@ -300,13 +313,7 @@ def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> n
     g, k = tail or ((), ((), (), ()))
     ops = (*b0.as_tuple(), *b1.as_tuple(), *b2.as_tuple(), *_I, *tv, *g,
            *coef[0], *coef[1], *coef[2], *[half * x for x in tv], half_al, *k[0], *k[1], *k[2])
-    if isinstance(tv[0], np.ndarray):
-        # np.stack of the broadcast operands took 2.5 times as long on 512 rows.
-        flat, mm = np.empty((len(tv[0]), len(ops))), np.matmul
-        for i, x in enumerate(ops):
-            flat[:, i] = x
-    else:
-        flat, mm = np.frombuffer(_PACK_SPIN_OPERANDS[bool(g)](*ops)), np.ndarray.dot
+    flat, mm = _packed(ops, _PACK_SPIN_OPERANDS[bool(g)], tv[0])
     lead, num0 = flat.shape[:-1], 30 + len(g)
     nv_t = flat[..., :18].reshape(lead + (3, 6)).swapaxes(-1, -2)
     q = (mm(nv_t, mm(flat[..., num0:num0 + 15].reshape(lead + (3, 5)),
@@ -338,6 +345,76 @@ def _spin_coef(sp: Spectrum, c, d) -> tuple:
             sum_a += a
             sum_al += a * sp.lam[i]
     return coef, 0.5 * sum_a, 0.5 * sum_al
+
+
+# For a (6, 2, 6) array (X, Y), ravel((X, Y)) @ _T_SK is ravel(X + sym(Y)).
+_T_SK = np.stack((np.eye(36).reshape(6, 6, 36), _SYM.reshape(6, 6, 36)), 1).reshape(72, 36)
+_PACK_COINCIDENT_OPERANDS = struct.Struct("20d").pack
+
+
+def _coincident_tangent(dv, eps_q, sign, q, gp, gq, c) -> np.ndarray:
+    """Stored array of dS/dT for S of _double_values, from its arguments and
+    the partials gp and gq of p and q in (I1, eps_q) of T; or on the triple
+    branch, where eps_q is 0, gp[0] I x I + g IDEV with g = (2/3) gq[1].
+    Floats, or (n,) arrays for a stack of arrays.
+
+    With f = 2 / (3 eps_q) it is gp[0] I x I + f (gp[1] I x dv + gq[0] dv x I
+    + f (gq[1] - q / eps_q) dv x dv + q IDEV) + c (sym(P x P) - P x P / 2).
+    As IDEV = sym(I x I) - I x I / 3, each term is bilinear in the rows
+    U = (I, dv): the array is U^T W U + sym(U^T V U) with 2x2 coefficients
+    W and V, from the 20 numbers of U and (W | V) multiplied as in _packed.
+    """
+    g = (2.0 / 3.0) * gq[1]
+    iso = (gp[0] - g / 3.0, 0.0, g, 0.0, 0.0, 0.0, 0.0, 0.0)
+    rows = isinstance(eps_q, np.ndarray)
+    if not rows and eps_q == 0.0:
+        coef, dv = iso, (0.0,) * 6
+    else:
+        e = np.where(eps_q == 0.0, 1.0, eps_q) if rows else eps_q
+        f = 2.0 / (3.0 * e)
+        b = sign * f
+        fq, caa, cab, cbb = f * q, (4.0 / 9.0) * c, (2.0 / 3.0) * c * b, c * b * b
+        coef = (gp[0] - fq / 3.0 - 0.5 * caa, f * gp[1] - 0.5 * cab, fq + caa, cab,
+                f * gq[0] - 0.5 * cab, f * (f * (gq[1] - q / e)) - 0.5 * cbb, cab, cbb)
+    if rows:
+        triple = eps_q == 0.0
+        coef = [np.where(triple, x, y) for x, y in zip(iso, coef)]
+        dv = [np.where(triple, 0.0, x) for x in dv]
+    flat, mm = _packed((1.0, 1.0, 1.0, 0.0, 0.0, 0.0, *dv, *coef),
+                       _PACK_COINCIDENT_OPERANDS, eps_q)
+    lead = flat.shape[:-1]
+    u = flat[..., :12].reshape(lead + (2, 6))
+    # Rows 2i and 2i + 1 of the product: row i of U^T W U and of U^T V U.
+    uwv = mm(mm(u.swapaxes(-1, -2), flat[..., 12:].reshape(lead + (2, 4))).reshape(lead + (12, 2)),
+             u)
+    return mm(uwv.reshape(lead + (1, 72)), _T_SK).reshape(lead + (6, 6))
+
+
+def _double_values(dv, eps_q, sign, q, p, c, j2, j3) -> tuple:
+    """The components of S on a double branch from the deviator dv of T,
+    its eps_q = 2 sqrt(J2/3), J2 and J3, the theta sign, the invariants p
+    and q of S and the in-pair coefficient c: S = p I + f q D + (3/4) c
+    (P.D.P - (P:D) P / 2) at D = dv, P = a I + b D, with f = 2 / (3 eps_q),
+    a = 2/3 and b = sign f.  As D^3 = J2 D + J3 I, the last term is
+    (3/4) c (a^2 D + 2 a b D^2 + (b^2 J3 - a b J2) I).  Floats or (n,) arrays.
+
+    Splitting the repeated pair moves S at an in-pair slope of which the
+    (I1, q) axes carry only f q; c is the difference, and acts through the
+    projector pair D -> P.D.P - (P:D) P / 2.  At an exact coincidence the
+    term is zero, but classification admits pairs split by up to the gap
+    tolerance, and without it S would respond to that split with the wrong
+    slope, against its tangent and the distinct branch.  P, built from the
+    split deviator, inflates the in-pair part by 4/3 to first order, hence
+    the 3/4.
+    """
+    f = 2.0 / (3.0 * eps_q)
+    b, k = sign * f, 0.75 * c
+    kd, ks = f * q + (4.0 / 9.0) * k, (4.0 / 3.0) * k * b
+    ki = p + k * (b * b * j3 - (2.0 / 3.0) * b * j2)
+    sq = _sym_square(dv)
+    return (ki + kd * dv[0] + ks * sq[0], ki + kd * dv[1] + ks * sq[1],
+            ki + kd * dv[2] + ks * sq[2], kd * dv[3] + ks * sq[3],
+            kd * dv[4] + ks * sq[4], kd * dv[5] + ks * sq[5])
 
 
 def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:

@@ -506,43 +506,23 @@ _VI, _VJ = np.array([[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
 # Slots of the components ik, jl, il and jk at row (ij), column (kl).
 _IK, _JL, _IL, _JK = (_SLOT[r[:, None], c]
                       for r, c in ((_VI, _VI), (_VJ, _VJ), (_VI, _VJ), (_VJ, _VI)))
-# Indices into the 12 components of a + b of the factors of the products
-# a_ik b_jl, b_ik a_jl, a_il b_jk and b_il a_jk.
-_KRON_LEFT = np.array((_IK, _IK + 6, _IL, _IL + 6))
-_KRON_RIGHT = np.array((_JL + 6, _JL, _JK + 6, _JK))
-
-
-def _sym_kron_m(a, b) -> np.ndarray:
-    """Stored array of the symmetrized dyad of a and b, which maps d to
-    (a.d.b + b.d.a) / 2, from their components: tuples or (6,) arrays, or
-    (n, 6) arrays for a stack of n arrays.  The entry at row (ij), column
-    (kl) is (a_ik b_jl + a_il b_jk + b_ik a_jl + b_il a_jk) / 4; the pairing
-    (a_ik b_jl + b_ik a_jl) + (a_il b_jk + b_il a_jk) makes the array exactly
-    symmetric, and exactly symmetric in a and b."""
-    ab = np.concatenate((a, b), -1)
-    # take, unlike ab[..., _KRON_LEFT], gives a C-ordered stack (see _as_vec).
-    p = ab.take(_KRON_LEFT, -1) * ab.take(_KRON_RIGHT, -1)
-    return 0.25 * ((p[..., 0, :, :] + p[..., 1, :, :]) + (p[..., 2, :, :] + p[..., 3, :, :]))
 
 
 IDENTITY4 = SymTensor4(np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5]))
 _E = np.array(IDENTITY2.as_tuple())
 IXI = SymTensor4(np.outer(_E, _E))
 _IXI_MINUS_I4 = IXI.m - IDENTITY4.m
-_IDEV = IDENTITY4.m - IXI.m / 3.0
+# The entry at row (ij), column (kl) of the symmetrized dyad sym(a x b),
+# which maps d to (a.d.b + b.d.a) / 2, takes 1/4 of each of a_ik b_jl,
+# b_ik a_jl, a_il b_jk and b_il a_jk: ravel(sym(a x b)) = ravel(a x b) @ _SYM.
+_SYM = np.zeros((36, 36))
+np.add.at(_SYM, (6 * np.array((_IK, _JL, _IL, _JK)) + (_JL, _IK, _JK, _IL),
+                 np.arange(36).reshape(6, 6)), 0.25)
 
 
-# Formulas written once for one tensor or for (n,) arrays of rows build
-# vectors and 6x6 arrays, or stacks of n of them, with these.
-def _lift(x, k: int):
-    """x to scale a vector (k = 1) or a 6x6 array (k = 2): a float as it is,
-    an (n,) array with k axes appended, to scale a stack row by row."""
-    return x.reshape(x.shape + (1,) * k) if isinstance(x, np.ndarray) else x
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.outer(a, b) of (6,) arrays, or of each row of (n, 6) arrays."""
-    return a[..., :, None] * b[..., None, :]
+def _sym_kron_m(a, b) -> np.ndarray:
+    """Stored array of sym(a x b) from the components of a and b."""
+    return (np.outer(a, b).ravel() @ _SYM).reshape(6, 6)
 
 
 def _as_vec(t: SymTensor2) -> np.ndarray:
@@ -550,31 +530,6 @@ def _as_vec(t: SymTensor2) -> np.ndarray:
     C-ordered: in another memory layout, the matrix products of a stack
     need not round as those of one array do."""
     return np.ascontiguousarray(np.array(t.as_tuple()).T)
-
-
-def _from_vec(v: np.ndarray) -> SymTensor2:
-    """The inverse of _as_vec: floats from a (6,) array."""
-    return SymTensor2(*(v.tolist() if v.ndim == 1 else v.T))
-
-
-def _iso4(k, g) -> np.ndarray:
-    """k I x I + g (I4 - I x I / 3), the stored array of an isotropic tangent;
-    a stack of them for (n,) arrays k and g."""
-    return _lift(k, 2) * IXI.m + _lift(g, 2) * _IDEV
-
-
-def _coincident_tangent(dev, eps_q, q, gp, gq) -> np.ndarray:
-    """Stored array of consistent_tangent on the triple branch (dev None) or a
-    double branch from the map's gradients gp and gq and the deviator dev of
-    the predictor by _as_vec; floats or (n,) arrays (then a stack of arrays)."""
-    if dev is None:
-        return _iso4(gp[0], (2.0 / 3.0) * gq[1])
-    f = 2.0 / (3.0 * eps_q)
-    return (_lift(gp[0], 2) * IXI.m
-            + _lift(f, 2) * (_lift(gp[1], 2) * _outer(_E, dev)
-                             + _lift(gq[0], 2) * _outer(dev, _E)
-                             + _lift(f * (gq[1] - q / eps_q), 2) * _outer(dev, dev)
-                             + _lift(q, 2) * _IDEV))
 
 
 def _d2_I3_unit(k: int) -> np.ndarray:

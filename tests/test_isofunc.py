@@ -19,6 +19,7 @@ from util import (
     rand_sym,
     rel4,
     rotate,
+    split_pair,
     sym_kron,
     sym_square,
 )
@@ -291,15 +292,34 @@ def test_map_failure_is_a_map_domain_error_on_every_branch():
             st.isotropic_function(t, huge)
 
 
+def _without_in_pair(t, f):
+    """S of f at the double tensor t without the in-pair term of
+    spectral._double_values: p I + (q / qT) dev(t)."""
+    sp = st.spectrum(t)
+    sign, qt = float(sp.mult.theta_sign), math.sqrt(3.0 * sp.inv.j2)
+    p, q, *_ = _map_values(*_eta(f, _coincident(sp.inv.i1, qt, sign)), sign)
+    return p * st.IDENTITY2 + (q / qt) * st.deviator(t)
+
+
+# Double spectra of both tags whose pair is split by half the gap tolerance.
+_SPLIT = (split_pair((3.0, 1.0, 1.0), 0.5), split_pair((3.0, 3.0, 1.0), -0.5),
+          split_pair((0.5, -0.5, -0.5), -0.5))
+
+
 def test_rows_match_the_scalar_path_and_leave_out_map_failures():
     """_apply_rows on rows of every class: S of every row and the tangent of
-    every double and triple row are the scalar results bit for bit, and a
-    row on which the map overflows, its slope is not finite or its value is
-    text is left out instead of raising."""
+    every double and triple row are the scalar results bit for bit, also
+    where the pair is split inside the gap tolerance and the in-pair term
+    of S is not zero, and a row on which the map overflows, its slope is
+    not finite or its value is text is left out instead of raising."""
     rng = np.random.default_rng(58)
     eigs = ((3.0, 2.0, 1.0), (400.0, 2.0, 1.0), (3.0, 1.0, 1.0), (3.0, 3.0, 1.0),
-            (400.0, 400.0, 1.0), (2.0, 2.0, 2.0), (400.0, 400.0, 400.0), (0.5, -0.5, -0.5))
+            (400.0, 400.0, 1.0), (2.0, 2.0, 2.0), (400.0, 400.0, 400.0), (0.5, -0.5, -0.5),
+            *_SPLIT)
     tensors = [make_with_eigs(rng, e) for e in eigs]
+    for x in tensors[-len(_SPLIT):]:
+        assert st.spectrum(x).mult.tag is not st.MultTag.DISTINCT
+        assert st.isotropic_function(x, st.cube_map())[0] != _without_in_pair(x, st.cube_map())
     t = st.SymTensor2(*np.array([x.as_tuple() for x in tensors]).T)
     with np.errstate(all="ignore"):
         sp, ok = _spectrum_rows(t)
@@ -320,3 +340,17 @@ def test_rows_match_the_scalar_path_and_leave_out_map_failures():
                     assert m[k].tolist() == want_m.m.tolist()
                 else:
                     assert rel4(st.SymTensor4(m[k]), want_m) < 1e-12
+
+
+def test_log_strain_tangent_fd_where_the_pair_is_split_inside_the_gap():
+    """The double-branch tangent of log_strain_from_b against central
+    differences, which leave the gap, at B whose pair is split by half the
+    gap tolerance."""
+    rng = np.random.default_rng(59)
+    for eigs in _SPLIT[:2]:
+        for _ in range(5):
+            b = make_with_eigs(rng, eigs)
+            res = st.log_strain_from_b(b)
+            assert res.branch.tag is not st.MultTag.DISTINCT
+            fd = oracle.fd_tensor_derivative(lambda x: st.log_strain_from_b(x).eps, b)
+            assert rel4(fd, res.deps_db) <= 1e-4

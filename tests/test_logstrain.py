@@ -23,6 +23,7 @@ from spectens import (
 
 from util import (
     invert_log_strain,
+    invert_log_strain_rows,
     log_strain_tangent_check,
     make_with_eigs,
     quadratic_ratio,
@@ -30,6 +31,7 @@ from util import (
     rel2,
     rel4,
     rotate,
+    split_pair,
 )
 
 
@@ -244,14 +246,20 @@ def _sqrt_factor(b):
 def test_newton_on_deps_db_inverts_log_strain_quadratically(stretches, tag):
     """Newton on the exact tangent d(eps)/dB recovers B from eps = ln(B)/2,
     from B_0 = I + 2 eps, with e_{k+1} <= C e_k^2 down to the rounding
-    floor, on the distinct and both double branches."""
+    floor, on the distinct and both double branches.  On the double
+    branches B also has its pair split by half the gap tolerance, so that
+    the last iterates are double records whose in-pair terms are not zero.
+    The row kernels take the scalar steps."""
     rng = np.random.default_rng(41)
-    for _ in range(5):
-        b = make_with_eigs(rng, [s * s for s in stretches])
-        res = log_strain_from_b(b)
-        assert res.branch.tag is tag
-        eps = res.eps
-        got, errs = invert_log_strain(eps, IDENTITY2 + 2.0 * eps)
-        assert len(errs) <= 8
-        assert quadratic_ratio(errs, 1e-14) <= 4.0
-        assert rel2(got, b) <= 1e-14
+    for split in (0.0,) if tag is MultTag.DISTINCT else (0.0, 0.5):
+        targets = [make_with_eigs(rng, split_pair([s * s for s in stretches], split))
+                   for _ in range(5)]
+        epss = [log_strain_from_b(b).eps for b in targets]
+        x, row_errs, _ = invert_log_strain_rows(epss, [IDENTITY2 + 2.0 * e for e in epss])
+        for k, (b, eps) in enumerate(zip(targets, epss)):
+            assert log_strain_from_b(b).branch.tag is tag
+            got, errs = invert_log_strain(eps, IDENTITY2 + 2.0 * eps)
+            assert len(errs) <= 8
+            assert quadratic_ratio(errs, 1e-14) <= 4.0
+            assert rel2(got, b) <= 1e-14
+            assert row_errs[k] == errs and x[k].tolist() == list(got.as_tuple())

@@ -11,6 +11,7 @@ import pytest
 from spectens import (
     ContractError,
     ConvergenceError,
+    IDENTITY2,
     IDENTITY4,
     IXI,
     InvariantReturnMap,
@@ -42,6 +43,7 @@ from util import (
     rand_sym,
     rel2,
     rel4,
+    split_pair,
     verify_return_map,
 )
 
@@ -75,6 +77,20 @@ def _map_twist(bulk=1.3, shear=0.7, c=0.1):
         grad_q=lambda ev, eq, th: (0.0, 3.0 * shear, 0.0),
         grad_theta_sigma=lambda ev, eq, th: (0.0, c * math.sin(6.0 * th),
                                              1.0 + 6.0 * c * eq * math.cos(6.0 * th)),
+    )
+
+
+def _map_flat():
+    """p = 2 eps_v and q = 3 eps_q with theta_sigma = (pi/6) sin(3 theta),
+    which keeps theta = +-pi/6 in place with slope 0 there: splitting the
+    repeated pair of a double predictor does not turn the stress deviator."""
+    return InvariantReturnMap(
+        p=lambda ev, eq, th: 2.0 * ev,
+        q=lambda ev, eq, th: 3.0 * eq,
+        theta_sigma=lambda ev, eq, th: (math.pi / 6.0) * math.sin(3.0 * th),
+        grad_p=lambda ev, eq, th: (2.0, 0.0, 0.0),
+        grad_q=lambda ev, eq, th: (0.0, 3.0, 0.0),
+        grad_theta_sigma=lambda ev, eq, th: (0.0, 0.0, 0.5 * math.pi * math.cos(3.0 * th)),
     )
 
 
@@ -308,6 +324,27 @@ def test_map_b_tangent_fd_distinct():
         assert rel4(m, fd) < 1e-4
 
 
+def test_double_tangent_fd_with_a_lode_angle_of_slope_zero():
+    """On both double branches, the tangent of _map_flat, whose
+    d(theta_sigma)/d(theta_eps) is 0 at +-pi/6, against central differences
+    of reconstruct_stress, which leave the gap: the in-pair term of the
+    tangent carries that slope.  The row kernels give the scalar tangent."""
+    rm = _map_flat()
+    rng = np.random.default_rng(108)
+    cases = [make_with_eigs(rng, eigs) for eigs in ((0.04, 0.01, 0.01), (0.03, 0.03, -0.02))
+             for _ in range(5)]
+    with np.errstate(all="ignore"):
+        t = SymTensor2(*np.array([eps.as_tuple() for eps in cases]).T)
+        sp, ok = spectral._spectrum_rows(t)
+        _, tan, ok = plasticity._stress_tangent_rows(t, sp, rm, ok)
+    assert ok.all() and set(sp.mult.tolist()) == {1, 2}
+    for k, eps in enumerate(cases):
+        m = consistent_tangent(eps, rm)
+        fd = fd_tensor_derivative(lambda x: reconstruct_stress(x, rm), eps)
+        assert rel4(m, fd) <= 1e-4
+        assert tan[k].tolist() == m.m.tolist()
+
+
 def test_branch_continuity_at_pair_closure():
     # Both closures: repeated low pair (theta -> -pi/6) and repeated high
     # pair (theta -> +pi/6), distinct at gap 1e-4 vs exactly double.
@@ -339,9 +376,9 @@ def test_branch_continuity_at_pair_closure():
 def test_twisting_map_stress_is_continuous_at_the_double_switch():
     """As criterion 6, for _map_twist, whose theta_sigma depends on eps_q
     and keeps +-pi/6: at both closures the distinct-branch stress tends to
-    the double-branch one as the gap closes.  The tangent does not: the
-    double branch takes d(theta_sigma)/d(theta) = 1 at +-pi/6, and this
-    map has 1 - 6 c eps_q there (see InvariantReturnMap)."""
+    the double-branch one as the gap closes, and so does the tangent, whose
+    in-pair term on the double branch carries d(theta_sigma)/d(theta_eps)
+    = 1 - 6 c eps_q there."""
     rm = _map_twist()
     r = rand_rotation(np.random.default_rng(106))
     # (principal strains at the switch, the split of the pair per unit gap)
@@ -350,14 +387,17 @@ def test_twisting_map_stress_is_continuous_at_the_double_switch():
     for base, split, tag in cases:
         eps_at = SymTensor2.from_matrix(r @ np.diag(base) @ r.T)
         assert spectrum(eps_at).mult.tag is tag
-        sig_at = reconstruct_stress(eps_at, rm)
-        errs = []
+        sig_at, tan_at = stress_and_tangent(eps_at, rm)
+        errs, tan_errs = [], []
         for delta in (1e-2, 1e-3, 1e-4):
             eps_near = SymTensor2.from_matrix(r @ np.diag(np.add(base, np.multiply(delta, split)))
                                               @ r.T)
             assert spectrum(eps_near).mult.tag is MultTag.DISTINCT
-            errs.append(rel2(reconstruct_stress(eps_near, rm), sig_at))
+            sig_near, tan_near = stress_and_tangent(eps_near, rm)
+            errs.append(rel2(sig_near, sig_at))
+            tan_errs.append(rel4(tan_near, tan_at))
         assert errs[0] >= errs[1] >= errs[2] and errs[2] <= 1e-3, (tag, errs)
+        assert tan_errs[0] >= tan_errs[1] >= tan_errs[2] and tan_errs[2] <= 1e-5, (tag, tan_errs)
 
 
 def _branch_cases(rng):
@@ -404,22 +444,29 @@ def test_stress_and_tangent_decomposes_the_predictor_once(monkeypatch):
         stress_and_tangent(eps, rm)
         want = {"spectrum": 1, "_invariants": 1, "p": 1, "grad_p": 1, "grad_q": 1}
         if tag is not MultTag.TRIPLE:
-            want["q"] = 1
+            want.update(q=1, grad_theta_sigma=1)
         if tag is MultTag.DISTINCT:
-            want.update(theta_sigma=1, grad_theta_sigma=1)
+            want["theta_sigma"] = 1
         assert counts == want, tag
         counts.clear()
         reconstruct_stress(eps, rm)
-        assert not [name for name in counts if name.startswith("grad_")], tag
+        # The double branch reads d(theta_sigma)/d(theta_eps) for the
+        # in-pair term of its stress.
+        double = tag not in (MultTag.DISTINCT, MultTag.TRIPLE)
+        assert [name for name in counts if name.startswith("grad_")] == (
+            ["grad_theta_sigma"] if double else []), tag
 
 
-# A predictor of each branch, and the map callables stress_and_tangent
-# consults there.
+# A predictor of each branch, the map callables stress_and_tangent consults
+# there, and those of them that reconstruct_stress consults.
 _BRANCH_PREDICTORS = {
-    MultTag.DISTINCT: (SymTensor2(0.01, 0.002, -0.003, 0.001, 0.0, 0.0), _MAP_FIELDS),
+    MultTag.DISTINCT: (SymTensor2(0.01, 0.002, -0.003, 0.001, 0.0, 0.0), _MAP_FIELDS,
+                       ("p", "q", "theta_sigma")),
     MultTag.DOUBLE_HIGH_UNIQUE: (SymTensor2(0.01, -0.005, -0.005, 0.0, 0.0, 0.0),
-                                 ("p", "q", "grad_p", "grad_q")),
-    MultTag.TRIPLE: (SymTensor2(0.004, 0.004, 0.004, 0.0, 0.0, 0.0), ("p", "grad_p", "grad_q")),
+                                 ("p", "q", "grad_p", "grad_q", "grad_theta_sigma"),
+                                 ("p", "q", "grad_theta_sigma")),
+    MultTag.TRIPLE: (SymTensor2(0.004, 0.004, 0.004, 0.0, 0.0, 0.0), ("p", "grad_p", "grad_q"),
+                     ("p",)),
 }
 
 
@@ -431,7 +478,7 @@ def test_map_that_is_not_finite_is_a_contract_error(tag, field, bad):
     infinite, or a map that raises an ArithmeticError there, is a
     ContractError of the scalar calls and leaves the row out of
     _stress_tangent_rows; one the branch does not use changes nothing."""
-    eps, used = _BRANCH_PREDICTORS[tag]
+    eps, used, stress_used = _BRANCH_PREDICTORS[tag]
     assert spectrum(eps).mult.tag is tag
     value = math.nan if bad == "nan" else math.inf
 
@@ -456,8 +503,8 @@ def test_map_that_is_not_finite_is_a_contract_error(tag, field, bad):
         stress_and_tangent(eps, broken_rm)
     with pytest.raises(ContractError, match="return map"):
         consistent_tangent(eps, broken_rm)
-    with (contextlib.nullcontext() if field.startswith("grad_")
-          else pytest.raises(ContractError, match="return map")):
+    with (pytest.raises(ContractError, match="return map") if field in stress_used
+          else contextlib.nullcontext()):
         reconstruct_stress(eps, broken_rm)
     assert not ok_rm.any()
 
@@ -482,15 +529,13 @@ def test_map_that_is_not_numbers_is_a_contract_error(field, bad):
     branch that does not use it, both paths answer."""
     rm = dataclasses.replace(vonmises_demo_map(2.0, 1.0, 0.02),
                              **{field: lambda ev, eq, th: bad})
-    calls = (stress_and_tangent, consistent_tangent)
-    if not field.startswith("grad_"):
-        calls += (reconstruct_stress,)
-    for eps, used in _BRANCH_PREDICTORS.values():
+    for eps, used, stress_used in _BRANCH_PREDICTORS.values():
         with np.errstate(all="ignore"):
             rows, sp, ok = _one_row(eps)
             ok_rm = plasticity._stress_tangent_rows(rows, sp, rm, ok)[2]
-        for call in calls:
-            with (pytest.raises(ContractError, match="return map") if field in used
+        for call in (stress_and_tangent, consistent_tangent, reconstruct_stress):
+            with (pytest.raises(ContractError, match="return map")
+                  if field in (stress_used if call is reconstruct_stress else used)
                   else contextlib.nullcontext()):
                 call(eps, rm)
         assert ok_rm.tolist() == [field not in used]
@@ -517,7 +562,7 @@ def test_map_results_that_are_real_numbers_are_read_as_floats_on_both_paths(conv
     object array of Fractions, no numpy scalars."""
     rm = _map_twist()
     got, want = _converted(rm, conv), _converted(rm, lambda x: float(conv(x)))
-    for eps, _ in _BRANCH_PREDICTORS.values():
+    for eps, *_ in _BRANCH_PREDICTORS.values():
         sig, tan = stress_and_tangent(eps, got)
         want_sig, want_tan = stress_and_tangent(eps, want)
         assert sig.as_tuple() == want_sig.as_tuple()
@@ -571,13 +616,25 @@ def test_linear_elastic_map_is_hookes_map_to_the_bit():
 def test_rows_match_stress_and_tangent_on_every_branch():
     """_stress_tangent_rows on rows of every class, with maps whose
     gradients differ on every axis: double and triple rows are the scalar
-    results bit for bit, distinct rows agree to rounding, and a row on which
+    results bit for bit, also where the pair is split inside the gap
+    tolerance, distinct rows agree to rounding, and a row on which
     the map gives q < 0, overflows or gives a gradient of two numbers is
     left out, where the scalar call raises ContractError."""
     rng = np.random.default_rng(36)
+    # The last two are double predictors of both tags whose pair is split
+    # by half the gap tolerance.
     eigs = ((0.03, 0.01, -0.02), (0.03, -0.01, -0.01), (0.02, 0.02, -0.01), (0.01, 0.01, 0.01),
-            (-0.01, -0.01, -0.01))
+            (-0.01, -0.01, -0.01), split_pair((0.03, -0.01, -0.01), 0.5),
+            split_pair((0.02, 0.02, -0.01), -0.5))
     tensors = [make_with_eigs(rng, e) for e in eigs for _ in range(2)]
+    for x in tensors[-4:]:
+        assert spectrum(x).mult.tag is not MultTag.DISTINCT
+        # The in-pair term of the stress is not zero.
+        args = dataclasses.astuple(predictor_invariants(x))[:3]
+        q = _map_twist().q(*args)
+        assert reconstruct_stress(x, _map_twist()) != (_map_twist().p(*args) * IDENTITY2
+                                                       + (2.0 * q / (3.0 * args[1]))
+                                                       * deviator(x))
     t = SymTensor2(*np.array([x.as_tuple() for x in tensors]).T)
     elastic = linear_elastic_map(2.0, 1.0)
     overflows = InvariantReturnMap(
@@ -586,7 +643,7 @@ def test_rows_match_stress_and_tangent_on_every_branch():
     with np.errstate(all="ignore"):
         sp, ok = spectral._spectrum_rows(t)
         assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
-        for rm in (_map_a(), _map_twist(), vonmises_demo_map(2.0, 1.0, 0.02)):
+        for rm in (_map_a(), _map_twist(), _map_flat(), vonmises_demo_map(2.0, 1.0, 0.02)):
             sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
             assert ok_rm.all()
             for k, x in enumerate(tensors):
@@ -737,6 +794,30 @@ def test_mixed_control_newton_on_the_row_path_takes_the_scalar_steps(monkeypatch
             assert [i.tolist() for i in iterates[k]] == [i.tolist() for i in seen]
             assert x[k].tolist() == list(eps.as_tuple())
             assert quadratic_ratio(errs[k], 1e-15) <= 100.0
+
+
+@pytest.mark.parametrize("eps_11", (0.05, -0.05))
+def test_mixed_control_newton_converges_quadratically_inside_the_gap(eps_11):
+    """As above with eps_11 and eps_22 held, eps_22 a quarter of the gap
+    tolerance off the uniaxial strain, so that the solution is a double
+    predictor whose pair is split inside the gap (of the tag that the sign
+    of eps_11 gives) and the last iterates see the in-pair terms of the
+    double branch.  Both paths converge quadratically through the same
+    iterates."""
+    start = _UNIAXIAL_STARTS[0]
+    for rm, _ in _uniaxial_maps():
+        uniaxial, _ = mixed_control_point(rm, SymTensor2(eps_11, 0.0, 0.0, 0.0, 0.0, 0.0), (0,))
+        gap = tensor_core.TAU_GAP * abs(uniaxial.xx - uniaxial.yy)
+        eps0 = SymTensor2(eps_11, uniaxial.yy + 0.25 * gap, *start.as_tuple()[2:])
+        eps, errs = mixed_control_point(rm, eps0, fixed=(0, 1))
+        assert len(errs) <= 8
+        assert quadratic_ratio(errs, 1e-15) <= 100.0
+        assert spectrum(eps).mult.tag is (MultTag.DOUBLE_HIGH_UNIQUE if eps_11 > 0.0
+                                          else MultTag.DOUBLE_LOW_UNIQUE)
+        assert 0.0 < eps.yy - eps.zz < gap
+        x, row_errs, _ = util.mixed_control_rows(rm, [eps0], (0, 1))
+        assert row_errs[0] == errs
+        assert x[0].tolist() == list(eps.as_tuple())
 
 
 def test_mixed_control_newton_with_the_lode_twisting_map():

@@ -30,7 +30,16 @@ from spectens import (
 from spectens.oracle import fd_tensor_derivative
 from spectens.plasticity import _stress_tangent_rows
 from spectens.spectral import _spectrum_rows
-from spectens.tensor_core import _D2, TAU_ABS, TAU_REL, SymTensor4, _sym_kron_m, _sym_square
+from spectens.logstrain import _log_strain_rows
+from spectens.tensor_core import (
+    _D2,
+    TAU_ABS,
+    TAU_GAP,
+    TAU_REL,
+    SymTensor4,
+    _sym_kron_m,
+    _sym_square,
+)
 
 
 # Finite-difference gates for user-supplied maps, and small helpers that
@@ -140,6 +149,16 @@ def make_with_eigs(rng, eigs):
     """Random-orientation symmetric tensor with the given eigenvalues."""
     r = rand_rotation(rng)
     return SymTensor2.from_matrix(r @ np.diag(list(eigs)) @ r.T)
+
+
+def split_pair(eigs, frac):
+    """The eigenvalues eigs, descending with one repeated pair, with that
+    pair moved apart by frac TAU_GAP times the spread: a double spectrum
+    whose pair is split inside the gap tolerance when |frac| < 1."""
+    e = list(eigs)
+    k = 1 if e[1] == e[2] else 0
+    e[k] += frac * TAU_GAP * (e[0] - e[2])
+    return e
 
 
 def log_uniform(rng, lo, hi):
@@ -406,30 +425,54 @@ def mixed_control_point(rm, eps0, fixed, max_iter=30, floor=1e-15):
     return SymTensor2(*e.tolist()), errs
 
 
+def invert_log_strain_rows(epss, b0s, max_iter=20, floor=1e-14):
+    """invert_log_strain from each pair of epss and b0s at once, evaluated
+    by the CLI's row kernels, _spectrum_rows and _log_strain_rows, as
+    _newton_rows."""
+    target = np.array([e.as_tuple() for e in epss])
+
+    def residual(live, t):
+        sp, ok = _spectrum_rows(t)
+        eps, deps, ok = _log_strain_rows(t, sp, ok)
+        return eps - target[live], deps, ok
+
+    return _newton_rows(residual, np.array([b.as_tuple() for b in b0s]), list(range(6)),
+                        max_iter, floor)
+
+
 def mixed_control_rows(rm, eps0s, fixed, max_iter=30, floor=1e-15):
-    """mixed_control_point from each strain of eps0s at once, each Newton
-    step evaluated on the rows not yet converged by the CLI's row kernels,
-    _spectrum_rows and _stress_tangent_rows: (final strains as (n, 6),
-    residual norms of each row, strain iterates of each row)."""
-    free = [k for k in range(6) if k not in fixed]
+    """mixed_control_point from each strain of eps0s at once, evaluated by
+    the CLI's row kernels, _spectrum_rows and _stress_tangent_rows, as
+    _newton_rows."""
+    def residual(live, t):
+        sp, ok = _spectrum_rows(t)
+        return _stress_tangent_rows(t, sp, rm, ok)
+
+    return _newton_rows(residual, np.array([e.as_tuple() for e in eps0s]),
+                        [k for k in range(6) if k not in fixed], max_iter, floor)
+
+
+def _newton_rows(residual, x, free, max_iter, floor):
+    """_newton from each row of the (n, 6) array x at once, each step
+    evaluated on the rows not yet converged by residual(live, t) -> (r as
+    (m, 6), stored tangents as (m, 6, 6), ok) for the indices live of those
+    rows and the tensor t of them: (final rows as (n, 6), residual norms of
+    each row, iterates of each row)."""
     jac_weights = np.array(_WEIGHTS)[free]
-    x = np.array([e.as_tuple() for e in eps0s])
-    errs, iterates = [[] for _ in eps0s], [[] for _ in eps0s]
+    errs, iterates = [[] for _ in x], [[] for _ in x]
     live = list(range(len(x)))
     for _ in range(max_iter):
-        t = SymTensor2(*x[live].T)
         with np.errstate(all="ignore"):
-            sp, ok = _spectrum_rows(t)
-            sigma, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
+            r, tan, ok = residual(live, SymTensor2(*x[live].T))
         if not ok.all():
             raise ConvergenceError(f"the row kernels refused the iterates {x[live][~ok]}")
         still = []
         for j, i in enumerate(live):
             iterates[i].append(x[i].copy())
-            errs[i].append(float(np.linalg.norm(sigma[j, free])))
+            errs[i].append(float(np.linalg.norm(r[j, free])))
             if errs[i][-1] > floor:
                 x[i, free] -= np.linalg.solve(tan[j][np.ix_(free, free)] * jac_weights,
-                                              sigma[j, free])
+                                              r[j, free])
                 still.append(i)
         live = still
         if not live:
