@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # Each public name, by the submodule that defines it.
 _SOURCES = {
-    "errors": "BranchError ConditioningWarning ContractError ConvergenceError "
+    "errors": "BranchError ContractError ConvergenceError "
               "DegeneracyError KinematicsError MapDomainError SpectensError",
     "isofunc": "ScalarEigenMap cube_map double_exp_map half_log_map isotropic_function "
                "square_map",

@@ -94,12 +94,12 @@ def _dispatch_rows(cmd: str, t: SymTensor2, rm):
     """_dispatch on the rows of t, whose components are (n,) arrays: (mask of
     the rows it holds for, (n, k) numbers, (n,) position of each row's extra
     field in the tuple of extra fields that ends the result).  It leaves out
-    the rows on which the scalar calls would raise or warn, and for spin the
-    rows off the distinct branch, where no spin is defined."""
+    the rows on which the scalar calls would raise, and for spin the rows
+    off the distinct branch, where no spin is defined."""
     if cmd == "invariants":
-        inv, _, _, ok = _invariant_rows(t)
+        inv = _invariant_rows(t)[0]
         vals = np.stack((inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta), 1)
-        return ok, vals, inv.theta_defined, (False, True)
+        return np.ones(len(vals), dtype=bool), vals, inv.theta_defined, (False, True)
     sp, ok = _spectrum_rows(t)
     kind, extras = sp.mult, _MULTS
     if cmd in ("eigen", "basis"):

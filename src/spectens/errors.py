@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the library."""
+"""Exception types shared across the library."""
 
 
 class SpectensError(Exception):
@@ -27,7 +27,3 @@ class KinematicsError(SpectensError):
 
 class ConvergenceError(SpectensError):
     """An iterative verification routine failed to converge."""
-
-
-class ConditioningWarning(UserWarning):
-    """Numerical conditioning degraded beyond a documented floor."""

@@ -229,7 +229,7 @@ def _spectrum_rows(t: SymTensor2) -> tuple[Spectrum, np.ndarray]:
     """spectrum of the rows of t, whose components are (n,) arrays, and the
     mask of the rows it holds for: those that pass its guards.  mult is the
     (n,) array of each row's position in _MULTS."""
-    inv, s, nrm, ok = _invariant_rows(t)
+    inv, s, nrm = _invariant_rows(t)
     l1, l2, l3, in_order = _eigen_terms(inv.i1, inv.j2, inv.theta, _ROW_MATH)
     l2 = np.minimum(l2, l1)
     lam = (l1, l2, np.minimum(l3, l2))
@@ -243,7 +243,7 @@ def _spectrum_rows(t: SymTensor2) -> tuple[Spectrum, np.ndarray]:
     bases = tuple(SymTensor2(*(np.choose(code, [p[i].as_tuple()[k] for p in picks])
                                for k in range(6))) for i in range(3))
     # The scalar bases raise where a distinct denominator vanishes.
-    return Spectrum(lam, code, bases, inv), ok & in_order & ~((code == 0) & vanished)
+    return Spectrum(lam, code, bases, inv), in_order & ~((code == 0) & vanished)
 
 
 _I = IDENTITY2.as_tuple()

@@ -10,14 +10,13 @@ entries (the stored identity has diagonal (1, 1, 1, 1/2, 1/2, 1/2)).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from numbers import Real
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConditioningWarning, ContractError, DegeneracyError, KinematicsError
+from .errors import ContractError, DegeneracyError, KinematicsError
 
 WEIGHTS = (1.0, 1.0, 1.0, 2.0, 2.0, 2.0)
 
@@ -30,9 +29,6 @@ TAU_GAP = 1e-7
 # |cos 3*theta| below this is treated as a repeated eigenvalue for the
 # purposes of the theta gradient.
 COS3THETA_FLOOR = 1e-8
-
-# Pre-clamp excess of |sin 3*theta| beyond 1 that triggers a warning.
-_CLAMP_WARN_EXCESS = 1e-8
 
 _SQRT3 = math.sqrt(3.0)
 _MINUS_HALF_SQRT27 = -0.5 * math.sqrt(27.0)
@@ -212,8 +208,16 @@ def norm(t: SymTensor2) -> float:
 
 
 def deviator(t: SymTensor2) -> SymTensor2:
-    m = t.trace() / 3.0
-    return SymTensor2(t.xx - m, t.yy - m, t.zz - m, t.xy, t.xz, t.yz)
+    return SymTensor2(*_deviator_diagonal(t.xx, t.yy, t.zz), t.xy, t.xz, t.yz)
+
+
+def _deviator_diagonal(xx, yy, zz) -> tuple:
+    """The diagonal of the deviator, floats or (n,) arrays, from differences
+    of the diagonal: exact for nearby entries, so a dominant isotropic part
+    cancels before any rounding instead of in xx - I1/3."""
+    a, b = xx - zz, yy - zz
+    szz = -(a + b) / 3.0
+    return a + szz, b + szz, szz
 
 
 def _sym_square(a: tuple) -> tuple:
@@ -334,13 +338,9 @@ _SET_I1, _SET_I2, _SET_I3, _SET_J2, _SET_J3, _SET_THETA, _SET_THETA_DEFINED = (
 
 
 def invariants(t: SymTensor2) -> InvariantSet:
-    """All six invariants; the arcsin argument for theta is clamped to [-1, 1].
-
-    A pre-clamp excess beyond 1e-8 signals ConditioningWarning: theta then
-    carries at least that relative error.  Roundoff alone gets there when
-    the deviator is small against |T|, as J3 / J2^(3/2) carries a relative
-    error of about eps |T| / sqrt(J2).  _invariant_rows leaves such rows out
-    of its mask, so the CLI evaluates them here, and they warn.
+    """All six invariants; the arcsin argument for theta is clamped to [-1, 1],
+    which roundoff passes by a few ulps at most, as J2 and J3 come from the
+    deviator of _deviator_diagonal.
 
     DegeneracyError names the first invariant that is not finite: I3
     overflows once the components pass about 5e102.  ContractError names
@@ -373,29 +373,22 @@ def _overflow(name: str) -> DegeneracyError:
 
 
 def _invariants(t: SymTensor2) -> tuple[InvariantSet, tuple, float]:
-    """(invariants(t), components of deviator(t), norm(t)) in one pass.  Only
-    public functions call it, so that a warning names their caller."""
+    """(invariants(t), components of deviator(t), norm(t)) in one pass."""
     i1, i2, i3, j2, j3, s, sqrt_j2, nrm, undefined = _invariant_terms(t, math)
     if undefined:
         return InvariantSet(i1, i2, i3, j2, j3, 0.0, False), s, nrm
     arg = _sin3theta(j2, j3, sqrt_j2)
     if abs(arg) > 1.0:
-        if abs(arg) - 1.0 > _CLAMP_WARN_EXCESS:
-            warnings.warn(
-                f"sin(3 theta) argument {arg!r} exceeds [-1, 1] by {abs(arg) - 1.0:.3e}",
-                ConditioningWarning, stacklevel=3)
         arg = math.copysign(1.0, arg)
     return InvariantSet(i1, i2, i3, j2, j3, math.asin(arg) / 3.0, True), s, nrm
 
 
-def _invariant_rows(t: SymTensor2) -> tuple[InvariantSet, tuple, np.ndarray, np.ndarray]:
-    """_invariants of the rows of t, whose components are (n,) arrays, and the
-    mask of the rows it holds for: those without a clamp warning."""
+def _invariant_rows(t: SymTensor2) -> tuple[InvariantSet, tuple, np.ndarray]:
+    """_invariants of the rows of t, whose components are (n,) arrays."""
     i1, i2, i3, j2, j3, s, sqrt_j2, nrm, undefined = _invariant_terms(t, _ROW_MATH)
     arg = _sin3theta(j2, j3, sqrt_j2)
-    ok = undefined | ~(abs(arg) - 1.0 > _CLAMP_WARN_EXCESS)
     theta = np.where(undefined, 0.0, _ROW_MATH.asin(np.clip(arg, -1.0, 1.0)) / 3.0)
-    return InvariantSet(i1, i2, i3, j2, j3, theta, ~undefined), s, nrm, ok
+    return InvariantSet(i1, i2, i3, j2, j3, theta, ~undefined), s, nrm
 
 
 def _invariant_terms(t: SymTensor2, m) -> tuple:
@@ -406,8 +399,7 @@ def _invariant_terms(t: SymTensor2, m) -> tuple:
     i2 = (xx * yy + yy * zz + zz * xx
           - xy * xy - xz * xz - yz * yz)
     i3 = _det(xx, yy, zz, xy, xz, yz)
-    mean = i1 / 3.0
-    sxx, syy, szz = xx - mean, yy - mean, zz - mean
+    sxx, syy, szz = _deviator_diagonal(xx, yy, zz)
     j2 = (0.5 * (sxx * sxx + syy * syy + szz * szz)
           + xy * xy + xz * xz + yz * yz)
     j3 = _det(sxx, syy, szz, xy, xz, yz)

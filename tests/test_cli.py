@@ -677,6 +677,36 @@ def test_valid_double_and_triple_rows_skip_the_scalar_path(monkeypatch):
         assert set(branches) == set(MultTag), cmd
 
 
+def test_records_under_a_dominant_isotropic_part_stay_on_the_rows(monkeypatch):
+    """a I plus a deviator of about 0.01, a up to 1e9, near-double or
+    random, among records at unit scale: invariants, eigen and logstrain
+    answer every one as a row, with the output of one scalar call per
+    record, and write nothing to stderr when warnings are errors."""
+    rng = np.random.default_rng(31)
+    lines = []
+    for k in range(200):
+        r = _unit(rng.standard_normal(4))
+        if k % 2:
+            lines.append(_tensor_line(k, rng.uniform(0.5, 2.0, 3), r))
+            continue
+        gap = 10.0 ** rng.uniform(-4.0, -1.0)
+        shape = [2.0, -1.0 + gap, -1.0 - gap] if k % 4 else rng.uniform(-1.0, 1.0, 3)
+        lines.append(_tensor_line(k, 10.0 ** rng.uniform(5.0, 9.0) + 0.01 * np.array(shape), r))
+    text_in = "".join(line + "\n" for line in lines)
+    seen = []
+    scalar_line = cli._scalar_line
+    monkeypatch.setattr(cli, "_scalar_line", lambda *args: seen.append(args) or scalar_line(*args))
+    for cmd in ("invariants", "eigen", "logstrain"):
+        ok, text = _chunk(cmd, lines)
+        assert ok and not seen, cmd
+        want_status, want = _scalar_output(cmd, lines)
+        assert want_status == 0
+        _assert_same_records(cmd, lines, text.splitlines(), want)
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "spectens", cmd],
+                              input=text_in, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", text), cmd
+
+
 def test_crlf_input_gives_the_output_of_lf_input(tmp_path):
     lines = _mixed_lines(np.random.default_rng(23), 200)
     for cmd in ("basis", "logstrain"):

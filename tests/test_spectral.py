@@ -20,6 +20,7 @@ from spectens.tensor_core import TAU_ABS, TAU_REL
 from util import (
     BAND_TENSOR,
     invariants_ref,
+    isotropic_plus,
     make_with_eigs,
     quat_rotation,
     rand_rotation,
@@ -486,6 +487,15 @@ def test_spin_matches_dyad_reference_across_scales():
 _SLOTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
+def _eigh_mp(t):
+    """The eigenvalues of t, descending, and their unit eigenvectors, from
+    an eigendecomposition of its float64 components at the working
+    precision of mpmath."""
+    e, q = mpmath.eigsy(mpmath.matrix(t.to_matrix()))
+    order = sorted(range(3), key=lambda k: -e[k])
+    return [e[k] for k in order], [[q[r, k] for r in range(3)] for k in order]
+
+
 def _spins_mp(t):
     """The three spins of t as stored 6x6 arrays from a 60-digit
     eigendecomposition of its float64 components: dN_i[D] is the sum over
@@ -493,10 +503,7 @@ def _spins_mp(t):
     at the unit tensor of slot k, over the slot's shear weight."""
     out = np.empty((3, 6, 6))
     with mpmath.workdps(60):
-        e, q = mpmath.eigsy(mpmath.matrix(t.to_matrix()))
-        order = sorted(range(3), key=lambda k: -e[k])
-        lam = [e[k] for k in order]
-        v = [[q[r, k] for r in range(3)] for k in order]
+        lam, v = _eigh_mp(t)
         for i in range(3):
             for k, (p, r) in enumerate(_SLOTS):
                 col = [mpmath.mpf(0)] * 6
@@ -509,6 +516,44 @@ def _spins_mp(t):
                             col[m] += c * (v[i][a] * v[j][b] + v[j][a] * v[i][b])
                 out[i, :, k] = [float(x) / (1.0 if p == r else 2.0) for x in col]
     return out
+
+
+_SIGN = hs.sampled_from((-1.0, 1.0))
+# The middle eigenvalue m of the shape (1, m, -1): within 2e-3..2e-1 of an
+# end, a pair whose gap is 1e-3..1e-1 of the spread, or anywhere between.
+_MIDDLE = hs.one_of(hs.floats(-3.0, -1.0).map(lambda e: 1.0 - 2.0 * 10.0 ** e),
+                    hs.floats(-0.998, 0.998))
+
+
+@settings(max_examples=200)
+@given(_SIGN, hs.floats(0.0, 12.0), hs.floats(-9.0, 0.0), _MIDDLE, _SIGN, _QUAT)
+def test_spectrum_meets_its_conditioning_bound_under_a_dominant_isotropic_part(
+        sign, log10_a, log10_ratio, middle, dsign, quat):
+    """T = a I + R diag(d) R^T with |a| = 1..1e12, |d|/|a| = 1e-9..1 and
+    gaps of at least 1e-3 of the spread, so above the triple floor and
+    distinct.  Against a 60-digit eigendecomposition of the stored T, the
+    eigenvalues are within E = eps (16 |T| + |s| spread / gap), with s the
+    deviator and gap the smaller one, and basis i within E over the gap of
+    eigenvalue i.  The isotropic part enters E through |T| only.  The
+    second term is the arcsin's conditioning near a pair (ROADMAP item 2):
+    with |d| near |a| and a gap near 1e-3 it reaches 170 eps |T|."""
+    assume(np.linalg.norm(quat) > 0.1)
+    a = sign * 10.0 ** log10_a
+    t = isotropic_plus(a, [dsign * 10.0 ** log10_ratio * abs(a) * x for x in (1.0, middle, -1.0)],
+                       quat)
+    sp = st.spectrum(t)
+    assert sp.mult.tag is MultTag.DISTINCT
+    with mpmath.workdps(60):
+        lam, v = _eigh_mp(t)
+        lam_err = max(abs(x - y) for x, y in zip(sp.lam, lam))
+        basis_err = [max(abs(x - v[i][p] * v[i][q])
+                         for x, (p, q) in zip(sp.bases[i].as_tuple(), _SLOTS)) for i in range(3)]
+    ref = [float(x) for x in lam]
+    gaps = [min(abs(ref[i] - ref[j]) for j in range(3) if j != i) for i in range(3)]
+    eps = float(np.finfo(float).eps)
+    bound = eps * (16.0 * st.norm(t) + st.norm(st.deviator(t)) * (ref[0] - ref[2]) / min(gaps))
+    assert lam_err <= bound
+    assert all(err <= bound / gap for err, gap in zip(basis_err, gaps))
 
 
 def test_spin_near_a_double_is_as_accurate_as_the_trigonometric_form():

@@ -151,6 +151,15 @@ def make_with_eigs(rng, eigs):
     return SymTensor2.from_matrix(r @ np.diag(list(eigs)) @ r.T)
 
 
+def isotropic_plus(a, d, quat):
+    """a I + R diag(d) R^T as stored, with R the rotation of the quaternion
+    quat (normalized here): with |d| small against |a|, a deviator under a
+    dominant isotropic part."""
+    q = np.array(quat)
+    r = quat_rotation(q / np.linalg.norm(q))
+    return SymTensor2.from_matrix(a * np.eye(3) + r @ np.diag(list(d)) @ r.T)
+
+
 def split_pair(eigs, frac):
     """The eigenvalues eigs, descending with one repeated pair, with that
     pair moved apart by frac TAU_GAP times the spread: a double spectrum
