@@ -27,8 +27,8 @@ import orjson
 
 from .errors import ContractError, DegeneracyError
 from .spectral import _MULTS, MultTag, _spectrum_rows, _spin_sum, spectrum, spin
-from .tensor_core import (SymTensor2, _cauchy_green_terms, _invariant_rows, _overflow,
-                          invariants, left_cauchy_green, norm)
+from .tensor_core import (_FLOAT_INT, SymTensor2, _cauchy_green_terms, _invariant_rows,
+                          _overflow, invariants, left_cauchy_green, norm)
 
 _VERIFY_BASIS_TOL = 1e-8
 _VERIFY_TANGENT_TOL = 1e-4
@@ -276,27 +276,37 @@ def _scalar_line(cmd: str, rec, rec_id, rm) -> tuple[bool, str]:
         return False, _error_line(rec_id, exc)
 
 
-_NUMBER_TYPES = {int, float}
+def _float_or_inf(v) -> float:
+    """float(v), or inf for an int that float() refuses as past its range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
 
 
 def _columns(recs: list) -> tuple[list[int], np.ndarray]:
     """(positions in recs of the records that pass the checks of
     _record_tensor, their tensors as a (6, m) array), checked and stacked
     for all records together.  B = F F^T comes from the formula body of
-    left_cauchy_green.  OverflowError for an int past the float range."""
+    left_cauchy_green.  An int past the float range reads as inf, so the
+    finite check leaves its record to the per-record path."""
     picked, comps = [], [np.empty((6, 0))]
     for key, other, n in (("T", "F", 6), ("F", "T", 9)):
         pos = [j for j, r in enumerate(recs) if type(r) is dict and key in r and other not in r]
         vals = [recs[j][key] for j in pos]
         # bool is a type of its own, so a bool fails the type check.
         if not (set(map(type, vals)) <= {list} and set(map(len, vals)) <= {n}
-                and set(map(type, chain.from_iterable(vals))) <= _NUMBER_TYPES):
-            good = [type(v) is list and len(v) == n and set(map(type, v)) <= _NUMBER_TYPES
+                and set(map(type, chain.from_iterable(vals))) <= _FLOAT_INT):
+            good = [type(v) is list and len(v) == n and set(map(type, v)) <= _FLOAT_INT
                     for v in vals]
             pos, vals = list(compress(pos, good)), list(compress(vals, good))
         if not pos:
             continue
-        x = np.fromiter(chain.from_iterable(vals), float, len(vals) * n).reshape(-1, n).T
+        try:
+            x = np.fromiter(chain.from_iterable(vals), float, len(vals) * n)
+        except OverflowError:
+            x = np.array([_float_or_inf(v) for v in chain.from_iterable(vals)])
+        x = x.reshape(-1, n).T
         ok = np.isfinite(x).all(0)
         if key == "F":
             det, b = _cauchy_green_terms(x.reshape(3, 3, -1))
@@ -354,9 +364,8 @@ def _run_chunk(cmd: str, rm, first: int, lines: list[str]) -> tuple[bool, str]:
     return map rm.  The records are checked and evaluated as columns and
     written as a table of text (_cells) in input order, joined once with
     the other lines between its rows (_joined).  A record that fails a
-    check or a guard of the arrays, or all of them if the checks raise, goes
-    through _dispatch, so that its output and errors are the scalar
-    path's."""
+    check or a guard of the arrays goes through _dispatch, so that its
+    output and errors are the scalar path's."""
     others = {}
     all_ok = True
     recs, places = [], []
@@ -370,10 +379,7 @@ def _run_chunk(cmd: str, rm, first: int, lines: list[str]) -> tuple[bool, str]:
     scalar = np.ones(len(recs), dtype=bool)
     at, cells = np.empty(0, dtype=np.intp), np.empty((0, 1), dtype=object)
     with np.errstate(all="ignore"):
-        try:
-            picked, comps = _columns(recs)
-        except OverflowError:
-            picked = []
+        picked, comps = _columns(recs)
         if picked:
             ok, vals, kind, extras = _dispatch_rows(cmd, SymTensor2(*comps), rm)
             at = np.take(places, picked)
@@ -452,8 +458,8 @@ def _run_records(cmd: str, rm, fh, path) -> int:
     return 0 if all_ok else 2
 
 
-def _draw_separated(rng) -> SymTensor2:
-    """Random symmetric tensor whose eigenvalue gaps exceed 1e-4 of the spread."""
+def _draw_separated(rng) -> tuple:
+    """(t, its oracle eigenpairs), t random with eigenvalue gaps over 1e-4 of the spread."""
     from . import oracle
 
     while True:
@@ -462,7 +468,7 @@ def _draw_separated(rng) -> SymTensor2:
         lam = [p.value for p in pairs]
         spread = lam[0] - lam[2]
         if spread > 0.0 and min(lam[0] - lam[1], lam[1] - lam[2]) >= 1e-4 * spread:
-            return t
+            return t, pairs
 
 
 def _run_verify(args) -> int:
@@ -476,9 +482,8 @@ def _run_verify(args) -> int:
     max_basis = 0.0
     max_tan = 0.0
     for k in range(args.count):
-        t = _draw_separated(rng)
+        t, pairs = _draw_separated(rng)
         sp = spectrum(t)
-        pairs = oracle.jacobi_eigen(t)
         basis_dev = max(norm(sp.bases[i] - oracle.projector(pairs[i])) for i in range(3))
         _, tan = isotropic_function(t, f)
         fd = oracle.fd_tensor_derivative(lambda x: isotropic_function(x, f)[0], t)
@@ -560,7 +565,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"spectens: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

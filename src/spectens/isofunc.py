@@ -25,8 +25,8 @@ from .tensor_core import (
     SymTensor4,
     _E,
     _as_vec,
+    _called,
     _per_row,
-    _real_result,
     deviator,
 )
 
@@ -83,22 +83,15 @@ def _map_values(e, d, s) -> tuple:
 
 
 def _eta(f: ScalarEigenMap, lams) -> tuple[list, list]:
-    """(values, slopes) of f at the eigenvalues lams, as _real_result reads
-    them, or MapDomainError if one lies outside the domain of f, or f raises
-    an arithmetic error there or gives a result that _real_result refuses."""
+    """(values, slopes) of f at the eigenvalues lams, as _called reads them,
+    or MapDomainError if one lies outside the domain of f or _called refuses
+    a value or slope there."""
     e, d = [], []
     for lam in lams:
         if not f.contains(lam):
             raise MapDomainError(f"eigenvalue {lam!r} outside map domain {f.domain}")
-        try:
-            val, slope = f.eval(lam), f.deriv(lam)
-        except ArithmeticError as exc:
-            raise MapDomainError(f"map fails at eigenvalue {lam!r}: {exc}") from exc
-        e.append(_real_result(val))
-        d.append(_real_result(slope))
-        if e[-1] is None or d[-1] is None:
-            raise MapDomainError(f"map value {val!r} or slope {slope!r} is not a real "
-                                 f"number, or not finite at eigenvalue {lam!r}")
+        e.append(_called(f.eval, (lam,), (), MapDomainError, "map", "eigenvalue {0!r}"))
+        d.append(_called(f.deriv, (lam,), (), MapDomainError, "map slope", "eigenvalue {0!r}"))
     return e, d
 
 

@@ -36,10 +36,10 @@ from .tensor_core import (
     _E,
     _ROW_MATH,
     _as_vec,
+    _called,
     _dtheta,
     _dtheta_of_dev,
     _per_row,
-    _real_result,
     deviator,
     invariants,
 )
@@ -137,6 +137,8 @@ def stress_and_tangent(eps_star: SymTensor2,
 
 
 _SHIFTS = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
+# Where a return map is called, for the messages of _called.
+_AT = "(eps_v, eps_q, theta_eps) = ({0!r}, {1!r}, {2!r})"
 
 
 def _map_at(sp: Spectrum, rm: InvariantReturnMap):
@@ -145,33 +147,24 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
     triple branch evaluates only p, at args = (eps_v, 0, 0); only the
     distinct branch consults theta_sigma and forms the principal stresses,
     and only the double branch grad_theta_sigma, for the in-pair coefficient
-    (_in_pair); from the values as _real_result reads them.  A value that
-    it refuses, q < 0 or an ArithmeticError of the map is a ContractError."""
+    (_in_pair); each field is read through _called.  A field that it
+    refuses, or q < 0, is a ContractError."""
     args = _predictor_args(sp.inv, math)
     tag = sp.mult.tag
-    distinct, triple = tag is MultTag.DISTINCT, tag is MultTag.TRIPLE
-    if triple:
+    if tag is MultTag.TRIPLE:
         args = (args[0], 0.0, 0.0)
-    try:
-        p = rm.p(*args)
-        q = 0.0 if triple else rm.q(*args)
-        th = rm.theta_sigma(*args) if distinct else 0.0
-        gth = None if distinct or triple else rm.grad_theta_sigma(*args)
-    except ArithmeticError as exc:
-        raise ContractError(f"return map fails at {args!r}: {exc!r}") from exc
-    vals = _real_result((p, q, th), (3,))
-    if vals is None or vals[1] < 0.0:
-        raise ContractError(f"return map produced p = {p!r}, q = {q!r}, theta_sigma = {th!r} "
-                            f"at {args!r}; each must be a finite real number, and q >= 0")
-    p, q, th = vals
-    if distinct:
+    p = _called(rm.p, args, (), ContractError, "return map p", _AT)
+    if tag is MultTag.TRIPLE:
+        return args, p, 0.0, None, None, None
+    q = _called(rm.q, args, (), ContractError, "return map q", _AT)
+    if q < 0.0:
+        raise ContractError(f"return map produced q = {q!r} at {_AT.format(*args)}; "
+                            "q must be >= 0")
+    if tag is MultTag.DISTINCT:
+        th = _called(rm.theta_sigma, args, (), ContractError, "return map theta_sigma", _AT)
         return args, p, q, th, _principal(p, q, th, math), None
-    if triple:
-        return args, p, q, None, None, None
-    dth = _real_result(gth, (3,))
-    if dth is None:
-        raise ContractError(f"return map gradient of theta_sigma {gth!r} at {args!r} is not "
-                            "three finite real numbers")
+    dth = _called(rm.grad_theta_sigma, args, (3,), ContractError,
+                  "return map grad_theta_sigma", _AT)
     return args, p, q, None, None, _in_pair(dth[2], q, args[1])
 
 
@@ -200,23 +193,15 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
              mv) -> SymTensor4:
     args, _, q, th, sig, c = mv
     tag = sp.mult.tag
-    distinct = tag is MultTag.DISTINCT
-    try:
-        gp = rm.grad_p(*args)
-        gq = rm.grad_q(*args)
-        gth = rm.grad_theta_sigma(*args) if distinct else (0.0, 0.0, 0.0)
-    except ArithmeticError as exc:
-        raise ContractError(f"return map gradient fails at {args!r}: {exc!r}") from exc
-    grads = _real_result(gp, (3,)), _real_result(gq, (3,)), _real_result(gth, (3,))
-    if None in grads:
-        raise ContractError(f"return map gradients {gp!r}, {gq!r}, {gth!r} at {args!r} "
-                            "are not three finite real numbers each")
-    gp, gq, gth = grads
+    gp = _called(rm.grad_p, args, (3,), ContractError, "return map grad_p", _AT)
+    gq = _called(rm.grad_q, args, (3,), ContractError, "return map grad_q", _AT)
     s = deviator(eps_star).as_tuple()
-    if not distinct:
+    if tag is not MultTag.DISTINCT:
         # eps_q is 0 on the triple branch, where the kernel reads no sign.
         sign = -1.0 if tag is MultTag.DOUBLE_HIGH_UNIQUE else 1.0
         return SymTensor4._of(_coincident_tangent(s, args[1], sign, q, gp, gq, c))
+    gth = _called(rm.grad_theta_sigma, args, (3,), ContractError,
+                  "return map grad_theta_sigma", _AT)
     f = 2.0 / (3.0 * args[1])
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
     grads = (*_I, *[f * x for x in s], *_dtheta_of_dev(s, sp.inv))

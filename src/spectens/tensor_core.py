@@ -72,6 +72,22 @@ def _per_row(fn, ok, args, shape=()) -> tuple[np.ndarray, np.ndarray]:
     return out, fine
 
 
+def _called(fn, args, shape, error, what, where):
+    """fn(*args), a user map's result, as _real_result reads it for the
+    given shape: the one-tensor twin of _per_row.  error if fn raises an
+    ArithmeticError or _real_result refuses the result, naming what (the
+    map or field) and the place where.format(*args), built only then."""
+    try:
+        v = fn(*args)
+    except ArithmeticError as exc:
+        raise error(f"{what} fails at {where.format(*args)}: {exc!r}") from exc
+    x = _real_result(v, shape)
+    if x is None:
+        kind = "three real numbers" if shape else "a real number"
+        raise error(f"{what} gives {v!r}: not {kind}, or not finite at {where.format(*args)}")
+    return x
+
+
 def _real_result(v, shape=()):
     """v, a result of a user map, as floats if it is a finite real number
     (shape ()) or three of them (shape (3,), such as a gradient; then a
@@ -503,18 +519,12 @@ _IK, _JL, _IL, _JK = (_SLOT[r[:, None], c]
 IDENTITY4 = SymTensor4(np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5]))
 _E = np.array(IDENTITY2.as_tuple())
 IXI = SymTensor4(np.outer(_E, _E))
-_IXI_MINUS_I4 = IXI.m - IDENTITY4.m
 # The entry at row (ij), column (kl) of the symmetrized dyad sym(a x b),
 # which maps d to (a.d.b + b.d.a) / 2, takes 1/4 of each of a_ik b_jl,
 # b_ik a_jl, a_il b_jk and b_il a_jk: ravel(sym(a x b)) = ravel(a x b) @ _SYM.
 _SYM = np.zeros((36, 36))
 np.add.at(_SYM, (6 * np.array((_IK, _JL, _IL, _JK)) + (_JL, _IK, _JK, _IL),
                  np.arange(36).reshape(6, 6)), 0.25)
-
-
-def _sym_kron_m(a, b) -> np.ndarray:
-    """Stored array of sym(a x b) from the components of a and b."""
-    return (np.outer(a, b).ravel() @ _SYM).reshape(6, 6)
 
 
 def _as_vec(t: SymTensor2) -> np.ndarray:
@@ -524,20 +534,14 @@ def _as_vec(t: SymTensor2) -> np.ndarray:
     return np.ascontiguousarray(np.array(t.as_tuple()).T)
 
 
-def _d2_I3_unit(k: int) -> np.ndarray:
-    """The stored array of d2_I3 (see _D2) at the unit tensor of slot k, flattened."""
-    e = tuple(float(j == k) for j in range(6))
-    ev = np.array(e)
-    return (2.0 * _sym_kron_m(e, IDENTITY2.as_tuple()) - ev[:, None] * _E
-            - _E[:, None] * ev + sum(e[:3]) * _IXI_MINUS_I4).ravel()
-
-
 # d2_I3(t), the second derivative of det(t), maps d to t.d + d.t - tr(d) t
 # - I1 d + (I1 tr(d) - t:d) I.  Its stored array is 2 sym(t x I) - t x I
 # - I x t + I1 (I x I - I4): the entry at row (ij), column (kl) is
 # (t_ik I_jl + t_il I_jk + I_ik t_jl + I_il t_jk)/2 - t_ij I_kl - I_ij t_kl
 # + I1 (I_ij I_kl - (I_ik I_jl + I_il I_jk)/2), with I_ij the Kronecker
 # delta; apply() doubles the shear.  The map is linear in t: row k of _D2 is
-# d2_I3 of the k-th unit tensor, and the stored array of d2_I3(t) is
+# d2_I3 of the k-th unit tensor e_k, row k of the identity, whose 2 sym(e_k x I)
+# is the sum of rows 6k..6k+2 of 2 _SYM; the stored array of d2_I3(t) is
 # t.as_tuple() @ _D2 reshaped to 6x6.
-_D2 = np.array([_d2_I3_unit(k) for k in range(6)])
+_D2 = (2.0 * _SYM.reshape(6, 6, 36)[:, :3].sum(1) - np.kron(np.eye(6), _E)
+       - np.kron(_E, np.eye(6)) + np.outer(_E, IXI.m - IDENTITY4.m))

@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
 REMOVED = {
     "ZERO2": "no caller",
     "dyad": "IXI is np.outer of the identity; tangents build dyads on arrays",
-    "sym_kron": "the tangents use the constant table of tensor_core._sym_kron_m",
+    "sym_kron": "the tangents use the constant table tensor_core._SYM",
     "d2_I3": "spins use the constant table _D2, which the spin kernel folds in",
     "dJ3_ds": "equal to adjugate, which stays",
     "eigenbasis_distinct": "spectrum computes the distinct bases in its one pass",

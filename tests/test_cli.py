@@ -542,8 +542,8 @@ def _good_lines(rng, n):
 
 @pytest.mark.parametrize("cmd", RECORD_COMMANDS)
 def test_malformed_records_match_the_scalar_path(cmd):
-    """Each bad record among good ones, a component of 10**400 (the column
-    checks raise, so the whole chunk takes the scalar path), a chunk of only
+    """Each bad record among good ones, a component of 10**400 (an int past
+    the float range, which the column checks read as inf), a chunk of only
     bad records, and good records with leading whitespace each give the
     per-record path's output."""
     rng = np.random.default_rng(11)
@@ -557,6 +557,24 @@ def test_malformed_records_match_the_scalar_path(cmd):
         want_status, want = _scalar_output(cmd, lines)
         assert (0 if ok else 2) == want_status
         _assert_same_records(cmd, lines, text.splitlines(), want)
+
+
+@pytest.mark.parametrize("cmd", RECORD_COMMANDS)
+def test_an_int_past_the_float_range_sends_only_its_record_to_the_scalar_path(cmd, monkeypatch):
+    """Ten good records and one with a component of 10**400: only that one
+    reaches _scalar_line, which words its error, and the chunk gives the
+    per-record path's output."""
+    rng = np.random.default_rng(13)
+    huge = '{"id": "huge", "T": [1' + "0" * 400 + ', 2, 3, 0, 0, 0]}'
+    lines = [*_good_lines(rng, 5), huge, *_good_lines(rng, 5)]
+    seen = []
+    monkeypatch.setattr(cli, "_scalar_line", lambda *args: seen.append(args) or _scalar_line(*args))
+    ok, text = _chunk(cmd, lines)
+    assert [args[2] for args in seen] == ["line 6"]
+    want_status, want = _scalar_output(cmd, lines)
+    assert (0 if ok else 2) == want_status == 2
+    assert "int too large to convert to float" in want[5]
+    _assert_same_records(cmd, lines, text.splitlines(), want)
 
 
 _JSON_VALUES = hs.recursive(

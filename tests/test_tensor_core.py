@@ -11,7 +11,8 @@ from hypothesis import strategies as hs
 
 import spectens as st
 from spectens import oracle
-from spectens.tensor_core import _ROW_MATH, _as_vec, _invariant_rows, _invariant_terms, _sin3theta
+from spectens.tensor_core import (_D2, _ROW_MATH, _as_vec, _invariant_rows, _invariant_terms,
+                                  _sin3theta)
 
 from util import (
     d2_I3,
@@ -364,6 +365,14 @@ def test_d2_I3_matches_loop_reference_across_scales():
             t = rand_sym(rng, scale)
             tol = 32.0 * EPS * st.norm(t)
             assert np.all(np.abs(d2_I3(t).m - d2_I3_ref(t)) <= tol)
+
+
+def test_d2_table_rows_are_d2_I3_of_the_unit_tensors():
+    """_D2, built from _SYM, holds in row k the loop reference of d2_I3 at
+    the k-th unit tensor, bit for bit."""
+    for k, e in enumerate(np.eye(6)):
+        want = d2_I3_ref(st.SymTensor2(*e.tolist())).ravel()
+        assert np.array_equal(_D2[k].view(np.int64), want.view(np.int64)), k
 
 
 def test_as_list_serializes_like_per_element_floats():

@@ -37,7 +37,7 @@ from spectens.tensor_core import (
     TAU_GAP,
     TAU_REL,
     SymTensor4,
-    _sym_kron_m,
+    _SYM,
     _sym_square,
 )
 
@@ -195,7 +195,7 @@ def frob4(a):
 
 def sym_kron(a, b):
     """The symmetrized dyad of a and b: d -> (a.d.b + b.d.a) / 2."""
-    return SymTensor4(_sym_kron_m(a.as_tuple(), b.as_tuple()))
+    return SymTensor4((np.outer(a.as_tuple(), b.as_tuple()).ravel() @ _SYM).reshape(6, 6))
 
 
 def d2_I3(t):
