@@ -108,6 +108,7 @@ def _eta_rows(f: ScalarEigenMap, lams, ok: np.ndarray) -> tuple[list, list, np.n
     return e, d, ok
 
 
+@np.errstate(all="ignore")
 def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
                 ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_apply on the rows of t and sp where ok, whose entries are (n,) arrays

@@ -24,6 +24,7 @@ from .spectral import (
     _anchored,
     _coincident_tangent,
     _double_values,
+    _eigen_terms,
     _spin_sum,
     spectrum,
 )
@@ -162,18 +163,10 @@ def _map_at(sp: Spectrum, rm: InvariantReturnMap):
                             "q must be >= 0")
     if tag is MultTag.DISTINCT:
         th = _called(rm.theta_sigma, args, (), ContractError, "return map theta_sigma", _AT)
-        return args, p, q, th, _principal(p, q, th, math), None
+        return args, p, q, th, _eigen_terms(p, (2.0 / 3.0) * q, th, math)[:3], None
     dth = _called(rm.grad_theta_sigma, args, (3,), ContractError,
                   "return map grad_theta_sigma", _AT)
     return args, p, q, None, None, _in_pair(dth[2], q, args[1])
-
-
-def _principal(p, q, th, m) -> list:
-    """Principal stresses p + (2/3) q sin(theta_sigma + shift_i); floats or
-    (n,) arrays, with sin from m."""
-    f = (2.0 / 3.0) * q
-    return [p + f * m.sin(th + _SHIFTS[0]), p + f * m.sin(th + _SHIFTS[1]),
-            p + f * m.sin(th + _SHIFTS[2])]
 
 
 def _stress(eps_star: SymTensor2, sp: Spectrum, mv) -> SymTensor2:
@@ -229,6 +222,7 @@ def _dsigma(gp, gq, gth, q, th, m) -> list:
     return out
 
 
+@np.errstate(all="ignore")
 def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
                          ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """stress_and_tangent on the rows of eps_star and sp where ok, whose
@@ -245,7 +239,7 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     q, ok_q = _per_row(rm.q, ok & ~triple, args)
     th, ok_th = _per_row(rm.theta_sigma, ok & dist, args)
     ok &= (triple | ok_q & (q >= 0.0)) & (~dist | ok_th)
-    sig = _principal(p, q, th, _ROW_MATH)
+    sig = _eigen_terms(p, (2.0 / 3.0) * q, th, _ROW_MATH)[:3]
     gp, ok = _per_row(rm.grad_p, ok, args, (3,))
     gq, ok = _per_row(rm.grad_q, ok, args, (3,))
     gth, ok_th = _per_row(rm.grad_theta_sigma, ok & ~triple, args, (3,))

@@ -25,6 +25,7 @@ from .tensor_core import (
     _SYM,
     _invariant_rows,
     _invariants,
+    _refuse_invariant_set,
     _refuse_nonfinite,
     _sym_square,
 )
@@ -92,8 +93,14 @@ def eigenvalues(inv: InvariantSet) -> tuple[float, float, float]:
 
     Descending order is a theorem for theta in [-pi/6, pi/6]; roundoff can
     invert an exact tie by one ulp, which the final clamp repairs.
+    ContractError names a negative J2 or an infinite theta: no tensor has it.
     """
-    l1, l2, l3, in_order = _eigen_terms(inv.i1, inv.j2, inv.theta, math)
+    try:
+        l1, l2, l3, in_order = _eigen_terms(inv.i1 / 3.0, _TWO_OVER_SQRT3 * math.sqrt(inv.j2),
+                                            inv.theta, math)
+    except ValueError:
+        _refuse_invariant_set(inv)
+        raise
     if not in_order:
         raise DegeneracyError(
             f"closed-form eigenvalues {(l1, l2, l3)!r} are out of order or not "
@@ -103,14 +110,15 @@ def eigenvalues(inv: InvariantSet) -> tuple[float, float, float]:
     return (l1, l2, l3)
 
 
-def _eigen_terms(i1, j2, theta, m) -> tuple:
-    """The eigenvalues before the clamp and whether they are in order (not if
-    one is not finite); floats or (n,) arrays, with sqrt and sin from m."""
-    r = _TWO_OVER_SQRT3 * m.sqrt(j2)
-    third = i1 / 3.0
-    l1 = third + r * m.sin(theta + _TWO_THIRDS_PI)
-    l2 = third + r * m.sin(theta)
-    l3 = third + r * m.sin(theta - _TWO_THIRDS_PI)
+def _eigen_terms(mean, r, theta, m) -> tuple:
+    """The values mean + r sin(theta + 2 pi/3), mean + r sin(theta) and
+    mean + r sin(theta - 2 pi/3) before the clamp of eigenvalues, and whether
+    they are in order (not if one is not finite): the eigenvalues at
+    mean = I1/3 and r = (2/sqrt(3)) sqrt(J2), the principal stresses at p and
+    (2/3) q.  Floats or (n,) arrays, with sin from m."""
+    l1 = mean + r * m.sin(theta + _TWO_THIRDS_PI)
+    l2 = mean + r * m.sin(theta)
+    l3 = mean + r * m.sin(theta - _TWO_THIRDS_PI)
     slack = 1e-12 * (abs(l1) + abs(l2) + abs(l3)) + 1e-300
     return l1, l2, l3, (l1 - l2 >= -slack) & (l2 - l3 >= -slack)
 
@@ -172,21 +180,12 @@ def _bases_over(s: tuple, ssq: tuple, j2, lis) -> tuple:
     return tuple(bases), vanished
 
 
-def _double_bases(s: tuple, j2, sign, m) -> tuple[SymTensor2, SymTensor2]:
-    """(N_hat, N_rep) for a double coincidence: the basis of the lone
-    eigenvalue and the shared basis of the repeated pair, from the deviator
-    components s; floats or (n,) arrays, with sqrt from m.
-
-    The deviatoric part of N_hat is -sign * dev(t)/q with q = sqrt(3 J2) and
-    sign the theta sign of the classified branch, never from floating theta.
-    """
-    f = -sign / m.sqrt(3.0 * j2)
-    third = 1.0 / 3.0
-    hxx, hyy, hzz = third + f * s[0], third + f * s[1], third + f * s[2]
-    hxy, hxz, hyz = f * s[3], f * s[4], f * s[5]
-    return (SymTensor2(hxx, hyy, hzz, hxy, hxz, hyz),
-            SymTensor2(0.5 * (1.0 - hxx), 0.5 * (1.0 - hyy), 0.5 * (1.0 - hzz),
-                       -0.5 * hxy, -0.5 * hxz, -0.5 * hyz))
+def _pair(n_hat: SymTensor2) -> SymTensor2:
+    """The shared basis (I - N_hat)/2 of the repeated pair of a double
+    spectrum, from the basis N_hat of its lone eigenvalue; floats or (n,)
+    arrays."""
+    return SymTensor2(0.5 * (1.0 - n_hat.xx), 0.5 * (1.0 - n_hat.yy), 0.5 * (1.0 - n_hat.zz),
+                      -0.5 * n_hat.xy, -0.5 * n_hat.xz, -0.5 * n_hat.yz)
 
 
 _THIRD_I = SymTensor2(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0)
@@ -205,41 +204,42 @@ def spectrum(t: SymTensor2) -> Spectrum:
         _refuse_nonfinite(t)
         raise
     mult = classify(lam, nrm) if inv.theta_defined else _TRIPLE
-    if mult is _DISTINCT:
-        third = inv.i1 / 3.0
-        try:
-            bases, vanished = _bases_over(s, _sym_square(s), inv.j2,
-                                          (lam[0] - third, lam[1] - third, lam[2] - third))
-        except ZeroDivisionError:
-            vanished = True
-        if vanished:
-            raise BranchError("eigenbasis denominator vanished: repeated eigenvalue")
-    elif mult is _TRIPLE:
-        bases = (_THIRD_I, _THIRD_I, _THIRD_I)
-    else:
-        n_hat, n_rep = _double_bases(s, inv.j2, float(mult.theta_sign), math)
-        if mult.unique_index == 0:
-            bases = (n_hat, n_rep, n_rep)
-        else:
-            bases = (n_rep, n_rep, n_hat)
+    if mult is _TRIPLE:
+        return Spectrum(lam, mult, (_THIRD_I, _THIRD_I, _THIRD_I), inv)
+    # On a double branch only the lone eigenvalue, whose denominator is near 3 J2.
+    k = mult.unique_index
+    third = inv.i1 / 3.0
+    lis = (lam[0] - third, lam[1] - third, lam[2] - third) if k is None else (lam[k] - third,)
+    try:
+        bases, vanished = _bases_over(s, _sym_square(s), inv.j2, lis)
+    except ZeroDivisionError:
+        vanished = True
+    if vanished:
+        raise BranchError("eigenbasis denominator vanished: repeated eigenvalue")
+    if k is not None:
+        n_rep = _pair(bases[0])
+        bases = (bases[0], n_rep, n_rep) if k == 0 else (n_rep, n_rep, bases[0])
     return Spectrum(lam, mult, bases, inv)
 
 
+@np.errstate(all="ignore")
 def _spectrum_rows(t: SymTensor2) -> tuple[Spectrum, np.ndarray]:
     """spectrum of the rows of t, whose components are (n,) arrays, and the
     mask of the rows it holds for: those that pass its guards.  mult is the
     (n,) array of each row's position in _MULTS."""
     inv, s, nrm = _invariant_rows(t)
-    l1, l2, l3, in_order = _eigen_terms(inv.i1, inv.j2, inv.theta, _ROW_MATH)
+    third = inv.i1 / 3.0
+    l1, l2, l3, in_order = _eigen_terms(third, _TWO_OVER_SQRT3 * np.sqrt(inv.j2), inv.theta,
+                                        _ROW_MATH)
     l2 = np.minimum(l2, l1)
     lam = (l1, l2, np.minimum(l3, l2))
     triple, high_unique, low_unique = _coincidences(lam, nrm)
     triple = triple | ~inv.theta_defined
     code = np.select((triple, high_unique, low_unique), (3, 1, 2), 0)
-    third = inv.i1 / 3.0
     dist, vanished = _bases_over(s, _sym_square(s), inv.j2, tuple(x - third for x in lam))
-    n_hat, n_rep = _double_bases(s, inv.j2, np.where(high_unique, -1.0, 1.0), _ROW_MATH)
-    picks = (dist, (n_hat, n_rep, n_rep), (n_rep, n_rep, n_hat), (_THIRD_I,) * 3)
+    # The lone basis of a double row is the distinct basis of its eigenvalue.
+    pair0, pair2 = _pair(dist[0]), _pair(dist[2])
+    picks = (dist, (dist[0], pair0, pair0), (pair2, pair2, dist[2]), (_THIRD_I,) * 3)
     bases = tuple(SymTensor2(*(np.choose(code, [p[i].as_tuple()[k] for p in picks])
                                for k in range(6))) for i in range(3))
     # The scalar bases raise where a distinct denominator vanishes.

@@ -382,6 +382,15 @@ def _refuse_nonfinite(t: SymTensor2) -> None:
             raise ContractError(f"tensor component {name!r} is {x!r}, not a finite number")
 
 
+def _refuse_invariant_set(inv: InvariantSet) -> None:
+    """ContractError naming a J2 or theta of inv, a set built by hand, that
+    no tensor has: J2 negative, or either one not finite."""
+    if not 0.0 <= inv.j2 < math.inf:
+        raise ContractError(f"InvariantSet field 'j2' is {inv.j2!r}, which no tensor has")
+    if not math.isfinite(inv.theta):
+        raise ContractError(f"InvariantSet field 'theta' is {inv.theta!r}, which no tensor has")
+
+
 def _overflow(name: str) -> DegeneracyError:
     """The error for a result, named name, that is not finite."""
     return DegeneracyError(f"result field {name!r} is not finite: "
@@ -399,6 +408,7 @@ def _invariants(t: SymTensor2) -> tuple[InvariantSet, tuple, float]:
     return InvariantSet(i1, i2, i3, j2, j3, math.asin(arg) / 3.0, True), s, nrm
 
 
+@np.errstate(all="ignore")
 def _invariant_rows(t: SymTensor2) -> tuple[InvariantSet, tuple, np.ndarray]:
     """_invariants of the rows of t, whose components are (n,) arrays."""
     i1, i2, i3, j2, j3, s, sqrt_j2, nrm, undefined = _invariant_terms(t, _ROW_MATH)
@@ -431,7 +441,9 @@ def _sin3theta(j2, j3, sqrt_j2):
 
 
 def dtheta_dT(t: SymTensor2, inv: InvariantSet) -> SymTensor2:
-    """Gradient of the Lode angle; undefined at J2 = 0 and theta = +/-pi/6."""
+    """Gradient of the Lode angle; undefined at J2 = 0 and theta = +/-pi/6.
+    ContractError names a J2 or theta of inv that no tensor has."""
+    _refuse_invariant_set(inv)
     return SymTensor2(*_dtheta_of_dev(deviator(t).as_tuple(), inv))
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -333,10 +334,9 @@ def test_double_tangent_fd_with_a_lode_angle_of_slope_zero():
     rng = np.random.default_rng(108)
     cases = [make_with_eigs(rng, eigs) for eigs in ((0.04, 0.01, 0.01), (0.03, 0.03, -0.02))
              for _ in range(5)]
-    with np.errstate(all="ignore"):
-        t = SymTensor2(*np.array([eps.as_tuple() for eps in cases]).T)
-        sp, ok = spectral._spectrum_rows(t)
-        _, tan, ok = plasticity._stress_tangent_rows(t, sp, rm, ok)
+    t = SymTensor2(*np.array([eps.as_tuple() for eps in cases]).T)
+    sp, ok = spectral._spectrum_rows(t)
+    _, tan, ok = plasticity._stress_tangent_rows(t, sp, rm, ok)
     assert ok.all() and set(sp.mult.tolist()) == {1, 2}
     for k, eps in enumerate(cases):
         m = consistent_tangent(eps, rm)
@@ -490,9 +490,8 @@ def test_map_that_is_not_finite_is_a_contract_error(tag, field, bad):
     rm = vonmises_demo_map(2.0, 1.0, 0.02)
     broken_rm = dataclasses.replace(rm, **{field: broken})
     rows = SymTensor2(*(np.array([x]) for x in eps.as_tuple()))
-    with np.errstate(all="ignore"):
-        sp, ok = spectral._spectrum_rows(rows)
-        ok_rm = plasticity._stress_tangent_rows(rows, sp, broken_rm, ok)[2]
+    sp, ok = spectral._spectrum_rows(rows)
+    ok_rm = plasticity._stress_tangent_rows(rows, sp, broken_rm, ok)[2]
     if field not in used:
         sig, tan = stress_and_tangent(eps, broken_rm)
         assert sig == reconstruct_stress(eps, rm)
@@ -530,9 +529,8 @@ def test_map_that_is_not_numbers_is_a_contract_error(field, bad):
     rm = dataclasses.replace(vonmises_demo_map(2.0, 1.0, 0.02),
                              **{field: lambda ev, eq, th: bad})
     for eps, used, stress_used in _BRANCH_PREDICTORS.values():
-        with np.errstate(all="ignore"):
-            rows, sp, ok = _one_row(eps)
-            ok_rm = plasticity._stress_tangent_rows(rows, sp, rm, ok)[2]
+        rows, sp, ok = _one_row(eps)
+        ok_rm = plasticity._stress_tangent_rows(rows, sp, rm, ok)[2]
         for call in (stress_and_tangent, consistent_tangent, reconstruct_stress):
             with (pytest.raises(ContractError, match="return map")
                   if field in (stress_used if call is reconstruct_stress else used)
@@ -568,10 +566,9 @@ def test_map_results_that_are_real_numbers_are_read_as_floats_on_both_paths(conv
         assert sig.as_tuple() == want_sig.as_tuple()
         assert {type(x) for x in sig.as_tuple()} == {float}
         assert tan.m.dtype == float and tan.m.tolist() == want_tan.m.tolist()
-        with np.errstate(all="ignore"):
-            rows, sp, ok = _one_row(eps)
-            sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(rows, sp, got, ok)
-            want_rows = plasticity._stress_tangent_rows(rows, sp, want, ok)
+        rows, sp, ok = _one_row(eps)
+        sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(rows, sp, got, ok)
+        want_rows = plasticity._stress_tangent_rows(rows, sp, want, ok)
         assert ok_rm.all() and want_rows[2].all()
         assert sig_rows.tolist() == want_rows[0].tolist()
         assert tan_rows.tolist() == want_rows[1].tolist()
@@ -605,10 +602,9 @@ def test_linear_elastic_map_is_hookes_map_to_the_bit():
         want_sig, want_tan = stress_and_tangent(eps, hooke)
         assert sig == want_sig and tan.m.tolist() == want_tan.m.tolist()
     t = SymTensor2(*np.array([x.as_tuple() for x in cases]).T)
-    with np.errstate(all="ignore"):
-        sp, ok = spectral._spectrum_rows(t)
-        got = plasticity._stress_tangent_rows(t, sp, rm, ok)
-        want = plasticity._stress_tangent_rows(t, sp, hooke, ok)
+    sp, ok = spectral._spectrum_rows(t)
+    got = plasticity._stress_tangent_rows(t, sp, rm, ok)
+    want = plasticity._stress_tangent_rows(t, sp, hooke, ok)
     assert got[2].all() and want[2].all()
     assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
@@ -640,27 +636,26 @@ def test_rows_match_stress_and_tangent_on_every_branch():
     overflows = InvariantReturnMap(
         p=lambda ev, eq, th: math.exp(1e5 * ev), q=elastic.q, theta_sigma=elastic.theta_sigma,
         grad_p=elastic.grad_p, grad_q=elastic.grad_q, grad_theta_sigma=elastic.grad_theta_sigma)
-    with np.errstate(all="ignore"):
-        sp, ok = spectral._spectrum_rows(t)
-        assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
-        for rm in (_map_a(), _map_twist(), _map_flat(), vonmises_demo_map(2.0, 1.0, 0.02)):
-            sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
-            assert ok_rm.all()
-            for k, x in enumerate(tensors):
-                want_sig, want_tan = stress_and_tangent(x, rm)
-                assert sig[k].tolist() == pytest.approx(list(want_sig.as_tuple()), rel=1e-13)
-                if sp.mult[k]:
-                    assert sig[k].tolist() == list(want_sig.as_tuple())
-                    assert tan[k].tolist() == want_tan.m.tolist()
-                else:
-                    assert rel4(SymTensor4(tan[k]), want_tan) < 1e-12
-        negative = InvariantReturnMap(
-            p=elastic.p, q=lambda ev, eq, th: -1.0, theta_sigma=elastic.theta_sigma,
-            grad_p=elastic.grad_p, grad_q=elastic.grad_q,
-            grad_theta_sigma=elastic.grad_theta_sigma)
-        # q is consulted on every branch but the triple one.
-        assert (plasticity._stress_tangent_rows(t, sp, negative, ok)[2] == (sp.mult == 3)).all()
-        sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, overflows, ok)
+    sp, ok = spectral._spectrum_rows(t)
+    assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
+    for rm in (_map_a(), _map_twist(), _map_flat(), vonmises_demo_map(2.0, 1.0, 0.02)):
+        sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
+        assert ok_rm.all()
+        for k, x in enumerate(tensors):
+            want_sig, want_tan = stress_and_tangent(x, rm)
+            assert sig[k].tolist() == pytest.approx(list(want_sig.as_tuple()), rel=1e-13)
+            if sp.mult[k]:
+                assert sig[k].tolist() == list(want_sig.as_tuple())
+                assert tan[k].tolist() == want_tan.m.tolist()
+            else:
+                assert rel4(SymTensor4(tan[k]), want_tan) < 1e-12
+    negative = InvariantReturnMap(
+        p=elastic.p, q=lambda ev, eq, th: -1.0, theta_sigma=elastic.theta_sigma,
+        grad_p=elastic.grad_p, grad_q=elastic.grad_q,
+        grad_theta_sigma=elastic.grad_theta_sigma)
+    # q is consulted on every branch but the triple one.
+    assert (plasticity._stress_tangent_rows(t, sp, negative, ok)[2] == (sp.mult == 3)).all()
+    sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, overflows, ok)
     for k, x in enumerate(tensors):
         with pytest.raises(ContractError) if x.trace() > 0.0 else contextlib.nullcontext():
             stress_and_tangent(x, overflows)
@@ -668,8 +663,7 @@ def test_rows_match_stress_and_tangent_on_every_branch():
     # Gradients of two lengths in one chunk: numpy cannot stack them.
     ragged = dataclasses.replace(elastic, grad_p=lambda ev, eq, th: (
         (2.0, 0.0) if ev > 0.0 else (2.0, 0.0, 0.0)))
-    with np.errstate(all="ignore"):
-        ok_rm = plasticity._stress_tangent_rows(t, sp, ragged, ok)[2]
+    ok_rm = plasticity._stress_tangent_rows(t, sp, ragged, ok)[2]
     for k, x in enumerate(tensors):
         with pytest.raises(ContractError) if x.trace() > 0.0 else contextlib.nullcontext():
             stress_and_tangent(x, ragged)
@@ -690,10 +684,9 @@ def test_isotropic_function_and_return_map_agree_on_one_material():
     eta = ScalarEigenMap(lambda x: 2.0 * shear * x, lambda x: 2.0 * shear)
     cases = _branch_cases(np.random.default_rng(44))
     t = SymTensor2(*np.array([eps.as_tuple() for eps, _ in cases]).T)
-    with np.errstate(all="ignore"):
-        sp, ok = spectral._spectrum_rows(t)
-        s_rows, m_rows, ok_f = isofunc._apply_rows(t, sp, eta, ok)
-        sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
+    sp, ok = spectral._spectrum_rows(t)
+    s_rows, m_rows, ok_f = isofunc._apply_rows(t, sp, eta, ok)
+    sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
     assert ok_f.all() and ok_rm.all()
     for k, (eps, tag) in enumerate(cases):
         assert spectrum(eps).mult.tag is tag
@@ -720,9 +713,8 @@ def test_yield_tie_takes_the_plastic_branch():
         assert stress_invariants(sig).q == pytest.approx(yield_q, rel=1e-12)
         assert np.array_equal(tan.m, stress_and_tangent(eps, plastic)[1].m)
         assert rel4(tan, stress_and_tangent(eps, linear_elastic_map(bulk, shear))[1]) > 0.1
-        with np.errstate(all="ignore"):
-            rows, sp, ok = _one_row(eps)
-            sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(rows, sp, rm, ok)
+        rows, sp, ok = _one_row(eps)
+        sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(rows, sp, rm, ok)
         assert ok_rm.all()
         assert sig_rows[0].tolist() == list(sig.as_tuple())
         assert tan_rows[0].tolist() == tan.m.tolist()
@@ -837,3 +829,24 @@ def test_mixed_control_newton_with_the_lode_twisting_map():
     x, row_errs, _ = util.mixed_control_rows(rm, [eps0], fixed)
     assert row_errs[0] == errs
     assert x[0].tolist() == list(eps.as_tuple())
+
+
+@pytest.mark.parametrize("kernel", ("invariant", "spectrum", "isotropic", "stress"))
+def test_the_row_kernels_let_no_runtime_warning_out(kernel):
+    """Each row kernel sets its own numpy error state.  On a triple row and
+    a double row, where they divide by zero, each answers with
+    RuntimeWarning an error and numpy's default error state around the
+    call, not an np.errstate that ignores."""
+    t = SymTensor2(*np.array([(2.0, 2.0, 2.0, 0.0, 0.0, 0.0), (3.0, 1.0, 1.0, 0.0, 0.0, 0.0)]).T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if kernel == "invariant":
+            tensor_core._invariant_rows(t)
+            return
+        sp, ok = spectral._spectrum_rows(t)
+        assert sp.mult.tolist() == [3, 1] and ok.all()
+        if kernel == "isotropic":
+            assert isofunc._apply_rows(t, sp, isofunc.half_log_map(), ok)[2].all()
+        elif kernel == "stress":
+            rm = vonmises_demo_map(2.0, 1.0, 0.02)
+            assert plasticity._stress_tangent_rows(t, sp, rm, ok)[2].all()

@@ -15,7 +15,7 @@ from hypothesis import strategies as hs
 import spectens as st
 from spectens import oracle, spectral
 from spectens.spectral import MultTag, Multiplicity, _anchored, _spin_sum, classify, eigenvalues
-from spectens.tensor_core import TAU_ABS, TAU_REL
+from spectens.tensor_core import TAU_ABS, TAU_GAP, TAU_REL
 
 from util import (
     BAND_TENSOR,
@@ -554,6 +554,40 @@ def test_spectrum_meets_its_conditioning_bound_under_a_dominant_isotropic_part(
     bound = eps * (16.0 * st.norm(t) + st.norm(st.deviator(t)) * (ref[0] - ref[2]) / min(gaps))
     assert lam_err <= bound
     assert all(err <= bound / gap for err, gap in zip(basis_err, gaps))
+
+
+# The split g of the pair of (2, 1 + g, 1) or (2, 2 - g, 1): 0, or 1e-14 up
+# to twice the gap tolerance, so on both sides of the double switch.
+_SPLIT = hs.one_of(hs.just(0.0),
+                   hs.floats(-14.0, math.log10(2.0 * TAU_GAP)).map(lambda e: 10.0 ** e))
+_SHIFT = hs.one_of(hs.just(0.0), hs.tuples(_SIGN, hs.floats(0.0, 8.0)).map(
+    lambda x: x[0] * 10.0 ** x[1]))
+
+
+@settings(max_examples=200)
+@given(hs.booleans(), _SPLIT, _SHIFT, _QUAT)
+def test_lone_basis_is_exact_on_split_pairs_property(low_pair, g, a, quat):
+    """T = a I + R diag(d) R^T with d = (2, 1 + g, 1) or (2, 2 - g, 1), a = 0
+    or |a| = 1..1e8: a pair split by g, so T is double or, past the switch,
+    distinct.  On both sides the basis of the lone eigenvalue (index 0 or
+    2) is within 16 eps + eps |T| / spread of the projector of a 50-digit
+    eigendecomposition of the stored T, and the row kernel gives the
+    scalar bits."""
+    assume(np.linalg.norm(quat) > 0.1)
+    k = 0 if low_pair else 2
+    t = isotropic_plus(a, (2.0, 1.0 + g, 1.0) if low_pair else (2.0, 2.0 - g, 1.0), quat)
+    sp = st.spectrum(t)
+    assert sp.mult.tag is MultTag.DISTINCT or sp.mult.unique_index == k
+    with mpmath.workdps(50):
+        lam, v = _eigh_mp(t)
+        err = max(abs(x - v[k][p] * v[k][q]) for x, (p, q) in zip(sp.bases[k].as_tuple(), _SLOTS))
+    eps = float(np.finfo(float).eps)
+    assert err <= 16.0 * eps + eps * st.norm(t) / float(lam[0] - lam[2])
+    rows, ok = spectral._spectrum_rows(st.SymTensor2(*(np.array([x]) for x in t.as_tuple())))
+    assert ok.tolist() == [True] and spectral._MULTS[rows.mult[0]] is sp.mult
+    assert np.array(rows.lam).tobytes() == np.array(sp.lam).tobytes()
+    assert all(np.array(r.as_tuple()).tobytes() == np.array(b.as_tuple()).tobytes()
+               for r, b in zip(rows.bases, sp.bases))
 
 
 def test_spin_near_a_double_is_as_accurate_as_the_trigonometric_form():

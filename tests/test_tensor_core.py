@@ -1,5 +1,6 @@
 """Storage conventions, invariants, and invariant derivatives."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -271,6 +272,22 @@ def test_dtheta_dT_degeneracy_errors():
     d = st.SymTensor2(4.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     with pytest.raises(st.DegeneracyError):
         st.dtheta_dT(d, st.invariants(d))
+
+
+@pytest.mark.parametrize("call, field, bad", (
+    ("eigenvalues", "j2", -1.0), ("eigenvalues", "theta", math.inf),
+    ("eigenvalues", "theta", -math.inf), ("dtheta_dT", "theta", math.inf),
+    ("dtheta_dT", "theta", -math.inf), ("dtheta_dT", "j2", math.nan),
+    ("dtheta_dT", "theta", math.nan), ("dtheta_dT", "j2", math.inf)))
+def test_an_invariant_set_that_no_tensor_has_is_a_contract_error(call, field, bad):
+    """eigenvalues and dtheta_dT take an InvariantSet that a caller may build
+    by hand.  A negative J2, or a J2 or theta that is not finite, is a
+    ContractError naming the field, not a bare ValueError or a NaN
+    gradient."""
+    t = st.SymTensor2(3.0, 2.0, 1.0, 0.0, 0.0, 0.0)
+    inv = dataclasses.replace(st.invariants(t), **{field: bad})
+    with pytest.raises(st.ContractError, match=f"field '{field}' is {bad!r}"):
+        st.eigenvalues(inv) if call == "eigenvalues" else st.dtheta_dT(t, inv)
 
 
 def test_identity4_apply_is_bit_exact():

@@ -303,13 +303,11 @@ def _distinct_basis_ref(s, ssq, j2, li):
                       (ssq.xz + li * s.xz) / den, (ssq.yz + li * s.yz) / den)
 
 
-def _double_bases_ref(t, j2, mult):
-    q = math.sqrt(3.0 * j2)
-    dev = deviator(t)
-    third = 1.0 / 3.0
-    f = -float(mult.theta_sign) / q
-    n_hat = SymTensor2(third + f * dev.xx, third + f * dev.yy, third + f * dev.zz,
-                       f * dev.xy, f * dev.xz, f * dev.yz)
+def _double_bases_ref(t, inv, lam, mult):
+    """(N_hat, N_rep): the distinct basis of the lone eigenvalue and half
+    its complement, the shared basis of the repeated pair."""
+    s = deviator(t)
+    n_hat = _distinct_basis_ref(s, sym_square(s), inv.j2, lam[mult.unique_index] - inv.i1 / 3.0)
     n_rep = SymTensor2(0.5 * (1.0 - n_hat.xx), 0.5 * (1.0 - n_hat.yy),
                        0.5 * (1.0 - n_hat.zz), -0.5 * n_hat.xy,
                        -0.5 * n_hat.xz, -0.5 * n_hat.yz)
@@ -336,7 +334,7 @@ def spectrum_ref(t):
     elif mult.tag is MultTag.TRIPLE:
         bases = (SymTensor2(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0),) * 3
     else:
-        n_hat, n_rep = _double_bases_ref(t, inv.j2, mult)
+        n_hat, n_rep = _double_bases_ref(t, inv, lam, mult)
         bases = (n_hat, n_rep, n_rep) if mult.unique_index == 0 else (n_rep, n_rep, n_hat)
     return Spectrum(lam, mult, bases, inv)
 
@@ -471,8 +469,7 @@ def _newton_rows(residual, x, free, max_iter, floor):
     errs, iterates = [[] for _ in x], [[] for _ in x]
     live = list(range(len(x)))
     for _ in range(max_iter):
-        with np.errstate(all="ignore"):
-            r, tan, ok = residual(live, SymTensor2(*x[live].T))
+        r, tan, ok = residual(live, SymTensor2(*x[live].T))
         if not ok.all():
             raise ConvergenceError(f"the row kernels refused the iterates {x[live][~ok]}")
         still = []
