@@ -20,6 +20,7 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Iterator
 from itertools import chain, compress, islice
 
 import numpy as np
@@ -33,11 +34,16 @@ from .tensor_core import (_FLOAT_INT, SymTensor2, _cauchy_green_terms, _invarian
 _VERIFY_BASIS_TOL = 1e-8
 _VERIFY_TANGENT_TOL = 1e-4
 
-# Records parsed, evaluated as arrays and written together.  Large enough
-# that the per-chunk cost of the array kernels is spread thin, small enough
-# that the texts of a chunk's distinct tangent numbers (_numbers) fit in
-# the heap the kernels just freed: at 1,024 lines they raised the peak memory.
+# Lines read, parsed and evaluated as arrays together, and written and
+# flushed before the next are read.  Large enough that the per-chunk cost of
+# the array kernels is spread thin: at 128 lines _dispatch_rows costs 2-2.5
+# times as much per record.
 _CHUNK = 512
+# Lines of a chunk written out together.  A number's text is a str of its
+# own, so the texts of a block (_cells) take several times the memory of
+# its numbers; at a whole chunk they set the peak memory, and glibc gave
+# their heap back and took it again between chunks.
+_BLOCK = 128
 
 def _finite_floats(vals, n: int, label: str) -> list[float]:
     if not isinstance(vals, list) or len(vals) != n:
@@ -358,26 +364,22 @@ def _value_or_error(loads, line: str):
             return exc
 
 
-def _run_chunk(cmd: str, rm, first: int, lines: list[str]) -> tuple[bool, str]:
-    """(whether every record of cmd succeeded, output text) of one chunk of
-    input lines, the first of which has number first, with, for stress, the
-    return map rm.  The records are checked and evaluated as columns and
-    written as a table of text (_cells) in input order, joined once with
-    the other lines between its rows (_joined).  A record that fails a
-    check or a guard of the arrays goes through _dispatch, so that its
-    output and errors are the scalar path's."""
-    others = {}
-    all_ok = True
-    recs, places = [], []
-    for k, (line, rec) in enumerate(zip(lines, _parse(lines))):
-        if not isinstance(rec, Exception):
-            recs.append(rec)
-            places.append(k)
-        elif line.strip():
-            others[k] = _error_line(f"line {first + k}", rec)
-            all_ok = False
-    scalar = np.ones(len(recs), dtype=bool)
-    at, cells = np.empty(0, dtype=np.intp), np.empty((0, 1), dtype=object)
+def _run_chunk(cmd: str, rm, first: int, lines: list[str]) -> Iterator[tuple[bool, str]]:
+    """For each block of _BLOCK lines of one chunk of input lines, the first
+    of which has number first, (whether every record of cmd in the block
+    succeeded, output text of the block), with, for stress, the return map
+    rm.  The records of the chunk are checked and evaluated as columns
+    together; each block's rows are written as a table of text (_cells)
+    and joined with the block's other lines between them (_joined).  A
+    record that fails a check or a guard of the arrays goes through
+    _dispatch, so that its output and errors are the scalar path's."""
+    # Every line but the blank ones, with its record or the parse error; the
+    # lines of the rows are dropped below, leaving those written between them.
+    others = {k: rec for k, (line, rec) in enumerate(zip(lines, _parse(lines)))
+              if not isinstance(rec, Exception) or line.strip()}
+    places = [k for k, rec in others.items() if not isinstance(rec, Exception)]
+    recs = list(map(others.__getitem__, places))
+    at = np.empty(0, dtype=np.intp)
     with np.errstate(all="ignore"):
         picked, comps = _columns(recs)
         if picked:
@@ -388,16 +390,25 @@ def _run_chunk(cmd: str, rm, first: int, lines: list[str]) -> tuple[bool, str]:
             rows = np.flatnonzero(ok & np.isfinite(vals).all(1) & np.not_equal(ids, None))
             # picked lists the T records before the F records.
             rows = rows[np.argsort(at[rows])]
-            at, cells = at[rows], _cells(cmd, extras, kind[rows], ids[rows], vals[rows])
-            scalar[np.take(picked, rows)] = False
-    for i in np.flatnonzero(scalar).tolist():
-        ok_i, others[places[i]] = _scalar_line(cmd, recs[i], f"line {first + places[i]}", rm)
-        all_ok &= ok_i
-    return all_ok, _joined(at, cells, others)
+            at, ids, kind, vals = at[rows], ids[rows], kind[rows], vals[rows]
+    for k in at.tolist():
+        del others[k]
+    for start in range(0, len(lines), _BLOCK):
+        all_ok, texts = True, {}
+        for k in filter(others.__contains__, range(start, start + _BLOCK)):
+            rec, line_id = others[k], f"line {first + k}"
+            ok_k, texts[k] = ((False, _error_line(line_id, rec)) if isinstance(rec, Exception)
+                              else _scalar_line(cmd, rec, line_id, rm))
+            all_ok &= ok_k
+        lo, hi = np.searchsorted(at, (start, start + _BLOCK)).tolist()
+        # No name holds the table while the block is written, so that only
+        # one block's number texts are alive at a time.
+        yield all_ok, _joined(at[lo:hi], _cells(cmd, extras, kind[lo:hi], ids[lo:hi], vals[lo:hi])
+                              if hi > lo else np.empty((0, 1), dtype=object), texts)
 
 
 def _joined(at, cells: np.ndarray, others: dict[int, str]) -> str:
-    """The text of the lines of a chunk: row j of the table cells is line
+    """The text of the lines of a block: row j of the table cells is line
     at[j], at ascending, and others maps the other lines to their text.
     One join, with the other lines between the runs of rows."""
     flat = cells.ravel()
@@ -441,8 +452,9 @@ def _output(path):
 
 def _run_records(cmd: str, rm, fh, path) -> int:
     """Answer the records of the open input fh into the file at path, or
-    stdout, a chunk of _CHUNK lines at a time: each chunk is written out
-    before the next is read, also from a pipe that stays open."""
+    stdout, a chunk of _CHUNK lines at a time: each chunk is written out,
+    a block of _BLOCK lines at a time, and flushed before the next is read,
+    also from a pipe that stays open."""
     all_ok, first = True, 1
     with _output(path) as out:
         # Line by line: fh.read(n) would wait on a pipe for n characters.
@@ -450,10 +462,10 @@ def _run_records(cmd: str, rm, fh, path) -> int:
             lines = text.split("\n")
             if not lines[-1]:
                 lines.pop()
-            ok, text = _run_chunk(cmd, rm, first, lines)
-            out.write(text)
+            for ok, block in _run_chunk(cmd, rm, first, lines):
+                out.write(block)
+                all_ok &= ok
             out.flush()
-            all_ok &= ok
             first += len(lines)
     return 0 if all_ok else 2
 

@@ -183,10 +183,14 @@ class SymTensor2:
         return self.xx + self.yy + self.zz
 
     def __add__(self, o: "SymTensor2") -> "SymTensor2":
+        if not isinstance(o, SymTensor2):
+            return NotImplemented
         return SymTensor2(self.xx + o.xx, self.yy + o.yy, self.zz + o.zz,
                           self.xy + o.xy, self.xz + o.xz, self.yz + o.yz)
 
     def __sub__(self, o: "SymTensor2") -> "SymTensor2":
+        if not isinstance(o, SymTensor2):
+            return NotImplemented
         return SymTensor2(self.xx - o.xx, self.yy - o.yy, self.zz - o.zz,
                           self.xy - o.xy, self.xz - o.xz, self.yz - o.yz)
 
@@ -197,7 +201,10 @@ class SymTensor2:
     __array_ufunc__ = None
 
     def __mul__(self, a: float) -> "SymTensor2":
-        """a times self; a float, or an (n,) array for a tensor of rows."""
+        """a times self; a float, or an (n,) array for a tensor of rows.
+        Text is no factor, though float() would parse it."""
+        if isinstance(a, _TEXT):
+            return NotImplemented
         if not isinstance(a, np.ndarray):
             a = float(a)
         return SymTensor2(a * self.xx, a * self.yy, a * self.zz,

@@ -230,9 +230,11 @@ def _return_map(cmd):
 
 
 def _chunk(cmd, lines):
-    """_run_chunk of cmd on lines, the first of which is line 1, with the
-    options of _argv(cmd)."""
-    return cli._run_chunk(cmd, _return_map(cmd), 1, lines)
+    """(whether every record succeeded, output text) of _run_chunk of cmd on
+    lines, the first of which is line 1, with the options of _argv(cmd):
+    its blocks' texts joined."""
+    blocks = list(cli._run_chunk(cmd, _return_map(cmd), 1, lines))
+    return all(ok for ok, _ in blocks), "".join(text for _, text in blocks)
 
 
 def _spin_sum_tol(t, sp, c, d=(0.0, 0.0, 0.0), extra=0.0):
@@ -350,18 +352,22 @@ def _unit(quat):
 
 
 def _scalar_text(cmd, lines):
-    """The output of _run_chunk of cmd on lines, the first of which is line
-    1, with each record written by _scalar_line."""
+    """(whether every record succeeded, output text) of _run_chunk of cmd on
+    lines, the first of which is line 1, with each record written by
+    _scalar_line."""
     rm = _return_map(cmd)
-    out = []
+    all_ok, out = True, []
     for lineno, line in enumerate(lines, start=1):
         try:
             rec = json.loads(line)
         except ValueError as exc:
-            out.append(cli._error_line(f"line {lineno}", exc) if line.strip() else "")
+            ok = not line.strip()
+            text = "" if ok else cli._error_line(f"line {lineno}", exc)
         else:
-            out.append(_scalar_line(cmd, rec, f"line {lineno}", rm)[1])
-    return "".join(out)
+            ok, text = _scalar_line(cmd, rec, f"line {lineno}", rm)
+        all_ok &= ok
+        out.append(text)
+    return all_ok, "".join(out)
 
 
 # Lines that the row path does not write, or writes with the id of the
@@ -391,7 +397,7 @@ def test_chunked_output_equals_scalar_dispatch_property(draws, gradients, others
         want_status, want = _scalar_output(cmd, lines)
         assert (0 if ok else 2) == want_status
         _assert_same_records(cmd, lines, text.splitlines(), want)
-        assert text == _scalar_text(cmd, lines)
+        assert (ok, text) == _scalar_text(cmd, lines)
 
 
 _IDS = (7, 2 ** 64 + 3, -12, 1.5, -0.0, 'say "hi" \\ gr\u00fc\u00dfe \u2211', "", True, False,
@@ -540,6 +546,13 @@ def _good_lines(rng, n):
     return [_tensor_line(f"good {k}", rng.uniform(0.5, 2.0, 3), r) for k in range(n)]
 
 
+# Lines that the rows of a block do not write: unparsable, blank, spin of a
+# double (a row of every other command) and an int past the float range.
+_UNPARSABLE, _BLANK = "this is not json", "  "
+_DOUBLE = '{"id": "double", "T": [3.0, 1.0, 1.0, 0.0, 0.0, 0.0]}'
+_HUGE = '{"id": "huge", "T": [1, 2, 3, 0, 0, 1' + "0" * 400 + "]}"
+
+
 @pytest.mark.parametrize("cmd", RECORD_COMMANDS)
 def test_malformed_records_match_the_scalar_path(cmd):
     """Each bad record among good ones, a component of 10**400 (an int past
@@ -547,16 +560,39 @@ def test_malformed_records_match_the_scalar_path(cmd):
     bad records, and good records with leading whitespace each give the
     per-record path's output."""
     rng = np.random.default_rng(11)
-    overflow = '{"id": "huge", "T": [1, 2, 3, 0, 0, 1' + "0" * 400 + "]}"
     chunks = [[*_good_lines(rng, 3), bad, *_good_lines(rng, 2)]
-              for bad in (*_MALFORMED, overflow)]
-    chunks.append([*_MALFORMED, overflow])
+              for bad in (*_MALFORMED, _HUGE)]
+    chunks.append([*_MALFORMED, _HUGE])
     chunks.append(["  \t" + line for line in _good_lines(rng, 4)])
     for lines in chunks:
         ok, text = _chunk(cmd, lines)
         want_status, want = _scalar_output(cmd, lines)
         assert (0 if ok else 2) == want_status
         _assert_same_records(cmd, lines, text.splitlines(), want)
+
+
+@pytest.mark.parametrize("cmd", RECORD_COMMANDS)
+def test_block_edges_match_the_scalar_path(cmd):
+    """A chunk of _CHUNK good lines, so with rows at every block edge; the
+    same chunk with each line above at the first line of a block and at the
+    last, and a block of such lines only, without the double, so with no
+    rows; a chunk shorter than a block, with or without a record that
+    fails.  Each gives the bytes and the flag of the scalar path
+    (_scalar_line)."""
+    rng = np.random.default_rng(29)
+    n, b = cli._CHUNK, cli._BLOCK
+    assert n >= 4 * b
+    good = _good_lines(rng, n)
+    lines = good.copy()
+    lines[3 * b:4 * b] = rng.choice([_UNPARSABLE, _BLANK, _HUGE, ""], b).tolist()
+    for k, (first, last) in enumerate(((_UNPARSABLE, _DOUBLE), (_BLANK, _HUGE),
+                                       (_DOUBLE, _UNPARSABLE), (_HUGE, _BLANK))):
+        lines[k * b], lines[k * b + b - 1] = first, last
+    short = _good_lines(rng, b // 2)
+    for chunk in (good, lines, [_DOUBLE, *short, _UNPARSABLE], [*short, _DOUBLE], short):
+        assert _chunk(cmd, chunk) == _scalar_text(cmd, chunk)
+    assert _chunk(cmd, [*short, _DOUBLE])[0] is (cmd != "spin")
+    assert _chunk(cmd, short)[0] is True
 
 
 @pytest.mark.parametrize("cmd", RECORD_COMMANDS)

@@ -831,6 +831,37 @@ def test_mixed_control_newton_with_the_lode_twisting_map():
     assert x[0].tolist() == list(eps.as_tuple())
 
 
+@pytest.mark.parametrize("eps0, tag", (
+    (SymTensor2(0.05, 0.012, 0.008, 0.003, -0.002, 0.001), MultTag.DISTINCT),
+    (SymTensor2(0.05, 0.01, 0.01, 0.0, 0.0, 0.0), MultTag.DOUBLE_HIGH_UNIQUE)))
+def test_mixed_control_newton_from_an_iterate_on_the_yield_tie(eps0, tag, monkeypatch):
+    """Uniaxial stress with the von Mises demo map whose q_y is 3 G eps_q of
+    the first iterate bit for bit, so that Newton starts on the yield tie,
+    from a distinct and from a double predictor.  The solution lies past
+    yield; both paths converge quadratically through the same iterates."""
+    shear = 1.0
+    yield_q = 3.0 * shear * predictor_invariants(eps0).eps_q
+    rm = vonmises_demo_map(2.0, shear, yield_q)
+    assert spectrum(eps0).mult.tag is tag
+    seen = []
+
+    def recording(eps, rm):
+        seen.append(np.array(eps.as_tuple()))
+        return stress_and_tangent(eps, rm)
+    with monkeypatch.context() as m:
+        m.setattr(util, "stress_and_tangent", recording)
+        eps, errs = mixed_control_point(rm, eps0, fixed=(0,))
+    assert seen[0].tolist() == list(eps0.as_tuple())
+    assert len(errs) <= 8
+    assert quadratic_ratio(errs, 1e-15) <= 100.0
+    assert 3.0 * shear * predictor_invariants(eps).eps_q > yield_q
+    assert stress_invariants(reconstruct_stress(eps, rm)).q == pytest.approx(yield_q, rel=1e-14)
+    x, row_errs, iterates = util.mixed_control_rows(rm, [eps0], (0,))
+    assert row_errs[0] == errs
+    assert [i.tolist() for i in iterates[0]] == [i.tolist() for i in seen]
+    assert x[0].tolist() == list(eps.as_tuple())
+
+
 @pytest.mark.parametrize("kernel", ("invariant", "spectrum", "isotropic", "stress"))
 def test_the_row_kernels_let_no_runtime_warning_out(kernel):
     """Each row kernel sets its own numpy error state.  On a triple row and

@@ -74,6 +74,34 @@ def test_constructors_refuse_what_is_not_numbers(build):
         build()
 
 
+_T = st.SymTensor2(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+
+
+@pytest.mark.parametrize("op", (
+    lambda: _T * "2",
+    lambda: "2" * _T,
+    lambda: _T * b"2",
+    lambda: _T * bytearray(b"2"),
+    lambda: _T + 1,
+    lambda: 1.0 + _T,
+    lambda: _T - None,
+    lambda: _T + [1.0] * 6,
+), ids=("times-text", "text-times", "times-bytes", "times-bytearray", "plus-int",
+        "int-plus", "minus-none", "plus-list"))
+def test_arithmetic_refuses_what_is_not_a_tensor_or_a_factor(op):
+    """Text is no factor, as the constructors refuse it, and only a tensor
+    adds to a tensor: each is a TypeError, not 2 t or an AttributeError."""
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_arithmetic_takes_numbers_tensors_and_rows():
+    assert (2 * _T - _T * 0.5 + _T).as_tuple() == (2.5, 5.0, 7.5, 10.0, 12.5, 15.0)
+    rows = np.array([1.0, -2.0])
+    for t in (_T * rows, rows * _T):
+        assert np.stack(t.as_tuple()).tolist() == [[x, -2.0 * x] for x in _T.as_tuple()]
+
+
 def test_from_matrix_symmetrizes():
     t = st.SymTensor2.from_matrix([[1, 2, 0], [4, 1, 0], [0, 0, 1]])
     assert t.xy == 3.0
