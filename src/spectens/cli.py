@@ -104,24 +104,25 @@ def _dispatch_rows(cmd: str, t: SymTensor2, rm):
     off the distinct branch, where no spin is defined."""
     if cmd == "invariants":
         inv = _invariant_rows(t)[0]
-        vals = np.stack((inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta), 1)
-        return np.ones(len(vals), dtype=bool), vals, inv.theta_defined, (False, True)
-    sp, ok = _spectrum_rows(t)
-    kind, extras = sp.mult, _MULTS
+        return np.ones(len(inv[0]), dtype=bool), np.stack(inv[:6], 1), inv[6], (False, True)
+    dec, ok = _spectrum_rows(t)
+    lam, kind, bases, inv, _ = dec
+    extras = _MULTS
     if cmd in ("eigen", "basis"):
-        blocks = list(sp.lam)
+        blocks = list(lam)
         if cmd == "basis":
-            blocks += [x for b in sp.bases for x in b.as_tuple()]
+            blocks += [x for b in bases for x in b]
     elif cmd == "spin":
         ok = ok & (kind == 0)
-        blocks = [_spin_sum(t, sp, [float(k == i) for k in range(3)]) for i in range(3)]
+        blocks = [_spin_sum(t, lam, bases, inv[0], inv[3], [float(k == i) for k in range(3)])
+                  for i in range(3)]
     elif cmd == "logstrain":
         from .logstrain import _log_strain_rows
-        eps, deps, ok = _log_strain_rows(t, sp, ok)
+        eps, deps, ok = _log_strain_rows(t, dec, ok)
         blocks = [eps, deps]
     else:
         from .plasticity import _stress_tangent_rows
-        sig, tan, ok = _stress_tangent_rows(t, sp, rm, ok)
+        sig, tan, ok = _stress_tangent_rows(t, dec, rm, ok)
         blocks, kind, extras = [sig, tan], np.zeros_like(kind), (None,)
     return ok, np.hstack([b.reshape(len(ok), -1) for b in blocks]), kind, extras
 

@@ -12,12 +12,11 @@ import numpy as np
 from .errors import MapDomainError
 from .spectral import (
     MultTag,
-    Spectrum,
     _anchored,
     _coincident_tangent,
+    _decompose,
     _double_values,
     _spin_sum,
-    spectrum,
 )
 from .tensor_core import (
     IDENTITY2,
@@ -27,7 +26,6 @@ from .tensor_core import (
     _as_vec,
     _called,
     _per_row,
-    deviator,
 )
 
 
@@ -109,20 +107,20 @@ def _eta_rows(f: ScalarEigenMap, lams, ok: np.ndarray) -> tuple[list, list, np.n
 
 
 @np.errstate(all="ignore")
-def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
+def _apply_rows(t: SymTensor2, dec: tuple, f: ScalarEigenMap,
                 ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_apply on the rows of t and sp where ok, whose entries are (n,) arrays
-    and whose mult holds the class codes of _spectrum_rows: (S as (n, 6),
-    dS/dT as (n, 6, 6), ok less the rows on which _apply would raise).  f is
-    called only on rows that are still ok."""
-    code, inv = sp.mult, sp.inv
-    e, d, ok_all = _eta_rows(f, sp.lam, ok & (code == 0))
-    s_all = _as_vec(_anchored(e, sp.bases[0], sp.bases[2]))
-    m_all = _spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)
+    """_apply on the rows of t and of its decomposition dec (_spectrum_rows)
+    where ok, whose entries are (n,) arrays and whose mult holds the class
+    codes: (S as (n, 6), dS/dT as (n, 6, 6), ok less the rows on which
+    _apply would raise).  f is called only on rows that are still ok."""
+    lam, code, bases, (i1, _, _, j2, j3, _, _), s = dec
+    e, d, ok_all = _eta_rows(f, lam, ok & (code == 0))
+    s_all = _as_vec(_anchored(e, bases[0], bases[2]))
+    m_all = _spin_sum(t, lam, bases, i1, j2, (e[0] - e[1], 0.0, e[2] - e[1]), d)
     # The double and triple rows, with the arguments _apply gives _coincident
     # on each.
     rows = np.flatnonzero(code)
-    code, i1, j2 = code[rows], inv.i1[rows], inv.j2[rows]
+    code, i1, j2 = code[rows], i1[rows], j2[rows]
     triple = code == 3
     sign = np.where(code == 1, -1.0, 1.0)
     qt = np.where(triple, 0.0, np.sqrt(3.0 * j2))
@@ -133,43 +131,44 @@ def _apply_rows(t: SymTensor2, sp: Spectrum, f: ScalarEigenMap,
     ok_all[rows] = ok_rep | ok_hat & triple
     p, q, gp, gq, slope = _map_values((e_hat, np.where(triple, e_hat, e_rep)),
                                       (d_hat, np.where(triple, d_hat, d_rep)), sign)
-    dv = deviator(SymTensor2(*(x[rows] for x in t.as_tuple()))).as_tuple()
-    args = (dv, 2.0 * qt / 3.0, sign, q)
+    args = (tuple(x[rows] for x in s), 2.0 * qt / 3.0, sign, q)
     c = slope - q / qt
     s_all[rows] = np.where(triple[:, None], p[:, None] * _E,
-                           np.array(_double_values(*args, p, c, j2, inv.j3[rows])).T)
+                           np.array(_double_values(*args, p, c, j2, j3[rows])).T)
     m_all[rows] = _coincident_tangent(*args, gp, gq, c)
     return s_all, m_all, ok_all
 
 
 def isotropic_function(t: SymTensor2, f: ScalarEigenMap) -> tuple[SymTensor2, SymTensor4]:
     """Classify t, then evaluate S and its exact tangent on the right branch."""
-    return _apply(t, spectrum(t), f)
+    return _apply(t, _decompose(t), f)
 
 
-def _apply(t: SymTensor2, sp: Spectrum,
-           f: ScalarEigenMap) -> tuple[SymTensor2, SymTensor4]:
-    """isotropic_function on the spectrum sp of t, already computed.
+def _apply(t: SymTensor2, dec: tuple, f: ScalarEigenMap) -> tuple[SymTensor2, SymTensor4]:
+    """isotropic_function on the decomposition dec of t (_decompose),
+    already computed.
 
     On the distinct branch the assembly is anchored at the middle eigenvalue:
     sum(N_i) = I and sum(dN_i/dT) = 0 hold exactly, so only eigenvalue
     *differences* multiply the two bases and spins whose conditioning
     degrades near coincidence.
     """
-    tag = sp.mult.tag
+    lam, mult, bases, (i1, _, _, j2, j3, _, _), s = dec
+    tag = mult.tag
     if tag is MultTag.DISTINCT:
-        e, d = _eta(f, sp.lam)
-        return (_anchored(e, sp.bases[0], sp.bases[2]),
-                SymTensor4._of(_spin_sum(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]), d)))
+        e, d = _eta(f, lam)
+        return (SymTensor2(*_anchored(e, bases[0], bases[2])),
+                SymTensor4._of(_spin_sum(t, lam, bases, i1, j2,
+                                         (e[0] - e[1], 0.0, e[2] - e[1]), d)))
     if tag is MultTag.TRIPLE:
         # lam_hat is lam_rep at the triple point: f is called once.
-        (e,), (d,) = _eta(f, _coincident(sp.inv.i1, 0.0, 1.0)[:1])
+        (e,), (d,) = _eta(f, _coincident(i1, 0.0, 1.0)[:1])
         p, q, gp, gq, _ = _map_values((e, e), (d, d), 1.0)
         return p * IDENTITY2, SymTensor4._of(_coincident_tangent(None, 0.0, 1.0, q, gp, gq, 0.0))
-    sign = float(sp.mult.theta_sign)
-    qt = math.sqrt(3.0 * sp.inv.j2)
-    p, q, gp, gq, slope = _map_values(*_eta(f, _coincident(sp.inv.i1, qt, sign)), sign)
-    args = (deviator(t).as_tuple(), 2.0 * qt / 3.0, sign, q)
+    sign = float(mult.theta_sign)
+    qt = math.sqrt(3.0 * j2)
+    p, q, gp, gq, slope = _map_values(*_eta(f, _coincident(i1, qt, sign)), sign)
+    args = (s, 2.0 * qt / 3.0, sign, q)
     c = slope - q / qt
-    return (SymTensor2(*_double_values(*args, p, c, sp.inv.j2, sp.inv.j3)),
+    return (SymTensor2(*_double_values(*args, p, c, j2, j3)),
             SymTensor4._of(_coincident_tangent(*args, gp, gq, c)))

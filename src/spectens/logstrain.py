@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import KinematicsError
 from .isofunc import _apply, _apply_rows, half_log_map
-from .spectral import Multiplicity, Spectrum, spectrum
+from .spectral import Multiplicity, _decompose
 from .tensor_core import SymTensor2, SymTensor4, left_cauchy_green
 
 # Relative floor on the smallest stretch: below this the tensor logarithm is
@@ -28,20 +28,21 @@ class LogStrainResult:
 def log_strain_from_b(b: SymTensor2) -> LogStrainResult:
     """eps = ln(B)/2 and d(eps)/dB for a left Cauchy-Green tensor B: the
     isotropic function of half_log_map, after a check that B is SPD."""
-    sp = spectrum(b)
-    if _not_spd(sp.lam):
+    dec = _decompose(b)
+    lam = dec[0]
+    if _not_spd(lam):
         raise KinematicsError(
-            f"B has principal stretches {sp.lam!r}; log strain needs a "
+            f"B has principal stretches {lam!r}; log strain needs a "
             "positive, non-degenerate spectrum")
-    eps, deps = _apply(b, sp, _HALF_LOG)
-    return LogStrainResult(b=b, eps=eps, deps_db=deps, branch=sp.mult)
+    eps, deps = _apply(b, dec, _HALF_LOG)
+    return LogStrainResult(b=b, eps=eps, deps_db=deps, branch=dec[1])
 
 
-def _log_strain_rows(b: SymTensor2, sp: Spectrum, ok) -> tuple:
-    """log_strain_from_b on the rows of b and sp where ok, as _apply_rows:
-    (eps as (n, 6), d(eps)/dB as (n, 6, 6), ok less the rows on which
-    log_strain_from_b would raise)."""
-    return _apply_rows(b, sp, _HALF_LOG, ok & ~_not_spd(sp.lam))
+def _log_strain_rows(b: SymTensor2, dec: tuple, ok) -> tuple:
+    """log_strain_from_b on the rows of b and of its decomposition dec
+    (_spectrum_rows) where ok, as _apply_rows: (eps as (n, 6), d(eps)/dB as
+    (n, 6, 6), ok less the rows on which log_strain_from_b would raise)."""
+    return _apply_rows(b, dec, _HALF_LOG, ok & ~_not_spd(dec[0]))
 
 
 def _not_spd(lam):

@@ -19,19 +19,17 @@ import numpy as np
 from .errors import ContractError
 from .spectral import (
     MultTag,
-    Spectrum,
     _I,
     _anchored,
     _coincident_tangent,
+    _decompose,
     _double_values,
     _eigen_terms,
     _spin_sum,
-    spectrum,
 )
 from .tensor_core import (
     COS3THETA_FLOOR,
     IDENTITY2,
-    InvariantSet,
     SymTensor2,
     SymTensor4,
     _E,
@@ -41,7 +39,6 @@ from .tensor_core import (
     _dtheta,
     _dtheta_of_dev,
     _per_row,
-    deviator,
     invariants,
 )
 
@@ -87,13 +84,14 @@ class InvariantReturnMap:
 
 def predictor_invariants(eps: SymTensor2) -> StrainPredictorInvariants:
     inv = invariants(eps)
-    return StrainPredictorInvariants(*_predictor_args(inv, math), inv.theta_defined)
+    return StrainPredictorInvariants(*_predictor_args(inv.i1, inv.j2, inv.theta, math),
+                                     inv.theta_defined)
 
 
-def _predictor_args(inv: InvariantSet, m) -> ThreeVec:
-    """(eps_v, eps_q, theta_eps) of a strain predictor with invariants inv;
-    floats or (n,) arrays, with sqrt from m."""
-    return inv.i1, 2.0 * m.sqrt(inv.j2 / 3.0), inv.theta
+def _predictor_args(i1, j2, theta, m) -> ThreeVec:
+    """(eps_v, eps_q, theta_eps) of a strain predictor with invariants i1,
+    j2 and theta; floats or (n,) arrays, with sqrt from m."""
+    return i1, 2.0 * m.sqrt(j2 / 3.0), theta
 
 
 def stress_invariants(sig: SymTensor2) -> StressInvariants:
@@ -113,8 +111,8 @@ def reconstruct_stress(eps_star: SymTensor2, rm: InvariantReturnMap) -> SymTenso
     d(theta_sigma)/d(theta_eps) of grad_theta_sigma (see
     spectral._double_values).  Triple: p I.
     """
-    sp = spectrum(eps_star)
-    return _stress(eps_star, sp, _map_at(sp, rm))
+    dec = _decompose(eps_star)
+    return _stress(dec, _map_at(dec, rm))
 
 
 def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap) -> SymTensor4:
@@ -124,17 +122,17 @@ def consistent_tangent(eps_star: SymTensor2, rm: InvariantReturnMap) -> SymTenso
     the stress deviator at d(theta_sigma)/d(theta_eps), the only theta
     partial of the map consulted there; the Triple branch consults none.
     """
-    sp = spectrum(eps_star)
-    return _tangent(eps_star, sp, rm, _map_at(sp, rm))
+    dec = _decompose(eps_star)
+    return _tangent(eps_star, dec, rm, _map_at(dec, rm))
 
 
 def stress_and_tangent(eps_star: SymTensor2,
                        rm: InvariantReturnMap) -> tuple[SymTensor2, SymTensor4]:
     """(reconstruct_stress, consistent_tangent) at eps_star from one spectral
     decomposition of the predictor and one evaluation of the map."""
-    sp = spectrum(eps_star)
-    mv = _map_at(sp, rm)
-    return _stress(eps_star, sp, mv), _tangent(eps_star, sp, rm, mv)
+    dec = _decompose(eps_star)
+    mv = _map_at(dec, rm)
+    return _stress(dec, mv), _tangent(eps_star, dec, rm, mv)
 
 
 _SHIFTS = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
@@ -142,53 +140,55 @@ _SHIFTS = (2.0 * math.pi / 3.0, 0.0, -2.0 * math.pi / 3.0)
 _AT = "(eps_v, eps_q, theta_eps) = ({0!r}, {1!r}, {2!r})"
 
 
-def _map_at(sp: Spectrum, rm: InvariantReturnMap):
-    """The map at the predictor of sp, for the stress and its tangent:
-    (args, p, q, theta_sigma, principal stresses, in-pair coefficient).  The
-    triple branch evaluates only p, at args = (eps_v, 0, 0); only the
-    distinct branch consults theta_sigma and forms the principal stresses,
-    and only the double branch grad_theta_sigma, for the in-pair coefficient
-    (_in_pair); each field is read through _called.  A field that it
-    refuses, or q < 0, is a ContractError."""
-    args = _predictor_args(sp.inv, math)
-    tag = sp.mult.tag
+def _map_at(dec: tuple, rm: InvariantReturnMap):
+    """The map at the predictor of the decomposition dec (_decompose), for
+    the stress and its tangent: (args, p, q, theta_sigma, its sines of
+    _eigen_terms, principal stresses, in-pair coefficient).  The triple branch evaluates
+    only p, at args = (eps_v, 0, 0); only the distinct branch consults
+    theta_sigma and forms the principal stresses, and only the double branch
+    grad_theta_sigma, for the in-pair coefficient (_in_pair); each field is
+    read through _called.  A field that it refuses, or q < 0, is a
+    ContractError."""
+    _, mult, _, (i1, _, _, j2, _, theta, _), _ = dec
+    args = _predictor_args(i1, j2, theta, math)
+    tag = mult.tag
     if tag is MultTag.TRIPLE:
         args = (args[0], 0.0, 0.0)
     p = _called(rm.p, args, (), ContractError, "return map p", _AT)
     if tag is MultTag.TRIPLE:
-        return args, p, 0.0, None, None, None
+        return args, p, 0.0, None, None, None, None
     q = _called(rm.q, args, (), ContractError, "return map q", _AT)
     if q < 0.0:
         raise ContractError(f"return map produced q = {q!r} at {_AT.format(*args)}; "
                             "q must be >= 0")
     if tag is MultTag.DISTINCT:
         th = _called(rm.theta_sigma, args, (), ContractError, "return map theta_sigma", _AT)
-        return args, p, q, th, _eigen_terms(p, (2.0 / 3.0) * q, th, math)[:3], None
+        *sig, _, sines = _eigen_terms(p, (2.0 / 3.0) * q, th, math)
+        return args, p, q, th, sines, sig, None
     dth = _called(rm.grad_theta_sigma, args, (3,), ContractError,
                   "return map grad_theta_sigma", _AT)
-    return args, p, q, None, None, _in_pair(dth[2], q, args[1])
+    return args, p, q, None, None, None, _in_pair(dth[2], q, args[1])
 
 
-def _stress(eps_star: SymTensor2, sp: Spectrum, mv) -> SymTensor2:
-    """reconstruct_stress from the map values mv of _map_at."""
-    tag = sp.mult.tag
+def _stress(dec: tuple, mv) -> SymTensor2:
+    """reconstruct_stress from the decomposition dec and the map values mv
+    of _map_at."""
+    _, mult, bases, (_, _, _, j2, j3, _, _), s = dec
+    tag = mult.tag
     if tag is MultTag.DISTINCT:
-        return _anchored(mv[4], sp.bases[0], sp.bases[2])
+        return SymTensor2(*_anchored(mv[5], bases[0], bases[2]))
     args, p, q = mv[:3]
     if tag is MultTag.TRIPLE:
         return p * IDENTITY2
-    return SymTensor2(*_double_values(deviator(eps_star).as_tuple(), args[1],
-                                      float(sp.mult.theta_sign), q, p, mv[5], sp.inv.j2,
-                                      sp.inv.j3))
+    return SymTensor2(*_double_values(s, args[1], float(mult.theta_sign), q, p, mv[6], j2, j3))
 
 
-def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
-             mv) -> SymTensor4:
-    args, _, q, th, sig, c = mv
-    tag = sp.mult.tag
+def _tangent(eps_star: SymTensor2, dec: tuple, rm: InvariantReturnMap, mv) -> SymTensor4:
+    lam, mult, bases, (i1, _, _, j2, _, theta, defined), s = dec
+    args, _, q, th, sines, sig, c = mv
+    tag = mult.tag
     gp = _called(rm.grad_p, args, (3,), ContractError, "return map grad_p", _AT)
     gq = _called(rm.grad_q, args, (3,), ContractError, "return map grad_q", _AT)
-    s = deviator(eps_star).as_tuple()
     if tag is not MultTag.DISTINCT:
         # eps_q is 0 on the triple branch, where the kernel reads no sign.
         sign = -1.0 if tag is MultTag.DOUBLE_HIGH_UNIQUE else 1.0
@@ -197,9 +197,9 @@ def _tangent(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
                   "return map grad_theta_sigma", _AT)
     f = 2.0 / (3.0 * args[1])
     # Rows: gradients of the predictor invariants (eps_v, eps_q, theta_eps).
-    grads = (*_I, *[f * x for x in s], *_dtheta_of_dev(s, sp.inv))
-    m = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
-                  tail=(grads, _dsigma(gp, gq, gth, q, th, math)))
+    grads = (*_I, *[f * x for x in s], *_dtheta_of_dev(s, j2, theta, defined))
+    m = _spin_sum(eps_star, lam, bases, i1, j2, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
+                  tail=(grads, _dsigma(gp, gq, gth, q, th, sines, math)))
     return SymTensor4._of(m)
 
 
@@ -210,12 +210,15 @@ def _in_pair(dth, q, eps_q):
     return (dth - 1.0) * (2.0 * q / (3.0 * eps_q))
 
 
-def _dsigma(gp, gq, gth, q, th, m) -> list:
+def _dsigma(gp, gq, gth, q, th, sines, m) -> list:
     """Row i: d(sigma_i)/d(x) for x in (eps_v, eps_q, theta_eps), from the
-    map's gradients; floats or (n,) arrays, with sin and cos from m."""
+    map's gradients and the sines of _eigen_terms at th; floats or (n,)
+    arrays, with cos from m."""
     out = []
-    for sh in _SHIFTS:
-        s, qc = m.sin(th + sh), q * m.cos(th + sh)
+    for sn, sh in zip(sines, _SHIFTS):
+        # sn + 0.0 is sin(th + sh) to the bit: at th = -0.0, sin(th + 0.0)
+        # is 0.0 where sin(th) is -0.0.
+        s, qc = sn + 0.0, q * m.cos(th + sh)
         out.append([gp[0] + (2.0 / 3.0) * (gq[0] * s + qc * gth[0]),
                     gp[1] + (2.0 / 3.0) * (gq[1] * s + qc * gth[1]),
                     gp[2] + (2.0 / 3.0) * (gq[2] * s + qc * gth[2])])
@@ -223,23 +226,24 @@ def _dsigma(gp, gq, gth, q, th, m) -> list:
 
 
 @np.errstate(all="ignore")
-def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturnMap,
+def _stress_tangent_rows(eps_star: SymTensor2, dec: tuple, rm: InvariantReturnMap,
                          ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """stress_and_tangent on the rows of eps_star and sp where ok, whose
-    entries are (n,) arrays and whose mult holds the class codes of
-    _spectrum_rows: (sigma as (n, 6), tangent as (n, 6, 6), ok less the
-    rows on which stress_and_tangent would raise).  The map is called only
-    on rows that are still ok, and only where _map_at and _tangent call it."""
-    inv, code = sp.inv, sp.mult
+    """stress_and_tangent on the rows of eps_star and of its decomposition
+    dec (_spectrum_rows) where ok, whose entries are (n,) arrays and whose
+    mult holds the class codes: (sigma as (n, 6), tangent as (n, 6, 6), ok
+    less the rows on which stress_and_tangent would raise).  The map is
+    called only on rows that are still ok, and only where _map_at and
+    _tangent call it."""
+    lam, code, bases, (i1, _, _, j2, j3, theta, _), s = dec
     dist, triple = code == 0, code == 3
-    eps_v, eps_q, theta = _predictor_args(inv, _ROW_MATH)
+    eps_v, eps_q, _ = _predictor_args(i1, j2, theta, _ROW_MATH)
     # _map_at evaluates the triple branch at (eps_v, 0, 0).
     args = (eps_v, np.where(triple, 0.0, eps_q), np.where(triple, 0.0, theta))
     p, ok = _per_row(rm.p, ok, args)
     q, ok_q = _per_row(rm.q, ok & ~triple, args)
     th, ok_th = _per_row(rm.theta_sigma, ok & dist, args)
     ok &= (triple | ok_q & (q >= 0.0)) & (~dist | ok_th)
-    sig = _eigen_terms(p, (2.0 / 3.0) * q, th, _ROW_MATH)[:3]
+    *sig, _, sines = _eigen_terms(p, (2.0 / 3.0) * q, th, _ROW_MATH)
     gp, ok = _per_row(rm.grad_p, ok, args, (3,))
     gq, ok = _per_row(rm.grad_q, ok, args, (3,))
     gth, ok_th = _per_row(rm.grad_theta_sigma, ok & ~triple, args, (3,))
@@ -247,14 +251,13 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     gp, gq, gth = (tuple(g.T) for g in (gp, gq, gth))
     # The guard of dtheta_dT, which only the distinct branch calls; theta is
     # defined on every distinct row.
-    cos3t = _ROW_MATH.cos(3.0 * inv.theta)
+    cos3t = _ROW_MATH.cos(3.0 * theta)
     ok &= ~dist | ~(abs(cos3t) <= COS3THETA_FLOOR)
     f = 2.0 / (3.0 * eps_q)
-    s = deviator(eps_star).as_tuple()
-    grads = (*_I, *[f * x for x in s], *_dtheta(s, inv.j2, inv.theta, cos3t, _ROW_MATH))
-    tan = _spin_sum(eps_star, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
-                    tail=(grads, _dsigma(gp, gq, gth, q, th, _ROW_MATH)))
-    sigma = _as_vec(_anchored(sig, sp.bases[0], sp.bases[2]))
+    grads = (*_I, *[f * x for x in s], *_dtheta(s, j2, theta, cos3t, _ROW_MATH))
+    tan = _spin_sum(eps_star, lam, bases, i1, j2, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
+                    tail=(grads, _dsigma(gp, gq, gth, q, th, sines, _ROW_MATH)))
+    sigma = _as_vec(_anchored(sig, bases[0], bases[2]))
     # The double and triple rows, with the arguments _stress and _tangent
     # give the kernels.
     rows = np.flatnonzero(code)
@@ -262,7 +265,7 @@ def _stress_tangent_rows(eps_star: SymTensor2, sp: Spectrum, rm: InvariantReturn
     kern = (tuple(x[rows] for x in s), eps_q, np.where(code == 1, -1.0, 1.0), q)
     c = _in_pair(gth[2][rows], q, eps_q)
     sigma[rows] = np.where((code == 3)[:, None], p[:, None] * _E,
-                           np.array(_double_values(*kern, p, c, inv.j2[rows], inv.j3[rows])).T)
+                           np.array(_double_values(*kern, p, c, j2[rows], j3[rows])).T)
     tan[rows] = _coincident_tangent(*kern, *(tuple(x[rows] for x in g) for g in (gp, gq)), c)
     return sigma, tan, ok
 

@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BranchError, DegeneracyError
+from .errors import BranchError, ContractError, DegeneracyError
 from .tensor_core import (
     IDENTITY2,
     IDENTITY4,
@@ -96,31 +96,37 @@ def eigenvalues(inv: InvariantSet) -> tuple[float, float, float]:
     ContractError names a negative J2 or an infinite theta: no tensor has it.
     """
     try:
-        l1, l2, l3, in_order = _eigen_terms(inv.i1 / 3.0, _TWO_OVER_SQRT3 * math.sqrt(inv.j2),
-                                            inv.theta, math)
+        return _eigenvalues(inv.i1, inv.j2, inv.theta)
     except ValueError:
         _refuse_invariant_set(inv)
         raise
+
+
+def _eigenvalues(i1: float, j2: float, theta: float) -> tuple[float, float, float]:
+    """eigenvalues from the fields i1, j2 and theta of the invariants."""
+    l1, l2, l3, in_order, _ = _eigen_terms(i1 / 3.0, _TWO_OVER_SQRT3 * math.sqrt(j2), theta,
+                                           math)
     if not in_order:
         raise DegeneracyError(
             f"closed-form eigenvalues {(l1, l2, l3)!r} are out of order or not "
-            f"finite (J2 = {inv.j2!r}, theta = {inv.theta!r})")
+            f"finite (J2 = {j2!r}, theta = {theta!r})")
     l2 = min(l2, l1)
-    l3 = min(l3, l2)
-    return (l1, l2, l3)
+    return (l1, l2, min(l3, l2))
 
 
 def _eigen_terms(mean, r, theta, m) -> tuple:
     """The values mean + r sin(theta + 2 pi/3), mean + r sin(theta) and
-    mean + r sin(theta - 2 pi/3) before the clamp of eigenvalues, and whether
-    they are in order (not if one is not finite): the eigenvalues at
-    mean = I1/3 and r = (2/sqrt(3)) sqrt(J2), the principal stresses at p and
-    (2/3) q.  Floats or (n,) arrays, with sin from m."""
-    l1 = mean + r * m.sin(theta + _TWO_THIRDS_PI)
-    l2 = mean + r * m.sin(theta)
-    l3 = mean + r * m.sin(theta - _TWO_THIRDS_PI)
+    mean + r sin(theta - 2 pi/3) before the clamp of eigenvalues, whether
+    they are in order (not if one is not finite), and the three sines: the
+    eigenvalues at mean = I1/3 and r = (2/sqrt(3)) sqrt(J2), the principal
+    stresses at p and (2/3) q, whose tangent reuses the sines.  Floats or
+    (n,) arrays, with sin from m."""
+    sines = m.sin(theta + _TWO_THIRDS_PI), m.sin(theta), m.sin(theta - _TWO_THIRDS_PI)
+    l1 = mean + r * sines[0]
+    l2 = mean + r * sines[1]
+    l3 = mean + r * sines[2]
     slack = 1e-12 * (abs(l1) + abs(l2) + abs(l3)) + 1e-300
-    return l1, l2, l3, (l1 - l2 >= -slack) & (l2 - l3 >= -slack)
+    return l1, l2, l3, (l1 - l2 >= -slack) & (l2 - l3 >= -slack), sines
 
 
 _TRIPLE = Multiplicity(MultTag.TRIPLE)
@@ -133,15 +139,19 @@ _MULTS = (_DISTINCT, _DOUBLE_HIGH_UNIQUE, _DOUBLE_LOW_UNIQUE, _TRIPLE)
 
 def classify(lam: tuple[float, float, float], scale: float) -> Multiplicity:
     """Multiplicity from eigenvalue gaps; scale is the source tensor norm.
-    The result is one of four shared instances."""
+    The result is one of four shared instances.  ContractError names
+    eigenvalues that are not in descending order, or NaN."""
+    l1, l2, l3 = lam
+    if not l1 >= l2 >= l3:
+        raise ContractError(f"eigenvalues {(l1, l2, l3)!r} are not numbers in descending order")
+    return _multiplicity(lam, scale)
+
+
+def _multiplicity(lam: tuple, scale: float) -> Multiplicity:
+    """classify without its check of lam."""
     triple, high_unique, low_unique = _coincidences(lam, scale)
-    if triple:
-        return _TRIPLE
-    if high_unique:
-        return _DOUBLE_HIGH_UNIQUE
-    if low_unique:
-        return _DOUBLE_LOW_UNIQUE
-    return _DISTINCT
+    return (_TRIPLE if triple else _DOUBLE_HIGH_UNIQUE if high_unique
+            else _DOUBLE_LOW_UNIQUE if low_unique else _DISTINCT)
 
 
 def _coincidences(lam, scale) -> tuple:
@@ -153,7 +163,8 @@ def _coincidences(lam, scale) -> tuple:
 
 
 def _bases_over(s: tuple, ssq: tuple, j2, lis) -> tuple:
-    """(distinct bases, whether a denominator vanished); floats or (n,) arrays.
+    """(distinct bases as 6-tuples of components, whether a denominator
+    vanished); floats or (n,) arrays.
 
     The basis of each li in lis is the deviatoric numerator
     (s.s + li s + (li^2 - J2) I) / (3 li^2 - J2), with s and ssq the
@@ -169,7 +180,7 @@ def _bases_over(s: tuple, ssq: tuple, j2, lis) -> tuple:
         den = 3.0 * li * li - j2
         vanished = vanished | (abs(den) <= 16.0 * _EPS * (j2 + 3.0 * li * li))
         c = li * li - j2
-        bases.append(SymTensor2(
+        bases.append((
             (ssq[0] + li * s[0] + c) / den,
             (ssq[1] + li * s[1] + c) / den,
             (ssq[2] + li * s[2] + c) / den,
@@ -180,38 +191,54 @@ def _bases_over(s: tuple, ssq: tuple, j2, lis) -> tuple:
     return tuple(bases), vanished
 
 
-def _pair(n_hat: SymTensor2) -> SymTensor2:
-    """The shared basis (I - N_hat)/2 of the repeated pair of a double
-    spectrum, from the basis N_hat of its lone eigenvalue; floats or (n,)
-    arrays."""
-    return SymTensor2(0.5 * (1.0 - n_hat.xx), 0.5 * (1.0 - n_hat.yy), 0.5 * (1.0 - n_hat.zz),
-                      -0.5 * n_hat.xy, -0.5 * n_hat.xz, -0.5 * n_hat.yz)
+def _pair(n: tuple) -> tuple:
+    """The shared basis (I - N)/2 of the repeated pair of a double spectrum,
+    from the components n of the basis N of its lone eigenvalue; floats or
+    (n,) arrays."""
+    return (0.5 * (1.0 - n[0]), 0.5 * (1.0 - n[1]), 0.5 * (1.0 - n[2]),
+            -0.5 * n[3], -0.5 * n[4], -0.5 * n[5])
 
 
-_THIRD_I = SymTensor2(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0)
+# The basis of each eigenvalue of a triple spectrum.
+_THIRD = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0)
+_THIRD_I = SymTensor2(*_THIRD)
 
 
 def spectrum(t: SymTensor2) -> Spectrum:
-    """Full spectral decomposition with branch dispatch, in one pass: the
-    invariants, the deviator and the norm come from one evaluation, and
-    only the bases, the invariants and the Spectrum itself are built.
+    """Full spectral decomposition with branch dispatch: _decompose, with
+    the bases, the invariants and the Spectrum built from its components.
     A tensor whose Lode angle is undefined is triple, whatever its gaps.
     ContractError names a component of t that is NaN or infinite."""
+    lam, mult, (n0, n1, n2), inv, _ = _decompose(t)
+    # One tensor for the repeated pair of a double spectrum, and _THIRD_I.
+    b1 = _THIRD_I if n1 is _THIRD else SymTensor2(*n1)
+    return Spectrum(lam, mult, (b1 if n0 is n1 else SymTensor2(*n0), b1,
+                                b1 if n2 is n1 else SymTensor2(*n2)), InvariantSet(*inv))
+
+
+def _decompose(t: SymTensor2) -> tuple:
+    """spectrum(t) as plain components, in one pass: (lam, mult, bases, inv,
+    s), with bases three 6-tuples of components (one tuple twice for the
+    repeated pair of a double spectrum, _THIRD thrice on the triple), inv
+    the fields of the InvariantSet in order and s the components of
+    deviator(t).  The invariants, the deviator and the norm come from one
+    evaluation, and nothing is built that the callers do not read."""
     inv, s, nrm = _invariants(t)
+    i1, _, _, j2, _, theta, defined = inv
     try:
-        lam = eigenvalues(inv)
+        lam = _eigenvalues(i1, j2, theta)
     except DegeneracyError:
         _refuse_nonfinite(t)
         raise
-    mult = classify(lam, nrm) if inv.theta_defined else _TRIPLE
+    mult = _multiplicity(lam, nrm) if defined else _TRIPLE
     if mult is _TRIPLE:
-        return Spectrum(lam, mult, (_THIRD_I, _THIRD_I, _THIRD_I), inv)
+        return lam, mult, (_THIRD, _THIRD, _THIRD), inv, s
     # On a double branch only the lone eigenvalue, whose denominator is near 3 J2.
     k = mult.unique_index
-    third = inv.i1 / 3.0
+    third = i1 / 3.0
     lis = (lam[0] - third, lam[1] - third, lam[2] - third) if k is None else (lam[k] - third,)
     try:
-        bases, vanished = _bases_over(s, _sym_square(s), inv.j2, lis)
+        bases, vanished = _bases_over(s, _sym_square(s), j2, lis)
     except ZeroDivisionError:
         vanished = True
     if vanished:
@@ -219,49 +246,52 @@ def spectrum(t: SymTensor2) -> Spectrum:
     if k is not None:
         n_rep = _pair(bases[0])
         bases = (bases[0], n_rep, n_rep) if k == 0 else (n_rep, n_rep, bases[0])
-    return Spectrum(lam, mult, bases, inv)
+    return lam, mult, bases, inv, s
 
 
 @np.errstate(all="ignore")
-def _spectrum_rows(t: SymTensor2) -> tuple[Spectrum, np.ndarray]:
-    """spectrum of the rows of t, whose components are (n,) arrays, and the
-    mask of the rows it holds for: those that pass its guards.  mult is the
-    (n,) array of each row's position in _MULTS."""
+def _spectrum_rows(t: SymTensor2) -> tuple[tuple, np.ndarray]:
+    """_decompose of the rows of t, whose components are (n,) arrays, and
+    the mask of the rows it holds for: those that pass its guards.  mult is
+    the (n,) array of each row's position in _MULTS, and bases are three
+    tuples of six (n,) arrays."""
     inv, s, nrm = _invariant_rows(t)
-    third = inv.i1 / 3.0
-    l1, l2, l3, in_order = _eigen_terms(third, _TWO_OVER_SQRT3 * np.sqrt(inv.j2), inv.theta,
-                                        _ROW_MATH)
+    i1, _, _, j2, _, theta, defined = inv
+    third = i1 / 3.0
+    l1, l2, l3, in_order, _ = _eigen_terms(third, _TWO_OVER_SQRT3 * np.sqrt(j2), theta,
+                                           _ROW_MATH)
     l2 = np.minimum(l2, l1)
     lam = (l1, l2, np.minimum(l3, l2))
     triple, high_unique, low_unique = _coincidences(lam, nrm)
-    triple = triple | ~inv.theta_defined
+    triple = triple | ~defined
     code = np.select((triple, high_unique, low_unique), (3, 1, 2), 0)
-    dist, vanished = _bases_over(s, _sym_square(s), inv.j2, tuple(x - third for x in lam))
+    dist, vanished = _bases_over(s, _sym_square(s), j2, tuple(x - third for x in lam))
     # The lone basis of a double row is the distinct basis of its eigenvalue.
     pair0, pair2 = _pair(dist[0]), _pair(dist[2])
-    picks = (dist, (dist[0], pair0, pair0), (pair2, pair2, dist[2]), (_THIRD_I,) * 3)
-    bases = tuple(SymTensor2(*(np.choose(code, [p[i].as_tuple()[k] for p in picks])
-                               for k in range(6))) for i in range(3))
+    picks = (dist, (dist[0], pair0, pair0), (pair2, pair2, dist[2]), (_THIRD,) * 3)
+    bases = tuple(tuple(np.choose(code, [p[i][k] for p in picks]) for k in range(6))
+                  for i in range(3))
     # The scalar bases raise where a distinct denominator vanishes.
-    return Spectrum(lam, code, bases, inv), in_order & ~((code == 0) & vanished)
+    return (lam, code, bases, inv, s), in_order & ~((code == 0) & vanished)
 
 
 _I = IDENTITY2.as_tuple()
 
 
-def _anchored(v, n1: SymTensor2, n3: SymTensor2) -> SymTensor2:
-    """sum v[i] N_i anchored at the middle eigenvalue as v[1] I + (v[0] - v[1])
-    N_1 + (v[2] - v[1]) N_3: sum(N_i) = I holds exactly, so only differences
+def _anchored(v, n1: tuple, n3: tuple) -> tuple:
+    """The components of sum v[i] N_i anchored at the middle eigenvalue as
+    v[1] I + (v[0] - v[1]) N_1 + (v[2] - v[1]) N_3, from the components n1
+    and n3 of N_1 and N_3: sum(N_i) = I holds exactly, so only differences
     of v multiply the bases that degrade near a coincidence.  The shear
     components keep the I term v[1] * 0.0, which is a signed zero, or NaN
     for an infinite v[1]."""
     m, a, b = v[1], v[0] - v[1], v[2] - v[1]
-    return SymTensor2(m + a * n1.xx + b * n3.xx,
-                      m + a * n1.yy + b * n3.yy,
-                      m + a * n1.zz + b * n3.zz,
-                      m * 0.0 + a * n1.xy + b * n3.xy,
-                      m * 0.0 + a * n1.xz + b * n3.xz,
-                      m * 0.0 + a * n1.yz + b * n3.yz)
+    return (m + a * n1[0] + b * n3[0],
+            m + a * n1[1] + b * n3[1],
+            m + a * n1[2] + b * n3[2],
+            m * 0.0 + a * n1[3] + b * n3[3],
+            m * 0.0 + a * n1[4] + b * n3[4],
+            m * 0.0 + a * n1[5] + b * n3[5])
 
 
 # Rows 0-5: d2_I3 of the unit tensors; row 6: I4 - I x I.
@@ -288,11 +318,12 @@ def _packed(ops, pack, like) -> tuple:
 _PACK_SPIN_OPERANDS = (struct.Struct("52d").pack, struct.Struct("79d").pack)
 
 
-def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> np.ndarray:
+def _spin_sum(t: SymTensor2, lam, bases, i1, j2, c, d=(0.0, 0.0, 0.0), tail=None) -> np.ndarray:
     """Stored array of sum_i c[i] spin(t, sp, i) + sum_i d[i] N_i x N_i, plus
     sum_i N_i x (K G)[i] when tail = (G, K) is given: G the components of
-    three gradient rows, 18 numbers, and K a 3x3 nested sequence.  Floats,
-    or (n,) arrays for the rows of t and sp, then an (n, 6, 6) stack.
+    three gradient rows, 18 numbers, and K a 3x3 nested sequence; lam, the
+    bases as 6-tuples of components, i1 and j2 are those of the spectrum sp
+    of t.  Floats, or (n,) arrays for the rows of t, then an (n, 6, 6) stack.
 
     With a_i = c[i] / (3 l_i^2 - J2) and w_i the w of spin, the
     dyads on N_i are X^T Y + (X^T Y)^T over rows X_i = N_i and
@@ -307,11 +338,11 @@ def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> n
     of the 3x5 coefficients of Y on the first five rows, the rest vector
     (half T, half sum a_i lam_i) and K.
     """
-    coef, half, half_al = _spin_coef(sp, c, d)
+    coef, half, half_al = _spin_coef(lam, i1, j2, c, d)
     tv = t.as_tuple()
-    b0, b1, b2 = sp.bases
+    b0, b1, b2 = bases
     g, k = tail or ((), ((), (), ()))
-    ops = (*b0.as_tuple(), *b1.as_tuple(), *b2.as_tuple(), *_I, *tv, *g,
+    ops = (*b0, *b1, *b2, *_I, *tv, *g,
            *coef[0], *coef[1], *coef[2], *[half * x for x in tv], half_al, *k[0], *k[1], *k[2])
     flat, mm = _packed(ops, _PACK_SPIN_OPERANDS[bool(g)], tv[0])
     lead, num0 = flat.shape[:-1], 30 + len(g)
@@ -326,10 +357,9 @@ def _spin_sum(t: SymTensor2, sp: Spectrum, c, d=(0.0, 0.0, 0.0), tail=None) -> n
                            flat[..., 30:48].reshape(lead + (3, 6))))
 
 
-def _spin_coef(sp: Spectrum, c, d) -> tuple:
+def _spin_coef(lam, i1, j2, c, d) -> tuple:
     """(row i: the coefficients of Y_i on N_0, N_1, N_2, I and T; (sum a_i)/2;
     (sum a_i lam_i)/2) of _spin_sum; floats or (n,) arrays."""
-    j2, i1 = sp.inv.j2, sp.inv.i1
     third = i1 / 3.0
     coef = [[0.0] * 5, [0.0] * 5, [0.0] * 5]
     sum_a = sum_al = 0.0
@@ -337,13 +367,13 @@ def _spin_coef(sp: Spectrum, c, d) -> tuple:
         coef[i][i] = 0.5 * d[i]
         # A weight given as an array is evaluated on every row.
         if not isinstance(c[i], float) or c[i]:
-            li = sp.lam[i] - third
+            li = lam[i] - third
             a = c[i] / (3.0 * li * li - j2)
             coef[i][i] -= 3.0 * a * li
-            coef[i][3] = a * (2.0 * sp.lam[i] - i1)
+            coef[i][3] = a * (2.0 * lam[i] - i1)
             coef[i][4] = a
             sum_a += a
-            sum_al += a * sp.lam[i]
+            sum_al += a * lam[i]
     return coef, 0.5 * sum_a, 0.5 * sum_al
 
 
@@ -438,4 +468,5 @@ def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:
         raise DegeneracyError("spin undefined: every eigenvalue is repeated")
     if mult.tag is not MultTag.DISTINCT and i != mult.unique_index:
         raise DegeneracyError("spin undefined for a repeated eigenvalue")
-    return SymTensor4._of(_spin_sum(t, sp, [float(k == i) for k in range(3)]))
+    return SymTensor4._of(_spin_sum(t, sp.lam, tuple(b.as_tuple() for b in sp.bases), sp.inv.i1,
+                                    sp.inv.j2, [float(k == i) for k in range(3)]))

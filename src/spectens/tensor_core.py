@@ -370,12 +370,11 @@ def invariants(t: SymTensor2) -> InvariantSet:
     the first component of t that is NaN or infinite, if one is.
     """
     inv = _invariants(t)[0]
-    vals = (inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta)
-    if not all(map(math.isfinite, vals)):
+    if not all(map(math.isfinite, inv[:6])):
         _refuse_nonfinite(t)
-        raise _overflow(next(name for name, x in zip(_INVARIANT_NAMES, vals)
+        raise _overflow(next(name for name, x in zip(_INVARIANT_NAMES, inv)
                              if not math.isfinite(x)))
-    return inv
+    return InvariantSet(*inv)
 
 
 _INVARIANT_NAMES = ("I1", "I2", "I3", "J2", "J3", "theta")
@@ -404,29 +403,31 @@ def _overflow(name: str) -> DegeneracyError:
                            "the input overflows the closed form")
 
 
-def _invariants(t: SymTensor2) -> tuple[InvariantSet, tuple, float]:
-    """(invariants(t), components of deviator(t), norm(t)) in one pass."""
+def _invariants(t: SymTensor2) -> tuple[tuple, tuple, float]:
+    """(the fields of invariants(t) in order, components of deviator(t),
+    norm(t)) in one pass, unchecked."""
     i1, i2, i3, j2, j3, s, sqrt_j2, nrm, undefined = _invariant_terms(t, math)
     if undefined:
-        return InvariantSet(i1, i2, i3, j2, j3, 0.0, False), s, nrm
+        return (i1, i2, i3, j2, j3, 0.0, False), s, nrm
     arg = _sin3theta(j2, j3, sqrt_j2)
     if abs(arg) > 1.0:
         arg = math.copysign(1.0, arg)
-    return InvariantSet(i1, i2, i3, j2, j3, math.asin(arg) / 3.0, True), s, nrm
+    return (i1, i2, i3, j2, j3, math.asin(arg) / 3.0, True), s, nrm
 
 
 @np.errstate(all="ignore")
-def _invariant_rows(t: SymTensor2) -> tuple[InvariantSet, tuple, np.ndarray]:
+def _invariant_rows(t: SymTensor2) -> tuple[tuple, tuple, np.ndarray]:
     """_invariants of the rows of t, whose components are (n,) arrays."""
     i1, i2, i3, j2, j3, s, sqrt_j2, nrm, undefined = _invariant_terms(t, _ROW_MATH)
     arg = _sin3theta(j2, j3, sqrt_j2)
     theta = np.where(undefined, 0.0, _ROW_MATH.asin(np.clip(arg, -1.0, 1.0)) / 3.0)
-    return InvariantSet(i1, i2, i3, j2, j3, theta, ~undefined), s, nrm
+    return (i1, i2, i3, j2, j3, theta, ~undefined), s, nrm
 
 
 def _invariant_terms(t: SymTensor2, m) -> tuple:
     """(I1, I2, I3, J2, J3, deviator, sqrt(J2), norm, theta undefined) of t;
-    floats or (n,) arrays, with sqrt from m."""
+    floats or (n,) arrays, with sqrt from m.  The norm is that of norm(t),
+    from the same expression as ddot."""
     xx, yy, zz, xy, xz, yz = t.xx, t.yy, t.zz, t.xy, t.xz, t.yz
     i1 = xx + yy + zz
     i2 = (xx * yy + yy * zz + zz * xx
@@ -437,7 +438,7 @@ def _invariant_terms(t: SymTensor2, m) -> tuple:
           + xy * xy + xz * xz + yz * yz)
     j3 = _det(sxx, syy, szz, xy, xz, yz)
     sqrt_j2 = m.sqrt(j2)
-    nrm = m.sqrt(ddot(t, t))
+    nrm = m.sqrt(xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz))
     return (i1, i2, i3, j2, j3, (sxx, syy, szz, xy, xz, yz), sqrt_j2, nrm,
             sqrt_j2 <= 0.5 * (TAU_ABS + TAU_REL * nrm))
 
@@ -451,19 +452,20 @@ def dtheta_dT(t: SymTensor2, inv: InvariantSet) -> SymTensor2:
     """Gradient of the Lode angle; undefined at J2 = 0 and theta = +/-pi/6.
     ContractError names a J2 or theta of inv that no tensor has."""
     _refuse_invariant_set(inv)
-    return SymTensor2(*_dtheta_of_dev(deviator(t).as_tuple(), inv))
+    return SymTensor2(*_dtheta_of_dev(deviator(t).as_tuple(), inv.j2, inv.theta,
+                                      inv.theta_defined))
 
 
-def _dtheta_of_dev(s: tuple, inv: InvariantSet) -> tuple:
-    """The components of dtheta_dT from those of the deviator s of t, with
-    its guards."""
-    if not inv.theta_defined or inv.j2 <= 0.0:
+def _dtheta_of_dev(s: tuple, j2: float, theta: float, defined: bool) -> tuple:
+    """The components of dtheta_dT from those of the deviator s of t and the
+    fields j2, theta and theta_defined of its invariants, with its guards."""
+    if not defined or j2 <= 0.0:
         raise DegeneracyError("theta gradient undefined: J2 is below the coincidence floor")
-    cos3t = math.cos(3.0 * inv.theta)
+    cos3t = math.cos(3.0 * theta)
     if abs(cos3t) <= COS3THETA_FLOOR:
         raise DegeneracyError(
             "theta gradient undefined at a repeated eigenvalue (theta = +/-pi/6)")
-    return _dtheta(s, inv.j2, inv.theta, cos3t, math)
+    return _dtheta(s, j2, theta, cos3t, math)
 
 
 def _dtheta(s: tuple, j2, theta, cos3t, m) -> tuple:
@@ -546,11 +548,11 @@ np.add.at(_SYM, (6 * np.array((_IK, _JL, _IL, _JK)) + (_JL, _IK, _JK, _IL),
                  np.arange(36).reshape(6, 6)), 0.25)
 
 
-def _as_vec(t: SymTensor2) -> np.ndarray:
-    """The components of t as a (6,) array, or as (n, 6) for a tensor of rows.
-    C-ordered: in another memory layout, the matrix products of a stack
-    need not round as those of one array do."""
-    return np.ascontiguousarray(np.array(t.as_tuple()).T)
+def _as_vec(comps: tuple) -> np.ndarray:
+    """The components comps of a tensor as a (6,) array, or as (n, 6) for a
+    tensor of rows.  C-ordered: in another memory layout, the matrix
+    products of a stack need not round as those of one array do."""
+    return np.ascontiguousarray(np.array(comps).T)
 
 
 # d2_I3(t), the second derivative of det(t), maps d to t.d + d.t - tr(d) t

@@ -26,6 +26,7 @@ from spectens import (
 )
 from spectens import cli
 from spectens.plasticity import _map_at
+from spectens.spectral import _decompose
 from spectens.tensor_core import TAU_GAP
 
 from util import BAND_TENSOR, cli_record, quat_rotation, spin_den
@@ -282,7 +283,7 @@ def _assert_same_records(cmd, lines, got, want):
             tol = _spin_sum_tol(t, sp, (e[0] - e[1], 0.0, e[2] - e[1]),
                                 [0.5 / x for x in sp.lam])
         else:
-            sig = _map_at(sp, vonmises_demo_map(2.0, 1.0, 0.5))[4]
+            sig = _map_at(_decompose(t), vonmises_demo_map(2.0, 1.0, 0.5))[5]
             tol = _spin_sum_tol(t, sp, (sig[0] - sig[1], 0.0, sig[2] - sig[1]),
                                 extra=max(abs(x) for x in rw[field]))
         assert np.max(np.abs(np.subtract(rg[field], rw[field]))) <= tol

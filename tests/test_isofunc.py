@@ -181,8 +181,8 @@ def test_a_map_that_is_not_a_number_is_a_domain_error(bad):
         for t in _BRANCH_TENSORS:
             with pytest.raises(st.MapDomainError, match="not a real number"):
                 st.isotropic_function(t, f)
-            rows, sp, ok = _one_row(t)
-            assert _apply_rows(rows, sp, f, ok)[2].tolist() == [False]
+            rows, dec, ok = _one_row(t)
+            assert _apply_rows(rows, dec, f, ok)[2].tolist() == [False]
 
 
 def test_the_map_is_called_once_per_distinct_eigenvalue_on_both_paths():
@@ -196,9 +196,9 @@ def test_the_map_is_called_once_per_distinct_eigenvalue_on_both_paths():
                                 lambda x: calls.append(("deriv", x)) or f.deriv(x))
     want = ([3.0, 2.0, 1.0], [3.0, 1.0], [2.0])
     for t, lams in zip(_BRANCH_TENSORS, want):
-        rows, sp, ok = _one_row(t)
+        rows, dec, ok = _one_row(t)
         for apply in (lambda: st.isotropic_function(t, counted),
-                      lambda: _apply_rows(rows, sp, counted, ok)):
+                      lambda: _apply_rows(rows, dec, counted, ok)):
             calls.clear()
             apply()
             for kind in ("eval", "deriv"):
@@ -220,9 +220,9 @@ def test_map_results_that_are_real_numbers_are_read_as_floats_on_both_paths(conv
         want_s, want_m = st.isotropic_function(t, want)
         assert s.as_tuple() == want_s.as_tuple() and {type(x) for x in s.as_tuple()} == {float}
         assert m.m.dtype == float and m.m.tolist() == want_m.m.tolist()
-        rows, sp, ok = _one_row(t)
-        s_rows, m_rows, ok_f = _apply_rows(rows, sp, got, ok)
-        want_rows = _apply_rows(rows, sp, want, ok)
+        rows, dec, ok = _one_row(t)
+        s_rows, m_rows, ok_f = _apply_rows(rows, dec, got, ok)
+        want_rows = _apply_rows(rows, dec, want, ok)
         assert ok_f.all() and want_rows[2].all()
         assert s_rows.tolist() == want_rows[0].tolist()
         assert m_rows.tolist() == want_rows[1].tolist()
@@ -317,12 +317,13 @@ def test_rows_match_the_scalar_path_and_leave_out_map_failures():
         assert st.spectrum(x).mult.tag is not st.MultTag.DISTINCT
         assert st.isotropic_function(x, st.cube_map())[0] != _without_in_pair(x, st.cube_map())
     t = st.SymTensor2(*np.array([x.as_tuple() for x in tensors]).T)
-    sp, ok = _spectrum_rows(t)
-    assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
+    dec, ok = _spectrum_rows(t)
+    code = dec[1]
+    assert ok.all() and set(code.tolist()) == {0, 1, 2, 3}
     steep = st.ScalarEigenMap(lambda x: x, lambda x: 1.0 if x < 100.0 else math.inf)
     text = st.ScalarEigenMap(lambda x: x if x < 100.0 else "1", lambda x: 1.0)
     for f in (st.double_exp_map(), st.cube_map(), st.half_log_map(), steep, text):
-        s, m, ok_f = _apply_rows(t, sp, f, ok)
+        s, m, ok_f = _apply_rows(t, dec, f, ok)
         for k, x in enumerate(tensors):
             try:
                 want_s, want_m = st.isotropic_function(x, f)
@@ -331,7 +332,7 @@ def test_rows_match_the_scalar_path_and_leave_out_map_failures():
                 continue
             assert ok_f[k]
             assert s[k].tolist() == list(want_s.as_tuple())
-            if sp.mult[k]:
+            if code[k]:
                 assert m[k].tolist() == want_m.m.tolist()
             else:
                 assert rel4(st.SymTensor4(m[k]), want_m) < 1e-12

@@ -325,6 +325,23 @@ def test_map_b_tangent_fd_distinct():
         assert rel4(m, fd) < 1e-4
 
 
+@pytest.mark.parametrize("th", (-0.0, 0.0, 0.3, -math.pi / 6.0, math.nan))
+def test_dsigma_reuses_the_sines_of_the_principal_stresses(th):
+    """_dsigma takes the sines that _eigen_terms formed for the principal
+    stresses, on one tensor and on rows, and gives the bits of
+    sin(th + shift) itself: also at th = -0.0, where sin(th) is -0.0 and
+    sin(th + 0.0) is 0.0, with gradients of signed zeros that let the sign
+    through."""
+    gp, gq, gth, q = (-0.0, -0.0, -0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0), 0.0
+    want = [[gp[k] + (2.0 / 3.0) * (gq[k] * math.sin(th + sh) + q * math.cos(th + sh) * gth[k])
+             for k in range(3)] for sh in plasticity._SHIFTS]
+    for x, m in ((th, math), (np.array([th]), tensor_core._ROW_MATH)):
+        sines = spectral._eigen_terms(0.0, 1.0, x, m)[4]
+        got = plasticity._dsigma(gp, gq, gth, q, x, sines, m)
+        assert np.array(got, dtype=float).tobytes() == np.array(want).reshape(
+            np.shape(got)).tobytes()
+
+
 def test_double_tangent_fd_with_a_lode_angle_of_slope_zero():
     """On both double branches, the tangent of _map_flat, whose
     d(theta_sigma)/d(theta_eps) is 0 at +-pi/6, against central differences
@@ -335,9 +352,9 @@ def test_double_tangent_fd_with_a_lode_angle_of_slope_zero():
     cases = [make_with_eigs(rng, eigs) for eigs in ((0.04, 0.01, 0.01), (0.03, 0.03, -0.02))
              for _ in range(5)]
     t = SymTensor2(*np.array([eps.as_tuple() for eps in cases]).T)
-    sp, ok = spectral._spectrum_rows(t)
-    _, tan, ok = plasticity._stress_tangent_rows(t, sp, rm, ok)
-    assert ok.all() and set(sp.mult.tolist()) == {1, 2}
+    dec, ok = spectral._spectrum_rows(t)
+    _, tan, ok = plasticity._stress_tangent_rows(t, dec, rm, ok)
+    assert ok.all() and set(dec[1].tolist()) == {1, 2}
     for k, eps in enumerate(cases):
         m = consistent_tangent(eps, rm)
         fd = fd_tensor_derivative(lambda x: reconstruct_stress(x, rm), eps)
@@ -430,10 +447,10 @@ def test_stress_and_tangent_decomposes_the_predictor_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # _invariants is the one invariant pass, behind both spectrum and the
-    # public invariants.
+    # _invariants is the one invariant pass, behind _decompose, spectrum and
+    # the public invariants.
     for mod in (tensor_core, spectral, plasticity):
-        for name in ("spectrum", "invariants", "_invariants"):
+        for name in ("_decompose", "spectrum", "invariants", "_invariants"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     rm = _map_a()
@@ -442,7 +459,7 @@ def test_stress_and_tangent_decomposes_the_predictor_once(monkeypatch):
     for eps, tag in _branch_cases(rng):
         counts.clear()
         stress_and_tangent(eps, rm)
-        want = {"spectrum": 1, "_invariants": 1, "p": 1, "grad_p": 1, "grad_q": 1}
+        want = {"_decompose": 1, "_invariants": 1, "p": 1, "grad_p": 1, "grad_q": 1}
         if tag is not MultTag.TRIPLE:
             want.update(q=1, grad_theta_sigma=1)
         if tag is MultTag.DISTINCT:
@@ -490,8 +507,8 @@ def test_map_that_is_not_finite_is_a_contract_error(tag, field, bad):
     rm = vonmises_demo_map(2.0, 1.0, 0.02)
     broken_rm = dataclasses.replace(rm, **{field: broken})
     rows = SymTensor2(*(np.array([x]) for x in eps.as_tuple()))
-    sp, ok = spectral._spectrum_rows(rows)
-    ok_rm = plasticity._stress_tangent_rows(rows, sp, broken_rm, ok)[2]
+    dec, ok = spectral._spectrum_rows(rows)
+    ok_rm = plasticity._stress_tangent_rows(rows, dec, broken_rm, ok)[2]
     if field not in used:
         sig, tan = stress_and_tangent(eps, broken_rm)
         assert sig == reconstruct_stress(eps, rm)
@@ -529,8 +546,8 @@ def test_map_that_is_not_numbers_is_a_contract_error(field, bad):
     rm = dataclasses.replace(vonmises_demo_map(2.0, 1.0, 0.02),
                              **{field: lambda ev, eq, th: bad})
     for eps, used, stress_used in _BRANCH_PREDICTORS.values():
-        rows, sp, ok = _one_row(eps)
-        ok_rm = plasticity._stress_tangent_rows(rows, sp, rm, ok)[2]
+        rows, dec, ok = _one_row(eps)
+        ok_rm = plasticity._stress_tangent_rows(rows, dec, rm, ok)[2]
         for call in (stress_and_tangent, consistent_tangent, reconstruct_stress):
             with (pytest.raises(ContractError, match="return map")
                   if field in (stress_used if call is reconstruct_stress else used)
@@ -566,9 +583,9 @@ def test_map_results_that_are_real_numbers_are_read_as_floats_on_both_paths(conv
         assert sig.as_tuple() == want_sig.as_tuple()
         assert {type(x) for x in sig.as_tuple()} == {float}
         assert tan.m.dtype == float and tan.m.tolist() == want_tan.m.tolist()
-        rows, sp, ok = _one_row(eps)
-        sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(rows, sp, got, ok)
-        want_rows = plasticity._stress_tangent_rows(rows, sp, want, ok)
+        rows, dec, ok = _one_row(eps)
+        sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(rows, dec, got, ok)
+        want_rows = plasticity._stress_tangent_rows(rows, dec, want, ok)
         assert ok_rm.all() and want_rows[2].all()
         assert sig_rows.tolist() == want_rows[0].tolist()
         assert tan_rows.tolist() == want_rows[1].tolist()
@@ -602,9 +619,9 @@ def test_linear_elastic_map_is_hookes_map_to_the_bit():
         want_sig, want_tan = stress_and_tangent(eps, hooke)
         assert sig == want_sig and tan.m.tolist() == want_tan.m.tolist()
     t = SymTensor2(*np.array([x.as_tuple() for x in cases]).T)
-    sp, ok = spectral._spectrum_rows(t)
-    got = plasticity._stress_tangent_rows(t, sp, rm, ok)
-    want = plasticity._stress_tangent_rows(t, sp, hooke, ok)
+    dec, ok = spectral._spectrum_rows(t)
+    got = plasticity._stress_tangent_rows(t, dec, rm, ok)
+    want = plasticity._stress_tangent_rows(t, dec, hooke, ok)
     assert got[2].all() and want[2].all()
     assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
@@ -636,15 +653,15 @@ def test_rows_match_stress_and_tangent_on_every_branch():
     overflows = InvariantReturnMap(
         p=lambda ev, eq, th: math.exp(1e5 * ev), q=elastic.q, theta_sigma=elastic.theta_sigma,
         grad_p=elastic.grad_p, grad_q=elastic.grad_q, grad_theta_sigma=elastic.grad_theta_sigma)
-    sp, ok = spectral._spectrum_rows(t)
-    assert ok.all() and set(sp.mult.tolist()) == {0, 1, 2, 3}
+    dec, ok = spectral._spectrum_rows(t)
+    assert ok.all() and set(dec[1].tolist()) == {0, 1, 2, 3}
     for rm in (_map_a(), _map_twist(), _map_flat(), vonmises_demo_map(2.0, 1.0, 0.02)):
-        sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
+        sig, tan, ok_rm = plasticity._stress_tangent_rows(t, dec, rm, ok)
         assert ok_rm.all()
         for k, x in enumerate(tensors):
             want_sig, want_tan = stress_and_tangent(x, rm)
             assert sig[k].tolist() == pytest.approx(list(want_sig.as_tuple()), rel=1e-13)
-            if sp.mult[k]:
+            if dec[1][k]:
                 assert sig[k].tolist() == list(want_sig.as_tuple())
                 assert tan[k].tolist() == want_tan.m.tolist()
             else:
@@ -654,8 +671,8 @@ def test_rows_match_stress_and_tangent_on_every_branch():
         grad_p=elastic.grad_p, grad_q=elastic.grad_q,
         grad_theta_sigma=elastic.grad_theta_sigma)
     # q is consulted on every branch but the triple one.
-    assert (plasticity._stress_tangent_rows(t, sp, negative, ok)[2] == (sp.mult == 3)).all()
-    sig, tan, ok_rm = plasticity._stress_tangent_rows(t, sp, overflows, ok)
+    assert (plasticity._stress_tangent_rows(t, dec, negative, ok)[2] == (dec[1] == 3)).all()
+    sig, tan, ok_rm = plasticity._stress_tangent_rows(t, dec, overflows, ok)
     for k, x in enumerate(tensors):
         with pytest.raises(ContractError) if x.trace() > 0.0 else contextlib.nullcontext():
             stress_and_tangent(x, overflows)
@@ -663,7 +680,7 @@ def test_rows_match_stress_and_tangent_on_every_branch():
     # Gradients of two lengths in one chunk: numpy cannot stack them.
     ragged = dataclasses.replace(elastic, grad_p=lambda ev, eq, th: (
         (2.0, 0.0) if ev > 0.0 else (2.0, 0.0, 0.0)))
-    ok_rm = plasticity._stress_tangent_rows(t, sp, ragged, ok)[2]
+    ok_rm = plasticity._stress_tangent_rows(t, dec, ragged, ok)[2]
     for k, x in enumerate(tensors):
         with pytest.raises(ContractError) if x.trace() > 0.0 else contextlib.nullcontext():
             stress_and_tangent(x, ragged)
@@ -684,9 +701,9 @@ def test_isotropic_function_and_return_map_agree_on_one_material():
     eta = ScalarEigenMap(lambda x: 2.0 * shear * x, lambda x: 2.0 * shear)
     cases = _branch_cases(np.random.default_rng(44))
     t = SymTensor2(*np.array([eps.as_tuple() for eps, _ in cases]).T)
-    sp, ok = spectral._spectrum_rows(t)
-    s_rows, m_rows, ok_f = isofunc._apply_rows(t, sp, eta, ok)
-    sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(t, sp, rm, ok)
+    dec, ok = spectral._spectrum_rows(t)
+    s_rows, m_rows, ok_f = isofunc._apply_rows(t, dec, eta, ok)
+    sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(t, dec, rm, ok)
     assert ok_f.all() and ok_rm.all()
     for k, (eps, tag) in enumerate(cases):
         assert spectrum(eps).mult.tag is tag
@@ -713,8 +730,8 @@ def test_yield_tie_takes_the_plastic_branch():
         assert stress_invariants(sig).q == pytest.approx(yield_q, rel=1e-12)
         assert np.array_equal(tan.m, stress_and_tangent(eps, plastic)[1].m)
         assert rel4(tan, stress_and_tangent(eps, linear_elastic_map(bulk, shear))[1]) > 0.1
-        rows, sp, ok = _one_row(eps)
-        sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(rows, sp, rm, ok)
+        rows, dec, ok = _one_row(eps)
+        sig_rows, tan_rows, ok_rm = plasticity._stress_tangent_rows(rows, dec, rm, ok)
         assert ok_rm.all()
         assert sig_rows[0].tolist() == list(sig.as_tuple())
         assert tan_rows[0].tolist() == tan.m.tolist()
@@ -874,10 +891,10 @@ def test_the_row_kernels_let_no_runtime_warning_out(kernel):
         if kernel == "invariant":
             tensor_core._invariant_rows(t)
             return
-        sp, ok = spectral._spectrum_rows(t)
-        assert sp.mult.tolist() == [3, 1] and ok.all()
+        dec, ok = spectral._spectrum_rows(t)
+        assert dec[1].tolist() == [3, 1] and ok.all()
         if kernel == "isotropic":
-            assert isofunc._apply_rows(t, sp, isofunc.half_log_map(), ok)[2].all()
+            assert isofunc._apply_rows(t, dec, isofunc.half_log_map(), ok)[2].all()
         elif kernel == "stress":
             rm = vonmises_demo_map(2.0, 1.0, 0.02)
-            assert plasticity._stress_tangent_rows(t, sp, rm, ok)[2].all()
+            assert plasticity._stress_tangent_rows(t, dec, rm, ok)[2].all()

@@ -231,6 +231,15 @@ def test_spectrum_matches_oracle_projectors():
         done += 1
 
 
+@pytest.mark.parametrize("lam", ((3.0, 1.0, 2.0), (1.0, 2.0, 3.0), (2.0, 2.0, 2.5),
+                                 (math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0, math.nan)))
+def test_classify_refuses_eigenvalues_out_of_order_or_nan(lam):
+    """Eigenvalues that are not descending, or NaN, have no multiplicity:
+    classify raises instead of reading their gaps."""
+    with pytest.raises(st.ContractError, match="not numbers in descending order"):
+        classify(lam, 1.0)
+
+
 def test_classify_returns_shared_instances_equal_to_fresh_ones():
     cases = (((5.0, 2.0, -1.0), Multiplicity(MultTag.DISTINCT)),
              ((4.0, 1.0, 1.0), Multiplicity(MultTag.DOUBLE_HIGH_UNIQUE, 0)),
@@ -276,10 +285,33 @@ def test_spectrum_names_a_component_that_is_not_finite(k, bad):
     comps[k] = bad
     t = st.SymTensor2(*comps)
     name = ("xx", "yy", "zz", "xy", "xz", "yz")[k]
+    rm = st.linear_elastic_map(2.0, 1.0)
     for fn in (st.spectrum, st.log_strain_from_b,
-               lambda x: st.isotropic_function(x, st.square_map())):
+               lambda x: st.isotropic_function(x, st.square_map()),
+               lambda x: st.reconstruct_stress(x, rm), lambda x: st.consistent_tangent(x, rm),
+               lambda x: st.stress_and_tangent(x, rm)):
         with pytest.raises(st.ContractError, match=f"component '{name}' is {bad!r}"):
             fn(t)
+
+
+@pytest.mark.parametrize("t, j2", ((st.SymTensor2(5e103, 2e103, -1e103, 4e102, 0.0, 0.0), "9.16e+206"),
+                                   (_HUGE, "7.312500000000001e+220")))
+def test_an_overflowing_tensor_keeps_its_errors(t, j2):
+    """Past about 1e103 I3 overflows, and the Lode angle comes out NaN:
+    invariants names I3, and spectrum and every call built on it name the
+    closed-form eigenvalues, with these exact messages."""
+    with pytest.raises(st.DegeneracyError) as info:
+        st.invariants(t)
+    assert str(info.value) == "result field 'I3' is not finite: the input overflows the closed form"
+    rm = st.linear_elastic_map(2.0, 1.0)
+    for fn in (st.spectrum, st.log_strain_from_b,
+               lambda x: st.isotropic_function(x, st.square_map()),
+               lambda x: st.reconstruct_stress(x, rm), lambda x: st.consistent_tangent(x, rm),
+               lambda x: st.stress_and_tangent(x, rm)):
+        with pytest.raises(st.DegeneracyError) as info:
+            fn(t)
+        assert str(info.value) == ("closed-form eigenvalues (nan, nan, nan) are out of order or "
+                                   f"not finite (J2 = {j2}, theta = nan)")
 
 
 def test_spectrum_is_bit_identical_to_the_composed_reference():
@@ -318,10 +350,87 @@ def test_spectrum_is_bit_identical_to_the_composed_reference_property(e, rep, qu
     _assert_same_spectrum(st.SymTensor2.from_matrix(r @ np.diag(eigs) @ r.T))
 
 
+def _bits(x) -> bytes:
+    """The bytes of the floats of x, a sequence or nested sequences of them:
+    -0.0 is not 0.0, and a NaN is its own bits."""
+    return np.array(x, dtype=float).tobytes()
+
+
+@settings(max_examples=300)
+@given(hs.tuples(_EIGS, _EIGS, _EIGS), _REPEATS, _QUAT, _LOG10_SCALE)
+def test_spectrum_and_invariants_wrap_the_decomposition_property(e, rep, quat, log10_scale):
+    """spectrum(t) and invariants(t) are the components of _decompose(t),
+    field by field and bit for bit, on distinct, double and triple draws
+    from 1e-120 to 1e110.  The repeated pair of a double spectrum has one
+    basis tensor, and every basis of a triple one is _THIRD_I.  Where
+    _decompose refuses t, spectrum raises its error, and where an invariant
+    is not finite, invariants names it."""
+    q = np.array(quat)
+    assume(np.linalg.norm(q) > 0.1)
+    r = quat_rotation(q / np.linalg.norm(q))
+    eigs = np.array([e[k] for k in rep]) * 10.0 ** log10_scale
+    t = st.SymTensor2.from_matrix(r @ np.diag(eigs) @ r.T)
+    try:
+        lam, mult, bases, inv, s = spectral._decompose(t)
+    except st.SpectensError as exc:
+        with pytest.raises(type(exc)) as info:
+            st.spectrum(t)
+        assert str(info.value) == str(exc)
+        return
+    sp = st.spectrum(t)
+    assert _bits(sp.lam) == _bits(lam) and sp.mult is mult
+    assert _bits([b.as_tuple() for b in sp.bases]) == _bits(bases)
+    assert _bits(dataclasses.astuple(sp.inv)) == _bits(inv)
+    assert sp.inv.theta_defined is inv[6]
+    assert _bits(s) == _bits(st.deviator(t).as_tuple())
+    if mult.tag is MultTag.TRIPLE:
+        assert all(b is spectral._THIRD_I for b in sp.bases)
+    elif mult.tag is not MultTag.DISTINCT:
+        pair = [b for i, b in enumerate(sp.bases) if i != mult.unique_index]
+        assert pair[0] is pair[1]
+    if all(map(math.isfinite, inv[:6])):
+        got = st.invariants(t)
+        assert _bits(dataclasses.astuple(got)) == _bits(inv) and got.theta_defined is inv[6]
+    else:
+        with pytest.raises(st.DegeneracyError, match="is not finite: the input overflows"):
+            st.invariants(t)
+
+
+class _Built(Exception):
+    pass
+
+
+def test_library_calls_build_no_spectrum_or_invariant_set(monkeypatch):
+    """The stress, tangent, isotropic-function and log-strain calls read the
+    plain components of _decompose: on every branch they build no Spectrum
+    and no InvariantSet, which only spectrum and invariants return."""
+    rng = np.random.default_rng(46)
+    tensors = [make_with_eigs(rng, e) for e in ((1.5, 1.2, 0.8), (1.5, 0.8, 0.8),
+                                                (1.2, 1.2, 0.8), (1.1, 1.1, 1.1))]
+    assert [st.spectrum(t).mult.tag for t in tensors] == list(MultTag)
+
+    def refuse(self, *args, **kwargs):
+        raise _Built(type(self).__name__)
+
+    monkeypatch.setattr(spectral.Spectrum, "__init__", refuse)
+    monkeypatch.setattr(st.InvariantSet, "__init__", refuse)
+    rm = st.vonmises_demo_map(2.0, 1.0, 0.02)
+    for t in tensors:
+        eps = 0.01 * (t - st.IDENTITY2)
+        st.reconstruct_stress(eps, rm)
+        st.consistent_tangent(eps, rm)
+        st.stress_and_tangent(eps, rm)
+        st.isotropic_function(t, st.cube_map())
+        st.log_strain_from_b(t)
+    for fn in (st.spectrum, st.invariants):
+        with pytest.raises(_Built):
+            fn(tensors[0])
+
+
 def _row_codes(t):
     """The class code and the mask of _spectrum_rows on t as one row."""
-    sp, ok = spectral._spectrum_rows(st.SymTensor2(*(np.array([c]) for c in t.as_tuple())))
-    return sp.mult.tolist(), ok.tolist()
+    dec, ok = spectral._spectrum_rows(st.SymTensor2(*(np.array([c]) for c in t.as_tuple())))
+    return dec[1].tolist(), ok.tolist()
 
 
 def test_undefined_theta_is_triple_on_both_paths():
@@ -480,7 +589,9 @@ def test_spin_matches_dyad_reference_across_scales():
                     + sum(di * np.outer(n.as_tuple(), n.as_tuple())
                           for di, n in zip(d, sp.bases)))
             tol = abs(c0) * tols[0] + abs(c2) * tols[2] + 8.0 * eps * np.sum(np.abs(d))
-            assert np.all(np.abs(_spin_sum(t, sp, (c0, 0.0, c2), d) - want) <= tol)
+            bases = tuple(b.as_tuple() for b in sp.bases)
+            got = _spin_sum(t, sp.lam, bases, sp.inv.i1, sp.inv.j2, (c0, 0.0, c2), d)
+            assert np.all(np.abs(got - want) <= tol)
         done += 1
 
 
@@ -583,11 +694,12 @@ def test_lone_basis_is_exact_on_split_pairs_property(low_pair, g, a, quat):
         err = max(abs(x - v[k][p] * v[k][q]) for x, (p, q) in zip(sp.bases[k].as_tuple(), _SLOTS))
     eps = float(np.finfo(float).eps)
     assert err <= 16.0 * eps + eps * st.norm(t) / float(lam[0] - lam[2])
-    rows, ok = spectral._spectrum_rows(st.SymTensor2(*(np.array([x]) for x in t.as_tuple())))
-    assert ok.tolist() == [True] and spectral._MULTS[rows.mult[0]] is sp.mult
-    assert np.array(rows.lam).tobytes() == np.array(sp.lam).tobytes()
-    assert all(np.array(r.as_tuple()).tobytes() == np.array(b.as_tuple()).tobytes()
-               for r, b in zip(rows.bases, sp.bases))
+    (lam, code, bases, _, _), ok = spectral._spectrum_rows(
+        st.SymTensor2(*(np.array([x]) for x in t.as_tuple())))
+    assert ok.tolist() == [True] and spectral._MULTS[code[0]] is sp.mult
+    assert np.array(lam).tobytes() == np.array(sp.lam).tobytes()
+    assert all(np.array(r).tobytes() == np.array(b.as_tuple()).tobytes()
+               for r, b in zip(bases, sp.bases))
 
 
 def test_spin_near_a_double_is_as_accurate_as_the_trigonometric_form():
@@ -667,16 +779,6 @@ def _row_of(x, i):
     return x
 
 
-def _spectrum_row(sp, i):
-    """Row i of the spectrum of rows sp as a scalar Spectrum."""
-    inv = sp.inv
-    return spectral.Spectrum(
-        _row_of(sp.lam, i), spectral._MULTS[sp.mult[i]],
-        tuple(st.SymTensor2(*_row_of(b.as_tuple(), i)) for b in sp.bases),
-        st.InvariantSet(*_row_of((inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta), i),
-                        bool(inv.theta_defined[i])))
-
-
 @pytest.mark.parametrize("n", (1, 7, 512, 1024))
 def test_spin_sum_of_rows_is_bit_identical_to_each_row(n):
     """_spin_sum of a stack of rows equals the _spin_sum of each row to the
@@ -685,8 +787,9 @@ def test_spin_sum_of_rows_is_bit_identical_to_each_row(n):
     rng = np.random.default_rng(n)
     comps = rng.standard_normal((6, n))
     t = st.SymTensor2(*comps)
-    sp, ok = spectral._spectrum_rows(t)
-    assert ok.all() and (sp.mult == 0).all()
+    dec, ok = spectral._spectrum_rows(t)
+    lam, code, bases, inv, _ = dec
+    assert ok.all() and (code == 0).all()
     c = (rng.standard_normal(n), 0.0, rng.standard_normal(n))
     d = tuple(rng.standard_normal(n) for _ in range(3))
     g = (*st.IDENTITY2.as_tuple(), *rng.standard_normal((12, n)))
@@ -694,11 +797,11 @@ def test_spin_sum_of_rows_is_bit_identical_to_each_row(n):
     forms = [(tuple(float(j == i) for j in range(3)),) for i in range(3)]
     forms += [(c, d), (c, (0.0, 0.0, 0.0), (g, k))]
     for args in forms:
-        got = _spin_sum(t, sp, *args)
+        got = _spin_sum(t, lam, bases, inv[0], inv[3], *args)
         assert got.shape == (n, 6, 6)
         for i in range(n):
-            want = _spin_sum(st.SymTensor2(*_row_of(t.as_tuple(), i)), _spectrum_row(sp, i),
-                             *_row_of(args, i))
+            want = _spin_sum(st.SymTensor2(*_row_of(t.as_tuple(), i)),
+                             *_row_of((lam, bases, inv[0], inv[3], *args), i))
             assert got[i].tobytes() == want.tobytes(), (i, len(args))
 
 
@@ -729,13 +832,13 @@ def test_anchored_sum_is_the_sum_over_the_components_of_i():
     """_anchored writes v[1] I + a N_1 + b N_3 out component by component;
     each component has the bits of the sum over I's components (1 or 0),
     also where v[1] * 0.0 is -0.0 or NaN."""
-    n1 = st.SymTensor2(0.5, 0.25, 0.25, -0.0, 0.5, 0.0)
-    n3 = st.SymTensor2(0.25, 0.5, 0.25, -0.0, 0.25, -0.25)
+    n1 = (0.5, 0.25, 0.25, -0.0, 0.5, 0.0)
+    n3 = (0.25, 0.5, 0.25, -0.0, 0.25, -0.25)
     eye = st.IDENTITY2.as_tuple()
     # (2, 1, 3): 0.0 + -0.0 + -0.0 on xy; (0, -inf, 0): NaN + inf + inf on xz.
     for v in ((2.0, 1.0, 3.0), (1.0, -2.0, 3.0), (-0.0, -0.0, -0.0), (0.0, -math.inf, 0.0),
               (1.0, math.inf, 3.0), (1e308, -1e308, 1e308), (math.nan, 1.0, 2.0)):
         a, b = v[0] - v[1], v[2] - v[1]
-        want = [v[1] * e + a * x + b * y for e, x, y in zip(eye, n1.as_tuple(), n3.as_tuple())]
-        got = _anchored(v, n1, n3).as_tuple()
+        want = [v[1] * e + a * x + b * y for e, x, y in zip(eye, n1, n3)]
+        got = _anchored(v, n1, n3)
         assert np.array(got).tobytes() == np.array(want).tobytes(), v

@@ -439,8 +439,8 @@ def invert_log_strain_rows(epss, b0s, max_iter=20, floor=1e-14):
     target = np.array([e.as_tuple() for e in epss])
 
     def residual(live, t):
-        sp, ok = _spectrum_rows(t)
-        eps, deps, ok = _log_strain_rows(t, sp, ok)
+        dec, ok = _spectrum_rows(t)
+        eps, deps, ok = _log_strain_rows(t, dec, ok)
         return eps - target[live], deps, ok
 
     return _newton_rows(residual, np.array([b.as_tuple() for b in b0s]), list(range(6)),
@@ -452,8 +452,8 @@ def mixed_control_rows(rm, eps0s, fixed, max_iter=30, floor=1e-15):
     the CLI's row kernels, _spectrum_rows and _stress_tangent_rows, as
     _newton_rows."""
     def residual(live, t):
-        sp, ok = _spectrum_rows(t)
-        return _stress_tangent_rows(t, sp, rm, ok)
+        dec, ok = _spectrum_rows(t)
+        return _stress_tangent_rows(t, dec, rm, ok)
 
     return _newton_rows(residual, np.array([e.as_tuple() for e in eps0s]),
                         [k for k in range(6) if k not in fixed], max_iter, floor)
