@@ -25,7 +25,7 @@ _SOURCES = {
     "plasticity": "InvariantReturnMap StrainPredictorInvariants StressInvariants "
                   "consistent_tangent linear_elastic_map predictor_invariants "
                   "reconstruct_stress stress_and_tangent stress_invariants vonmises_demo_map",
-    "spectral": "MultTag Multiplicity Spectrum classify eigenvalues spectrum spin",
+    "spectral": "MultTag Multiplicity Spectrum eigenvalues spectrum spin",
     "tensor_core": "IDENTITY2 IDENTITY4 IXI InvariantSet SymTensor2 SymTensor4 adjugate "
                    "ddot det deviator dtheta_dT invariants left_cauchy_green norm",
 }

@@ -27,7 +27,7 @@ import numpy as np
 import orjson
 
 from .errors import ContractError, DegeneracyError
-from .spectral import _MULTS, MultTag, _spectrum_rows, _spin_sum, spectrum, spin
+from .spectral import _MULTS, MultTag, _decompose, _spectrum_rows, _spin_sum, spectrum
 from .tensor_core import (_FLOAT_INT, SymTensor2, _cauchy_green_terms, _invariant_rows,
                           _overflow, invariants, left_cauchy_green, norm)
 
@@ -72,7 +72,8 @@ def _record_tensor(rec: dict) -> SymTensor2:
 def _dispatch(cmd: str, t: SymTensor2, rm) -> tuple[list, object]:
     """The numbers of the record of cmd at t, in output order, and its extra
     field: theta_defined for invariants, None for stress, else the
-    multiplicity.  From the scalar library calls."""
+    multiplicity.  From the scalar library calls, and for spin from one
+    _decompose and the spin kernel, as in _dispatch_rows."""
     if cmd == "invariants":
         inv = invariants(t)
         return [inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta], inv.theta_defined
@@ -84,13 +85,16 @@ def _dispatch(cmd: str, t: SymTensor2, rm) -> tuple[list, object]:
         from .plasticity import stress_and_tangent
         sig, tan = stress_and_tangent(t, rm)
         return [*sig.as_tuple(), *tan.as_list()], None
-    sp = spectrum(t)
     if cmd == "spin":
-        if sp.mult.tag is not MultTag.DISTINCT:
+        lam, mult, bases, inv, _ = _decompose(t)
+        if mult.tag is not MultTag.DISTINCT:
             raise DegeneracyError(
                 "basis spins are defined only for distinct eigenvalues; "
-                f"input classified as {sp.mult.tag.value}")
-        return [x for i in range(3) for x in spin(t, sp, i).as_list()], sp.mult
+                f"input classified as {mult.tag.value}")
+        spins = [_spin_sum(t, lam, bases, inv[0], inv[3], [float(k == i) for k in range(3)])
+                 for i in range(3)]
+        return np.ravel(spins).tolist(), mult
+    sp = spectrum(t)
     if cmd == "basis":
         return [*sp.lam, *(x for b in sp.bases for x in b.as_tuple())], sp.mult
     return list(sp.lam), sp.mult

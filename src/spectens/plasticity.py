@@ -163,7 +163,7 @@ def _map_at(dec: tuple, rm: InvariantReturnMap):
                             "q must be >= 0")
     if tag is MultTag.DISTINCT:
         th = _called(rm.theta_sigma, args, (), ContractError, "return map theta_sigma", _AT)
-        *sig, _, sines = _eigen_terms(p, (2.0 / 3.0) * q, th, math)
+        *sig, sines = _eigen_terms(p, (2.0 / 3.0) * q, th, math)
         return args, p, q, th, sines, sig, None
     dth = _called(rm.grad_theta_sigma, args, (3,), ContractError,
                   "return map grad_theta_sigma", _AT)
@@ -243,7 +243,7 @@ def _stress_tangent_rows(eps_star: SymTensor2, dec: tuple, rm: InvariantReturnMa
     q, ok_q = _per_row(rm.q, ok & ~triple, args)
     th, ok_th = _per_row(rm.theta_sigma, ok & dist, args)
     ok &= (triple | ok_q & (q >= 0.0)) & (~dist | ok_th)
-    *sig, _, sines = _eigen_terms(p, (2.0 / 3.0) * q, th, _ROW_MATH)
+    *sig, sines = _eigen_terms(p, (2.0 / 3.0) * q, th, _ROW_MATH)
     gp, ok = _per_row(rm.grad_p, ok, args, (3,))
     gq, ok = _per_row(rm.grad_q, ok, args, (3,))
     gth, ok_th = _per_row(rm.grad_theta_sigma, ok & ~triple, args, (3,))

@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BranchError, ContractError, DegeneracyError
+from .errors import BranchError, DegeneracyError
 from .tensor_core import (
     IDENTITY2,
     IDENTITY4,
@@ -25,7 +25,6 @@ from .tensor_core import (
     _SYM,
     _invariant_rows,
     _invariants,
-    _refuse_invariant_set,
     _refuse_nonfinite,
     _sym_square,
 )
@@ -87,26 +86,24 @@ _SET_LAM, _SET_MULT, _SET_BASES, _SET_INV = (
     getattr(Spectrum, f).__set__ for f in ("lam", "mult", "bases", "inv"))
 
 
-def eigenvalues(inv: InvariantSet) -> tuple[float, float, float]:
+def eigenvalues(t: SymTensor2) -> tuple[float, float, float]:
     """Closed-form eigenvalues lam_i = I1/3 + (2/sqrt(3)) sqrt(J2) sin(beta_i),
-    descending, with beta_i = theta + 2 pi/3, theta, theta - 2 pi/3.
+    descending, with beta_i = theta + 2 pi/3, theta, theta - 2 pi/3: those
+    of spectrum(t), without its bases.
 
     Descending order is a theorem for theta in [-pi/6, pi/6]; roundoff can
     invert an exact tie by one ulp, which the final clamp repairs.
-    ContractError names a negative J2 or an infinite theta: no tensor has it.
+    ContractError names a component of t that is NaN or infinite.
     """
-    try:
-        return _eigenvalues(inv.i1, inv.j2, inv.theta)
-    except ValueError:
-        _refuse_invariant_set(inv)
-        raise
+    i1, _, _, j2, _, theta, _ = _invariants(t)[0]
+    return _eigenvalues(t, i1, j2, theta)
 
 
-def _eigenvalues(i1: float, j2: float, theta: float) -> tuple[float, float, float]:
-    """eigenvalues from the fields i1, j2 and theta of the invariants."""
-    l1, l2, l3, in_order, _ = _eigen_terms(i1 / 3.0, _TWO_OVER_SQRT3 * math.sqrt(j2), theta,
-                                           math)
-    if not in_order:
+def _eigenvalues(t: SymTensor2, i1: float, j2: float, theta: float) -> tuple[float, float, float]:
+    """eigenvalues(t) from the fields i1, j2 and theta of its invariants."""
+    l1, l2, l3, _ = _eigen_terms(i1 / 3.0, _TWO_OVER_SQRT3 * math.sqrt(j2), theta, math)
+    if not _in_order(l1, l2, l3):
+        _refuse_nonfinite(t)
         raise DegeneracyError(
             f"closed-form eigenvalues {(l1, l2, l3)!r} are out of order or not "
             f"finite (J2 = {j2!r}, theta = {theta!r})")
@@ -116,17 +113,20 @@ def _eigenvalues(i1: float, j2: float, theta: float) -> tuple[float, float, floa
 
 def _eigen_terms(mean, r, theta, m) -> tuple:
     """The values mean + r sin(theta + 2 pi/3), mean + r sin(theta) and
-    mean + r sin(theta - 2 pi/3) before the clamp of eigenvalues, whether
-    they are in order (not if one is not finite), and the three sines: the
-    eigenvalues at mean = I1/3 and r = (2/sqrt(3)) sqrt(J2), the principal
-    stresses at p and (2/3) q, whose tangent reuses the sines.  Floats or
-    (n,) arrays, with sin from m."""
+    mean + r sin(theta - 2 pi/3) before the clamp of eigenvalues, and the
+    three sines: the eigenvalues at mean = I1/3 and r = (2/sqrt(3)) sqrt(J2),
+    the principal stresses at p and (2/3) q, whose tangent reuses the sines.
+    Floats or (n,) arrays, with sin from m."""
     sines = m.sin(theta + _TWO_THIRDS_PI), m.sin(theta), m.sin(theta - _TWO_THIRDS_PI)
-    l1 = mean + r * sines[0]
-    l2 = mean + r * sines[1]
-    l3 = mean + r * sines[2]
+    return mean + r * sines[0], mean + r * sines[1], mean + r * sines[2], sines
+
+
+def _in_order(l1, l2, l3):
+    """Whether the eigenvalues l1, l2 and l3 of _eigen_terms are in
+    descending order up to roundoff; not if one is not finite.  Floats or
+    (n,) arrays."""
     slack = 1e-12 * (abs(l1) + abs(l2) + abs(l3)) + 1e-300
-    return l1, l2, l3, (l1 - l2 >= -slack) & (l2 - l3 >= -slack), sines
+    return (l1 - l2 >= -slack) & (l2 - l3 >= -slack)
 
 
 _TRIPLE = Multiplicity(MultTag.TRIPLE)
@@ -137,25 +137,11 @@ _DISTINCT = Multiplicity(MultTag.DISTINCT)
 _MULTS = (_DISTINCT, _DOUBLE_HIGH_UNIQUE, _DOUBLE_LOW_UNIQUE, _TRIPLE)
 
 
-def classify(lam: tuple[float, float, float], scale: float) -> Multiplicity:
-    """Multiplicity from eigenvalue gaps; scale is the source tensor norm.
-    The result is one of four shared instances.  ContractError names
-    eigenvalues that are not in descending order, or NaN."""
-    l1, l2, l3 = lam
-    if not l1 >= l2 >= l3:
-        raise ContractError(f"eigenvalues {(l1, l2, l3)!r} are not numbers in descending order")
-    return _multiplicity(lam, scale)
-
-
-def _multiplicity(lam: tuple, scale: float) -> Multiplicity:
-    """classify without its check of lam."""
-    triple, high_unique, low_unique = _coincidences(lam, scale)
-    return (_TRIPLE if triple else _DOUBLE_HIGH_UNIQUE if high_unique
-            else _DOUBLE_LOW_UNIQUE if low_unique else _DISTINCT)
-
-
 def _coincidences(lam, scale) -> tuple:
-    """The three tests of classify, in its order; floats or (n,) arrays."""
+    """Whether the descending eigenvalues lam are triple, and whether the
+    low or else the high pair coincides (the lone eigenvalue is the first
+    or the last), from their gaps; scale is the norm of the source tensor.
+    Floats or (n,) arrays."""
     l1, l2, l3 = lam
     spread = l1 - l3
     return (spread <= TAU_ABS + TAU_REL * scale,
@@ -225,14 +211,12 @@ def _decompose(t: SymTensor2) -> tuple:
     evaluation, and nothing is built that the callers do not read."""
     inv, s, nrm = _invariants(t)
     i1, _, _, j2, _, theta, defined = inv
-    try:
-        lam = _eigenvalues(i1, j2, theta)
-    except DegeneracyError:
-        _refuse_nonfinite(t)
-        raise
-    mult = _multiplicity(lam, nrm) if defined else _TRIPLE
-    if mult is _TRIPLE:
-        return lam, mult, (_THIRD, _THIRD, _THIRD), inv, s
+    lam = _eigenvalues(t, i1, j2, theta)
+    triple, high_unique, low_unique = _coincidences(lam, nrm)
+    if triple or not defined:
+        return lam, _TRIPLE, (_THIRD, _THIRD, _THIRD), inv, s
+    mult = (_DOUBLE_HIGH_UNIQUE if high_unique else _DOUBLE_LOW_UNIQUE if low_unique
+            else _DISTINCT)
     # On a double branch only the lone eigenvalue, whose denominator is near 3 J2.
     k = mult.unique_index
     third = i1 / 3.0
@@ -258,8 +242,8 @@ def _spectrum_rows(t: SymTensor2) -> tuple[tuple, np.ndarray]:
     inv, s, nrm = _invariant_rows(t)
     i1, _, _, j2, _, theta, defined = inv
     third = i1 / 3.0
-    l1, l2, l3, in_order, _ = _eigen_terms(third, _TWO_OVER_SQRT3 * np.sqrt(j2), theta,
-                                           _ROW_MATH)
+    l1, l2, l3, _ = _eigen_terms(third, _TWO_OVER_SQRT3 * np.sqrt(j2), theta, _ROW_MATH)
+    in_order = _in_order(l1, l2, l3)
     l2 = np.minimum(l2, l1)
     lam = (l1, l2, np.minimum(l3, l2))
     triple, high_unique, low_unique = _coincidences(lam, nrm)
@@ -319,11 +303,11 @@ _PACK_SPIN_OPERANDS = (struct.Struct("52d").pack, struct.Struct("79d").pack)
 
 
 def _spin_sum(t: SymTensor2, lam, bases, i1, j2, c, d=(0.0, 0.0, 0.0), tail=None) -> np.ndarray:
-    """Stored array of sum_i c[i] spin(t, sp, i) + sum_i d[i] N_i x N_i, plus
+    """Stored array of sum_i c[i] spin(t, i) + sum_i d[i] N_i x N_i, plus
     sum_i N_i x (K G)[i] when tail = (G, K) is given: G the components of
     three gradient rows, 18 numbers, and K a 3x3 nested sequence; lam, the
-    bases as 6-tuples of components, i1 and j2 are those of the spectrum sp
-    of t.  Floats, or (n,) arrays for the rows of t, then an (n, 6, 6) stack.
+    bases as 6-tuples of components, i1 and j2 are those of _decompose(t).
+    Floats, or (n,) arrays for the rows of t, then an (n, 6, 6) stack.
 
     With a_i = c[i] / (3 l_i^2 - J2) and w_i the w of spin, the
     dyads on N_i are X^T Y + (X^T Y)^T over rows X_i = N_i and
@@ -447,8 +431,8 @@ def _double_values(dv, eps_q, sign, q, p, c, j2, j3) -> tuple:
             kd * dv[4] + ks * sq[4], kd * dv[5] + ks * sq[5])
 
 
-def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:
-    """Derivative dN_i/dT of the eigenbasis of a simple eigenvalue.
+def spin(t: SymTensor2, i: int) -> SymTensor4:
+    """Derivative dN_i/dT of the eigenbasis of a simple eigenvalue of t.
 
     Defined for every index in the distinct case and only for the lone
     eigenvalue in the double case; never for a repeated eigenvalue.
@@ -459,14 +443,14 @@ def spin(t: SymTensor2, sp: Spectrum, i: int) -> SymTensor4:
     det (see tensor_core._D2).  The stored entry at row (ab), column (cd) is
     N_ab w_cd + w_ab N_cd + lam_i ((I_ac I_bd + I_ad I_bc)/2 - I_ab I_cd)
     + d2_I3(T)[ab, cd] over that denominator: plain component products,
-    with the shear doubled by apply().
+    with the shear doubled by apply().  Each call decomposes t.
     """
     if i not in (0, 1, 2):
         raise BranchError(f"eigenvalue index must be 0, 1 or 2, got {i}")
-    mult = sp.mult
-    if mult.tag is MultTag.TRIPLE:
+    lam, mult, bases, inv, _ = _decompose(t)
+    if mult is _TRIPLE:
         raise DegeneracyError("spin undefined: every eigenvalue is repeated")
-    if mult.tag is not MultTag.DISTINCT and i != mult.unique_index:
+    if mult is not _DISTINCT and i != mult.unique_index:
         raise DegeneracyError("spin undefined for a repeated eigenvalue")
-    return SymTensor4._of(_spin_sum(t, sp.lam, tuple(b.as_tuple() for b in sp.bases), sp.inv.i1,
-                                    sp.inv.j2, [float(k == i) for k in range(3)]))
+    return SymTensor4._of(_spin_sum(t, lam, bases, inv[0], inv[3],
+                                    [float(k == i) for k in range(3)]))

@@ -369,12 +369,18 @@ def invariants(t: SymTensor2) -> InvariantSet:
     overflows once the components pass about 5e102.  ContractError names
     the first component of t that is NaN or infinite, if one is.
     """
-    inv = _invariants(t)[0]
+    return InvariantSet(*_finite_invariants(t)[0])
+
+
+def _finite_invariants(t: SymTensor2) -> tuple[tuple, tuple, float]:
+    """_invariants(t), with the errors of invariants(t)."""
+    res = _invariants(t)
+    inv = res[0]
     if not all(map(math.isfinite, inv[:6])):
         _refuse_nonfinite(t)
         raise _overflow(next(name for name, x in zip(_INVARIANT_NAMES, inv)
                              if not math.isfinite(x)))
-    return InvariantSet(*inv)
+    return res
 
 
 _INVARIANT_NAMES = ("I1", "I2", "I3", "J2", "J3", "theta")
@@ -386,15 +392,6 @@ def _refuse_nonfinite(t: SymTensor2) -> None:
     for name, x in zip(("xx", "yy", "zz", "xy", "xz", "yz"), t.as_tuple()):
         if not math.isfinite(x):
             raise ContractError(f"tensor component {name!r} is {x!r}, not a finite number")
-
-
-def _refuse_invariant_set(inv: InvariantSet) -> None:
-    """ContractError naming a J2 or theta of inv, a set built by hand, that
-    no tensor has: J2 negative, or either one not finite."""
-    if not 0.0 <= inv.j2 < math.inf:
-        raise ContractError(f"InvariantSet field 'j2' is {inv.j2!r}, which no tensor has")
-    if not math.isfinite(inv.theta):
-        raise ContractError(f"InvariantSet field 'theta' is {inv.theta!r}, which no tensor has")
 
 
 def _overflow(name: str) -> DegeneracyError:
@@ -448,12 +445,11 @@ def _sin3theta(j2, j3, sqrt_j2):
     return _MINUS_HALF_SQRT27 * j3 / (j2 * sqrt_j2)
 
 
-def dtheta_dT(t: SymTensor2, inv: InvariantSet) -> SymTensor2:
-    """Gradient of the Lode angle; undefined at J2 = 0 and theta = +/-pi/6.
-    ContractError names a J2 or theta of inv that no tensor has."""
-    _refuse_invariant_set(inv)
-    return SymTensor2(*_dtheta_of_dev(deviator(t).as_tuple(), inv.j2, inv.theta,
-                                      inv.theta_defined))
+def dtheta_dT(t: SymTensor2) -> SymTensor2:
+    """Gradient of the Lode angle of t; undefined at J2 = 0 and theta =
+    +/-pi/6.  Where invariants(t) raises, so does it."""
+    inv, s, _ = _finite_invariants(t)
+    return SymTensor2(*_dtheta_of_dev(s, inv[3], inv[5], inv[6]))
 
 
 def _dtheta_of_dev(s: tuple, j2: float, theta: float, defined: bool) -> tuple:

@@ -124,7 +124,7 @@ def test_criterion_3_spin_matches_fd():
         sp_m = spectrum(t + (-h) * dt)
         for i in range(3):
             fd = (1.0 / (2.0 * h)) * (sp_p.bases[i] - sp_m.bases[i])
-            got = spin(t, sp, i).apply(dt)
+            got = spin(t, i).apply(dt)
             worst = max(worst, norm(got - fd) / max(norm(got), 1e-12))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-4 and elapsed < 10.0

@@ -3,6 +3,7 @@ up here as a deliberate edit."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -18,7 +19,7 @@ PUBLIC_NAMES = [
     "KinematicsError", "LogStrainResult", "MapDomainError", "MultTag",
     "Multiplicity", "ScalarEigenMap", "SpectensError", "Spectrum",
     "StrainPredictorInvariants", "StressInvariants", "SymTensor2",
-    "SymTensor4", "adjugate", "classify", "consistent_tangent", "cube_map",
+    "SymTensor4", "adjugate", "consistent_tangent", "cube_map",
     "ddot", "det", "deviator", "double_exp_map", "dtheta_dT", "eigenvalues",
     "half_log_map", "invariants", "isotropic_function", "left_cauchy_green",
     "linear_elastic_map", "log_strain", "log_strain_from_b", "norm",
@@ -54,6 +55,8 @@ REMOVED = {
     "ConditioningWarning": "the deviator is formed from differences of the diagonal, so the "
                            "arcsin argument of theta passes 1 by roundoff only and nothing "
                            "is left to warn of",
+    "classify": "spectrum(t).mult is the multiplicity of t; classify took eigenvalues, "
+                "which could belong to no tensor",
 }
 
 
@@ -75,6 +78,38 @@ def test_public_names_are_pinned():
     assert spectens.__all__ == PUBLIC_NAMES
     assert not set(REMOVED) & set(dir(spectens))
     assert not any(hasattr(spectens, name) for name in REMOVED)
+
+
+def test_the_decomposition_calls_take_the_tensor():
+    """eigenvalues, dtheta_dT and spin take the tensor itself, not an
+    InvariantSet or a Spectrum that may belong to another tensor."""
+    for fn, params in ((spectens.eigenvalues, ["t"]), (spectens.dtheta_dT, ["t"]),
+                       (spectens.spin, ["t", "i"])):
+        assert list(inspect.signature(fn).parameters) == params
+
+
+_T1 = spectens.SymTensor2(3.0, 2.0, 1.0, 0.0, 0.0, 0.0)
+_T2 = spectens.SymTensor2(1.0, -2.0, 0.5, 0.3, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("call", (
+    lambda: spectens.eigenvalues(spectens.invariants(_T1)),
+    lambda: spectens.eigenvalues(spectens.spectrum(_T1)),
+    lambda: spectens.dtheta_dT(_T1, spectens.invariants(_T2)),
+    lambda: spectens.dtheta_dT(spectens.invariants(_T1)),
+    lambda: spectens.spin(_T1, spectens.spectrum(_T2), 0),
+    lambda: spectens.spin(spectens.spectrum(_T1), 0),
+    lambda: spectens.spin(spectens.invariants(_T1), 0),
+    lambda: importlib.import_module("spectens.spectral").classify((3.0, 2.0, 1.0), 1.0)),
+    ids=("eigenvalues-inv", "eigenvalues-spectrum", "dtheta_dT-t-inv", "dtheta_dT-inv",
+         "spin-t-spectrum-i", "spin-spectrum-i", "spin-inv-i", "classify"))
+def test_an_old_decomposition_call_cannot_be_made(call):
+    """The forms that took an InvariantSet or a Spectrum, which may belong to
+    another tensor, and classify, which took eigenvalues, are refused rather
+    than answered: spin(t1, spectrum(t2), 0) and dtheta_dT(t1, invariants(t2))
+    returned finite numbers that belonged to neither tensor."""
+    with pytest.raises((TypeError, AttributeError)):
+        call()
 
 
 def test_importing_the_package_leaves_the_oracle_unloaded():

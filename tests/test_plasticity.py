@@ -336,7 +336,7 @@ def test_dsigma_reuses_the_sines_of_the_principal_stresses(th):
     want = [[gp[k] + (2.0 / 3.0) * (gq[k] * math.sin(th + sh) + q * math.cos(th + sh) * gth[k])
              for k in range(3)] for sh in plasticity._SHIFTS]
     for x, m in ((th, math), (np.array([th]), tensor_core._ROW_MATH)):
-        sines = spectral._eigen_terms(0.0, 1.0, x, m)[4]
+        sines = spectral._eigen_terms(0.0, 1.0, x, m)[3]
         got = plasticity._dsigma(gp, gq, gth, q, x, sines, m)
         assert np.array(got, dtype=float).tobytes() == np.array(want).reshape(
             np.shape(got)).tobytes()

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 import spectens as st
-from spectens import oracle, spectral
-from spectens.spectral import MultTag, Multiplicity, _anchored, _spin_sum, classify, eigenvalues
+from spectens import oracle, spectral, tensor_core
+from spectens.spectral import MultTag, Multiplicity, _anchored, _spin_sum
 from spectens.tensor_core import TAU_ABS, TAU_GAP, TAU_REL
 
 from util import (
@@ -37,23 +37,19 @@ from util import (
 _HUGE = st.SymTensor2(1e110, 2e110, -3e110, 0.5e110, 0.0, 0.25e110)
 
 
-def _eigs(t):
-    return eigenvalues(st.invariants(t))
-
-
 def test_eigenvalue_hand_examples():
     assert max(abs(a - b) for a, b in zip(
-        _eigs(st.SymTensor2(5.0, 2.0, -1.0, 0, 0, 0)), (5.0, 2.0, -1.0))) <= 1e-12
+        st.eigenvalues(st.SymTensor2(5.0, 2.0, -1.0, 0, 0, 0)), (5.0, 2.0, -1.0))) <= 1e-12
     assert max(abs(a - b) for a, b in zip(
-        _eigs(st.SymTensor2(4.0, 1.0, 1.0, 0, 0, 0)), (4.0, 1.0, 1.0))) <= 1e-12
+        st.eigenvalues(st.SymTensor2(4.0, 1.0, 1.0, 0, 0, 0)), (4.0, 1.0, 1.0))) <= 1e-12
     assert max(abs(a - b) for a, b in zip(
-        _eigs(st.SymTensor2(2.0, 2.0, 2.0, 0, 0, 0)), (2.0, 2.0, 2.0))) <= 1e-15
+        st.eigenvalues(st.SymTensor2(2.0, 2.0, 2.0, 0, 0, 0)), (2.0, 2.0, 2.0))) <= 1e-15
 
 
 def test_eigenvalues_descending_many():
     rng = np.random.default_rng(30)
     for _ in range(2000):
-        lam = _eigs(rand_sym(rng))
+        lam = st.eigenvalues(rand_sym(rng))
         assert lam[0] >= lam[1] >= lam[2]
 
 
@@ -61,26 +57,49 @@ def test_eigenvalues_match_oracle():
     rng = np.random.default_rng(31)
     for _ in range(500):
         t = rand_sym(rng)
-        lam = _eigs(t)
+        lam = st.eigenvalues(t)
         ref = [p.value for p in oracle.jacobi_eigen(t)]
         spread = max(ref[0] - ref[2], 1e-300)
         assert max(abs(a - b) for a, b in zip(lam, ref)) <= 1e-10 * spread
 
 
-def test_classify_examples():
-    m = classify((4.0, 1.0, 1.0), 4.0)
+def test_coincidence_examples():
+    """The gap tests of the classification on given eigenvalues: (triple,
+    low pair repeated, high pair repeated)."""
+    assert spectral._coincidences((4.0, 1.0, 1.0), 4.0) == (False, True, False)
+    assert spectral._coincidences((1.0, 1.0, -2.0), 2.0) == (False, False, True)
+    assert spectral._coincidences((2.0 + 1e-16, 2.0, 2.0 - 1e-16), 2.0)[0]
+    assert spectral._coincidences((5.0, 2.0, -1.0), 5.0) == (False, False, False)
+    # Relative gap right at the floor.
+    assert spectral._coincidences((1.0 + 5e-8, 1.0, 0.0), 1.0) == (False, False, True)
+    assert spectral._coincidences((1.0 + 5e-7, 1.0, 0.0), 1.0) == (False, False, False)
+
+
+@pytest.mark.parametrize("lam, ordered", (
+    ((3.0, 1.0, 2.0), False), ((1.0, 2.0, 3.0), False), ((2.0, 2.0, 2.5), False),
+    ((math.nan, 1.0, 0.0), False), ((1.0, math.nan, 0.0), False),
+    ((1.0, 0.0, math.nan), False), ((5.0, 2.0, -1.0), True), ((0.0, 0.0, 0.0), True),
+    ((1.0, math.nextafter(1.0, 2.0), 0.0), True)))
+def test_the_order_test_refuses_eigenvalues_out_of_order_or_nan(lam, ordered):
+    """The order test that eigenvalues and the rows run on the closed form:
+    an inversion past roundoff, or a NaN, fails it on floats and rows alike;
+    a tie inverted by one ulp passes."""
+    assert spectral._in_order(*lam) is ordered
+    rows = spectral._in_order(*(np.array([x, x]) for x in lam))
+    assert rows.tolist() == [ordered, ordered]
+
+
+def test_multiplicity_examples():
+    m = st.spectrum(st.SymTensor2(4.0, 1.0, 1.0, 0.0, 0.0, 0.0)).mult
     assert m.tag is MultTag.DOUBLE_HIGH_UNIQUE
     assert m.unique_index == 0
     assert m.theta_sign == -1
-    m = classify((1.0, 1.0, -2.0), 2.0)
+    m = st.spectrum(st.SymTensor2(1.0, 1.0, -2.0, 0.0, 0.0, 0.0)).mult
     assert m.tag is MultTag.DOUBLE_LOW_UNIQUE
     assert m.unique_index == 2
     assert m.theta_sign == 1
-    assert classify((2.0 + 1e-16, 2.0, 2.0 - 1e-16), 2.0).tag is MultTag.TRIPLE
-    assert classify((5.0, 2.0, -1.0), 5.0).tag is MultTag.DISTINCT
-    # Relative gap right at the floor.
-    assert classify((1.0 + 5e-8, 1.0, 0.0), 1.0).tag is MultTag.DOUBLE_LOW_UNIQUE
-    assert classify((1.0 + 5e-7, 1.0, 0.0), 1.0).tag is MultTag.DISTINCT
+    for xx, tag in ((1.0 + 5e-8, MultTag.DOUBLE_LOW_UNIQUE), (1.0 + 5e-7, MultTag.DISTINCT)):
+        assert st.spectrum(st.SymTensor2(xx, 1.0, 0.0, 0.0, 0.0, 0.0)).mult.tag is tag
 
 
 def test_theta_sign_branch_guard():
@@ -231,23 +250,15 @@ def test_spectrum_matches_oracle_projectors():
         done += 1
 
 
-@pytest.mark.parametrize("lam", ((3.0, 1.0, 2.0), (1.0, 2.0, 3.0), (2.0, 2.0, 2.5),
-                                 (math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0, math.nan)))
-def test_classify_refuses_eigenvalues_out_of_order_or_nan(lam):
-    """Eigenvalues that are not descending, or NaN, have no multiplicity:
-    classify raises instead of reading their gaps."""
-    with pytest.raises(st.ContractError, match="not numbers in descending order"):
-        classify(lam, 1.0)
-
-
-def test_classify_returns_shared_instances_equal_to_fresh_ones():
+def test_multiplicities_are_shared_instances_equal_to_fresh_ones():
     cases = (((5.0, 2.0, -1.0), Multiplicity(MultTag.DISTINCT)),
              ((4.0, 1.0, 1.0), Multiplicity(MultTag.DOUBLE_HIGH_UNIQUE, 0)),
              ((1.0, 1.0, -2.0), Multiplicity(MultTag.DOUBLE_LOW_UNIQUE, 2)),
              ((2.0, 2.0, 2.0), Multiplicity(MultTag.TRIPLE)))
     for lam, want in cases:
-        assert classify(lam, 5.0) == want
-        assert classify(lam, 5.0) is classify(tuple(2.0 * x for x in lam), 10.0)
+        t = st.SymTensor2(*lam, 0.0, 0.0, 0.0)
+        assert st.spectrum(t).mult == want
+        assert st.spectrum(t).mult is st.spectrum(2.0 * t).mult
 
 
 def _outcome(fn, t):
@@ -298,13 +309,15 @@ def test_spectrum_names_a_component_that_is_not_finite(k, bad):
                                    (_HUGE, "7.312500000000001e+220")))
 def test_an_overflowing_tensor_keeps_its_errors(t, j2):
     """Past about 1e103 I3 overflows, and the Lode angle comes out NaN:
-    invariants names I3, and spectrum and every call built on it name the
-    closed-form eigenvalues, with these exact messages."""
-    with pytest.raises(st.DegeneracyError) as info:
-        st.invariants(t)
-    assert str(info.value) == "result field 'I3' is not finite: the input overflows the closed form"
+    invariants and dtheta_dT name I3, and spectrum and every call built on
+    it name the closed-form eigenvalues, with these exact messages."""
+    for fn in (st.invariants, st.dtheta_dT):
+        with pytest.raises(st.DegeneracyError) as info:
+            fn(t)
+        assert str(info.value) == ("result field 'I3' is not finite: the input overflows the "
+                                   "closed form")
     rm = st.linear_elastic_map(2.0, 1.0)
-    for fn in (st.spectrum, st.log_strain_from_b,
+    for fn in (st.spectrum, st.eigenvalues, lambda x: st.spin(x, 0), st.log_strain_from_b,
                lambda x: st.isotropic_function(x, st.square_map()),
                lambda x: st.reconstruct_stress(x, rm), lambda x: st.consistent_tangent(x, rm),
                lambda x: st.stress_and_tangent(x, rm)):
@@ -394,6 +407,69 @@ def test_spectrum_and_invariants_wrap_the_decomposition_property(e, rep, quat, l
     else:
         with pytest.raises(st.DegeneracyError, match="is not finite: the input overflows"):
             st.invariants(t)
+
+
+def _result(fn):
+    """The bits of the floats that fn() returns, or the type of the
+    SpectensError it raises."""
+    try:
+        r = fn()
+    except st.SpectensError as exc:
+        return type(exc)
+    if isinstance(r, st.SymTensor4):
+        return _bits(r.m)
+    return _bits(r.as_tuple() if isinstance(r, st.SymTensor2) else r)
+
+
+def _spin_of(t, sp, i):
+    """The stored array of the spin of eigenvalue i of t from the spectrum
+    sp, which need not be spectrum(t): the spin kernel at unit weight i."""
+    return _spin_sum(t, sp.lam, tuple(b.as_tuple() for b in sp.bases), sp.inv.i1, sp.inv.j2,
+                     [float(k == i) for k in range(3)])
+
+
+def _spin_from_spectrum(t, i):
+    """The spin of eigenvalue i of t composed from spectrum(t), its guards
+    and the spin kernel, as spin took a spectrum."""
+    sp = st.spectrum(t)
+    tag = sp.mult.tag
+    if tag is MultTag.TRIPLE or tag is not MultTag.DISTINCT and i != sp.mult.unique_index:
+        raise st.DegeneracyError("spin undefined for a repeated eigenvalue")
+    return st.SymTensor4(_spin_of(t, sp, i))
+
+
+def _dtheta_from_invariants(t):
+    """dtheta_dT(t) composed from invariants(t) and deviator(t), as
+    dtheta_dT took an InvariantSet."""
+    inv = st.invariants(t)
+    return st.SymTensor2(*tensor_core._dtheta_of_dev(st.deviator(t).as_tuple(), inv.j2,
+                                                     inv.theta, inv.theta_defined))
+
+
+@settings(max_examples=300)
+@given(hs.tuples(_EIGS, _EIGS, _EIGS), _REPEATS, _QUAT, _LOG10_SCALE, hs.integers(0, 2),
+       hs.integers(0, 5), hs.sampled_from((math.nan, math.inf, -math.inf)))
+def test_the_decomposition_calls_take_the_tensor_property(e, rep, quat, log10_scale, i, k, bad):
+    """eigenvalues(t) is spectrum(t).lam, spin(t, i) is the spin composed
+    from spectrum(t), and dtheta_dT(t) the gradient composed from
+    invariants(t), bit for bit or with the same type of error, on distinct,
+    double and triple draws from 1e-120 to 1e110.  With a component NaN or
+    infinite, each is a ContractError naming it."""
+    q = np.array(quat)
+    assume(np.linalg.norm(q) > 0.1)
+    r = quat_rotation(q / np.linalg.norm(q))
+    eigs = np.array([e[j] for j in rep]) * 10.0 ** log10_scale
+    t = st.SymTensor2.from_matrix(r @ np.diag(eigs) @ r.T)
+    assert _result(lambda: st.eigenvalues(t)) == _result(lambda: st.spectrum(t).lam)
+    assert _result(lambda: st.spin(t, i)) == _result(lambda: _spin_from_spectrum(t, i))
+    assert _result(lambda: st.dtheta_dT(t)) == _result(lambda: _dtheta_from_invariants(t))
+    comps = list(t.as_tuple())
+    comps[k] = bad
+    t = st.SymTensor2(*comps)
+    name = ("xx", "yy", "zz", "xy", "xz", "yz")[k]
+    for fn in (st.eigenvalues, lambda x: st.spin(x, i), st.dtheta_dT):
+        with pytest.raises(st.ContractError, match=f"component '{name}' is {bad!r}"):
+            fn(t)
 
 
 class _Built(Exception):
@@ -508,9 +584,8 @@ def test_basis_continuity_across_double_threshold():
 
 def test_spin_matches_fd_distinct():
     t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
-    sp = st.spectrum(t)
     for i in range(3):
-        got = st.spin(t, sp, i)
+        got = st.spin(t, i)
         fd = oracle.fd_tensor_derivative(lambda x, i=i: st.spectrum(x).bases[i], t)
         assert rel4(fd, got) <= 1e-5
 
@@ -526,7 +601,7 @@ def test_spin_matches_fd_random():
         if min(sp.lam[0] - sp.lam[1], sp.lam[1] - sp.lam[2]) < 1e-2 * (sp.lam[0] - sp.lam[2]):
             continue
         i = done % 3
-        got = st.spin(t, sp, i)
+        got = st.spin(t, i)
         fd = oracle.fd_tensor_derivative(lambda x, i=i: st.spectrum(x).bases[i], t)
         assert rel4(fd, got) <= 1e-4
         done += 1
@@ -541,7 +616,7 @@ def test_spin_major_symmetry():
         if sp.mult.tag is not MultTag.DISTINCT:
             continue
         for i in range(3):
-            m = st.spin(t, sp, i).m
+            m = st.spin(t, i).m
             assert np.max(np.abs(m - m.T)) <= 1e-10 * max(1.0, np.max(np.abs(m)))
         # Distinct-branch isotropic-function and log-strain tangents are
         # exactly symmetric: B = exp(2 t) is SPD with the bases of t.
@@ -580,7 +655,7 @@ def test_spin_matches_dyad_reference_across_scales():
             tols = []
             for i in range(3):
                 tols.append(128.0 * eps * st.norm(t) / abs(spin_den(sp, i)))
-                assert np.all(np.abs(st.spin(t, sp, i).m - spin_ref(t, sp, i)) <= tols[i])
+                assert np.all(np.abs(_spin_of(t, sp, i) - spin_ref(t, sp, i)) <= tols[i])
             # The fused kernel: two weighted spins plus the dyads d_i N_i x N_i,
             # whose entries are at most |d_i| and round a few times each.
             c0, c2 = rng.standard_normal(2)
@@ -721,7 +796,7 @@ def test_spin_near_a_double_is_as_accurate_as_the_trigonometric_form():
                 ref = _spins_mp(t)
                 for i in range(3):
                     unit = 128.0 * eps * st.norm(t) / abs(spin_den(sp, i))
-                    for w, m in enumerate((st.spin(t, sp, i).m, spin_ref(t, sp, i))):
+                    for w, m in enumerate((st.spin(t, i).m, spin_ref(t, sp, i))):
                         worst[w] = max(worst[w], np.max(np.abs(m - ref[i])) / unit)
             assert worst[0] <= 1.1 * worst[1], (offset, gap, worst)
 
@@ -730,8 +805,7 @@ def test_spin_second_order_convergence():
     # Central differences of the closed-form basis converge at O(h^2) toward
     # the spin, so the h = 1e-2 error must shrink by far more than 10x at 1e-3.
     t = st.SymTensor2(5.0, 2.0, -1.0, 0.4, -0.3, 0.2)
-    sp = st.spectrum(t)
-    got = st.spin(t, sp, 0)
+    got = st.spin(t, 0)
     errs = []
     for h in (1e-2, 1e-3):
         fd = oracle.fd_tensor_derivative(lambda x: st.spectrum(x).bases[0], t, h)
@@ -748,7 +822,7 @@ def test_spin_double_unique_with_tracking():
         t = make_with_eigs(rng, eigs)
         sp = st.spectrum(t)
         assert sp.mult.unique_index == idx
-        got = st.spin(t, sp, idx)
+        got = st.spin(t, idx)
         h = 1e-6 * st.norm(t)
         fd = oracle.fd_tensor_derivative(lambda x, idx=idx: st.spectrum(x).bases[idx], t, h)
         assert rel4(fd, got) <= 1e-4
@@ -757,16 +831,15 @@ def test_spin_double_unique_with_tracking():
 def test_spin_branch_guards():
     t3 = st.SymTensor2(2.0, 2.0, 2.0, 0.0, 0.0, 0.0)
     with pytest.raises(st.DegeneracyError):
-        st.spin(t3, st.spectrum(t3), 0)
+        st.spin(t3, 0)
     td = st.SymTensor2(4.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-    spd = st.spectrum(td)
     with pytest.raises(st.DegeneracyError):
-        st.spin(td, spd, 1)
+        st.spin(td, 1)
     t = st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0)
     with pytest.raises(st.BranchError):
-        st.spin(t, st.spectrum(t), 5)
+        st.spin(t, 5)
     with pytest.raises(st.BranchError):
-        st.spin(td, spd, 5)
+        st.spin(td, 5)
 
 
 def _row_of(x, i):

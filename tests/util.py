@@ -8,6 +8,7 @@ import numpy as np
 from spectens import (
     ContractError,
     ConvergenceError,
+    DegeneracyError,
     IDENTITY2,
     IDENTITY4,
     IXI,
@@ -18,10 +19,8 @@ from spectens import (
     ScalarEigenMap,
     Spectrum,
     SymTensor2,
-    classify,
     det,
     deviator,
-    eigenvalues,
     left_cauchy_green,
     log_strain_from_b,
     norm,
@@ -271,11 +270,11 @@ def spin_ref(t, sp, i):
             + d2_I3_ref(t)) * (1.0 / spin_den(sp, i))
 
 
-# spectrum composed step by step from the public functions, as it was before
-# it became one pass: invariants, eigenvalues, classification against
-# norm(t), and bases from deviator(t) and sym_square.  Kept as an exact
-# reference: the one-pass spectrum keeps the order of every operation, so
-# the two agree bit for bit.
+# spectrum composed step by step, as it was before it became one pass:
+# invariants, closed-form eigenvalues, classification against norm(t), and
+# bases from deviator(t) and sym_square.  Kept as an exact reference: the
+# one-pass spectrum keeps the order of every operation, so the two agree bit
+# for bit.
 
 def invariants_ref(t):
     i1 = t.trace()
@@ -321,11 +320,41 @@ BAND_TENSOR = SymTensor2(273.4868993801703, 273.48689938063836, 273.486899366478
                          1.005621030154492e-09, -2.0797976305382715e-08, -7.91971176317363e-09)
 
 
+def eigenvalues_ref(inv):
+    """lam_i = I1/3 + (2/sqrt(3)) sqrt(J2) sin(beta_i), descending, with
+    beta_i = theta + 2 pi/3, theta, theta - 2 pi/3; DegeneracyError unless
+    they are in order up to roundoff, then clamped into order."""
+    mean, r, theta = inv.i1 / 3.0, 2.0 / math.sqrt(3.0) * math.sqrt(inv.j2), inv.theta
+    l1 = mean + r * math.sin(theta + 2.0 * math.pi / 3.0)
+    l2 = mean + r * math.sin(theta)
+    l3 = mean + r * math.sin(theta - 2.0 * math.pi / 3.0)
+    slack = 1e-12 * (abs(l1) + abs(l2) + abs(l3)) + 1e-300
+    if not (l1 - l2 >= -slack and l2 - l3 >= -slack):
+        raise DegeneracyError(f"closed-form eigenvalues {(l1, l2, l3)!r} are out of order")
+    l2 = min(l2, l1)
+    return (l1, l2, min(l3, l2))
+
+
+def multiplicity_ref(lam, scale):
+    """The coincidence pattern of the descending eigenvalues lam of a tensor
+    of norm scale: triple if their spread is at most TAU_ABS + TAU_REL scale,
+    else double if the low or else the high pair is within TAU_GAP of the
+    spread, else distinct."""
+    spread = lam[0] - lam[2]
+    if spread <= TAU_ABS + TAU_REL * scale:
+        return Multiplicity(MultTag.TRIPLE)
+    if lam[1] - lam[2] <= TAU_GAP * spread:
+        return Multiplicity(MultTag.DOUBLE_HIGH_UNIQUE, 0)
+    if lam[0] - lam[1] <= TAU_GAP * spread:
+        return Multiplicity(MultTag.DOUBLE_LOW_UNIQUE, 2)
+    return Multiplicity(MultTag.DISTINCT)
+
+
 def spectrum_ref(t):
     inv = invariants_ref(t)
-    lam = eigenvalues(inv)
+    lam = eigenvalues_ref(inv)
     # A tensor whose Lode angle is undefined is triple, whatever its gaps.
-    mult = classify(lam, norm(t)) if inv.theta_defined else Multiplicity(MultTag.TRIPLE)
+    mult = multiplicity_ref(lam, norm(t)) if inv.theta_defined else Multiplicity(MultTag.TRIPLE)
     if mult.tag is MultTag.DISTINCT:
         s = deviator(t)
         ssq = sym_square(s)
