@@ -27,7 +27,7 @@ import numpy as np
 import orjson
 
 from .errors import ContractError, DegeneracyError
-from .spectral import _MULTS, MultTag, _decompose, _spectrum_rows, _spin_sum, spectrum
+from .spectral import _MULTS, _decompose, _spectrum_rows, _spin_sum, spectrum
 from .tensor_core import (_FLOAT_INT, SymTensor2, _cauchy_green_terms, _invariant_rows,
                           _overflow, invariants, left_cauchy_green, norm)
 
@@ -69,35 +69,35 @@ def _record_tensor(rec: dict) -> SymTensor2:
     return left_cauchy_green(_finite_floats(rec["F"], 9, "F"))
 
 
-def _dispatch(cmd: str, t: SymTensor2, rm) -> tuple[list, object]:
-    """The numbers of the record of cmd at t, in output order, and its extra
-    field: theta_defined for invariants, None for stress, else the
-    multiplicity.  From the scalar library calls, and for spin from one
-    _decompose and the spin kernel, as in _dispatch_rows."""
+def _dispatch(cmd: str, t: SymTensor2, rm) -> tuple[list, int, tuple]:
+    """(numbers in output order, kind, extras) of the record of cmd at t, its
+    extra field extras[kind]: theta_defined for invariants, None for stress,
+    else the multiplicity of the class code kind.  From the scalar library
+    calls, and for eigen, basis and spin from _decompose, as _dispatch_rows."""
     if cmd == "invariants":
         inv = invariants(t)
-        return [inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta], inv.theta_defined
+        return ([inv.i1, inv.i2, inv.i3, inv.j2, inv.j3, inv.theta], inv.theta_defined,
+                (False, True))
     if cmd == "logstrain":
         from .logstrain import log_strain_from_b
         res = log_strain_from_b(t)
-        return [*res.eps.as_tuple(), *res.deps_db.as_list()], res.branch
+        return [*res.eps.as_tuple(), *res.deps_db.as_list()], _MULTS.index(res.branch), _MULTS
     if cmd == "stress":
         from .plasticity import stress_and_tangent
         sig, tan = stress_and_tangent(t, rm)
-        return [*sig.as_tuple(), *tan.as_list()], None
+        return [*sig.as_tuple(), *tan.as_list()], 0, (None,)
+    lam, code, bases, inv, _ = _decompose(t)
     if cmd == "spin":
-        lam, mult, bases, inv, _ = _decompose(t)
-        if mult.tag is not MultTag.DISTINCT:
+        if code:
             raise DegeneracyError(
                 "basis spins are defined only for distinct eigenvalues; "
-                f"input classified as {mult.tag.value}")
+                f"input classified as {_MULTS[code].tag.value}")
         spins = [_spin_sum(t, lam, bases, inv[0], inv[3], [float(k == i) for k in range(3)])
                  for i in range(3)]
-        return np.ravel(spins).tolist(), mult
-    sp = spectrum(t)
+        return np.ravel(spins).tolist(), code, _MULTS
     if cmd == "basis":
-        return [*sp.lam, *(x for b in sp.bases for x in b.as_tuple())], sp.mult
-    return list(sp.lam), sp.mult
+        return [*lam, *chain.from_iterable(bases)], code, _MULTS
+    return list(lam), code, _MULTS
 
 
 def _dispatch_rows(cmd: str, t: SymTensor2, rm):
@@ -279,8 +279,8 @@ def _scalar_line(cmd: str, rec, rec_id, rm) -> tuple[bool, str]:
             raise ContractError("record must be a JSON object")
         text = _id_text(rec["id"]) if "id" in rec else json.dumps(rec_id)
         rec_id = rec.get("id", rec_id)
-        row, extra = _dispatch(cmd, _record_tensor(rec), rm)
-        cells = _cells(cmd, (extra,), np.zeros(1, dtype=np.intp), [text],
+        row, kind, extras = _dispatch(cmd, _record_tensor(rec), rm)
+        cells = _cells(cmd, extras, np.array([kind]), [text],
                        np.array([_checked_finite(cmd, row)]))
         return True, "".join(cells.ravel().tolist())
     except Exception as exc:

@@ -11,12 +11,12 @@ import numpy as np
 
 from .errors import MapDomainError
 from .spectral import (
-    MultTag,
     _anchored,
     _coincident_tangent,
     _decompose,
     _double_values,
     _spin_sum,
+    _theta_sign,
 )
 from .tensor_core import (
     IDENTITY2,
@@ -110,9 +110,9 @@ def _eta_rows(f: ScalarEigenMap, lams, ok: np.ndarray) -> tuple[list, list, np.n
 def _apply_rows(t: SymTensor2, dec: tuple, f: ScalarEigenMap,
                 ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_apply on the rows of t and of its decomposition dec (_spectrum_rows)
-    where ok, whose entries are (n,) arrays and whose mult holds the class
-    codes: (S as (n, 6), dS/dT as (n, 6, 6), ok less the rows on which
-    _apply would raise).  f is called only on rows that are still ok."""
+    where ok, whose entries are (n,) arrays: (S as (n, 6), dS/dT as
+    (n, 6, 6), ok less the rows on which _apply would raise).  f is called
+    only on rows that are still ok."""
     lam, code, bases, (i1, _, _, j2, j3, _, _), s = dec
     e, d, ok_all = _eta_rows(f, lam, ok & (code == 0))
     s_all = _as_vec(_anchored(e, bases[0], bases[2]))
@@ -122,7 +122,7 @@ def _apply_rows(t: SymTensor2, dec: tuple, f: ScalarEigenMap,
     rows = np.flatnonzero(code)
     code, i1, j2 = code[rows], i1[rows], j2[rows]
     triple = code == 3
-    sign = np.where(code == 1, -1.0, 1.0)
+    sign = _theta_sign(code)
     qt = np.where(triple, 0.0, np.sqrt(3.0 * j2))
     lam_hat, lam_rep = _coincident(i1, qt, sign)
     (e_hat,), (d_hat,), ok_hat = _eta_rows(f, (lam_hat,), ok[rows])
@@ -153,19 +153,18 @@ def _apply(t: SymTensor2, dec: tuple, f: ScalarEigenMap) -> tuple[SymTensor2, Sy
     *differences* multiply the two bases and spins whose conditioning
     degrades near coincidence.
     """
-    lam, mult, bases, (i1, _, _, j2, j3, _, _), s = dec
-    tag = mult.tag
-    if tag is MultTag.DISTINCT:
+    lam, code, bases, (i1, _, _, j2, j3, _, _), s = dec
+    if code == 0:
         e, d = _eta(f, lam)
         return (SymTensor2(*_anchored(e, bases[0], bases[2])),
                 SymTensor4._of(_spin_sum(t, lam, bases, i1, j2,
                                          (e[0] - e[1], 0.0, e[2] - e[1]), d)))
-    if tag is MultTag.TRIPLE:
+    sign = _theta_sign(code)
+    if code == 3:
         # lam_hat is lam_rep at the triple point: f is called once.
-        (e,), (d,) = _eta(f, _coincident(i1, 0.0, 1.0)[:1])
-        p, q, gp, gq, _ = _map_values((e, e), (d, d), 1.0)
-        return p * IDENTITY2, SymTensor4._of(_coincident_tangent(None, 0.0, 1.0, q, gp, gq, 0.0))
-    sign = float(mult.theta_sign)
+        (e,), (d,) = _eta(f, _coincident(i1, 0.0, sign)[:1])
+        p, q, gp, gq, _ = _map_values((e, e), (d, d), sign)
+        return p * IDENTITY2, SymTensor4._of(_coincident_tangent(None, 0.0, sign, q, gp, gq, 0.0))
     qt = math.sqrt(3.0 * j2)
     p, q, gp, gq, slope = _map_values(*_eta(f, _coincident(i1, qt, sign)), sign)
     args = (s, 2.0 * qt / 3.0, sign, q)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import KinematicsError
 from .isofunc import _apply, _apply_rows, half_log_map
-from .spectral import Multiplicity, _decompose
+from .spectral import _MULTS, Multiplicity, _decompose
 from .tensor_core import SymTensor2, SymTensor4, left_cauchy_green
 
 # Relative floor on the smallest stretch: below this the tensor logarithm is
@@ -35,7 +35,7 @@ def log_strain_from_b(b: SymTensor2) -> LogStrainResult:
             f"B has principal stretches {lam!r}; log strain needs a "
             "positive, non-degenerate spectrum")
     eps, deps = _apply(b, dec, _HALF_LOG)
-    return LogStrainResult(b=b, eps=eps, deps_db=deps, branch=dec[1])
+    return LogStrainResult(b=b, eps=eps, deps_db=deps, branch=_MULTS[dec[1]])
 
 
 def _log_strain_rows(b: SymTensor2, dec: tuple, ok) -> tuple:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ContractError
 from .spectral import (
-    MultTag,
     _I,
     _anchored,
     _coincident_tangent,
@@ -26,6 +25,7 @@ from .spectral import (
     _double_values,
     _eigen_terms,
     _spin_sum,
+    _theta_sign,
 )
 from .tensor_core import (
     COS3THETA_FLOOR,
@@ -149,19 +149,18 @@ def _map_at(dec: tuple, rm: InvariantReturnMap):
     grad_theta_sigma, for the in-pair coefficient (_in_pair); each field is
     read through _called.  A field that it refuses, or q < 0, is a
     ContractError."""
-    _, mult, _, (i1, _, _, j2, _, theta, _), _ = dec
+    _, code, _, (i1, _, _, j2, _, theta, _), _ = dec
     args = _predictor_args(i1, j2, theta, math)
-    tag = mult.tag
-    if tag is MultTag.TRIPLE:
+    if code == 3:
         args = (args[0], 0.0, 0.0)
     p = _called(rm.p, args, (), ContractError, "return map p", _AT)
-    if tag is MultTag.TRIPLE:
+    if code == 3:
         return args, p, 0.0, None, None, None, None
     q = _called(rm.q, args, (), ContractError, "return map q", _AT)
     if q < 0.0:
         raise ContractError(f"return map produced q = {q!r} at {_AT.format(*args)}; "
                             "q must be >= 0")
-    if tag is MultTag.DISTINCT:
+    if code == 0:
         th = _called(rm.theta_sigma, args, (), ContractError, "return map theta_sigma", _AT)
         *sig, sines = _eigen_terms(p, (2.0 / 3.0) * q, th, math)
         return args, p, q, th, sines, sig, None
@@ -173,26 +172,23 @@ def _map_at(dec: tuple, rm: InvariantReturnMap):
 def _stress(dec: tuple, mv) -> SymTensor2:
     """reconstruct_stress from the decomposition dec and the map values mv
     of _map_at."""
-    _, mult, bases, (_, _, _, j2, j3, _, _), s = dec
-    tag = mult.tag
-    if tag is MultTag.DISTINCT:
+    _, code, bases, (_, _, _, j2, j3, _, _), s = dec
+    if code == 0:
         return SymTensor2(*_anchored(mv[5], bases[0], bases[2]))
     args, p, q = mv[:3]
-    if tag is MultTag.TRIPLE:
+    if code == 3:
         return p * IDENTITY2
-    return SymTensor2(*_double_values(s, args[1], float(mult.theta_sign), q, p, mv[6], j2, j3))
+    return SymTensor2(*_double_values(s, args[1], _theta_sign(code), q, p, mv[6], j2, j3))
 
 
 def _tangent(eps_star: SymTensor2, dec: tuple, rm: InvariantReturnMap, mv) -> SymTensor4:
-    lam, mult, bases, (i1, _, _, j2, _, theta, defined), s = dec
+    lam, code, bases, (i1, _, _, j2, _, theta, defined), s = dec
     args, _, q, th, sines, sig, c = mv
-    tag = mult.tag
     gp = _called(rm.grad_p, args, (3,), ContractError, "return map grad_p", _AT)
     gq = _called(rm.grad_q, args, (3,), ContractError, "return map grad_q", _AT)
-    if tag is not MultTag.DISTINCT:
+    if code:
         # eps_q is 0 on the triple branch, where the kernel reads no sign.
-        sign = -1.0 if tag is MultTag.DOUBLE_HIGH_UNIQUE else 1.0
-        return SymTensor4._of(_coincident_tangent(s, args[1], sign, q, gp, gq, c))
+        return SymTensor4._of(_coincident_tangent(s, args[1], _theta_sign(code), q, gp, gq, c))
     gth = _called(rm.grad_theta_sigma, args, (3,), ContractError,
                   "return map grad_theta_sigma", _AT)
     f = 2.0 / (3.0 * args[1])
@@ -229,11 +225,10 @@ def _dsigma(gp, gq, gth, q, th, sines, m) -> list:
 def _stress_tangent_rows(eps_star: SymTensor2, dec: tuple, rm: InvariantReturnMap,
                          ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """stress_and_tangent on the rows of eps_star and of its decomposition
-    dec (_spectrum_rows) where ok, whose entries are (n,) arrays and whose
-    mult holds the class codes: (sigma as (n, 6), tangent as (n, 6, 6), ok
-    less the rows on which stress_and_tangent would raise).  The map is
-    called only on rows that are still ok, and only where _map_at and
-    _tangent call it."""
+    dec (_spectrum_rows) where ok, whose entries are (n,) arrays: (sigma as
+    (n, 6), tangent as (n, 6, 6), ok less the rows on which
+    stress_and_tangent would raise).  The map is called only on rows that
+    are still ok, and only where _map_at and _tangent call it."""
     lam, code, bases, (i1, _, _, j2, j3, theta, _), s = dec
     dist, triple = code == 0, code == 3
     eps_v, eps_q, _ = _predictor_args(i1, j2, theta, _ROW_MATH)
@@ -262,7 +257,7 @@ def _stress_tangent_rows(eps_star: SymTensor2, dec: tuple, rm: InvariantReturnMa
     # give the kernels.
     rows = np.flatnonzero(code)
     code, eps_q, p, q = code[rows], args[1][rows], p[rows], q[rows]
-    kern = (tuple(x[rows] for x in s), eps_q, np.where(code == 1, -1.0, 1.0), q)
+    kern = (tuple(x[rows] for x in s), eps_q, _theta_sign(code), q)
     c = _in_pair(gth[2][rows], q, eps_q)
     sigma[rows] = np.where((code == 3)[:, None], p[:, None] * _E,
                            np.array(_double_values(*kern, p, c, j2[rows], j3[rows])).T)

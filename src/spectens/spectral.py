@@ -129,12 +129,17 @@ def _in_order(l1, l2, l3):
     return (l1 - l2 >= -slack) & (l2 - l3 >= -slack)
 
 
-_TRIPLE = Multiplicity(MultTag.TRIPLE)
-_DOUBLE_HIGH_UNIQUE = Multiplicity(MultTag.DOUBLE_HIGH_UNIQUE, 0)
-_DOUBLE_LOW_UNIQUE = Multiplicity(MultTag.DOUBLE_LOW_UNIQUE, 2)
-_DISTINCT = Multiplicity(MultTag.DISTINCT)
-# The multiplicities in the order of the class codes of _spectrum_rows.
-_MULTS = (_DISTINCT, _DOUBLE_HIGH_UNIQUE, _DOUBLE_LOW_UNIQUE, _TRIPLE)
+# The class code of a branch is the position of its tag in MultTag; _LONE
+# is the index of the lone eigenvalue by code, and _MULTS the shared
+# Multiplicity of each code, which public results carry.
+_LONE = (None, 0, 2, None)
+_MULTS = tuple(map(Multiplicity, MultTag, _LONE))
+
+
+def _theta_sign(code):
+    """Multiplicity.theta_sign as a float for the class code of a double,
+    1.0 for the other codes; an int or an int array."""
+    return 1.0 - 2.0 * (code == 1)
 
 
 def _coincidences(lam, scale) -> tuple:
@@ -195,30 +200,30 @@ def spectrum(t: SymTensor2) -> Spectrum:
     the bases, the invariants and the Spectrum built from its components.
     A tensor whose Lode angle is undefined is triple, whatever its gaps.
     ContractError names a component of t that is NaN or infinite."""
-    lam, mult, (n0, n1, n2), inv, _ = _decompose(t)
+    lam, code, (n0, n1, n2), inv, _ = _decompose(t)
     # One tensor for the repeated pair of a double spectrum, and _THIRD_I.
     b1 = _THIRD_I if n1 is _THIRD else SymTensor2(*n1)
-    return Spectrum(lam, mult, (b1 if n0 is n1 else SymTensor2(*n0), b1,
-                                b1 if n2 is n1 else SymTensor2(*n2)), InvariantSet(*inv))
+    bases = (b1 if n0 is n1 else SymTensor2(*n0), b1, b1 if n2 is n1 else SymTensor2(*n2))
+    return Spectrum(lam, _MULTS[code], bases, InvariantSet(*inv))
 
 
 def _decompose(t: SymTensor2) -> tuple:
-    """spectrum(t) as plain components, in one pass: (lam, mult, bases, inv,
-    s), with bases three 6-tuples of components (one tuple twice for the
-    repeated pair of a double spectrum, _THIRD thrice on the triple), inv
-    the fields of the InvariantSet in order and s the components of
-    deviator(t).  The invariants, the deviator and the norm come from one
-    evaluation, and nothing is built that the callers do not read."""
+    """spectrum(t) as plain components, in one pass: (lam, code, bases, inv,
+    s), with code the class code of the branch (see _MULTS), bases three
+    6-tuples of components (one tuple twice for the repeated pair of a
+    double spectrum, _THIRD thrice on the triple), inv the fields of the
+    InvariantSet in order and s the components of deviator(t).  The
+    invariants, the deviator and the norm come from one evaluation, and
+    nothing is built that the callers do not read."""
     inv, s, nrm = _invariants(t)
     i1, _, _, j2, _, theta, defined = inv
     lam = _eigenvalues(t, i1, j2, theta)
     triple, high_unique, low_unique = _coincidences(lam, nrm)
     if triple or not defined:
-        return lam, _TRIPLE, (_THIRD, _THIRD, _THIRD), inv, s
-    mult = (_DOUBLE_HIGH_UNIQUE if high_unique else _DOUBLE_LOW_UNIQUE if low_unique
-            else _DISTINCT)
+        return lam, 3, (_THIRD, _THIRD, _THIRD), inv, s
+    code = 1 if high_unique else 2 if low_unique else 0
     # On a double branch only the lone eigenvalue, whose denominator is near 3 J2.
-    k = mult.unique_index
+    k = _LONE[code]
     third = i1 / 3.0
     lis = (lam[0] - third, lam[1] - third, lam[2] - third) if k is None else (lam[k] - third,)
     try:
@@ -230,15 +235,15 @@ def _decompose(t: SymTensor2) -> tuple:
     if k is not None:
         n_rep = _pair(bases[0])
         bases = (bases[0], n_rep, n_rep) if k == 0 else (n_rep, n_rep, bases[0])
-    return lam, mult, bases, inv, s
+    return lam, code, bases, inv, s
 
 
 @np.errstate(all="ignore")
 def _spectrum_rows(t: SymTensor2) -> tuple[tuple, np.ndarray]:
     """_decompose of the rows of t, whose components are (n,) arrays, and
-    the mask of the rows it holds for: those that pass its guards.  mult is
-    the (n,) array of each row's position in _MULTS, and bases are three
-    tuples of six (n,) arrays."""
+    the mask of the rows it holds for: those that pass its guards.  code is
+    the (n,) array of the class codes, and bases are three tuples of six
+    (n,) arrays."""
     inv, s, nrm = _invariant_rows(t)
     i1, _, _, j2, _, theta, defined = inv
     third = i1 / 3.0
@@ -447,10 +452,10 @@ def spin(t: SymTensor2, i: int) -> SymTensor4:
     """
     if i not in (0, 1, 2):
         raise BranchError(f"eigenvalue index must be 0, 1 or 2, got {i}")
-    lam, mult, bases, inv, _ = _decompose(t)
-    if mult is _TRIPLE:
+    lam, code, bases, inv, _ = _decompose(t)
+    if code == 3:
         raise DegeneracyError("spin undefined: every eigenvalue is repeated")
-    if mult is not _DISTINCT and i != mult.unique_index:
+    if code and i != _LONE[code]:
         raise DegeneracyError("spin undefined for a repeated eigenvalue")
     return SymTensor4._of(_spin_sum(t, lam, bases, inv[0], inv[3],
                                     [float(k == i) for k in range(3)]))

@@ -216,8 +216,8 @@ def _scalar_output(cmd, lines):
             if not isinstance(rec, dict):
                 raise ContractError("record must be a JSON object")
             rec_id = cli._checked_id(rec.get("id", rec_id))
-            row, extra = cli._dispatch(cmd, cli._record_tensor(rec), rm)
-            res = cli_record(cmd, rec_id, cli._checked_finite(cmd, row), extra)
+            row, kind, extras = cli._dispatch(cmd, cli._record_tensor(rec), rm)
+            res = cli_record(cmd, rec_id, cli._checked_finite(cmd, row), kind, extras)
         except Exception as exc:
             res = {"id": rec_id, "error": str(exc) or type(exc).__name__}
             status = 2
@@ -416,13 +416,13 @@ def test_serializer_matches_json_reference(cmd):
     rng = np.random.default_rng(3)
     special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
                1.0, 0.1, -1e16, 1e-7, 123456789012345678.0, 1 / 3]
-    for e, extra in enumerate(_EXTRAS[cmd]):
+    for e in range(len(_EXTRAS[cmd])):
         for rec_id in _IDS:
             row = [float(x) for x in rng.standard_normal(_WIDTH[cmd])
                    * 10.0 ** rng.integers(-300, 300, _WIDTH[cmd])]
             row[:len(special)] = special[:len(row)]
             rng.shuffle(row)
-            want = json.dumps(cli_record(cmd, rec_id, row, extra)) + "\n"
+            want = json.dumps(cli_record(cmd, rec_id, row, e, _EXTRAS[cmd])) + "\n"
             cells = cli._cells(cmd, _EXTRAS[cmd], np.array([e]), [cli._id_text(rec_id)],
                                np.array([row]))
             assert "".join(cells.ravel()) == want
@@ -442,12 +442,13 @@ def test_number_table_writes_what_json_writes(pool, m, seed):
     rng = np.random.default_rng(seed)
     for cmd in RECORD_COMMANDS:
         vals = np.array(pool)[rng.integers(0, len(pool), (m, _WIDTH[cmd]))]
-        for e, extra in enumerate(_EXTRAS[cmd]):
+        for e in range(len(_EXTRAS[cmd])):
             # The kind of invariants is a bool, theta_defined.
             kind = np.full(m, e, dtype=bool if cmd == "invariants" else np.intp)
             cells = cli._cells(cmd, _EXTRAS[cmd], kind, [cli._id_text(7)] * m, vals)
             for row, want in zip(cells.tolist(), vals.tolist()):
-                assert "".join(row) == json.dumps(cli_record(cmd, 7, want, extra)) + "\n"
+                record = cli_record(cmd, 7, want, e, _EXTRAS[cmd])
+                assert "".join(row) == json.dumps(record) + "\n"
 
 
 def _reprs(vals):

@@ -109,6 +109,18 @@ def test_theta_sign_branch_guard():
         Multiplicity(MultTag.TRIPLE).theta_sign
 
 
+def test_theta_sign_of_a_class_code_is_that_of_its_multiplicity():
+    """_theta_sign, the one theta-sign rule of the library bodies, is
+    Multiplicity.theta_sign as a float on the double codes, and on an int
+    array of codes the signs that the row kernels took, bit for bit."""
+    for code in (1, 2):
+        got = spectral._theta_sign(code)
+        assert type(got) is float
+        assert _bits([got]) == _bits([float(spectral._MULTS[code].theta_sign)])
+    code = np.array([0, 1, 2, 3])
+    assert _bits(spectral._theta_sign(code)) == _bits(np.where(code == 1, -1.0, 1.0))
+
+
 def test_eigenbasis_distinct_diagonal_example():
     sp = st.spectrum(st.SymTensor2(5.0, 2.0, -1.0, 0.0, 0.0, 0.0))
     assert sp.mult.tag is MultTag.DISTINCT
@@ -374,8 +386,10 @@ def _bits(x) -> bytes:
 def test_spectrum_and_invariants_wrap_the_decomposition_property(e, rep, quat, log10_scale):
     """spectrum(t) and invariants(t) are the components of _decompose(t),
     field by field and bit for bit, on distinct, double and triple draws
-    from 1e-120 to 1e110.  The repeated pair of a double spectrum has one
-    basis tensor, and every basis of a triple one is _THIRD_I.  Where
+    from 1e-120 to 1e110; the multiplicity is the shared one of the class
+    code, which is the code of _spectrum_rows where its mask holds.  The
+    repeated pair of a double spectrum has one basis tensor, and every
+    basis of a triple one is _THIRD_I.  Where
     _decompose refuses t, spectrum raises its error, and where an invariant
     is not finite, invariants names it."""
     q = np.array(quat)
@@ -384,22 +398,24 @@ def test_spectrum_and_invariants_wrap_the_decomposition_property(e, rep, quat, l
     eigs = np.array([e[k] for k in rep]) * 10.0 ** log10_scale
     t = st.SymTensor2.from_matrix(r @ np.diag(eigs) @ r.T)
     try:
-        lam, mult, bases, inv, s = spectral._decompose(t)
+        lam, code, bases, inv, s = spectral._decompose(t)
     except st.SpectensError as exc:
         with pytest.raises(type(exc)) as info:
             st.spectrum(t)
         assert str(info.value) == str(exc)
         return
     sp = st.spectrum(t)
-    assert _bits(sp.lam) == _bits(lam) and sp.mult is mult
+    assert _bits(sp.lam) == _bits(lam) and sp.mult is spectral._MULTS[code]
+    row_codes, row_ok = _row_codes(t)
+    assert row_codes == [code] or row_ok == [False]
     assert _bits([b.as_tuple() for b in sp.bases]) == _bits(bases)
     assert _bits(dataclasses.astuple(sp.inv)) == _bits(inv)
     assert sp.inv.theta_defined is inv[6]
     assert _bits(s) == _bits(st.deviator(t).as_tuple())
-    if mult.tag is MultTag.TRIPLE:
+    if code == 3:
         assert all(b is spectral._THIRD_I for b in sp.bases)
-    elif mult.tag is not MultTag.DISTINCT:
-        pair = [b for i, b in enumerate(sp.bases) if i != mult.unique_index]
+    elif code:
+        pair = [b for i, b in enumerate(sp.bases) if i != sp.mult.unique_index]
         assert pair[0] is pair[1]
     if all(map(math.isfinite, inv[:6])):
         got = st.invariants(t)

@@ -368,11 +368,12 @@ def spectrum_ref(t):
     return Spectrum(lam, mult, bases, inv)
 
 
-def cli_record(cmd, rec_id, row, extra):
+def cli_record(cmd, rec_id, row, kind, extras):
     """The output record of the CLI command cmd as a dict, from its numbers
-    row and its extra field (theta_defined for invariants, None for stress,
-    else the multiplicity).  json.dumps of it is the reference for the CLI's
-    own serializer."""
+    row and its extra field extras[kind] (theta_defined for invariants, None
+    for stress, else the multiplicity), as cli._dispatch returns them.
+    json.dumps of it is the reference for the CLI's own serializer."""
+    extra = extras[kind]
     if cmd == "invariants":
         return {"id": rec_id, "I1": row[0], "I2": row[1], "I3": row[2],
                 "J2": row[3], "J3": row[4], "theta": row[5], "theta_defined": extra}
