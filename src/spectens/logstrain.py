@@ -17,12 +17,23 @@ SPD_RATIO_FLOOR = 1e-14
 _HALF_LOG = half_log_map()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LogStrainResult:
     b: SymTensor2
     eps: SymTensor2
     deps_db: SymTensor4
     branch: Multiplicity
+
+    def __init__(self, b: SymTensor2, eps: SymTensor2, deps_db: SymTensor4, branch: Multiplicity):
+        # The slot descriptors, as in SymTensor2.
+        _SET_B(self, b)
+        _SET_EPS(self, eps)
+        _SET_DEPS_DB(self, deps_db)
+        _SET_BRANCH(self, branch)
+
+
+_SET_B, _SET_EPS, _SET_DEPS_DB, _SET_BRANCH = (
+    getattr(LogStrainResult, f).__set__ for f in ("b", "eps", "deps_db", "branch"))
 
 
 def log_strain_from_b(b: SymTensor2) -> LogStrainResult:
@@ -35,7 +46,7 @@ def log_strain_from_b(b: SymTensor2) -> LogStrainResult:
             f"B has principal stretches {lam!r}; log strain needs a "
             "positive, non-degenerate spectrum")
     eps, deps = _apply(b, dec, _HALF_LOG)
-    return LogStrainResult(b=b, eps=eps, deps_db=deps, branch=_MULTS[dec[1]])
+    return LogStrainResult(b, eps, deps, _MULTS[dec[1]])
 
 
 def _log_strain_rows(b: SymTensor2, dec: tuple, ok) -> tuple:

@@ -335,10 +335,16 @@ def _spin_sum(t: SymTensor2, lam, bases, i1, j2, c, d=(0.0, 0.0, 0.0), tail=None
            *coef[0], *coef[1], *coef[2], *[half * x for x in tv], half_al, *k[0], *k[1], *k[2])
     flat, mm = _packed(ops, _PACK_SPIN_OPERANDS[bool(g)], tv[0])
     lead, num0 = flat.shape[:-1], 30 + len(g)
-    nv_t = flat[..., :18].reshape(lead + (3, 6)).swapaxes(-1, -2)
-    q = (mm(nv_t, mm(flat[..., num0:num0 + 15].reshape(lead + (3, 5)),
-                     flat[..., :30].reshape(lead + (5, 6))))
-         + mm(flat[..., num0 + 15:num0 + 22], _SPIN_TABLE).reshape(lead + (6, 6)))
+    # Plain slices on one tensor, cheaper than the stacked views of the
+    # rows; the layouts, and so the products, are the same.
+    if lead:
+        nv_t = flat[..., :18].reshape(lead + (3, 6)).swapaxes(-1, -2)
+        x, rest = flat[..., :30].reshape(lead + (5, 6)), flat[..., num0 + 15:num0 + 22]
+        y = flat[..., num0:num0 + 15].reshape(lead + (3, 5))
+    else:
+        x, y = flat[:30].reshape(5, 6), flat[num0:num0 + 15].reshape(3, 5)
+        nv_t, rest = x[:3].T, flat[num0 + 15:num0 + 22]
+    q = mm(nv_t, mm(y, x)) + mm(rest, _SPIN_TABLE).reshape(lead + (6, 6))
     q = q + q.swapaxes(-1, -2)
     if not g:
         return q
@@ -402,10 +408,15 @@ def _coincident_tangent(dv, eps_q, sign, q, gp, gq, c) -> np.ndarray:
     flat, mm = _packed((1.0, 1.0, 1.0, 0.0, 0.0, 0.0, *dv, *coef),
                        _PACK_COINCIDENT_OPERANDS, eps_q)
     lead = flat.shape[:-1]
-    u = flat[..., :12].reshape(lead + (2, 6))
+    # Plain slices on one tensor, as in _spin_sum.
+    if lead:
+        u, wv = flat[..., :12].reshape(lead + (2, 6)), flat[..., 12:].reshape(lead + (2, 4))
+        u_t = u.swapaxes(-1, -2)
+    else:
+        u, wv = flat[:12].reshape(2, 6), flat[12:].reshape(2, 4)
+        u_t = u.T
     # Rows 2i and 2i + 1 of the product: row i of U^T W U and of U^T V U.
-    uwv = mm(mm(u.swapaxes(-1, -2), flat[..., 12:].reshape(lead + (2, 4))).reshape(lead + (12, 2)),
-             u)
+    uwv = mm(mm(u_t, wv).reshape(lead + (12, 2)), u)
     return mm(uwv.reshape(lead + (1, 72)), _T_SK).reshape(lead + (6, 6))
 
 

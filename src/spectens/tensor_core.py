@@ -81,6 +81,14 @@ def _called(fn, args, shape, error, what, where):
         v = fn(*args)
     except ArithmeticError as exc:
         raise error(f"{what} fails at {where.format(*args)}: {exc!r}") from exc
+    # A float, and a tuple of three, as _real_result reads them, only faster.
+    if type(v) is float:
+        if not shape and math.isfinite(v):
+            return v
+    elif type(v) is tuple and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float:
+        fin = math.isfinite
+        if shape and fin(v[0]) and fin(v[1]) and fin(v[2]):
+            return v
     x = _real_result(v, shape)
     if x is None:
         kind = "three real numbers" if shape else "a real number"
@@ -94,18 +102,12 @@ def _real_result(v, shape=()):
     sequence), else None: what numpy reads as such, or a numbers.Real such
     as a Fraction.  None, text, complex numbers and numbers past the float
     range are not."""
-    # A float, and a tuple of three, as numpy reads them, only faster.
-    if type(v) is float:
-        return v if not shape and math.isfinite(v) else None
-    fin = math.isfinite
-    if type(v) is tuple and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float:
-        return v if shape == (3,) and fin(v[0]) and fin(v[1]) and fin(v[2]) else None
     try:
         a = np.asarray(v)
         if a.shape == shape and (a.dtype.kind in "biuf" or a.dtype.kind == "O"
                                  and all(isinstance(x, Real) for x in a.flat)):
             x = a.astype(float).tolist()
-            return x if all(map(fin, x if shape else (x,))) else None
+            return x if all(map(math.isfinite, x if shape else (x,))) else None
     except (TypeError, ValueError, OverflowError):
         pass
     return None

@@ -12,6 +12,7 @@ from spectens.isofunc import _apply_rows, _coincident, _eta, _map_values
 from spectens.spectral import _spectrum_rows
 
 from util import (
+    FloatSubclass,
     check_scalar_map,
     identity_map,
     make_with_eigs,
@@ -206,12 +207,14 @@ def test_the_map_is_called_once_per_distinct_eigenvalue_on_both_paths():
                 assert at == pytest.approx(sorted(lams), rel=1e-14), (t, kind)
 
 
-@pytest.mark.parametrize("conv", (Fraction, np.float64, lambda x: int(1e6 * x)),
-                         ids=("Fraction", "numpy.float64", "int"))
+@pytest.mark.parametrize("conv", (Fraction, np.float64, lambda x: int(1e6 * x), FloatSubclass,
+                                  bool),
+                         ids=("Fraction", "numpy.float64", "int", "float subclass", "bool"))
 def test_map_results_that_are_real_numbers_are_read_as_floats_on_both_paths(conv):
-    """A map that returns Fractions, numpy floats or ints is answered on
-    every branch, by isotropic_function and by _apply_rows, with the bits of
-    the map that returns their floats, and with floats."""
+    """A map that returns Fractions, numpy floats, ints, a float subclass or
+    bools is answered on every branch, by isotropic_function and by
+    _apply_rows, with the bits of the map that returns their floats, and
+    with floats."""
     f = st.square_map()
     got = st.ScalarEigenMap(lambda x: conv(f.eval(x)), lambda x: conv(f.deriv(x)))
     want = st.ScalarEigenMap(lambda x: float(conv(f.eval(x))), lambda x: float(conv(f.deriv(x))))

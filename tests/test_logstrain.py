@@ -1,6 +1,8 @@
 """Hencky strain: kinematics guards, closed-form values, and tangent checks."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from spectens import (
     IDENTITY2,
     IDENTITY4,
     KinematicsError,
+    LogStrainResult,
     MultTag,
     SymTensor2,
     SymTensor4,
@@ -103,6 +106,31 @@ def test_log_strain_is_the_half_log_isotropic_function():
         eps, deps = isotropic_function(b, half_log_map())
         assert res.eps.as_tuple() == eps.as_tuple()
         assert np.array_equal(res.deps_db.m, deps.m)
+
+
+def test_log_strain_result_is_a_frozen_dataclass_of_four_fields():
+    """Its hand-written __init__ keeps what the generated one gave: keyword
+    construction, field equality and hash, repr, no assignment, replace and
+    pickling."""
+    res = log_strain([2.0, 0.1, 0, 0, 0.5, 0, 0.2, 0, 1.0])
+    fields = ("b", "eps", "deps_db", "branch")
+    assert tuple(f.name for f in dataclasses.fields(res)) == fields
+    assert not hasattr(res, "__dict__")
+    copy = LogStrainResult(b=res.b, eps=res.eps, deps_db=res.deps_db, branch=res.branch)
+    assert copy == res and hash(copy) == hash(res) and copy is not res
+    assert repr(res) == ("LogStrainResult(" + ", ".join(
+        f"{f}={getattr(res, f)!r}" for f in fields) + ")")
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res, f, None)
+    with pytest.raises(TypeError):
+        LogStrainResult(res.b, res.eps, res.deps_db, res.branch, None)
+    other = dataclasses.replace(res, eps=IDENTITY2)
+    assert other.eps is IDENTITY2 and other.b is res.b and other != res
+    back = pickle.loads(pickle.dumps(res))
+    assert (back.b, back.eps, back.branch) == (res.b, res.eps, res.branch)
+    # SymTensor4 compares by identity, so the tangent is compared by value.
+    assert back.deps_db.m.tobytes() == res.deps_db.m.tobytes()
 
 
 def test_log_strain_distinct_diagonal():

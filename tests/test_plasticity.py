@@ -37,6 +37,7 @@ from spectens.oracle import fd_tensor_derivative, jacobi_eigen
 
 import util
 from util import (
+    FloatSubclass,
     make_with_eigs,
     mixed_control_point,
     quadratic_ratio,
@@ -568,13 +569,15 @@ def _converted(rm: InvariantReturnMap, conv) -> InvariantReturnMap:
         getattr(rm, f)) for f in _MAP_FIELDS})
 
 
-@pytest.mark.parametrize("conv", (Fraction, np.float64, lambda x: int(1e6 * x)),
-                         ids=("Fraction", "numpy.float64", "int"))
+@pytest.mark.parametrize("conv", (Fraction, np.float64, lambda x: int(1e6 * x), FloatSubclass,
+                                  bool),
+                         ids=("Fraction", "numpy.float64", "int", "float subclass", "bool"))
 def test_map_results_that_are_real_numbers_are_read_as_floats_on_both_paths(conv):
-    """A map that returns Fractions, numpy floats or ints is answered on
-    every branch, by the one-tensor calls and by _stress_tangent_rows, with
-    the bits of the map that returns their floats, and with floats: no
-    object array of Fractions, no numpy scalars."""
+    """A map that returns Fractions, numpy floats, ints, a float subclass or
+    bools is answered on every branch, by the one-tensor calls and by
+    _stress_tangent_rows, with the bits of the map that returns their
+    floats, and with floats: no object array of Fractions, no numpy
+    scalars."""
     rm = _map_twist()
     got, want = _converted(rm, conv), _converted(rm, lambda x: float(conv(x)))
     for eps, *_ in _BRANCH_PREDICTORS.values():

@@ -11,10 +11,11 @@ from hypothesis import strategies as hs
 
 import spectens as st
 from spectens import oracle
-from spectens.tensor_core import (_D2, _ROW_MATH, _as_vec, _invariant_rows, _invariant_terms,
-                                  _sin3theta)
+from spectens.tensor_core import (_D2, _ROW_MATH, _as_vec, _called, _invariant_rows,
+                                  _invariant_terms, _real_result, _sin3theta)
 
 from util import (
+    FloatSubclass,
     d2_I3,
     d2_I3_ref,
     isotropic_plus,
@@ -422,3 +423,30 @@ def test_d2_I3_operator_identity():
                 + (i1 * trd - st.ddot(t, d)) * np.eye(3))
         got = d2_I3(t).apply(d)
         assert st.norm(got - st.SymTensor2.from_matrix(want)) <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
+
+
+_MAP_RESULTS = {
+    "1.5": 1.5, "-0.0": -0.0, "float subclass": FloatSubclass(2.5),
+    "numpy.float64": np.float64(0.25), "True": True, "3": 3, "Fraction": Fraction(1, 3),
+    "10**400": 10**400, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "None": None,
+    "text": "1", "1j": 1j,
+    "tuple": (1.0, 2.0, 3.0), "list": [1.0, 2.0, 3.0], "array": np.arange(3.0),
+    "tuple with nan": (1.0, math.nan, 2.0), "pair": (1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("shape", ((), (3,)), ids=("value", "gradient"))
+@pytest.mark.parametrize("v", _MAP_RESULTS.values(), ids=_MAP_RESULTS.keys())
+def test_called_reads_a_map_result_as_real_result_reads_it(v, shape):
+    """_called reads a float, or a tuple of three, itself and hands every
+    other result to _real_result: it returns the floats that _real_result
+    reads, to the bit, and raises ContractError where that gives None."""
+    want = _real_result(v, shape)
+    if want is None:
+        with pytest.raises(st.ContractError, match=r"^map gives .*, or not finite at 1\.0$"):
+            _called(lambda *a: v, (1.0,), shape, st.ContractError, "map", "{0!r}")
+        return
+    got = _called(lambda *a: v, (1.0,), shape, st.ContractError, "map", "{0!r}")
+    got, want = (list(x) if shape else [x] for x in (got, want))
+    assert {type(x) for x in got} == {float}
+    assert [x.hex() for x in got] == [float(x).hex() for x in want]

@@ -41,6 +41,11 @@ from spectens.tensor_core import (
 )
 
 
+class FloatSubclass(float):
+    """A map result that is a float but not of type float: _called hands
+    it on to _real_result."""
+
+
 # Finite-difference gates for user-supplied maps, and small helpers that
 # only the tests call.
 
